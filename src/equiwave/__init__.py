@@ -7,8 +7,27 @@ equation on a higher dimensional flat space, build the discrete radial
 operator and its functional calculus, monitor the dispersive estimates
 (Hardy, smoothing, Strichartz, dimension shift), and finally integrate
 the nonlinear flow and cross-check the two formulations.
+
+Set EQUIWAVE_THREADS to cap the BLAS thread pool.  BLAS reads its
+thread variables when numpy loads, so the cap is applied here, before
+any submodule imports numpy; an explicit OPENBLAS_NUM_THREADS (or
+OMP_NUM_THREADS, MKL_NUM_THREADS) still wins.
 """
 
+import os
+
+
+def _apply_thread_cap():
+    cap = os.environ.get("EQUIWAVE_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
+# every submodule import follows the thread cap
 from .admissibility import (
     AdmissibilityReport,
     check_admissibility,
@@ -50,7 +69,6 @@ from .profiles import (
     TargetProfile,
     check_normalization,
     gamma_decompose,
-    jet_eval,
     metric_profile,
     parse_expr,
     target_profile,
@@ -76,7 +94,6 @@ from .solver import (
 from .spectral import (
     DiscreteRadialOperator,
     RadialGrid,
-    SpectralFunction,
     build_operator,
     evolve_linear,
     frac_norm,
@@ -107,7 +124,6 @@ __all__ = [
     "ReducedProblem",
     "Scenario",
     "ScenarioError",
-    "SpectralFunction",
     "TargetProfile",
     "Trajectory",
     "TruncationTooSmall",
@@ -133,7 +149,6 @@ __all__ = [
     "hardy_probe_family",
     "indices",
     "integrate",
-    "jet_eval",
     "load_scenario",
     "metric_profile",
     "parse_expr",

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .admissibility import check_admissibility, compute_H, compute_P, estimate_h_infinity
+from .admissibility import compute_H, compute_P, estimate_h_infinity
 from .errors import CFLViolation, ClosedFormMismatch, EquiwaveError, ScenarioError
 from .estimates import (
     dimshift_check,
@@ -27,18 +26,8 @@ from .estimates import (
     strichartz_monitor,
 )
 from .profiles import metric_profile
-from .reduction import indices, reduce_problem
 from .scenario import Scenario, load_scenario
 from .solver import integrate, strichartz_trace
-from .spectral import RadialGrid, build_operator
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("EQUIWAVE_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _write_json(path: Path, payload: dict):
@@ -56,22 +45,17 @@ def _write_csv(path: Path, header, rows):
 
 
 def run_verify(scenario: Scenario, out: Path) -> dict:
-    profile = scenario.profile()
-    report = check_admissibility(profile, scenario.n)
+    report = scenario.admissibility
     payload = report.to_json()
     payload["verdict"] = "PASS" if report.admissible else "FAIL"
     return payload
 
 
 def run_reduce(scenario: Scenario, out: Path) -> dict:
-    profile = scenario.profile()
-    problem = reduce_problem(profile, scenario.n, scenario.k)
-    grid = RadialGrid(float(scenario.grid["R_max"]), int(scenario.grid["N"]))
-    op = build_operator(grid, problem.m, problem.W(grid.nodes))
-    idx, lam = op.spectrum_table()
+    lam = scenario.reduced_operator.eigenvalues
     _write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
-               zip(idx.tolist(), lam.tolist()))
-    summary = problem.summary()
+               enumerate(lam.tolist()))
+    summary = scenario.reduced_problem.summary()
     summary["spectrum"] = {
         "min_eigenvalue": float(lam[0]),
         "max_eigenvalue": float(lam[-1]),
@@ -101,31 +85,27 @@ def run_estimates(scenario: Scenario, out: Path) -> dict:
             rep = hardy_check(lambda r: r ** (1.0 - n), n, fam)
         elif name == "smoothing":
             delta0 = scenario.delta0
-            adm = check_admissibility(profile, n)
             if delta0 == "search":
-                delta0 = adm.delta0
+                delta0 = scenario.admissibility.delta0
             if delta0 is None:
                 raise ScenarioError("no delta0 found for smoothing check")
             fam = gaussian_family(10, seed, r_power=k)
-            h_inf, _ = estimate_h_infinity(profile, n)
             rep = smoothing_check(
                 profile, n, k, float(delta0), _default_lambda_grid(), fam,
-                h_infinity=h_inf,
+                h_infinity=scenario.reduced_problem.h_infinity,
                 R_max=float(scenario.grid["R_max"]), N=int(scenario.grid["N"]),
             )
         elif name == "strichartz":
-            problem = reduce_problem(profile, n, k)
-            grid = RadialGrid(float(scenario.grid["R_max"]), int(scenario.grid["N"]))
-            op = build_operator(grid, problem.m, problem.W(grid.nodes))
-            free_op = build_operator(grid, problem.m)
+            problem = scenario.reduced_problem
             fams = gaussian_family(10, seed, r_power=2)
-            fam = [tf.fn(grid.nodes) for tf in fams]
+            fam = [tf.fn(scenario.radial_grid.nodes) for tf in fams]
             idx = problem.indices
             nu = problem.h_infinity if problem.h_infinity > 0 else 0.0
             # the diagonal pair (a, a) sits on the admissibility line for
             # every m; the monitor validates the pair exactly
-            rep = strichartz_monitor(op, nu, (idx["a"], idx["a"]), fam,
-                                     free_op=free_op)
+            rep = strichartz_monitor(scenario.reduced_operator, nu,
+                                     (idx["a"], idx["a"]), fam,
+                                     free_op=scenario.free_operator)
         elif name == "dimshift":
             fam = gaussian_family(30, seed, r_power=k)
             rep = dimshift_check(n, k, 1.0, fam)
@@ -280,7 +260,6 @@ def _summary_lines(report: dict, prefix=""):
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="equiwave",
         description="verification pipelines for equivariant wave maps "

@@ -25,7 +25,14 @@ from .errors import (
 )
 from .profiles import MetricProfile
 from .reduction import compute_V, weight_w
-from .spectral import DiscreteRadialOperator, RadialGrid, build_operator, frac_norm, resolve
+from .spectral import (
+    DiscreteRadialOperator,
+    RadialGrid,
+    _powered,
+    build_operator,
+    frac_norm,
+    resolve,
+)
 
 
 # -- reports -------------------------------------------------------------------
@@ -128,19 +135,6 @@ def hardy_probe_family(count: int, seed: int) -> list[TestFunction]:
 
         fam.append(TestFunction(f"probe-{seed}-{i}", fn, dfn))
     return fam
-
-
-def bandlimited_family(
-    op: DiscreteRadialOperator, count: int, seed: int, n_modes: int = 40
-) -> list[np.ndarray]:
-    """Seeded random combinations of the lowest eigenmodes of op."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        c = np.zeros(op.grid.N)
-        c[:n_modes] = rng.normal(size=n_modes)
-        out.append(op.from_coefficients(c))
-    return out
 
 
 # -- weighted Hardy ---------------------------------------------------------------
@@ -315,13 +309,7 @@ def strichartz_monitor(
     shift = "inhomogeneous" if nu > 0 else "homogeneous"
     lam = op.eigenvalues + nu
     om = np.sqrt(np.maximum(lam, 0.0))
-    lam_free = free_op.eigenvalues
-    if shift == "inhomogeneous":
-        mult = (1.0 + np.maximum(lam_free, 0.0)) ** (s0 / 2.0)
-    else:
-        mult = np.maximum(lam_free, free_op.lambda_floor if s0 < 0 else 0.0) ** (
-            s0 / 2.0
-        )
+    mult = _powered(free_op, s0 / 2.0, shift)
     times = np.linspace(0.0, T, n_t)
     vol = op.grid.volume_weights(op.m)
     ids, ratios = [], []

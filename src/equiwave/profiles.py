@@ -378,12 +378,7 @@ def target_profile(kind: str, domain_bound: Optional[float] = None, **params) ->
     raise DomainError(f"unknown target profile kind {kind!r}")
 
 
-# -- spec operations ------------------------------------------------------------
-
-
-def jet_eval(profile, r0: float, order: int) -> Jet:
-    """Exact derivatives of a closed-form profile at r0."""
-    return profile.jet(r0, order)
+# -- cubic decomposition of the nonlinearity ---------------------------------
 
 
 def _gamma_series(target: TargetProfile, lbar: float, order: int = 9) -> np.ndarray:

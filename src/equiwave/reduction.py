@@ -5,7 +5,7 @@ The angular mode phi(t,r) of equivariance degree k on an n-dimensional
 rotationally symmetric base is written phi = w(r) psi with
 w = r^(k+(n-1)/2) / h^((n-1)/2).  The function psi then solves a radial
 semilinear wave equation on R^m, m = n+2k, with potential V(r) that is
-smooth at the origin.  This module provides w, V, V0, W = V - h_inf,
+smooth at the origin.  This module provides w, V, W = V - h_inf,
 the exact rational Strichartz indices, and the field transforms.
 """
 
@@ -101,11 +101,6 @@ def compute_V(profile: MetricProfile, n: int, k: int, r):
         out[small] = (n - 1) / 2 * (_poly(A, rs) + (n - 3) / 2 * _poly(B, rs)) \
             + lbar * _poly(C, rs)
     return float(out[0]) if scalar else out
-
-
-def compute_V0(profile: MetricProfile, n: int, r):
-    """Potential of the k = 0 conjugation (radial weight only)."""
-    return compute_V(profile, n, 0, r)
 
 
 def indices(n: int, k: int) -> dict:

@@ -6,13 +6,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .errors import CFLViolation, ScenarioError
+from .admissibility import AdmissibilityReport, check_admissibility
+from .errors import CFLViolation, DomainError, ScenarioError
 from .profiles import MetricProfile, TargetProfile, metric_profile, target_profile
+from .reduction import ReducedProblem, reduce_problem
+from .spectral import DiscreteRadialOperator, RadialGrid, build_operator
+
+# the errors a malformed manifold or target spec raises
+_SPEC_ERRORS = (KeyError, IndexError, TypeError, ValueError, DomainError)
 
 KNOWN_CHECKS = ("hardy", "smoothing", "strichartz", "dimshift")
 KNOWN_SHAPES = ("gaussian", "zero")
@@ -86,15 +93,40 @@ class Scenario:
         spec = dict(self.manifold)
         try:
             return metric_profile(spec.pop("kind"), **spec)
-        except (KeyError, Exception) as exc:
+        except _SPEC_ERRORS as exc:
             raise ScenarioError(f"bad manifold spec: {exc}") from exc
 
     def target_profile(self) -> TargetProfile:
         spec = dict(self.target)
         try:
             return target_profile(spec.pop("kind"), **spec)
-        except (KeyError, Exception) as exc:
+        except _SPEC_ERRORS as exc:
             raise ScenarioError(f"bad target spec: {exc}") from exc
+
+    # -- discrete objects, built once and shared by every pipeline.  They
+    # depend only on manifold, n, k and grid, never on the seed (which the
+    # CLI may set after loading); change none of those after a first read.
+
+    @cached_property
+    def radial_grid(self) -> RadialGrid:
+        return RadialGrid(float(self.grid["R_max"]), int(self.grid["N"]))
+
+    @cached_property
+    def admissibility(self) -> AdmissibilityReport:
+        return check_admissibility(self.profile(), self.n)
+
+    @cached_property
+    def reduced_problem(self) -> ReducedProblem:
+        return reduce_problem(self.profile(), self.n, self.k)
+
+    @cached_property
+    def reduced_operator(self) -> DiscreteRadialOperator:
+        problem, grid = self.reduced_problem, self.radial_grid
+        return build_operator(grid, problem.m, problem.W(grid.nodes))
+
+    @cached_property
+    def free_operator(self) -> DiscreteRadialOperator:
+        return build_operator(self.radial_grid, self.n + 2 * self.k)
 
     def initial_data(self, r: np.ndarray):
         """(field, velocity) samples of the geometric field phi."""

@@ -8,17 +8,16 @@ velocity-Verlet (leapfrog) scheme:
   psi-form on flat R^m (phi = w psi):
       psi_tt = Delta_m psi - V psi - (r^(m-1)/h^(n+1)) psi^3 Gamma(w psi).
 
-Both spatial operators are finite-volume divergence forms built from the
-same cell-average machinery as the spectral module, so the linear flat
-case reproduces the spectral propagator to second order.  The scheme is
-time-symmetric; reversal and energy drift double as correctness tests.
+Both spatial operators are the spectral module's finite-volume stencil,
+so the linear flat case reproduces the spectral propagator to second
+order.  The scheme is time-symmetric; reversal and energy drift double
+as correctness tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -27,14 +26,7 @@ from .errors import BlowUp, CFLViolation, DomainError
 from .profiles import gamma_decompose
 from .reduction import compute_V, gamma_weights, indices, weight_w
 from .scenario import Scenario
-from .spectral import (
-    DiscreteRadialOperator,
-    RadialGrid,
-    _power_cells,
-    _simpson_cells,
-    build_operator,
-    frac_norm,
-)
+from .spectral import _powered, _Stencil, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 
@@ -77,42 +69,13 @@ class Trajectory:
         return rows
 
 
-class _FluxOperator:
-    """Finite-volume divergence form (F u')'/rho on the cell grid, with
-    zero flux through r=0 and a zero Dirichlet value beyond R_max."""
-
-    def __init__(self, grid: RadialGrid, F_faces: np.ndarray, rho_cells: np.ndarray):
-        self.grid = grid
-        self.F = np.asarray(F_faces, dtype=float)
-        self.rho = np.asarray(rho_cells, dtype=float)
-        self._scale = 1.0 / (grid.dr**2 * self.rho)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        flux = np.empty(self.grid.N + 1)
-        flux[0] = 0.0
-        flux[1:-1] = self.F[1:-1] * np.diff(u)
-        flux[-1] = -self.F[-1] * u[-1]
-        return np.diff(flux) * self._scale
-
-    def quadratic_form(self, u: np.ndarray) -> float:
-        """sum over faces of F (du/dr)^2, the discrete gradient energy
-        (times dr it approximates the integral of F u'^2)."""
-        du2 = np.diff(u) ** 2
-        edge = u[-1] ** 2
-        return float(
-            (np.sum(self.F[1:-1] * du2) + self.F[-1] * edge) / self.grid.dr**2
-        )
-
-
 class _Discretization:
     """Everything precomputable for one scenario and formulation."""
 
     def __init__(self, scenario: Scenario, formulation: str):
         self.scenario = scenario
         self.formulation = formulation
-        self.grid = RadialGrid(
-            float(scenario.grid["R_max"]), int(scenario.grid["N"])
-        )
+        self.grid = scenario.radial_grid
         self.profile = scenario.profile()
         self.target = scenario.target_profile()
         n, k = scenario.n, scenario.k
@@ -123,9 +86,7 @@ class _Discretization:
         self.h_nodes = self.profile(r)
         self.w_nodes = weight_w(self.profile, n, k, r)
         if formulation == "phi":
-            F = self.profile(self.grid.faces) ** (n - 1)
-            rho = _simpson_cells(self.grid, lambda x: self.profile(x) ** (n - 1))
-            self.op = _FluxOperator(self.grid, F, rho)
+            self.op = _Stencil.manifold(self.grid, self.profile, n)
             # The linear part of the nonlinearity, lbar*phi/h^2, is singular
             # at the origin and must cancel the FV Laplacian discretely, not
             # just in the continuum.  Near 0 we therefore evaluate the
@@ -139,9 +100,7 @@ class _Discretization:
             self.V = None
             self.pref = None
         elif formulation == "psi":
-            F = self.grid.faces ** (self.m - 1)
-            rho = _power_cells(self.grid, self.m)
-            self.op = _FluxOperator(self.grid, F, rho)
+            self.op = _Stencil.flat(self.grid, self.m)
             self.V = compute_V(self.profile, n, k, r)
             self.pref, _ = gamma_weights(self.profile, n, k, r)
         else:
@@ -165,11 +124,6 @@ class _Discretization:
         if self.formulation == "psi":
             return WaveState(0.0, phi0 / self.w_nodes, phi1 / self.w_nodes, "psi")
         return WaveState(0.0, phi0, phi1, "phi")
-
-
-@lru_cache(maxsize=4)
-def _free_operator(R_max: float, N: int, m: int) -> DiscreteRadialOperator:
-    return build_operator(RadialGrid(R_max, N), m)
 
 
 def energy(state: WaveState, scenario: Scenario) -> float:
@@ -261,9 +215,7 @@ def integrate(
         ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
     ball = grid.R_max / 3.0
 
-    free_op = None
-    if spectral_diagnostics:
-        free_op = _free_operator(grid.R_max, grid.N, disc.m)
+    free_op = scenario.free_operator if spectral_diagnostics else None
 
     times, energies, sups, halves, locals_ = [], [], [], [], []
     states = []
@@ -357,15 +309,13 @@ def strichartz_trace(
     if not trajectory.states:
         raise DomainError("trajectory carries no stored states")
     sc = scenario
-    grid = RadialGrid(float(sc.grid["R_max"]), int(sc.grid["N"]))
     idx = indices(sc.n, sc.k)
     p, q = float(idx["p"]), float(idx["q"])
-    m = idx["m"]
-    op = _free_operator(grid.R_max, grid.N, m)
+    op = sc.free_operator
     s = (sc.n - 1) / 2
     disc = _Discretization(sc, trajectory.formulation)
-    wq = grid.volume_weights(m)
-    powered = (1.0 + np.maximum(op.eigenvalues, 0.0)) ** (s / 2)
+    wq = op.grid.volume_weights(idx["m"])
+    powered = _powered(op, s / 2, "inhomogeneous")
     lq = []
     for st in trajectory.states:
         psi = st.field if st.formulation == "psi" else st.field / disc.w_nodes

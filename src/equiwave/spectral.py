@@ -7,6 +7,10 @@ for (r^(m-1) v')' / r^(m-1), conjugated by r^((m-1)/2).  The flux through
 the r=0 face vanishes identically (regularity) and the outer boundary is
 a zero Dirichlet value at R_max.  The eigendecomposition then gives exact
 discrete calculus for |D|^s, <D>^s, e^(it sqrt(nu+H)) and resolvents.
+
+The stencil is defined once, by _Stencil, from face weights and cell
+averages; with the weight h^(n-1) of the base manifold the same stencil
+serves the manifold form of the resolvent and the nonlinear solver.
 """
 
 from __future__ import annotations
@@ -66,29 +70,61 @@ class RadialGrid:
         return float(np.sqrt(np.sum(np.abs(v) ** 2 * self.volume_weights(m)).real))
 
 
-def _divergence_form_tridiag(grid: RadialGrid, rho_faces, rho_cells):
-    """Symmetric tridiagonal for -(rho u')'/rho conjugated by rho^(1/2).
+class _Stencil:
+    """Finite-volume divergence form (F u')'/rho on the cell grid, from
+    face weights F and cell averages rho of the volume weight, with zero
+    flux through r=0 and a zero Dirichlet value beyond R_max.
 
-    rho_cells must be cell averages of rho, not midpoint values: the
-    averages keep the stencil second order in the first cell at r=0.
+    rho must hold cell averages, not midpoint values: the averages keep
+    the stencil second order in the first cell at r=0.
     """
-    dr2 = grid.dr**2
-    diag = (rho_faces[:-1] + rho_faces[1:]) / (dr2 * rho_cells)
-    off = -rho_faces[1:-1] / (dr2 * np.sqrt(rho_cells[:-1] * rho_cells[1:]))
-    return diag, off
 
+    def __init__(self, grid: RadialGrid, F: np.ndarray, rho: np.ndarray):
+        self.grid = grid
+        self.F = F
+        self.rho = rho
+        self._scale = 1.0 / (grid.dr**2 * rho)
 
-def _power_cells(grid: RadialGrid, m: int) -> np.ndarray:
-    """Exact cell averages of r^(m-1)."""
-    f = grid.faces
-    return (f[1:] ** m - f[:-1] ** m) / (m * grid.dr)
+    @classmethod
+    def flat(cls, grid: RadialGrid, m: int) -> "_Stencil":
+        """F = r^(m-1) with exact cell averages of r^(m-1)."""
+        f = grid.faces
+        return cls(grid, f ** (m - 1), (f[1:] ** m - f[:-1] ** m) / (m * grid.dr))
 
+    @classmethod
+    def manifold(cls, grid: RadialGrid, profile, n: int) -> "_Stencil":
+        """F = h^(n-1) with Simpson cell averages of h^(n-1)."""
 
-def _simpson_cells(grid: RadialGrid, fn) -> np.ndarray:
-    """Simpson cell averages of a positive function."""
-    lo, hi = fn(grid.faces[:-1]), fn(grid.faces[1:])
-    mid = fn(grid.nodes)
-    return (lo + 4.0 * mid + hi) / 6.0
+        def weight(x):
+            return profile(x) ** (n - 1)
+
+        lo, hi = weight(grid.faces[:-1]), weight(grid.faces[1:])
+        rho = (lo + 4.0 * weight(grid.nodes) + hi) / 6.0
+        return cls(grid, weight(grid.faces), rho)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """(F u')'/rho in flux form, for real or complex u."""
+        flux = np.empty(self.grid.N + 1, dtype=np.result_type(u, 0.0))
+        flux[0] = 0.0
+        flux[1:-1] = self.F[1:-1] * np.diff(u)
+        flux[-1] = -self.F[-1] * u[-1]
+        return np.diff(flux) * self._scale
+
+    def quadratic_form(self, u: np.ndarray) -> float:
+        """sum over faces of F (du/dr)^2, the discrete gradient energy
+        (times dr it approximates the integral of F u'^2)."""
+        du2 = np.diff(u) ** 2
+        edge = u[-1] ** 2
+        return float(
+            (np.sum(self.F[1:-1] * du2) + self.F[-1] * edge) / self.grid.dr**2
+        )
+
+    def tridiagonal(self):
+        """Diagonal and off-diagonal of -(F u')'/rho conjugated by rho^(1/2)."""
+        dr2 = self.grid.dr**2
+        diag = (self.F[:-1] + self.F[1:]) / (dr2 * self.rho)
+        off = -self.F[1:-1] / (dr2 * np.sqrt(self.rho[:-1] * self.rho[1:]))
+        return diag, off
 
 
 @dataclass
@@ -98,13 +134,12 @@ class DiscreteRadialOperator:
     grid: RadialGrid
     m: int
     W_samples: np.ndarray
-    diag: np.ndarray = field(repr=False, default=None)
-    offdiag: np.ndarray = field(repr=False, default=None)
-    rho_cells: np.ndarray = field(repr=False, default=None)
+    stencil: _Stencil = field(repr=False)
 
     @cached_property
     def _eig(self):
-        lam, vec = scipy.linalg.eigh_tridiagonal(self.diag, self.offdiag)
+        diag, off = self.stencil.tridiagonal()
+        lam, vec = scipy.linalg.eigh_tridiagonal(diag + self.W_samples, off)
         return lam, vec
 
     @property
@@ -120,6 +155,10 @@ class DiscreteRadialOperator:
         # infrared cutoff imposed by truncation to [0, R_max]
         return (math.pi / (2.0 * self.grid.R_max)) ** 2
 
+    @property
+    def rho_cells(self) -> np.ndarray:
+        return self.stencil.rho
+
     def symmetrize(self, v) -> np.ndarray:
         return np.asarray(v) * np.sqrt(self.rho_cells)
 
@@ -128,21 +167,14 @@ class DiscreteRadialOperator:
 
     def apply(self, v) -> np.ndarray:
         """H v for a radial grid function v."""
-        vt = self.symmetrize(v)
-        out = self.diag * vt
-        out[:-1] += self.offdiag * vt[1:]
-        out[1:] += self.offdiag * vt[:-1]
-        return self.unsymmetrize(out)
+        v = np.asarray(v)
+        return self.W_samples * v - self.stencil.apply(v)
 
     def coefficients(self, v) -> np.ndarray:
         return self.eigenvectors.T @ self.symmetrize(v)
 
     def from_coefficients(self, c) -> np.ndarray:
         return self.unsymmetrize(self.eigenvectors @ np.asarray(c))
-
-    def spectrum_table(self):
-        lam = self.eigenvalues
-        return np.arange(len(lam)), lam
 
 
 def build_operator(
@@ -160,18 +192,19 @@ def build_operator(
         Ws = np.asarray(W, dtype=float)
         if Ws.shape != r.shape:
             raise DomainError("W sample length does not match the grid")
-    rho = _power_cells(grid, m)
-    diag, off = _divergence_form_tridiag(grid, grid.faces ** (m - 1), rho)
-    return DiscreteRadialOperator(grid, m, Ws, diag + Ws, off, rho)
+    return DiscreteRadialOperator(grid, m, Ws, _Stencil.flat(grid, m))
 
 
-def _powered(lam: np.ndarray, s: float, shift: str, floor: float) -> np.ndarray:
+def _powered(op: DiscreteRadialOperator, s: float, shift: str) -> np.ndarray:
+    """Eigenvalue multiplier of H^s ("homogeneous", floored at the infrared
+    cutoff when s < 0) or of (1+H)^s ("inhomogeneous")."""
+    lam = op.eigenvalues
     if np.min(lam) < -EIG_TOL:
         raise NegativeEigenvalue(f"eigenvalue {np.min(lam)} below -{EIG_TOL}")
     if shift == "inhomogeneous":
         base = 1.0 + np.maximum(lam, 0.0)
     elif shift == "homogeneous":
-        base = np.maximum(lam, floor if s < 0 else 0.0)
+        base = np.maximum(lam, op.lambda_floor if s < 0 else 0.0)
     else:
         raise DomainError(f"unknown shift {shift!r}")
     return base**s
@@ -182,7 +215,7 @@ def frac_norm(
 ) -> float:
     """|| H^(s/2) v ||_{L^2(R^m)} (or <H>^(s/2)) via eigen-calculus."""
     c = op.coefficients(v)
-    p = _powered(op.eigenvalues, s, shift, op.lambda_floor)
+    p = _powered(op, s, shift)
     scale = op.grid.surface_constant(op.m) * op.grid.dr
     return float(np.sqrt(scale * np.sum(p * np.abs(c) ** 2)))
 
@@ -245,16 +278,15 @@ def resolve(
     if profile is not None:
         if n is None or n < 3:
             raise DomainError("manifold form needs n >= 3")
-        rho = _simpson_cells(grid, lambda x: profile(x) ** (n - 1))
-        diag, off = _divergence_form_tridiag(grid, profile(grid.faces) ** (n - 1), rho)
+        stencil = _Stencil.manifold(grid, profile, n)
     else:
         if m is None or m < 3:
             raise DomainError("flat form needs m >= 3")
-        rho = _power_cells(grid, m)
-        diag, off = _divergence_form_tridiag(grid, grid.faces ** (m - 1), rho)
-        if W is not None:
-            diag = diag + (np.asarray(W(r)) if callable(W) else np.asarray(W))
-    rho_half = np.sqrt(rho)
+        stencil = _Stencil.flat(grid, m)
+    diag, off = stencil.tridiagonal()
+    if profile is None and W is not None:
+        diag = diag + (np.asarray(W(r)) if callable(W) else np.asarray(W))
+    rho_half = np.sqrt(stencil.rho)
     f = np.asarray(f)
     ft = rho_half * f
     # (kappa^2 I - A) u~ = f~ with A = -(rho u')'/rho (+W), symmetrized
@@ -269,22 +301,3 @@ def resolve(
     if not np.all(np.isfinite(ut)):
         raise SingularSystem("non-finite resolvent solution")
     return ut / rho_half
-
-
-@dataclass
-class SpectralFunction:
-    """A grid function carried as coefficients in the eigenbasis."""
-
-    op: DiscreteRadialOperator
-    coeffs: np.ndarray
-
-    @classmethod
-    def from_grid(cls, op: DiscreteRadialOperator, v) -> "SpectralFunction":
-        return cls(op, op.coefficients(v))
-
-    def to_grid(self) -> np.ndarray:
-        return self.op.from_coefficients(self.coeffs)
-
-    def l2_norm(self) -> float:
-        scale = self.op.grid.surface_constant(self.op.m) * self.op.grid.dr
-        return float(np.sqrt(scale * np.sum(np.abs(self.coeffs) ** 2)))

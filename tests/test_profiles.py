@@ -11,7 +11,6 @@ from equiwave.errors import DomainError, OrderUnavailable
 from equiwave.profiles import (
     check_normalization,
     gamma_decompose,
-    jet_eval,
     metric_profile,
     parse_expr,
     target_profile,
@@ -68,12 +67,12 @@ def test_jet_eval_polynomial_first_derivative():
     # h(r) = r (1 + sqrt(r)), h'(r) = 1 + (3/2) sqrt(r); h'(1) = 5/2,
     # and for M=2, h'(1) = 6 by direct differentiation
     p1 = metric_profile("polynomial-growth", M=1.0)
-    assert math.isclose(jet_eval(p1, 1.0, 1).derivative(1), 2.5, rel_tol=1e-12)
+    assert math.isclose(p1.jet(1.0, 1).derivative(1), 2.5, rel_tol=1e-12)
     p2 = metric_profile("polynomial-growth", M=2.0)
     r = sp.symbols("r", positive=True)
     want = float(sp.diff(r * (1 + sp.sqrt(r)) ** 2, r).subs(r, 1))
     assert want == 6.0
-    assert math.isclose(jet_eval(p2, 1.0, 1).derivative(1), 6.0, rel_tol=1e-12)
+    assert math.isclose(p2.jet(1.0, 1).derivative(1), 6.0, rel_tol=1e-12)
 
 
 def test_smoothed_profiles_are_smooth_at_zero():

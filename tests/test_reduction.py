@@ -12,7 +12,6 @@ from equiwave.errors import DomainError
 from equiwave.profiles import SERIES_RADIUS, metric_profile
 from equiwave.reduction import (
     compute_V,
-    compute_V0,
     gamma_weights,
     indices,
     reduce_problem,
@@ -78,7 +77,7 @@ def test_V_minus_V0_identity():
     lbar = k * (k + n - 2)
     rs = np.array([0.2, 0.7, 1.9])
     V = compute_V(hyp, n, k, rs)
-    V0 = compute_V0(hyp, n, rs)
+    V0 = compute_V(hyp, n, 0, rs)
     want = lbar * (1.0 / np.sinh(rs) ** 2 - 1.0 / rs**2)
     assert np.allclose(V - V0, want, rtol=1e-12)
 

@@ -3,9 +3,19 @@ codes, and determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import scipy.linalg
 
+import equiwave
+import equiwave.admissibility
+import equiwave.cli
+import equiwave.reduction
+import equiwave.scenario
 from equiwave.cli import emit_closed_forms, main
 from equiwave.errors import CFLViolation, ClosedFormMismatch, ScenarioError
 from equiwave.scenario import Scenario, load_scenario
@@ -23,6 +33,9 @@ GOOD = {
     "checks": ["hardy", "dimshift"],
     "seed": 0,
 }
+# a small `all` run with every estimate check
+ALL_CHECKS = {**GOOD, "grid": {"R_max": 25.0, "N": 300},
+              "checks": ["hardy", "smoothing", "strichartz", "dimshift"]}
 
 
 def write_scenario(tmp_path, payload, name="s.json"):
@@ -58,12 +71,24 @@ def test_defaults_applied(tmp_path):
         ({"time": {"T": 30.0, "dt_factor": 0.1, "snap_every": 1.0}}, ScenarioError),
         ({"time": {"T": 8.0, "dt_factor": 0.9, "snap_every": 1.0}}, CFLViolation),
         ({"manifold": {"kind": "nosuch"}}, ScenarioError),
+        ({"manifold": {"kind": "custom"}}, ScenarioError),
+        ({"manifold": {"kind": "custom", "expr": ["pow", "r"]}}, ScenarioError),
+        ({"manifold": {"kind": "custom", "expr": ["cutoff", "x"]}}, ScenarioError),
     ],
 )
 def test_validation_rejects(tmp_path, patch, exc):
     payload = {**GOOD, **patch}
     with pytest.raises(exc):
         load_scenario(write_scenario(tmp_path, payload))
+
+
+def test_programming_errors_are_not_config_errors(monkeypatch):
+    def broken(kind, **params):
+        raise RuntimeError("bug in a profile factory")
+
+    monkeypatch.setattr(equiwave.scenario, "metric_profile", broken)
+    with pytest.raises(RuntimeError):
+        Scenario(**GOOD)
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -125,9 +150,7 @@ def test_cli_numerical_error_exit_3(tmp_path):
 
 
 def test_cli_all_artifacts_and_determinism(tmp_path):
-    payload = {**GOOD, "grid": {"R_max": 25.0, "N": 300},
-               "checks": ["hardy", "smoothing", "strichartz", "dimshift"]}
-    path = write_scenario(tmp_path, payload)
+    path = write_scenario(tmp_path, ALL_CHECKS)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["all", "--scenario", str(path), "--out", str(out_a)]) == 0
     assert main(["all", "--scenario", str(path), "--out", str(out_b)]) == 0
@@ -138,6 +161,47 @@ def test_cli_all_artifacts_and_determinism(tmp_path):
         assert (out_a / artifact).exists(), artifact
     header = (out_a / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,energy,sup,h_half_norm,strichartz_partial"
+
+
+def _counting(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
+    # the reduced and the free operator are shared by every pipeline
+    eig, h_inf = [], []
+    _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal", eig)
+    for module in (equiwave.admissibility, equiwave.reduction, equiwave.cli):
+        _counting(monkeypatch, module, "estimate_h_infinity", h_inf)
+    path = write_scenario(tmp_path, ALL_CHECKS)
+    assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(eig) == 2
+    assert len(h_inf) <= 2
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="thread count is read from /proc/self/status")
+def test_equiwave_threads_caps_blas():
+    code = (
+        "import equiwave, numpy as np\n"
+        "a = np.ones((300, 300)); a @ a\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(next(l.split()[1] for l in status if l.startswith('Threads:')))\n"
+    )
+    env = {key: val for key, val in os.environ.items()
+           if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(equiwave.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["EQUIWAVE_THREADS"] = "1"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_cli_seed_override_changes_families(tmp_path):

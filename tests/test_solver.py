@@ -12,6 +12,7 @@ from equiwave.scenario import Scenario
 from equiwave.solver import (
     Trajectory,
     WaveState,
+    _Discretization,
     consistency_check,
     energy,
     integrate,
@@ -170,3 +171,12 @@ def test_strichartz_trace_zero_trajectory():
     s = make_scenario(N=300, T=3.0, data={"shape": "zero"})
     tr = integrate(s, "phi", spectral_diagnostics=False)
     assert strichartz_trace(tr, s) == 0.0
+
+
+def test_spectral_operator_and_solver_share_one_stencil():
+    disc = _Discretization(make_scenario(manifold="hyperbolic"), "psi")
+    r = disc.grid.nodes
+    v = r * np.exp(-((r - 2.0) ** 2))
+    want = -disc.op.apply(v)
+    got = build_operator(disc.grid, disc.m).apply(v)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
