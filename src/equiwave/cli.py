@@ -259,6 +259,12 @@ def _summary_lines(report: dict, prefix=""):
     return lines
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="equiwave",
@@ -270,7 +276,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
     sub.add_parser("closed-forms").add_argument("--out", default=".")
 
     try:
@@ -279,7 +285,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: cannot create --out: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "closed-forms":
@@ -287,7 +297,7 @@ def main(argv=None) -> int:
         else:
             scenario = load_scenario(args.scenario)
             if args.seed is not None:
-                scenario.seed = int(args.seed)
+                scenario.seed = args.seed
             if args.command == "all":
                 report = {"scenario": scenario.to_json()}
                 for name, fn in PIPELINES.items():

@@ -5,6 +5,8 @@ data, and which estimate checks to run."""
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +25,23 @@ _SPEC_ERRORS = (KeyError, IndexError, TypeError, ValueError, DomainError)
 
 KNOWN_CHECKS = ("hardy", "smoothing", "strichartz", "dimshift")
 KNOWN_SHAPES = ("gaussian", "zero")
+DATA_NUMBERS = ("amplitude", "width", "center", "velocity_amplitude")
+
+# Cost budget, checked before anything of grid size is allocated.
+# `all` holds two dense N x N eigenbases of 8 N^2 bytes each: 1 GiB at
+# N = 8192.  The longest run in the tests and the benchmark takes 33,334
+# steps.  A stored snapshot holds field and velocity, 16 N bytes.
+MAX_GRID_POINTS = 8192
+MAX_STEPS = 1_000_000
+MAX_SNAPSHOT_BYTES = 2**30
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass
@@ -40,22 +59,19 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        self._check_types()
         if self.n < 3 or self.k < 1:
             raise ScenarioError("need n >= 3 and k >= 1")
-        if isinstance(self.delta0, str):
-            if self.delta0 != "search":
-                raise ScenarioError(f"delta0 must be a number or 'search'")
-        elif not 0 < float(self.delta0) < 1:
-            raise ScenarioError("delta0 must lie in (0,1)")
-        for key in ("R_max", "N"):
-            if key not in self.grid:
-                raise ScenarioError(f"grid spec is missing {key!r}")
-        if self.grid["R_max"] <= 0 or int(self.grid["N"]) < 2:
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
+        if not isinstance(self.delta0, str):
+            if not 0 < self.delta0 < 1:
+                raise ScenarioError("delta0 must lie in (0,1)")
+        elif self.delta0 != "search":
+            raise ScenarioError("delta0 must be a number or 'search'")
+        if self.grid["R_max"] <= 0 or self.grid["N"] < 2:
             raise ScenarioError("grid needs R_max > 0 and N >= 2")
         t = self.time
-        for key in ("T", "dt_factor", "snap_every"):
-            if key not in t:
-                raise ScenarioError(f"time spec is missing {key!r}")
         if t["dt_factor"] > 0.5:
             raise CFLViolation(
                 f"dt_factor {t['dt_factor']} exceeds the CFL limit 0.5"
@@ -65,6 +81,9 @@ class Scenario:
         shape = self.data.get("shape", "gaussian")
         if shape not in KNOWN_SHAPES:
             raise ScenarioError(f"unknown data shape {shape!r}")
+        if self.data.get("width", 1.0) <= 0:
+            raise ScenarioError("data width must be positive")
+        self._check_cost()
         if t["T"] > self.grid["R_max"] - self.support_radius:
             raise ScenarioError(
                 "horizon violates the causality budget: need "
@@ -79,6 +98,69 @@ class Scenario:
         # eager profile validation
         self.profile()
         self.target_profile()
+
+    def _check_types(self):
+        """Reject a field of the wrong JSON type before any arithmetic."""
+        if not isinstance(self.name, str):
+            raise ScenarioError("name must be a string")
+        for key in ("manifold", "target", "grid", "time", "data"):
+            if not isinstance(getattr(self, key), dict):
+                raise ScenarioError(f"{key} must be a JSON object")
+        for key in ("manifold", "target"):
+            for name, value in getattr(self, key).items():
+                if name not in ("kind", "expr") and not _is_number(value):
+                    raise ScenarioError(f"{key} {name} must be a finite number")
+        for key in ("n", "k", "seed"):
+            if not _is_integer(getattr(self, key)):
+                raise ScenarioError(f"{key} must be an integer")
+        if not isinstance(self.delta0, str) and not _is_number(self.delta0):
+            raise ScenarioError("delta0 must be a number or 'search'")
+        if not (isinstance(self.checks, list)
+                and all(isinstance(c, str) for c in self.checks)):
+            raise ScenarioError("checks must be a list of check names")
+        numeric = (("grid", ("R_max", "N")),
+                   ("time", ("T", "dt_factor", "snap_every")),
+                   ("data", DATA_NUMBERS))
+        for section, keys in numeric:
+            spec = getattr(self, section)
+            for key in keys:
+                if section != "data" and key not in spec:
+                    raise ScenarioError(f"{section} spec is missing {key!r}")
+                if key in spec and not _is_number(spec[key]):
+                    raise ScenarioError(f"{section} {key} must be a finite number")
+        if not _is_integer(self.grid["N"]):
+            raise ScenarioError("grid N must be an integer")
+
+    def _check_cost(self):
+        """Reject a run beyond the cost budget; allocates nothing."""
+        N = self.grid["N"]
+        if N > MAX_GRID_POINTS:
+            raise ScenarioError(f"grid N = {N} exceeds the budget of {MAX_GRID_POINTS}")
+        dt_max = self.time["dt_factor"] * self.radial_grid.dr
+        if self.time["T"] > MAX_STEPS * dt_max:
+            raise ScenarioError(
+                f"step count T / (dt_factor * dr) exceeds the budget of {MAX_STEPS}"
+            )
+        n_steps, _, stride = self.stepping
+        snapshots = 1 + n_steps // stride + (n_steps % stride > 0)
+        if 16 * N * snapshots > MAX_SNAPSHOT_BYTES:
+            raise ScenarioError(
+                f"{snapshots} snapshots of {N} points exceed the budget of "
+                f"{MAX_SNAPSHOT_BYTES} bytes; raise snap_every"
+            )
+
+    @property
+    def stepping(self) -> tuple[int, float, int]:
+        """(step count, dt, snapshot stride) of a Verlet run to T: dt is
+        dt_factor * dr, shrunk if needed so that the last step lands on T."""
+        dt_max = float(self.time["dt_factor"]) * self.radial_grid.dr
+        T = float(self.time["T"])
+        n_steps = max(1, math.ceil(T / dt_max)) if T > 0 else 0
+        dt = T / n_steps if n_steps else dt_max
+        # a stride beyond n_steps stores the same snapshots as n_steps
+        snap = float(self.time["snap_every"])
+        stride = max(1, int(round(min(snap / dt, n_steps)))) if n_steps else 1
+        return n_steps, dt, stride
 
     @property
     def support_radius(self) -> float:
@@ -162,7 +244,9 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -186,7 +270,4 @@ def load_scenario(path) -> Scenario:
     for req in ("manifold", "target", "n", "k"):
         if req not in merged:
             raise ScenarioError(f"scenario is missing {req!r}")
-    try:
-        return Scenario(**merged)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return Scenario(**merged)

@@ -29,6 +29,9 @@ from .scenario import Scenario
 from .spectral import _powered, _Stencil, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
+# snapshots per batched eigenbasis transform: an (N, 128) stack is 4 MB
+# at N = 4000, small beside the N x N eigenbasis
+SNAPSHOT_BLOCK = 128
 
 
 @dataclass
@@ -197,11 +200,7 @@ def integrate(
     dt_factor = float(scenario.time["dt_factor"])
     if dt_factor > 0.5:
         raise CFLViolation(f"dt_factor {dt_factor} exceeds 0.5")
-    T = float(scenario.time["T"])
-    # land exactly on T: shrink dt below the CFL target if needed
-    n_steps = max(1, math.ceil(T / (dt_factor * grid.dr))) if T > 0 else 0
-    dt = T / n_steps if n_steps else dt_factor * grid.dr
-    snap_stride = max(1, int(round(float(scenario.time["snap_every"]) / dt))) if n_steps else 1
+    n_steps, dt, snap_stride = scenario.stepping
 
     state = initial_state or disc.initial_state()
     if state.formulation != formulation:
@@ -219,6 +218,13 @@ def integrate(
 
     times, energies, sups, halves, locals_ = [], [], [], [], []
     states = []
+    pending = []  # reduced fields whose H^(1/2) norms are not taken yet
+
+    def flush_norms():
+        if pending:
+            stack = np.stack(pending, axis=1)
+            halves.extend(frac_norm(free_op, 0.5, stack).tolist())
+            pending.clear()
 
     def check(t, uu):
         phi = disc.to_phi(uu)
@@ -242,10 +248,9 @@ def integrate(
         energies.append(_energy_fast(uu, vv, phi, phi_t))
         sups.append(float(np.max(np.abs(phi))))
         if free_op is not None:
-            psi = uu if formulation == "psi" else phi / disc.w_nodes
-            halves.append(frac_norm(free_op, 0.5, psi))
-        else:
-            halves.append(math.nan)
+            pending.append(uu.copy() if formulation == "psi" else phi / disc.w_nodes)
+            if len(pending) == SNAPSHOT_BLOCK:
+                flush_norms()
         locals_.append(_local_energy(phi_disc, phi, phi_t, ball))
         if keep_states:
             states.append(WaveState(t, uu.copy(), vv.copy(), formulation))
@@ -262,6 +267,9 @@ def integrate(
         check(t, u)
         if step % snap_stride == 0 or step == n_steps:
             snapshot(t, u, v)
+    flush_norms()
+    if free_op is None:
+        halves = [math.nan] * len(times)
 
     return Trajectory(
         times=np.array(times),
@@ -287,10 +295,10 @@ def consistency_check(scenario: Scenario) -> dict:
     over snapshots of || w psi - phi ||_inf."""
     traj_phi = integrate(scenario, "phi", spectral_diagnostics=False)
     traj_psi = integrate(scenario, "psi", spectral_diagnostics=False)
-    disc = _Discretization(scenario, "psi")
+    w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
     per = []
     for sp, sq in zip(traj_phi.states, traj_psi.states):
-        per.append(float(np.max(np.abs(sp.field - disc.w_nodes * sq.field))))
+        per.append(float(np.max(np.abs(sp.field - w * sq.field))))
     return {
         "mismatch": max(per) if per else 0.0,
         "per_snapshot": per,
@@ -313,14 +321,16 @@ def strichartz_trace(
     p, q = float(idx["p"]), float(idx["q"])
     op = sc.free_operator
     s = (sc.n - 1) / 2
-    disc = _Discretization(sc, trajectory.formulation)
-    wq = op.grid.volume_weights(idx["m"])
-    powered = _powered(op, s / 2, "inhomogeneous")
+    w = weight_w(sc.profile(), sc.n, sc.k, op.grid.nodes)
+    wq = op.grid.volume_weights(idx["m"])[:, None]
+    powered = _powered(op, s / 2, "inhomogeneous")[:, None]
+    states = trajectory.states
     lq = []
-    for st in trajectory.states:
-        psi = st.field if st.formulation == "psi" else st.field / disc.w_nodes
+    for j in range(0, len(states), SNAPSHOT_BLOCK):
+        psi = np.stack([st.field if st.formulation == "psi" else st.field / w
+                        for st in states[j : j + SNAPSHOT_BLOCK]], axis=1)
         g = op.from_coefficients(powered * op.coefficients(psi))
-        lq.append(float(np.sum(wq * np.abs(g) ** q) ** (1.0 / q)))
+        lq.extend(np.sum(wq * np.abs(g) ** q, axis=0) ** (1.0 / q))
     lq = np.array(lq)
     partials = np.zeros_like(lq)
     if len(lq) > 1:

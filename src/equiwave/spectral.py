@@ -159,11 +159,17 @@ class DiscreteRadialOperator:
     def rho_cells(self) -> np.ndarray:
         return self.stencil.rho
 
+    # The transforms below take one grid function, shape (N,), or a stack
+    # of them as the columns of an (N, k) array; a stack is transformed by
+    # one matrix product.
+
     def symmetrize(self, v) -> np.ndarray:
-        return np.asarray(v) * np.sqrt(self.rho_cells)
+        v = np.asarray(v)
+        return v * _down_rows(np.sqrt(self.rho_cells), v)
 
     def unsymmetrize(self, vt) -> np.ndarray:
-        return np.asarray(vt) / np.sqrt(self.rho_cells)
+        vt = np.asarray(vt)
+        return vt / _down_rows(np.sqrt(self.rho_cells), vt)
 
     def apply(self, v) -> np.ndarray:
         """H v for a radial grid function v."""
@@ -175,6 +181,11 @@ class DiscreteRadialOperator:
 
     def from_coefficients(self, c) -> np.ndarray:
         return self.unsymmetrize(self.eigenvectors @ np.asarray(c))
+
+
+def _down_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (N,) vector w shaped to scale each row of v, (N,) or (N, k)."""
+    return w.reshape(w.shape + (1,) * (v.ndim - 1))
 
 
 def build_operator(
@@ -212,12 +223,14 @@ def _powered(op: DiscreteRadialOperator, s: float, shift: str) -> np.ndarray:
 
 def frac_norm(
     op: DiscreteRadialOperator, s: float, v, shift: str = "homogeneous"
-) -> float:
-    """|| H^(s/2) v ||_{L^2(R^m)} (or <H>^(s/2)) via eigen-calculus."""
+) -> Union[float, np.ndarray]:
+    """|| H^(s/2) v ||_{L^2(R^m)} (or <H>^(s/2)) via eigen-calculus: a
+    float for v of shape (N,), one norm per column for an (N, k) stack."""
     c = op.coefficients(v)
     p = _powered(op, s, shift)
     scale = op.grid.surface_constant(op.m) * op.grid.dr
-    return float(np.sqrt(scale * np.sum(p * np.abs(c) ** 2)))
+    norms = np.sqrt(scale * np.sum(_down_rows(p, c) * np.abs(c) ** 2, axis=0))
+    return float(norms) if c.ndim == 1 else norms
 
 
 def evolve_linear(

@@ -2,6 +2,7 @@
 regression baselines frozen on the first build."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from equiwave.estimates import (
 )
 from equiwave.profiles import metric_profile
 from equiwave.reduction import reduce_problem
-from equiwave.spectral import RadialGrid, build_operator, frac_norm
+from equiwave.spectral import RadialGrid, _powered, build_operator, frac_norm
 
 
 class _JetWeight:
@@ -182,6 +183,55 @@ def test_strichartz_hyperbolic_kg_baseline(strichartz_setup):
     assert rep.sup_ratio == pytest.approx(
         STRICHARTZ_HYPERBOLIC_KG, rel=REGRESSION_WINDOW
     )
+
+
+def _strichartz_per_time(op, nu, pq, family, free_op, T=20.0, n_t=80):
+    """Reference ratios: one 1-D transform per member and time."""
+    p, q = Fraction(pq[0]), Fraction(pq[1])
+    s0 = float(1 / q - 1 / p)
+    shift = "inhomogeneous" if nu > 0 else "homogeneous"
+    om = np.sqrt(np.maximum(op.eigenvalues + nu, 0.0))
+    mult = _powered(free_op, s0 / 2.0, shift)
+    times = np.linspace(0.0, T, n_t)
+    vol = op.grid.volume_weights(op.m)
+    ratios = []
+    for f in family:
+        cf = op.coefficients(f)
+        rhs = frac_norm(free_op, 0.5, f, shift)
+        if rhs == 0.0:
+            ratios.append(0.0)
+            continue
+        lq = np.empty(n_t)
+        for j, t in enumerate(times):
+            u = op.from_coefficients(np.cos(t * om) * cf)
+            if s0 != 0.0:
+                u = free_op.from_coefficients(mult * free_op.coefficients(u))
+            lq[j] = np.sum(np.abs(u) ** float(q) * vol) ** (1.0 / float(q))
+        ratios.append(float(np.trapezoid(lq ** float(p), times) ** (1.0 / float(p))
+                            / rhs))
+    return ratios
+
+
+@pytest.mark.parametrize("pq", [(3, 3), (4, Fraction(8, 3))])
+def test_strichartz_matches_per_time_reference(pq):
+    # (4, 8/3) has s0 = 1/8 and takes the free-operator branch
+    grid = RadialGrid(40.0, 400)
+    free = build_operator(grid, 5)
+    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
+    op = build_operator(grid, 5, problem.W(grid.nodes))
+    fam = [tf.fn(grid.nodes) for tf in gaussian_family(3, 0, r_power=2)]
+    fam.insert(1, np.zeros(grid.N))
+    rep = strichartz_monitor(op, 1.0, pq, fam, free_op=free)
+    want = _strichartz_per_time(op, 1.0, pq, fam, free)
+    assert rep.ratios[1] == 0.0
+    assert rep.ratios == pytest.approx(want, rel=1e-12)
+
+
+def test_strichartz_empty_family(strichartz_setup):
+    grid, free, _ = strichartz_setup
+    rep = strichartz_monitor(free, 0.0, (3, 3), [], free_op=free)
+    assert rep.sample_ids == [] and rep.ratios == []
+    assert rep.sup_ratio == 0.0 and rep.passed
 
 
 def test_equivalent_norms_bracket(strichartz_setup):

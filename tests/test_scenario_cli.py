@@ -19,6 +19,7 @@ import equiwave.scenario
 from equiwave.cli import emit_closed_forms, main
 from equiwave.errors import CFLViolation, ClosedFormMismatch, ScenarioError
 from equiwave.scenario import Scenario, load_scenario
+from equiwave.spectral import DiscreteRadialOperator
 
 GOOD = {
     "name": "good",
@@ -74,6 +75,18 @@ def test_defaults_applied(tmp_path):
         ({"manifold": {"kind": "custom"}}, ScenarioError),
         ({"manifold": {"kind": "custom", "expr": ["pow", "r"]}}, ScenarioError),
         ({"manifold": {"kind": "custom", "expr": ["cutoff", "x"]}}, ScenarioError),
+        # values of the wrong JSON type
+        ({"data": "abc"}, ScenarioError),
+        ({"manifold": "hyperbolic"}, ScenarioError),
+        ({"grid": {"R_max": 25.0, "N": "x"}}, ScenarioError),
+        ({"n": 3.5}, ScenarioError),
+        ({"data": {"width": "w"}}, ScenarioError),
+        ({"manifold": {"kind": "polynomial-growth", "M": "x"}}, ScenarioError),
+        ({"seed": "x"}, ScenarioError),
+        # values out of range
+        ({"seed": -1}, ScenarioError),
+        ({"grid": {"R_max": float("nan"), "N": 400}}, ScenarioError),
+        ({"data": {"width": 0.0}}, ScenarioError),
     ],
 )
 def test_validation_rejects(tmp_path, patch, exc):
@@ -89,6 +102,34 @@ def test_programming_errors_are_not_config_errors(monkeypatch):
     monkeypatch.setattr(equiwave.scenario, "metric_profile", broken)
     with pytest.raises(RuntimeError):
         Scenario(**GOOD)
+
+
+def test_cost_guard_rejects_before_allocation(monkeypatch):
+    def unreachable(kind, **params):
+        raise RuntimeError("the guard must run before any profile is built")
+
+    monkeypatch.setattr(equiwave.scenario, "metric_profile", unreachable)
+    N = equiwave.scenario.MAX_GRID_POINTS
+    too_large = [
+        ({"grid": {"R_max": 25.0, "N": N + 1}}, "grid N"),
+        ({"grid": {"R_max": 1e9, "N": 2},
+          "time": {"T": 1e8, "dt_factor": 1e-9, "snap_every": 1.0}}, "step count"),
+        # every step a stored snapshot of 16 N bytes
+        ({"grid": {"R_max": 25.0, "N": N},
+          "time": {"T": 8.0, "dt_factor": 0.1, "snap_every": 1e-6}}, "snapshots"),
+    ]
+    for patch, what in too_large:
+        with pytest.raises(ScenarioError, match=f"{what}.*budget"):
+            Scenario(**{**GOOD, **patch})
+
+
+def test_cost_guard_admits_the_largest_run_in_use():
+    # N = 4000, T = 50: 33,334 steps, the longest run of tests and benchmark
+    readme = {**GOOD, "grid": {"R_max": 60.0, "N": 4000},
+              "time": {"T": 50.0, "dt_factor": 0.1, "snap_every": 0.5}}
+    assert Scenario(**readme).stepping[0] == 33334
+    largest = {**GOOD, "grid": {"R_max": 25.0, "N": equiwave.scenario.MAX_GRID_POINTS}}
+    Scenario(**largest)
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -138,6 +179,10 @@ def test_cli_config_error_exit_2(tmp_path):
     payload = {**GOOD, "time": {"T": 8.0, "dt_factor": 0.9, "snap_every": 1.0}}
     path = write_scenario(tmp_path, payload)
     assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    good = write_scenario(tmp_path, GOOD, name="good.json")
+    assert main(["verify", "--scenario", str(good), "--out", str(good)]) == 2
+    assert main(["verify", "--scenario", str(good), "--out", str(tmp_path / "o"),
+                 "--seed", "-1"]) == 2
 
 
 def test_cli_numerical_error_exit_3(tmp_path):
@@ -183,6 +228,17 @@ def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
     assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
     assert len(eig) == 2
     assert len(h_inf) <= 2
+
+
+def test_cli_all_batches_eigenbasis_transforms(tmp_path, monkeypatch):
+    # the Strichartz monitor, the snapshot norms and the Strichartz trace
+    # each transform column stacks: 15 products here, not one per sample
+    calls = []
+    for name in ("coefficients", "from_coefficients"):
+        _counting(monkeypatch, DiscreteRadialOperator, name, calls)
+    path = write_scenario(tmp_path, ALL_CHECKS)
+    assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) <= 20
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),

@@ -1,0 +1,90 @@
+"""Malformed scenario files fed to the command line: every one must be
+a configuration error (exit 2), never a traceback."""
+
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from equiwave.cli import main  # noqa: E402
+
+VALID = {
+    "name": "fuzz",
+    "manifold": {"kind": "hyperbolic"},
+    "target": {"kind": "sphere"},
+    "n": 3,
+    "k": 1,
+    "delta0": "search",
+    "grid": {"R_max": 25.0, "N": 300},
+    "time": {"T": 8.0, "dt_factor": 0.1, "snap_every": 1.0},
+    "data": {"shape": "gaussian", "amplitude": 0.05, "width": 1.0, "center": 0.0},
+    "checks": ["hardy"],
+    "seed": 0,
+}
+
+_text = st.text(max_size=8)
+_nonfinite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_fraction = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: x != int(x))
+_list = st.lists(st.integers(), min_size=1, max_size=2)
+_object = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+_scalar = st.one_of(st.booleans(), st.none(), _list)
+
+# values of the wrong type for each kind of field
+WRONG = {
+    "integer": st.one_of(_text, _fraction, _nonfinite, _scalar, _object),
+    "number": st.one_of(_text, _nonfinite, _scalar, _object),
+    "object": st.one_of(_text, st.integers(), st.floats(), _scalar),
+    "string": st.one_of(st.integers(), st.floats(), _scalar, _object),
+    "checks": st.one_of(_text, st.integers(), _object, st.lists(st.integers(), min_size=1)),
+    "delta0": st.one_of(_text.filter(lambda x: x != "search"), _nonfinite, _scalar,
+                        _object),
+}
+FIELDS = {
+    ("name",): "string",
+    ("n",): "integer",
+    ("k",): "integer",
+    ("seed",): "integer",
+    ("delta0",): "delta0",
+    ("checks",): "checks",
+    **{(key,): "object" for key in ("manifold", "target", "grid", "time", "data")},
+    ("manifold", "kind"): "string",
+    ("grid", "N"): "integer",
+    ("grid", "R_max"): "number",
+    **{("time", key): "number" for key in ("T", "dt_factor", "snap_every")},
+    **{("data", key): "number"
+       for key in ("amplitude", "width", "center", "velocity_amplitude")},
+}
+
+
+@st.composite
+def malformed_scenario(draw):
+    payload = json.loads(json.dumps(VALID))
+    path = draw(st.sampled_from(sorted(FIELDS)))
+    value = draw(WRONG[FIELDS[path]])
+    spec = payload
+    for key in path[:-1]:
+        spec = spec[key]
+    spec[path[-1]] = value
+    return json.dumps(payload)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@hypothesis.given(text=st.one_of(malformed_scenario(), st.text(max_size=40)))
+def test_malformed_scenario_exits_2(workdir, text):
+    path = workdir / "scenario.json"
+    path.write_text(text)
+    assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2
+
+
+@hypothesis.given(blob=st.binary(max_size=40))
+def test_unreadable_scenario_exits_2(workdir, blob):
+    path = workdir / "scenario.json"
+    path.write_bytes(blob)
+    assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2

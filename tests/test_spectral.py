@@ -184,3 +184,22 @@ def test_spectral_function_round_trip(op600):
     v = r * np.exp(-r)
     back = op600.from_coefficients(op600.coefficients(v))
     assert np.max(np.abs(back - v)) < 1e-10
+
+
+def test_transforms_take_column_stacks(op600):
+    # an (N, k) stack gives the column-by-column results of 1-D calls
+    r = op600.grid.nodes
+    stack = np.stack([r * np.exp(-r), np.exp(-(r - 5.0) ** 2), np.zeros_like(r)],
+                     axis=1)
+    coef = op600.coefficients(stack)
+    back = op600.from_coefficients(coef)
+    norms = frac_norm(op600, 0.5, stack)
+    assert coef.shape == back.shape == stack.shape and norms.shape == (3,)
+    for i in range(stack.shape[1]):
+        ci = op600.coefficients(stack[:, i])
+        assert np.max(np.abs(coef[:, i] - ci)) <= 1e-12 * np.max(np.abs(ci), initial=1.0)
+        bi = op600.from_coefficients(ci)
+        assert np.max(np.abs(back[:, i] - bi)) <= 1e-12 * np.max(np.abs(bi), initial=1.0)
+        ni = frac_norm(op600, 0.5, stack[:, i])
+        assert isinstance(ni, float)
+        assert abs(norms[i] - ni) <= 1e-12 * max(ni, 1.0)
