@@ -127,15 +127,15 @@ def run_evolve(scenario: Scenario, out: Path) -> dict:
         ["t", "energy", "sup", "h_half_norm", "strichartz_partial"],
         trajectory.csv_rows(partials.tolist()),
     )
-    e0 = trajectory.energies[0]
-    drift = float(np.max(np.abs(trajectory.energies - e0)) / e0) if e0 > 0 else 0.0
+    # division by E(0) > 0 is monotone, so this max is max(|E - E0|) / E0
+    drift = float(trajectory.energy_drift.max())
     sup0 = trajectory.sup_norms[0]
     sup_ratio = float(trajectory.sup_norms.max() / sup0) if sup0 > 0 else 0.0
     bounded = sup0 == 0 or sup_ratio <= 2.0
     return {
         "T": trajectory.times[-1],
         "snapshots": int(len(trajectory.times)),
-        "energy_initial": float(e0),
+        "energy_initial": float(trajectory.energies[0]),
         "energy_drift": drift,
         "sup_ratio": sup_ratio,
         "strichartz_trace": total,

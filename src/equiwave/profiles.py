@@ -382,30 +382,43 @@ def target_profile(kind: str, domain_bound: Optional[float] = None, **params) ->
 
 
 def _gamma_series(target: TargetProfile, lbar: float, order: int = 9) -> np.ndarray:
-    """Taylor coefficients of Gamma(s) at s=0, where
-    lbar*g(s)*g'(s) = lbar*s + s^3 * Gamma(s)."""
+    """Taylor coefficients of Gamma(s) at s=0, highest degree first (the
+    order np.polyval takes), where lbar*g(s)*g'(s) = lbar*s + s^3 * Gamma(s)."""
     g = target.jet(0.0, order)
     gg = g * g.deriv()  # order drops by one
     t = lbar * gg.taylor
     t[1] -= lbar
     j = Jet(0.0, t).shift_down(3, tol=1e-12)
-    return j.taylor
+    return j.taylor[::-1]
 
 
-def gamma_decompose(target: TargetProfile, lbar: float, s):
+def gamma_decompose(target: TargetProfile, lbar: float, s, *, series=None):
     """Gamma(s) = (lbar*g(s)*g'(s) - lbar*s) / s^3, with the removable
-    singularity at s=0 filled by the Taylor limit."""
+    singularity at s=0 filled by the Taylor limit.
+
+    A caller that evaluates Gamma at every time step passes
+    ``series=_gamma_series(target, lbar)``, built once; without it the
+    series is built on each call that needs it."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    if np.any(np.abs(s) >= target.domain_bound):
+    a = np.abs(s)
+    if (a >= target.domain_bound).any():
         raise DomainError("argument outside target domain")
     out = np.empty_like(s)
-    small = np.abs(s) < SERIES_RADIUS
-    if np.any(~small):
-        sb = s[~small]
-        out[~small] = (lbar * target.gg_prime(sb) - lbar * sb) / sb**3
-    if np.any(small):
-        c = _gamma_series(target, lbar)
-        out[small] = np.polyval(c[::-1], s[small])
+    small = a < SERIES_RADIUS
+    big = ~small
+    if big.any():
+        sb = s[big]
+        out[big] = (lbar * target.gg_prime(sb) - lbar * sb) / (sb * sb * sb)
+    if small.any():
+        if series is None:
+            series = _gamma_series(target, lbar)
+        # np.polyval's Horner recurrence, run in place
+        x = s[small]
+        y = np.full_like(x, series[0])
+        for c in series[1:]:
+            y *= x
+            y += c
+        out[small] = y
     return float(out[0]) if scalar else out

@@ -16,7 +16,13 @@ import numpy as np
 
 from .admissibility import AdmissibilityReport, check_admissibility
 from .errors import CFLViolation, DomainError, ScenarioError
-from .profiles import MetricProfile, TargetProfile, metric_profile, target_profile
+from .profiles import (
+    MetricProfile,
+    TargetProfile,
+    check_normalization,
+    metric_profile,
+    target_profile,
+)
 from .reduction import ReducedProblem, reduce_problem
 from .spectral import DiscreteRadialOperator, RadialGrid, build_operator
 
@@ -95,8 +101,13 @@ class Scenario:
                 raise ScenarioError(
                     f"unknown check {c!r}; known: {KNOWN_CHECKS}"
                 )
-        # eager profile validation
-        self.profile()
+        # eager profile validation; a manifold needs h(0) = 0, h'(0) = 1
+        try:
+            normalized = check_normalization(self.profile())
+        except (DomainError, ZeroDivisionError) as exc:
+            raise ScenarioError(f"bad manifold spec: {exc}") from exc
+        if not normalized:
+            raise ScenarioError("manifold profile must satisfy h(0) = 0 and h'(0) = 1")
         self.target_profile()
 
     def _check_types(self):

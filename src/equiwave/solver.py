@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import BlowUp, CFLViolation, DomainError
-from .profiles import gamma_decompose
+from .profiles import _gamma_series, gamma_decompose
 from .reduction import compute_V, gamma_weights, indices, weight_w
 from .scenario import Scenario
 from .spectral import _powered, _Stencil, frac_norm
@@ -61,6 +62,13 @@ class Trajectory:
     def final_state(self) -> WaveState:
         return self.states[-1]
 
+    @property
+    def energy_drift(self) -> np.ndarray:
+        """|E(t) - E(0)| / E(0) per snapshot; zeros when E(0) <= 0."""
+        e0 = self.energies[0]
+        dev = np.abs(self.energies - e0)
+        return dev / e0 if e0 > 0 else np.zeros_like(dev)
+
     def csv_rows(self, strichartz_partials=None):
         rows = []
         for i, t in enumerate(self.times):
@@ -90,16 +98,6 @@ class _Discretization:
         self.w_nodes = weight_w(self.profile, n, k, r)
         if formulation == "phi":
             self.op = _Stencil.manifold(self.grid, self.profile, n)
-            # The linear part of the nonlinearity, lbar*phi/h^2, is singular
-            # at the origin and must cancel the FV Laplacian discretely, not
-            # just in the continuum.  Near 0 we therefore evaluate the
-            # diagonal through the regular mode w, using the exact identity
-            # (Delta_h - lbar/h^2) w = -V w; away from 0 the pointwise value
-            # agrees with it to second order and avoids boundary pollution.
-            V = compute_V(self.profile, n, k, r)
-            balanced = self.op.apply(self.w_nodes) / self.w_nodes + V
-            pointwise = self.lbar / self.h_nodes**2
-            self.lin_diag = np.where(r < 1.0, balanced, pointwise)
             self.V = None
             self.pref = None
         elif formulation == "psi":
@@ -109,15 +107,39 @@ class _Discretization:
         else:
             raise DomainError(f"unknown formulation {formulation!r}")
 
+    @cached_property
+    def lin_diag(self) -> np.ndarray:
+        """phi form only, built on first use: a psi-form run reads its
+        phi-form discretization only for the local energy.
+
+        The linear part of the nonlinearity, lbar*phi/h^2, is singular
+        at the origin and must cancel the FV Laplacian discretely, not
+        just in the continuum.  Near 0 we therefore evaluate the
+        diagonal through the regular mode w, using the exact identity
+        (Delta_h - lbar/h^2) w = -V w; away from 0 the pointwise value
+        agrees with it to second order and avoids boundary pollution."""
+        r = self.grid.nodes
+        V = compute_V(self.profile, self.n, self.k, r)
+        balanced = self.op.apply(self.w_nodes) / self.w_nodes + V
+        pointwise = self.lbar / self.h_nodes**2
+        return np.where(r < 1.0, balanced, pointwise)
+
+    @cached_property
+    def gamma_series(self) -> np.ndarray:
+        """Taylor coefficients of Gamma at 0, built on the first step."""
+        return _gamma_series(self.target, self.lbar)
+
     def acceleration(self, u: np.ndarray) -> np.ndarray:
         if self.formulation == "phi":
             # lbar*g(u)g'(u)/h^2 = lin_diag*u + Gamma(u)*u*(u/h)^2, with the
             # cubic remainder smooth at the origin (u ~ r^k, h ~ r)
-            gam = gamma_decompose(self.target, self.lbar, u)
+            gam = gamma_decompose(self.target, self.lbar, u, series=self.gamma_series)
             cubic = gam * u * (u / self.h_nodes) ** 2
             return self.op.apply(u) - self.lin_diag * u - cubic
-        gam = gamma_decompose(self.target, self.lbar, self.w_nodes * u)
-        return self.op.apply(u) - self.V * u - self.pref * u**3 * gam
+        gam = gamma_decompose(self.target, self.lbar, self.w_nodes * u,
+                              series=self.gamma_series)
+        # u * u * u, not u**3: numpy sends any power but 2 through libm pow
+        return self.op.apply(u) - self.V * u - self.pref * (u * u * u) * gam
 
     def to_phi(self, u: np.ndarray) -> np.ndarray:
         return u if self.formulation == "phi" else self.w_nodes * u
@@ -226,10 +248,15 @@ def integrate(
             halves.extend(frac_norm(free_op, 0.5, stack).tolist())
             pending.clear()
 
+    work = np.empty_like(u)
+
     def check(t, uu):
-        phi = disc.to_phi(uu)
-        a = np.abs(phi)
-        if not np.all(np.isfinite(a)) or np.max(a) > ceiling:
+        # |phi| into one buffer and one max: a NaN makes the max NaN and
+        # fails `< inf`, which also catches inf under ceiling = inf
+        phi = uu if formulation == "phi" else np.multiply(disc.w_nodes, uu, out=work)
+        a = np.abs(phi, out=work)
+        top = a.max()
+        if not top < math.inf or top > ceiling:
             bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
             raise BlowUp(t, grid.nodes[bad])
 
@@ -281,6 +308,7 @@ def integrate(
         formulation=formulation,
         meta={
             "dt": dt,
+            "cfl_ratio": dt / grid.dr,
             "n_steps": n_steps,
             "ceiling": ceiling,
             "ball_radius": ball,

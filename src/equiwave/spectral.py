@@ -104,11 +104,15 @@ class _Stencil:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """(F u')'/rho in flux form, for real or complex u."""
+        # out= saves three temporaries per call; the solver calls this every step
         flux = np.empty(self.grid.N + 1, dtype=np.result_type(u, 0.0))
         flux[0] = 0.0
-        flux[1:-1] = self.F[1:-1] * np.diff(u)
+        inner = np.subtract(u[1:], u[:-1], out=flux[1:-1])
+        inner *= self.F[1:-1]
         flux[-1] = -self.F[-1] * u[-1]
-        return np.diff(flux) * self._scale
+        out = np.subtract(flux[1:], flux[:-1])
+        out *= self._scale
+        return out
 
     def quadratic_form(self, u: np.ndarray) -> float:
         """sum over faces of F (du/dr)^2, the discrete gradient energy

@@ -8,7 +8,10 @@ import pytest
 import sympy as sp
 
 from equiwave.errors import DomainError, OrderUnavailable
+from equiwave.jets import Jet
 from equiwave.profiles import (
+    SERIES_RADIUS,
+    _gamma_series,
     check_normalization,
     gamma_decompose,
     metric_profile,
@@ -166,3 +169,50 @@ def test_gamma_decompose_domain_guard():
     tgt = target_profile("sphere")
     with pytest.raises(DomainError):
         gamma_decompose(tgt, 2.0, np.array([3.5]))
+    # a NaN must not hide an out-of-domain value (a max-based guard would)
+    with pytest.raises(DomainError):
+        gamma_decompose(tgt, 2.0, np.array([np.nan, 3.5]))
+
+
+def _gamma_reference(target, lbar, s, cube):
+    """gamma_decompose as first written: masked closed form, and the Taylor
+    series rebuilt through jets on every call and evaluated by np.polyval."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    g = target.jet(0.0, 9)
+    t = lbar * (g * g.deriv()).taylor
+    t[1] -= lbar
+    coeffs = Jet(0.0, t).shift_down(3, tol=1e-12).taylor
+    out = np.empty_like(s)
+    small = np.abs(s) < SERIES_RADIUS
+    sb = s[~small]
+    out[~small] = (lbar * target.gg_prime(sb) - lbar * sb) / cube(sb)
+    out[small] = np.polyval(coeffs[::-1], s[small])
+    return out
+
+
+GAMMA_TARGETS = [("sphere", {}), ("hyperbolic", {}), ("flat", {}),
+                 ("custom", {"expr": ["sin", "r"]})]
+# zeros, the seam at 1e-3 from both sides, tiny, negative and O(1) values
+GAMMA_ARGS = np.array([0.0, -0.0, 1e-3, -1e-3, 0.999e-3, -0.999e-3, 1.001e-3,
+                       1e-300, -1e-12, 5e-7, -0.3, 0.5, 1.0, -1.5, 2.5])
+
+
+@pytest.mark.parametrize("kind,params", GAMMA_TARGETS)
+def test_gamma_decompose_matches_first_formula(kind, params):
+    tgt = target_profile(kind, **params)
+    lbar = 2.0
+    got = gamma_decompose(tgt, lbar, GAMMA_ARGS)
+    # exact against the first formula with the cube taken as a product
+    want = _gamma_reference(tgt, lbar, GAMMA_ARGS, lambda x: x * x * x)
+    assert np.array_equal(got, want)
+    # and within a few ulp of it with libm's pow: x**3 and x*x*x may
+    # differ in the last bit
+    pow_cube = _gamma_reference(tgt, lbar, GAMMA_ARGS, lambda x: x**3)
+    assert np.allclose(got, pow_cube, rtol=1e-15, atol=0.0)
+    # a series built once gives the same values
+    series = _gamma_series(tgt, lbar)
+    assert np.array_equal(gamma_decompose(tgt, lbar, GAMMA_ARGS, series=series), got)
+    # 0-d input gives a float
+    for x, w in zip(GAMMA_ARGS, want):
+        val = gamma_decompose(tgt, lbar, x)
+        assert isinstance(val, float) and val == w

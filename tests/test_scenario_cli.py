@@ -87,12 +87,24 @@ def test_defaults_applied(tmp_path):
         ({"seed": -1}, ScenarioError),
         ({"grid": {"R_max": float("nan"), "N": 400}}, ScenarioError),
         ({"data": {"width": 0.0}}, ScenarioError),
+        # h(0) = 0 and h'(0) = 1 fail, or h has no jet at r = 0
+        ({"manifold": {"kind": "custom", "expr": 5}}, ScenarioError),
+        ({"manifold": {"kind": "custom", "expr": ["*", 1.5, "r"]}}, ScenarioError),
+        ({"manifold": {"kind": "custom", "expr": ["sqrt", "r"]}}, ScenarioError),
+        ({"manifold": {"kind": "custom", "expr": ["/", 1, "r"]}}, ScenarioError),
     ],
 )
 def test_validation_rejects(tmp_path, patch, exc):
     payload = {**GOOD, **patch}
     with pytest.raises(exc):
         load_scenario(write_scenario(tmp_path, payload))
+
+
+def test_readme_scenario_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    s = load_scenario(write_scenario(tmp_path, json.loads(block)))
+    assert s.profile().kind == "hyperbolic"
 
 
 def test_programming_errors_are_not_config_errors(monkeypatch):
@@ -183,6 +195,9 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["verify", "--scenario", str(good), "--out", str(good)]) == 2
     assert main(["verify", "--scenario", str(good), "--out", str(tmp_path / "o"),
                  "--seed", "-1"]) == 2
+    # h = 5 is not a metric profile: h(0) = 0 and h'(0) = 1 fail
+    flat5 = write_scenario(tmp_path, {**GOOD, "manifold": {"kind": "custom", "expr": 5}})
+    assert main(["verify", "--scenario", str(flat5), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_numerical_error_exit_3(tmp_path):
@@ -258,6 +273,20 @@ def test_equiwave_threads_caps_blas():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+def test_python_m_equiwave(tmp_path):
+    src = str(Path(equiwave.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for path, code in ((write_scenario(tmp_path, GOOD), 0), (bad, 2)):
+        run = subprocess.run(
+            [sys.executable, "-m", "equiwave", "verify", "--scenario", str(path),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == code, run.stderr
 
 
 def test_cli_seed_override_changes_families(tmp_path):

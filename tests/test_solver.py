@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import equiwave.profiles
+import equiwave.solver
 from _baselines import REGRESSION_WINDOW, SOLVER_TRACE
 from equiwave.errors import BlowUp, CFLViolation, DomainError
 from equiwave.scenario import Scenario
@@ -125,6 +127,54 @@ def test_blowup_detection():
         integrate(s, "phi", spectral_diagnostics=False, ceiling=1e-6)
     assert exc.value.t >= 0.0
     assert exc.value.r >= 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("form", ["phi", "psi"])
+def test_blowup_on_nonfinite_field_with_infinite_ceiling(form, bad):
+    # inf <= inf holds, so the check must catch inf apart from the ceiling
+    s = make_scenario(N=300, T=2.0)
+    disc = _Discretization(s, form)
+    st = disc.initial_state()
+    st.field[17] = bad
+    with pytest.raises(BlowUp) as exc:
+        integrate(s, form, initial_state=st, spectral_diagnostics=False,
+                  ceiling=math.inf)
+    assert exc.value.t == 0.0
+    assert exc.value.r == disc.grid.nodes[17]
+
+
+def test_gamma_series_built_once_per_integrate(monkeypatch):
+    builds = []
+    real = equiwave.profiles._gamma_series
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equiwave.profiles, "_gamma_series", counted)
+    monkeypatch.setattr(equiwave.solver, "_gamma_series", counted)
+    s = make_scenario(N=300, T=3.0)
+    for form in ("phi", "psi"):
+        builds.clear()
+        tr = integrate(s, form, spectral_diagnostics=False)
+        assert tr.meta["n_steps"] > 100
+        assert len(builds) == 1
+
+
+def test_trajectory_energy_drift_and_cfl_ratio():
+    s = make_scenario(N=400, T=4.0, snap=1.0)
+    tr = integrate(s, "phi", spectral_diagnostics=False)
+    e = tr.energies
+    assert np.array_equal(tr.energy_drift, np.abs(e - e[0]) / e[0])
+    # the largest per-snapshot drift is bit for bit max(|E - E0|) / E0
+    assert tr.energy_drift.max() == np.max(np.abs(e - e[0])) / e[0]
+    dr = s.radial_grid.dr
+    assert tr.meta["cfl_ratio"] == tr.meta["dt"] / dr
+    assert 0.099 < tr.meta["cfl_ratio"] <= 0.1
+    zero = integrate(make_scenario(N=300, T=2.0, data={"shape": "zero"}), "phi",
+                     spectral_diagnostics=False)
+    assert np.array_equal(zero.energy_drift, np.zeros(len(zero.times)))
 
 
 def test_cfl_guard():
