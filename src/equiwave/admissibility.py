@@ -30,8 +30,9 @@ def _grid(opts: Optional[dict]) -> np.ndarray:
     return np.geomspace(o["r_min"], o["r_max"], o["points"])
 
 
-def H_jet(profile: MetricProfile, n: int, r: float, order: int = 0) -> Jet:
-    """Jet of H(r) = (n-1)/2 * h''/h + (n-1)(n-3)/4 * (h'/h)^2 at r > 0."""
+def H_jet(profile: MetricProfile, n: int, r, order: int = 0) -> Jet:
+    """Jet of H(r) = (n-1)/2 * h''/h + (n-1)(n-3)/4 * (h'/h)^2 at r > 0,
+    or at every radius of an array r."""
     hj = profile.jet(r, order + 2)
     h1 = hj.deriv()
     h2 = h1.deriv()
@@ -61,17 +62,8 @@ def compute_H(profile: MetricProfile, n: int, r: float, tol: float = 1e-10) -> f
 
 
 def H_samples(profile: MetricProfile, n: int, rs: np.ndarray) -> np.ndarray:
-    """H on a grid via the stable form, with NaN where h <= 0 or the
-    evaluation overflows."""
-    out = np.full(len(rs), np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, r in enumerate(rs):
-            try:
-                v = H_jet(profile, n, float(r)).value
-            except (DomainError, OverflowError, ZeroDivisionError):
-                continue
-            out[i] = v
-    return out
+    """H on a grid via the stable form, NaN where h = 0 or it overflows."""
+    return H_jet(profile, n, np.asarray(rs, dtype=float)).value
 
 
 def estimate_h_infinity(
@@ -126,11 +118,11 @@ def compute_P(
     profile: MetricProfile,
     n: int,
     delta0: float,
-    r: float,
+    r,
     h_infinity: Optional[float] = None,
-) -> tuple[float, float]:
+):
     """P(r) = r*H(r) - r*h_inf + (1-delta0)/(4r) and its derivative,
-    both from jets."""
+    both from jets, at a radius or at every radius of an array."""
     if not 0 < delta0 < 1:
         raise DomainError("delta0 must lie in (0,1)")
     if h_infinity is None:
@@ -240,14 +232,8 @@ def check_admissibility(
     cond_ii = _check_cond_ii(profile, n, rs)
 
     # condition (iii): delta0 grid search, largest passing value
-    H = H_samples(profile, n, rs)
-    H1 = np.full_like(H, np.nan)
-    for i, r in enumerate(rs):
-        if np.isfinite(H[i]):
-            try:
-                H1[i] = H_jet(profile, n, float(r), order=1).derivative(1)
-            except (DomainError, OverflowError):
-                pass
+    Hj = H_jet(profile, n, rs, order=1)
+    H, H1 = Hj.value, Hj.derivative(1)
     ok = np.isfinite(H) & np.isfinite(H1)
     delta0 = None
     rP_bound = None
@@ -304,20 +290,17 @@ def _check_cond_ii(profile, n, rs):
     the sampled sup must be finite and non-increasing over dyadic blocks."""
     jmax = (n - 1) // 2
     large = rs[(rs >= 10.0)]
+    # coefficient j of a jet reads only coefficients 0..j: one jet serves all j
+    hj = profile.jet(large, jmax)
+    dH = H_jet(profile, n, large, order=jmax).coeffs
+    d_inv_sqrt = (hj**-0.5).coeffs
     worst = None
     for j in range(1, jmax + 1):
-        q = np.full(len(large), np.nan)
-        for i, r in enumerate(large):
-            try:
-                Hj = H_jet(profile, n, float(r), order=j)
-                hj = profile.jet(float(r), j)
-                inv_sqrt = hj**-0.5
-                q[i] = max(
-                    r * abs(Hj.derivative(j)),
-                    r ** (0.5 + j) * abs(inv_sqrt.derivative(j)),
-                )
-            except (DomainError, OverflowError):
-                pass
+        a = large * np.abs(dH[j])
+        b = large ** (0.5 + j) * np.abs(d_inv_sqrt[j])
+        # Python's max(a, b): a unless b > a, also where either is NaN.
+        # h^(-1/2) has no jet where h <= 0, and no sample is taken there.
+        q = np.where(hj.value <= 0, np.nan, np.where(b > a, b, a))
         ok = np.isfinite(q)
         if ok.sum() < 8:
             return ConditionVerdict(
@@ -399,16 +382,6 @@ def check_perturbation(
 
     items = []
     eps = 0.0
-
-    def derivs(profile, j):
-        out = np.full(len(rs), np.nan)
-        for i, r in enumerate(rs):
-            try:
-                out[i] = profile.jet(float(r), j).derivative(j)
-            except (DomainError, OverflowError):
-                pass
-        return out
-
     large = rs >= 10.0
 
     if mode == "general":
@@ -417,37 +390,26 @@ def check_perturbation(
         # and (h_eps^(-1/2))^(j) = O(r^(-1/2-j)) at large r
         c_low = float(np.min(he / rs))
         items.append({"name": "h_eps >= c r", "sup": c_low, "bounded": c_low > 0})
-        Hb = np.array([H_jet(base, n, float(r), 1).coeffs for r in rs])
-        Hp = np.array([H_jet(perturbed, n, float(r), 1).coeffs for r in rs])
-        e0 = float(np.nanmax(rs**2 * np.abs(Hb[:, 0] - Hp[:, 0])))
-        e1 = float(np.nanmax(rs**3 * np.abs(Hb[:, 1] - Hp[:, 1])))
+        # one jet serves every derivative order (see _check_cond_ii)
+        jmax = (n - 1) // 2
+        Hb = H_jet(base, n, rs, max(jmax, 1)).coeffs
+        Hp = H_jet(perturbed, n, rs, max(jmax, 1)).coeffs
+        e0 = float(np.nanmax(rs**2 * np.abs(Hb[0] - Hp[0])))
+        e1 = float(np.nanmax(rs**3 * np.abs(Hb[1] - Hp[1])))
         eps = max(e0, e1)
         items += [
             {"name": "|H-H_eps| r^2", "sup": e0, "small": True},
             {"name": "|H'-H_eps'| r^3", "sup": e1, "small": True},
         ]
-        for j in range(1, (n - 1) // 2 + 1):
-            dj = np.abs(
-                np.array(
-                    [
-                        H_jet(base, n, float(r), j).derivative(j)
-                        - H_jet(perturbed, n, float(r), j).derivative(j)
-                        for r in rs[large]
-                    ]
-                )
-            )
-            sup = float(np.nanmax(rs[large] * dj))
+        rl = rs[large]
+        d_inv_sqrt = (perturbed.jet(rl, jmax) ** -0.5).coeffs
+        for j in range(1, jmax + 1):
+            sup = float(np.nanmax(rl * np.abs(Hb[j] - Hp[j])[large]))
             items.append(
                 {"name": f"r|H^({j})-H_eps^({j})| large r", "sup": sup,
                  "bounded": math.isfinite(sup)}
             )
-            inv = np.array(
-                [
-                    abs((perturbed.jet(float(r), j) ** -0.5).derivative(j))
-                    for r in rs[large]
-                ]
-            )
-            sup2 = float(np.nanmax(rs[large] ** (0.5 + j) * inv))
+            sup2 = float(np.nanmax(rl ** (0.5 + j) * np.abs(d_inv_sqrt[j])))
             items.append(
                 {"name": f"r^(1/2+{j})|(h_eps^(-1/2))^({j})|", "sup": sup2,
                  "bounded": math.isfinite(sup2)}
@@ -467,26 +429,27 @@ def check_perturbation(
             items.append({"name": "h_eps >= c r",
                           "sup": float(np.min(he / rs)), "bounded": True})
             weight_small = None  # per-j weight r^j below
+        # one jet serves every derivative order (see _check_cond_ii)
+        order = max(jmax_large, 3)
+        dh = perturbed.jet(rs, order).coeffs
+        mu = dh - base.jet(rs, order).coeffs
         for j in range(1, jmax_large + 1):
-            dh = derivs(perturbed, j)
             w = np.ones_like(rs) if mode == "exponential" else rs**j
-            sup = float(np.nanmax((w * np.abs(dh) / he)[large]))
+            sup = float(np.nanmax((w * np.abs(dh[j]) / he)[large]))
             items.append(
                 {"name": f"|h_eps^({j})| w_{j} / h_eps large r", "sup": sup,
                  "bounded": math.isfinite(sup)}
             )
         for j in range(0, 4):
-            mu_j = derivs(perturbed, j) - derivs(base, j)
             if weight_small is not None:
                 w = np.where(rs < 1.0, rs**j, weight_small)
             else:
                 w = rs**j
-            val = float(np.nanmax(w * np.abs(mu_j) / h))
+            val = float(np.nanmax(w * np.abs(mu[j]) / h))
             eps = max(eps, val)
             items.append({"name": f"|mu^({j})| smallness", "sup": val, "small": True})
         for j in range(1, jmax_large + 1):
-            mu_j = derivs(perturbed, j) - derivs(base, j)
-            sup = float(np.nanmax((rs * np.abs(mu_j) / h)[large]))
+            sup = float(np.nanmax((rs * np.abs(mu[j]) / h)[large]))
             items.append(
                 {"name": f"r|mu^({j})|/h large r", "sup": sup,
                  "bounded": math.isfinite(sup)}

@@ -207,8 +207,7 @@ def emit_closed_forms(tol: float = 1e-8) -> dict:
         poly = metric_profile("polynomial-growth", M=M)
         h_inf, _ = estimate_h_infinity(poly, n)
         rs = np.linspace(0.25, 4.0, 120)
-        P = np.array([compute_P(poly, n, delta0, float(r), h_infinity=h_inf)[0]
-                      for r in rs])
+        P, _ = compute_P(poly, n, delta0, rs, h_infinity=h_inf)
         lhs = 16.0 * rs * (1.0 + np.sqrt(rs)) ** 2 * P
         basis = np.stack([np.ones_like(rs), np.sqrt(rs), rs], axis=1)
         coef, *_ = np.linalg.lstsq(basis, lhs, rcond=None)
@@ -250,12 +249,18 @@ PIPELINES = {
 
 
 def _summary_lines(report: dict, prefix=""):
+    """A line per verdict and per failing condition, with witness and reason."""
     lines = []
     for key, val in sorted(report.items()):
         if key == "verdict":
             lines.append(f"{prefix or 'result':<28} {val}")
         elif isinstance(val, dict) and "verdict" in val:
             lines.extend(_summary_lines(val, prefix=f"{prefix}{key}."))
+    for cond in report.get("conditions", []):
+        if cond["verdict"] == "FAIL":
+            label = f"{prefix}condition {cond['name']}"
+            lines.append(f"{label:<28} FAIL witness_r={cond['witness_r']} "
+                         f"reason: {cond['detail'].get('reason')}")
     return lines
 
 

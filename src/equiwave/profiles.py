@@ -4,7 +4,7 @@ Profiles are small expression trees over a fixed elementary basis
 (polynomials, sqrt, exp, sinh, cosh, rationals, the smooth cutoff
 exp(-eps/r)), closed under +, *, / and composition.  Every profile can be
 evaluated on arrays and differentiated to any requested finite order
-through jet arithmetic.
+through jet arithmetic, at one radius or on a whole grid in one pass.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ class Expr:
     def values(self, r):
         raise NotImplementedError
 
-    def jet(self, r0: float, order: int) -> Jet:
+    def jet(self, r0, order: int) -> Jet:
+        """Jet at r0, a number or an array of centres (a batched jet)."""
         raise NotImplementedError
 
 
@@ -172,9 +173,16 @@ class Cutoff(Expr):
         return out
 
     def jet(self, r0, order):
-        if r0 <= 0 or self.eps / r0 > self.UNDERFLOW:
-            return Jet.constant(0.0, r0, order)
-        return jet_exp(Const(-self.eps).jet(r0, order) / Jet.variable(r0, order))
+        return _cutoff_jet(r0, order, self.eps, lambda x: jet_exp(-self.eps / x))
+
+
+def _cutoff_jet(r0, order, eps, build) -> Jet:
+    """build(x) for x the variable at r0; the zero jet where the cutoff is 0."""
+    r0 = np.asarray(r0, dtype=float)
+    with np.errstate(divide="ignore"):
+        zero = (r0 <= 0) | (eps / r0 > Cutoff.UNDERFLOW)
+    t = build(Jet.variable(np.where(zero, 1.0, r0), order)).taylor
+    return Jet(r0, np.where(zero, 0.0, t))
 
 
 class SqrtCutoff(Expr):
@@ -189,9 +197,9 @@ class SqrtCutoff(Expr):
         return np.sqrt(np.maximum(r, 0.0)) * self._cut.values(r)
 
     def jet(self, r0, order):
-        if r0 <= 0 or self.eps / r0 > Cutoff.UNDERFLOW:
-            return Jet.constant(0.0, r0, order)
-        return jet_sqrt(Jet.variable(r0, order)) * self._cut.jet(r0, order)
+        return _cutoff_jet(
+            r0, order, self.eps, lambda x: jet_sqrt(x) * jet_exp(-self.eps / x)
+        )
 
 
 # -- expression parsing (scenario files) --------------------------------------
@@ -247,22 +255,18 @@ class MetricProfile:
     def __call__(self, r):
         return self.expr.values(r)
 
-    def jet(self, r0: float, order: int) -> Jet:
+    def jet(self, r0, order: int) -> Jet:
+        """Jet of h at a radius, or at every radius of an array."""
         if order > self.max_order:
             raise OrderUnavailable(
                 f"order {order} exceeds max_order {self.max_order}"
             )
-        if r0 < 0:
+        r0 = np.asarray(r0, dtype=float)
+        if np.any(r0 < 0):
             raise DomainError("radius must be nonnegative")
-        if r0 == 0 and not self.smooth_at_zero:
+        if not self.smooth_at_zero and np.any(r0 == 0):
             raise DomainError(f"profile {self.kind!r} has no jet at r=0")
         return self.expr.jet(r0, order)
-
-    def derivative(self, j: int, r):
-        """j-th derivative of h at scalar or array radii."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.array([self.jet(ri, j).derivative(j) for ri in r])
-        return out if out.size > 1 else float(out[0])
 
     def spec(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -333,7 +337,7 @@ class TargetProfile:
     def __call__(self, s):
         return self.expr.values(s)
 
-    def jet(self, s0: float, order: int) -> Jet:
+    def jet(self, s0, order: int) -> Jet:
         if order > self.max_order:
             raise OrderUnavailable(
                 f"order {order} exceeds max_order {self.max_order}"
@@ -343,22 +347,15 @@ class TargetProfile:
     def gg_prime(self, s):
         """g(s) g'(s) evaluated on arrays (the wave-map nonlinearity)."""
         s = np.asarray(s, dtype=float)
-        # vectorized closed forms for the built-in targets; the jet loop
-        # below is the general fallback and is too slow for time stepping
+        # closed forms for the built-in targets, else one jet over all of s
         if self.kind == "flat":
             return s.copy()
         if self.kind == "sphere":
             return 0.5 * np.sin(2.0 * s)
         if self.kind == "hyperbolic":
             return 0.5 * np.sinh(2.0 * s)
-        flat = s.ravel()
-        out = np.array(
-            [
-                (lambda j: j.value * j.derivative(1))(self.expr.jet(si, 1))
-                for si in flat
-            ]
-        )
-        return out.reshape(s.shape)
+        j = self.expr.jet(s, 1)
+        return j.value * j.derivative(1)
 
     def spec(self) -> dict:
         return {"kind": self.kind}

@@ -86,12 +86,8 @@ def compute_V(profile: MetricProfile, n: int, k: int, r):
     small = r < SERIES_RADIUS
     if np.any(~small):
         rb = r[~small]
-        h = np.empty_like(rb)
-        h1v = np.empty_like(rb)
-        h2v = np.empty_like(rb)
-        for i, ri in enumerate(rb):
-            j = profile.jet(float(ri), 2)
-            h[i], h1v[i], h2v[i] = j.value, j.derivative(1), j.derivative(2)
+        j = profile.jet(rb, 2)
+        h, h1v, h2v = j.value, j.derivative(1), j.derivative(2)
         out[~small] = (n - 1) / 2 * (
             h2v / h + (n - 3) / 2 * (h1v**2 / h**2 - 1.0 / rb**2)
         ) + lbar * (1.0 / h**2 - 1.0 / rb**2)

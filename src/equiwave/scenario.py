@@ -19,6 +19,7 @@ from .errors import CFLViolation, DomainError, ScenarioError
 from .profiles import (
     MetricProfile,
     TargetProfile,
+    _gamma_series,
     check_normalization,
     metric_profile,
     target_profile,
@@ -104,11 +105,16 @@ class Scenario:
         # eager profile validation; a manifold needs h(0) = 0, h'(0) = 1
         try:
             normalized = check_normalization(self.profile())
-        except (DomainError, ZeroDivisionError) as exc:
+        except (DomainError, ZeroDivisionError, OverflowError) as exc:
             raise ScenarioError(f"bad manifold spec: {exc}") from exc
         if not normalized:
             raise ScenarioError("manifold profile must satisfy h(0) = 0 and h'(0) = 1")
-        self.target_profile()
+        # the solver needs the Taylor series of Gamma at s = 0 (lbar > 0
+        # since k >= 1); it exists only when g g' = s + O(s^3)
+        try:
+            _gamma_series(self.target_profile(), self.k * (self.k + self.n - 2))
+        except (ValueError, DomainError, ZeroDivisionError, OverflowError) as exc:
+            raise ScenarioError(f"bad target spec: {exc}") from exc
 
     def _check_types(self):
         """Reject a field of the wrong JSON type before any arithmetic."""

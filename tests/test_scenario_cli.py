@@ -92,12 +92,32 @@ def test_defaults_applied(tmp_path):
         ({"manifold": {"kind": "custom", "expr": ["*", 1.5, "r"]}}, ScenarioError),
         ({"manifold": {"kind": "custom", "expr": ["sqrt", "r"]}}, ScenarioError),
         ({"manifold": {"kind": "custom", "expr": ["/", 1, "r"]}}, ScenarioError),
+        # no Gamma series at s = 0: g g' is not s + O(s^3), or g has no
+        # jet at s = 0
+        ({"target": {"kind": "custom", "expr": ["*", 2, "r"]}}, ScenarioError),
+        ({"target": {"kind": "custom", "expr": ["+", "r", ["pow", "r", 2]]}},
+         ScenarioError),
+        ({"target": {"kind": "custom", "expr": ["sqrt", "r"]}}, ScenarioError),
+        # a profile whose jet at 0 overflows
+        ({"manifold": {"kind": "custom", "expr": ["*", "r", ["exp", 1000]]}},
+         ScenarioError),
+        ({"target": {"kind": "custom", "expr": ["*", "r", ["exp", 1000]]}},
+         ScenarioError),
     ],
 )
 def test_validation_rejects(tmp_path, patch, exc):
     payload = {**GOOD, **patch}
     with pytest.raises(exc):
         load_scenario(write_scenario(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "target",
+    [{"kind": "flat"}, {"kind": "sphere"}, {"kind": "hyperbolic"},
+     {"kind": "custom", "expr": ["sin", "r"]}],
+)
+def test_targets_with_a_gamma_series_load(target):
+    assert Scenario(**{**GOOD, "target": target}).target_profile().kind == target["kind"]
 
 
 def test_readme_scenario_loads(tmp_path):
@@ -176,13 +196,20 @@ def test_cli_verify_pass(tmp_path):
     assert math.isclose(report["h_infinity"], 1.0, rel_tol=1e-8)
 
 
-def test_cli_verify_fail_exit_1(tmp_path):
+def test_cli_verify_fail_exit_1(tmp_path, capsys):
     payload = {**GOOD, "manifold": {"kind": "sin"}}
     path = write_scenario(tmp_path, payload)
     out = tmp_path / "out"
     assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "FAIL"
+    # stderr names each failing condition with its witness and reason
+    err = capsys.readouterr().err
+    iii = next(c for c in report["conditions"] if c["name"] == "iii")
+    assert iii["verdict"] == "FAIL" and iii["witness_r"] is not None
+    line = next(ln for ln in err.splitlines() if ln.startswith("condition iii"))
+    assert f"witness_r={iii['witness_r']}" in line
+    assert iii["detail"]["reason"] in line
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -198,6 +225,10 @@ def test_cli_config_error_exit_2(tmp_path):
     # h = 5 is not a metric profile: h(0) = 0 and h'(0) = 1 fail
     flat5 = write_scenario(tmp_path, {**GOOD, "manifold": {"kind": "custom", "expr": 5}})
     assert main(["verify", "--scenario", str(flat5), "--out", str(tmp_path / "o")]) == 2
+    # g(s) = 2s has no Gamma series; the solver would fail on its first step
+    g2s = write_scenario(tmp_path, {**GOOD, "target": {"kind": "custom",
+                                                       "expr": ["*", 2, "r"]}})
+    assert main(["evolve", "--scenario", str(g2s), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_numerical_error_exit_3(tmp_path):
