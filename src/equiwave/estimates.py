@@ -29,7 +29,6 @@ from .spectral import (
     DiscreteRadialOperator,
     RadialGrid,
     _powered,
-    build_operator,
     frac_norm,
     resolve,
 )
@@ -290,15 +289,15 @@ def strichartz_monitor(
     family: Sequence[np.ndarray],
     T: float = 20.0,
     n_t: int = 80,
-    free_op: Optional[DiscreteRadialOperator] = None,
+    *,
+    free_op: DiscreteRadialOperator,
 ) -> RatioReport:
     """Discrete space-time norm of the linear flow against the initial
-    Sobolev norm.  The constant is implicit in the source estimate, so
-    the sup ratio is a regression number, not a bound."""
+    Sobolev norm, taken with ``free_op``, the free operator on the same
+    grid.  The constant is implicit in the source estimate, so the sup
+    ratio is a regression number, not a bound."""
     p, q = Fraction(pq[0]), Fraction(pq[1])
     validate_wave_pair(p, q, op.m)
-    if free_op is None:
-        free_op = build_operator(op.grid, op.m)
     s0 = float(Fraction(1, 1) / q - Fraction(1, 1) / p)
     pf, qf = float(p), float(q)
     shift = "inhomogeneous" if nu > 0 else "homogeneous"

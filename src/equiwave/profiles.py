@@ -27,18 +27,12 @@ SERIES_RADIUS = 1e-3
 
 
 class Expr:
-    def values(self, r):
-        raise NotImplementedError
-
     def jet(self, r0, order: int) -> Jet:
         """Jet at r0, a number or an array of centres (a batched jet)."""
         raise NotImplementedError
 
 
 class Var(Expr):
-    def values(self, r):
-        return np.asarray(r, dtype=float)
-
     def jet(self, r0, order):
         return Jet.variable(r0, order)
 
@@ -47,9 +41,6 @@ class Const(Expr):
     def __init__(self, c):
         self.c = float(c)
 
-    def values(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.c)
-
     def jet(self, r0, order):
         return Jet.constant(self.c, r0, order)
 
@@ -57,12 +48,6 @@ class Const(Expr):
 class Add(Expr):
     def __init__(self, *terms):
         self.terms = terms
-
-    def values(self, r):
-        out = self.terms[0].values(r)
-        for t in self.terms[1:]:
-            out = out + t.values(r)
-        return out
 
     def jet(self, r0, order):
         j = self.terms[0].jet(r0, order)
@@ -75,12 +60,6 @@ class Mul(Expr):
     def __init__(self, *factors):
         self.factors = factors
 
-    def values(self, r):
-        out = self.factors[0].values(r)
-        for f in self.factors[1:]:
-            out = out * f.values(r)
-        return out
-
     def jet(self, r0, order):
         j = self.factors[0].jet(r0, order)
         for f in self.factors[1:]:
@@ -91,9 +70,6 @@ class Mul(Expr):
 class Div(Expr):
     def __init__(self, num, den):
         self.num, self.den = num, den
-
-    def values(self, r):
-        return self.num.values(r) / self.den.values(r)
 
     def jet(self, r0, order):
         return self.num.jet(r0, order) / self.den.jet(r0, order)
@@ -107,49 +83,37 @@ class Pow(Expr):
         self.child = child
         self.p = p
 
-    def values(self, r):
-        return self.child.values(r) ** self.p
-
     def jet(self, r0, order):
         return self.child.jet(r0, order) ** self.p
 
 
 class _Unary(Expr):
-    _np_fn = None
     _jet_fn = None
 
     def __init__(self, child):
         self.child = child
-
-    def values(self, r):
-        return type(self)._np_fn(self.child.values(r))
 
     def jet(self, r0, order):
         return type(self)._jet_fn(self.child.jet(r0, order))
 
 
 class Exp(_Unary):
-    _np_fn = staticmethod(np.exp)
     _jet_fn = staticmethod(jet_exp)
 
 
 class Sin(_Unary):
-    _np_fn = staticmethod(np.sin)
     _jet_fn = staticmethod(jet_sin)
 
 
 class Sinh(_Unary):
-    _np_fn = staticmethod(np.sinh)
     _jet_fn = staticmethod(jet_sinh)
 
 
 class Cosh(_Unary):
-    _np_fn = staticmethod(np.cosh)
     _jet_fn = staticmethod(jet_cosh)
 
 
 class Sqrt(_Unary):
-    _np_fn = staticmethod(np.sqrt)
     _jet_fn = staticmethod(jet_sqrt)
 
 
@@ -164,13 +128,6 @@ class Cutoff(Expr):
 
     def __init__(self, eps):
         self.eps = float(eps)
-
-    def values(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        pos = r > 0
-        out[pos] = np.exp(-self.eps / r[pos])
-        return out
 
     def jet(self, r0, order):
         return _cutoff_jet(r0, order, self.eps, lambda x: jet_exp(-self.eps / x))
@@ -190,11 +147,6 @@ class SqrtCutoff(Expr):
 
     def __init__(self, eps):
         self.eps = float(eps)
-        self._cut = Cutoff(eps)
-
-    def values(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.sqrt(np.maximum(r, 0.0)) * self._cut.values(r)
 
     def jet(self, r0, order):
         return _cutoff_jet(
@@ -253,7 +205,9 @@ class MetricProfile:
     smooth_at_zero: bool = True
 
     def __call__(self, r):
-        return self.expr.values(r)
+        """h(r), the value of its order-0 jet: NaN on an array where h
+        has no jet, an exception at a single radius."""
+        return self.expr.jet(np.asarray(r, dtype=float), 0).value
 
     def jet(self, r0, order: int) -> Jet:
         """Jet of h at a radius, or at every radius of an array."""
@@ -335,7 +289,8 @@ class TargetProfile:
     max_order: int = 12
 
     def __call__(self, s):
-        return self.expr.values(s)
+        """g(s), the value of its order-0 jet."""
+        return self.expr.jet(np.asarray(s, dtype=float), 0).value
 
     def jet(self, s0, order: int) -> Jet:
         if order > self.max_order:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,9 +88,17 @@ def compute_V(profile: MetricProfile, n: int, k: int, r):
         rb = r[~small]
         j = profile.jet(rb, 2)
         h, h1v, h2v = j.value, j.derivative(1), j.derivative(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1, d0 = h1v**2 / h**2, 1.0 / h**2
+        # h^2 overflows on exponentially growing bases (sinh r past
+        # r ~ 355); only there square the ratios h'/h and 1/h instead,
+        # so every finite value keeps its bits
+        big = ~np.isfinite(d1)
+        d1[big] = (h1v[big] / h[big]) ** 2
+        d0[big] = (1.0 / h[big]) ** 2
         out[~small] = (n - 1) / 2 * (
-            h2v / h + (n - 3) / 2 * (h1v**2 / h**2 - 1.0 / rb**2)
-        ) + lbar * (1.0 / h**2 - 1.0 / rb**2)
+            h2v / h + (n - 3) / 2 * (d1 - 1.0 / rb**2)
+        ) + lbar * (d0 - 1.0 / rb**2)
     if np.any(small):
         A, B, C = _origin_jets(profile, n)
         rs = r[small]
@@ -165,9 +173,6 @@ class ReducedProblem:
 
     def W(self, r):
         return self.V(r) - self.h_infinity
-
-    def w(self, r):
-        return weight_w(self.profile, self.n, self.k, r)
 
     def summary(self, r_samples=None) -> dict:
         idx = {key: [v.numerator, v.denominator] if isinstance(v, Fraction) else v

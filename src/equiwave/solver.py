@@ -211,7 +211,6 @@ def integrate(
     formulation: str = "phi",
     initial_state: Optional[WaveState] = None,
     spectral_diagnostics: bool = True,
-    keep_states: bool = True,
     ceiling: Optional[float] = None,
 ) -> Trajectory:
     """Velocity-Verlet integration of the scenario to time T with
@@ -279,8 +278,7 @@ def integrate(
             if len(pending) == SNAPSHOT_BLOCK:
                 flush_norms()
         locals_.append(_local_energy(phi_disc, phi, phi_t, ball))
-        if keep_states:
-            states.append(WaveState(t, uu.copy(), vv.copy(), formulation))
+        states.append(WaveState(t, uu.copy(), vv.copy(), formulation))
 
     check(t0, u)
     snapshot(t0, u, v)

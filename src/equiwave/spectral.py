@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -93,14 +93,14 @@ class _Stencil:
 
     @classmethod
     def manifold(cls, grid: RadialGrid, profile, n: int) -> "_Stencil":
-        """F = h^(n-1) with Simpson cell averages of h^(n-1)."""
+        """F = h^(n-1) with Simpson cell averages of h^(n-1).
 
-        def weight(x):
-            return profile(x) ** (n - 1)
-
-        lo, hi = weight(grid.faces[:-1]), weight(grid.faces[1:])
-        rho = (lo + 4.0 * weight(grid.nodes) + hi) / 6.0
-        return cls(grid, weight(grid.faces), rho)
+        F[0] = 0 is the zero flux through r=0 that h(0) = 0 gives; h is
+        not evaluated there, where a profile may have no jet."""
+        F = np.zeros(grid.N + 1)
+        F[1:] = profile(grid.faces[1:]) ** (n - 1)
+        rho = (F[:-1] + 4.0 * profile(grid.nodes) ** (n - 1) + F[1:]) / 6.0
+        return cls(grid, F, rho)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """(F u')'/rho in flux form, for real or complex u."""
@@ -193,19 +193,17 @@ def _down_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def build_operator(
-    grid: RadialGrid, m: int, W: Union[Callable, np.ndarray, None] = None
+    grid: RadialGrid, m: int, W: Optional[np.ndarray] = None
 ) -> DiscreteRadialOperator:
-    """Second-order symmetric tridiagonal discretization of -Delta + W."""
+    """Second-order symmetric tridiagonal discretization of -Delta + W,
+    with W sampled at the grid nodes."""
     if m < 5:
         raise DimensionError(f"radial reduction requires m >= 5, got {m}")
-    r = grid.nodes
     if W is None:
         Ws = np.zeros(grid.N)
-    elif callable(W):
-        Ws = np.asarray(W(r), dtype=float)
     else:
         Ws = np.asarray(W, dtype=float)
-        if Ws.shape != r.shape:
+        if Ws.shape != (grid.N,):
             raise DomainError("W sample length does not match the grid")
     return DiscreteRadialOperator(grid, m, Ws, _Stencil.flat(grid, m))
 
@@ -268,7 +266,7 @@ def resolve(
     f,
     grid: RadialGrid,
     m: Optional[int] = None,
-    W: Union[Callable, np.ndarray, None] = None,
+    W: Optional[np.ndarray] = None,
     profile=None,
     n: Optional[int] = None,
     h_infinity: float = 0.0,
@@ -291,7 +289,6 @@ def resolve(
         raise TruncationTooSmall(
             f"Im sqrt(kappa^2 - h_inf) * R_max = {kdec.imag * grid.R_max:.3f} < 5"
         )
-    r = grid.nodes
     if profile is not None:
         if n is None or n < 3:
             raise DomainError("manifold form needs n >= 3")
@@ -302,7 +299,7 @@ def resolve(
         stencil = _Stencil.flat(grid, m)
     diag, off = stencil.tridiagonal()
     if profile is None and W is not None:
-        diag = diag + (np.asarray(W(r)) if callable(W) else np.asarray(W))
+        diag = diag + np.asarray(W)
     rho_half = np.sqrt(stencil.rho)
     f = np.asarray(f)
     ft = rho_half * f

@@ -104,7 +104,7 @@ def test_parse_expr_round_trip():
     # ["*", "r", ["exp", "r"]] is r * e^r
     expr = parse_expr(["*", "r", ["exp", "r"]])
     rs = np.array([0.5, 1.0, 2.0])
-    assert np.allclose(expr.values(rs), rs * np.exp(rs), rtol=1e-14)
+    assert np.allclose(expr.jet(rs, 0).value, rs * np.exp(rs), rtol=1e-14)
     jet = expr.jet(1.0, 2)
     assert math.isclose(jet.derivative(1), 2.0 * math.e, rel_tol=1e-12)
 

@@ -48,6 +48,16 @@ def test_V_matches_sympy_direct():
             assert math.isclose(got, want, rel_tol=1e-10)
 
 
+def test_V_past_the_overflow_of_h_squared():
+    # sinh(r)^2 overflows past r ~ 355; there coth^2 = 1 and 1/sinh^2 = 0
+    # to double precision, which leaves the closed form below
+    hyp = metric_profile("hyperbolic")
+    for n, k in ((3, 1), (5, 2)):
+        r = np.array([400.0, 600.0])
+        want = (n - 1) / 2 * (1 + (n - 3) / 2 * (1 - 1 / r**2)) - k * (k + n - 2) / r**2
+        assert np.allclose(compute_V(hyp, n, k, r), want, rtol=1e-12, atol=0)
+
+
 def test_V_series_seam_continuity():
     hyp = metric_profile("hyperbolic")
     below = SERIES_RADIUS * 0.999

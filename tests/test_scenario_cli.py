@@ -240,6 +240,14 @@ def test_cli_numerical_error_exit_3(tmp_path):
     assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_cli_reduce_and_estimates_past_the_overflow_of_h_squared(tmp_path):
+    # sinh(r)^2 overflows past r ~ 355; the potential must stay finite there
+    payload = {**ALL_CHECKS, "grid": {"R_max": 400.0, "N": 400}}
+    path = write_scenario(tmp_path, payload)
+    for cmd in ("reduce", "estimates"):
+        assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / cmd)]) == 0
+
+
 def test_cli_all_artifacts_and_determinism(tmp_path):
     path = write_scenario(tmp_path, ALL_CHECKS)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -86,7 +86,8 @@ def test_energy_conservation_and_reversal():
 
 
 def test_small_data_boundedness():
-    for manifold in ("flat", "hyperbolic", "smoothed-polynomial", "smoothed-exponential"):
+    for manifold in ("flat", "hyperbolic", "smoothed-polynomial", "smoothed-exponential",
+                     "polynomial-growth", "exp-growth", "sinh-perturbed"):
         s = make_scenario(manifold=manifold, N=500, T=10.0)
         tr = integrate(s, "phi", spectral_diagnostics=False)
         assert tr.sup_norms.max() <= 2.0 * tr.sup_norms[0]
