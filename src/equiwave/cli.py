@@ -28,6 +28,7 @@ from .estimates import (
 from .profiles import metric_profile
 from .scenario import Scenario, load_scenario
 from .solver import integrate, strichartz_trace
+from .spectral import EIG_TOL
 
 
 def _write_json(path: Path, payload: dict):
@@ -61,7 +62,7 @@ def run_reduce(scenario: Scenario, out: Path) -> dict:
         "max_eigenvalue": float(lam[-1]),
         "count": int(len(lam)),
     }
-    summary["verdict"] = "PASS" if lam[0] > -1e-8 else "FAIL"
+    summary["verdict"] = "PASS" if lam[0] > -EIG_TOL else "FAIL"
     return summary
 
 

@@ -233,14 +233,13 @@ def _positive(v, what: str):
     return np.where(bad, np.nan, v)
 
 
-def _cyclic(n: int, values):
-    """Series whose j-th derivative at v is values[j % len(values)]."""
-    return np.array([values[j % len(values)] / math.factorial(j) for j in range(n + 1)])
-
-
-def _trig(n: int, f, df):
-    """Series of a function with f'' = -f, from f(v) and f'(v)."""
-    return _cyclic(n, [f, df, -f, -df])
+def _cyclic(n: int, v, fns, sign: float = 1.0):
+    """Series whose derivatives at v cycle through fns: the j-th is
+    fns[j % len(fns)](v), times ``sign`` once per completed cycle.  A
+    function is evaluated only if the order reaches it."""
+    p = len(fns)
+    vals = [f(v) for f in fns[: n + 1]]
+    return np.array([sign ** (j // p) * vals[j % p] / math.factorial(j) for j in range(n + 1)])
 
 
 def _log_series(v, n):
@@ -251,18 +250,18 @@ def _log_series(v, n):
 def _power_series(p):
     def series(v, n):
         v = _positive(v, "real power")
-        out = []
         c = v**p
-        for j in range(n + 1):
-            out.append(c / math.factorial(j))
+        out = [c]
+        for j in range(n):
             c = c * (p - j) / v
+            out.append(c / math.factorial(j + 1))
         return np.array(out)
 
     return series
 
 
 def jet_exp(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, [np.exp(v)]))
+    return x.apply(lambda v, n: _cyclic(n, v, [np.exp]))
 
 
 def jet_log(x: Jet) -> Jet:
@@ -270,19 +269,19 @@ def jet_log(x: Jet) -> Jet:
 
 
 def jet_sin(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _trig(n, np.sin(v), np.cos(v)))
+    return x.apply(lambda v, n: _cyclic(n, v, [np.sin, np.cos], -1.0))
 
 
 def jet_cos(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _trig(n, np.cos(v), -np.sin(v)))
+    return x.apply(lambda v, n: _cyclic(n, v, [np.cos, lambda s: -np.sin(s)], -1.0))
 
 
 def jet_sinh(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, [np.sinh(v), np.cosh(v)]))
+    return x.apply(lambda v, n: _cyclic(n, v, [np.sinh, np.cosh]))
 
 
 def jet_cosh(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, [np.cosh(v), np.sinh(v)]))
+    return x.apply(lambda v, n: _cyclic(n, v, [np.cosh, np.sinh]))
 
 
 def jet_sqrt(x: Jet) -> Jet:

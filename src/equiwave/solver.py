@@ -8,6 +8,8 @@ velocity-Verlet (leapfrog) scheme:
   psi-form on flat R^m (phi = w psi):
       psi_tt = Delta_m psi - V psi - (r^(m-1)/h^(n+1)) psi^3 Gamma(w psi).
 
+The phi form integrates the force as written; only the psi form builds
+the Taylor series of the cubic remainder Gamma, the reduced nonlinearity.
 Both spatial operators are the spectral module's finite-volume stencil,
 so the linear flat case reproduces the spectral propagator to second
 order.  The scheme is time-symmetric; reversal and energy drift double
@@ -98,44 +100,36 @@ class _Discretization:
         self.w_nodes = weight_w(self.profile, n, k, r)
         if formulation == "phi":
             self.op = _Stencil.manifold(self.grid, self.profile, n)
-            self.V = None
-            self.pref = None
+            self.c = self.lbar / self.h_nodes**2  # weight of g g' in the force
         elif formulation == "psi":
             self.op = _Stencil.flat(self.grid, self.m)
             self.V = compute_V(self.profile, n, k, r)
             self.pref, _ = gamma_weights(self.profile, n, k, r)
+            # Taylor coefficients of Gamma at 0, for the cubic remainder
+            self.gamma_series = _gamma_series(self.target, self.lbar)
         else:
             raise DomainError(f"unknown formulation {formulation!r}")
 
     @cached_property
-    def lin_diag(self) -> np.ndarray:
+    def D(self) -> np.ndarray:
         """phi form only, built on first use: a psi-form run reads its
         phi-form discretization only for the local energy.
 
-        The linear part of the nonlinearity, lbar*phi/h^2, is singular
-        at the origin and must cancel the FV Laplacian discretely, not
-        just in the continuum.  Near 0 we therefore evaluate the
-        diagonal through the regular mode w, using the exact identity
-        (Delta_h - lbar/h^2) w = -V w; away from 0 the pointwise value
-        agrees with it to second order and avoids boundary pollution."""
+        The linear part lbar*phi/h^2 of the force c*g(phi)g'(phi) is
+        singular at the origin and must cancel the FV Laplacian
+        discretely, not just in the continuum.  Below r = 1 the diagonal
+        c + D therefore comes from the regular mode w, through the exact
+        identity (Delta_h - lbar/h^2) w = -V w; from r = 1 on D is 0,
+        which agrees with it to second order and avoids boundary
+        pollution."""
         r = self.grid.nodes
         V = compute_V(self.profile, self.n, self.k, r)
-        balanced = self.op.apply(self.w_nodes) / self.w_nodes + V
-        pointwise = self.lbar / self.h_nodes**2
-        return np.where(r < 1.0, balanced, pointwise)
-
-    @cached_property
-    def gamma_series(self) -> np.ndarray:
-        """Taylor coefficients of Gamma at 0, built on the first step."""
-        return _gamma_series(self.target, self.lbar)
+        balanced = self.op.apply(self.w_nodes) / self.w_nodes + V - self.c
+        return np.where(r < 1.0, balanced, 0.0)
 
     def acceleration(self, u: np.ndarray) -> np.ndarray:
         if self.formulation == "phi":
-            # lbar*g(u)g'(u)/h^2 = lin_diag*u + Gamma(u)*u*(u/h)^2, with the
-            # cubic remainder smooth at the origin (u ~ r^k, h ~ r)
-            gam = gamma_decompose(self.target, self.lbar, u, series=self.gamma_series)
-            cubic = gam * u * (u / self.h_nodes) ** 2
-            return self.op.apply(u) - self.lin_diag * u - cubic
+            return self.op.apply(u) - self.D * u - self.c * self.target.gg_prime(u)
         gam = gamma_decompose(self.target, self.lbar, self.w_nodes * u,
                               series=self.gamma_series)
         # u * u * u, not u**3: numpy sends any power but 2 through libm pow
@@ -175,7 +169,7 @@ def _phi_form_energy(disc: "_Discretization", phi, phi_t) -> float:
     conserves it and the leapfrog drift is pure O(dt^2))."""
     g = disc.target(phi)
     rho = disc.op.rho
-    pot = disc.lin_diag * phi**2 + disc.lbar * (g**2 - phi**2) / disc.h_nodes**2
+    pot = disc.D * phi**2 + disc.c * g**2
     val = np.sum(rho * phi_t**2) + np.sum(rho * pot)
     val += disc.op.quadratic_form(phi)
     return 0.5 * disc.grid.dr * val
@@ -199,7 +193,7 @@ def _local_energy(disc: _Discretization, phi, phi_t, radius: float) -> float:
     mask = disc.grid.nodes < radius
     rho = disc.op.rho[mask]
     g = disc.target(phi[mask])
-    dens = rho * (phi_t[mask] ** 2 + disc.lbar * g**2 / disc.h_nodes[mask] ** 2)
+    dens = rho * (phi_t[mask] ** 2 + disc.c[mask] * g**2)
     du = np.diff(phi) / disc.grid.dr
     fmask = disc.grid.faces[1:-1] < radius
     grad = np.sum(disc.op.F[1:-1][fmask] * du[fmask] ** 2)
@@ -255,6 +249,8 @@ def integrate(
         phi = uu if formulation == "phi" else np.multiply(disc.w_nodes, uu, out=work)
         a = np.abs(phi, out=work)
         top = a.max()
+        if disc.target.domain_bound <= top < math.inf:
+            raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}")
         if not top < math.inf or top > ceiling:
             bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
             raise BlowUp(t, grid.nodes[bad])

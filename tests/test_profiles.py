@@ -122,6 +122,20 @@ def test_custom_profile():
 # -- targets ------------------------------------------------------------------------
 
 
+def test_values_evaluate_no_derivative_factor(monkeypatch):
+    # an order-0 jet of sin or sinh needs neither cos nor cosh
+    def forbidden(x):
+        raise AssertionError("derivative factor evaluated for a value")
+
+    s = np.linspace(-3.0, 3.0, 101)
+    r = np.linspace(0.0, 5.0, 101)
+    want_g, want_h = np.sin(s), np.sinh(r)
+    monkeypatch.setattr(np, "cos", forbidden)
+    monkeypatch.setattr(np, "cosh", forbidden)
+    assert np.array_equal(target_profile("sphere")(s), want_g)
+    assert np.array_equal(metric_profile("hyperbolic")(r), want_h)
+
+
 def test_target_gg_prime():
     s = np.linspace(-1.0, 1.0, 9)
     assert np.allclose(target_profile("flat").gg_prime(s), s)

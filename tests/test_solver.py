@@ -10,6 +10,8 @@ import equiwave.profiles
 import equiwave.solver
 from _baselines import REGRESSION_WINDOW, SOLVER_TRACE
 from equiwave.errors import BlowUp, CFLViolation, DomainError
+from equiwave.profiles import _gamma_series, gamma_decompose
+from equiwave.reduction import compute_V
 from equiwave.scenario import Scenario
 from equiwave.solver import (
     Trajectory,
@@ -36,7 +38,8 @@ def make_scenario(
     data=None,
 ):
     return Scenario(
-        "test", {"kind": manifold}, {"kind": target}, n, k, 0.5,
+        "test", {"kind": manifold},
+        target if isinstance(target, dict) else {"kind": target}, n, k, 0.5,
         {"R_max": R, "N": N},
         {"T": T, "dt_factor": dtf, "snap_every": snap},
         data or {"shape": "gaussian", "amplitude": 0.05, "width": 1.0, "center": 0.0},
@@ -156,11 +159,40 @@ def test_gamma_series_built_once_per_integrate(monkeypatch):
     monkeypatch.setattr(equiwave.profiles, "_gamma_series", counted)
     monkeypatch.setattr(equiwave.solver, "_gamma_series", counted)
     s = make_scenario(N=300, T=3.0)
-    for form in ("phi", "psi"):
+    # the phi form integrates g g' as written; only the psi form needs Gamma
+    for form, want in (("phi", 0), ("psi", 1)):
         builds.clear()
         tr = integrate(s, form, spectral_diagnostics=False)
         assert tr.meta["n_steps"] > 100
-        assert len(builds) == 1
+        assert len(builds) == want
+
+
+def _gamma_split_phi_force(disc, u):
+    """The phi-form force as first written: the linear part lbar*u/h^2 on
+    a diagonal balanced against the stencil below r = 1, plus the cubic
+    remainder Gamma(u) u^3 / h^2.  Returns the force and its linear term."""
+    r = disc.grid.nodes
+    V = compute_V(disc.profile, disc.n, disc.k, r)
+    balanced = disc.op.apply(disc.w_nodes) / disc.w_nodes + V
+    lin_diag = np.where(r < 1.0, balanced, disc.lbar / disc.h_nodes**2)
+    series = _gamma_series(disc.target, disc.lbar)
+    gam = gamma_decompose(disc.target, disc.lbar, u, series=series)
+    cubic = gam * u * (u / disc.h_nodes) ** 2
+    return disc.op.apply(u) - lin_diag * u - cubic, lin_diag * u
+
+
+@pytest.mark.parametrize("manifold", ["flat", "hyperbolic", "sinh-perturbed"])
+@pytest.mark.parametrize("target", ["sphere", "hyperbolic",
+                                    {"kind": "custom", "expr": ["sin", "r"]}],
+                         ids=["sphere", "hyperbolic", "custom-sin"])
+def test_phi_force_matches_gamma_split(manifold, target):
+    for amp in (1e-4, 0.05, 0.5):
+        data = {"shape": "gaussian", "amplitude": amp, "width": 1.0, "center": 0.0}
+        disc = _Discretization(make_scenario(manifold, target, N=500, data=data), "phi")
+        u = disc.initial_state().field
+        want, linear = _gamma_split_phi_force(disc, u)
+        err = np.max(np.abs(disc.acceleration(u) - want))
+        assert err <= 1e-14 * np.max(np.abs(linear))
 
 
 def test_trajectory_energy_drift_and_cfl_ratio():
@@ -186,12 +218,15 @@ def test_cfl_guard():
 
 
 def test_sphere_domain_exit_raises():
-    # data far beyond the target domain bound trips the cubic term
+    # data far beyond the target domain bound trips the per-step check,
+    # which reports the domain exit before a blow-up past the ceiling
     s = make_scenario(N=300, T=5.0,
                       data={"shape": "gaussian", "amplitude": 50.0, "width": 1.0,
                             "center": 0.0})
-    with pytest.raises((BlowUp, DomainError)):
-        integrate(s, "phi", spectral_diagnostics=False, ceiling=math.inf)
+    for form in ("phi", "psi"):
+        for ceiling in (math.inf, 1.0):
+            with pytest.raises(DomainError):
+                integrate(s, form, spectral_diagnostics=False, ceiling=ceiling)
 
 
 def test_trajectory_diagnostics_shape():
