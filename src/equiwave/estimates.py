@@ -28,7 +28,8 @@ from .reduction import compute_V, weight_w
 from .spectral import (
     DiscreteRadialOperator,
     RadialGrid,
-    _powered,
+    _cosine_flow,
+    _fractional_power,
     frac_norm,
     resolve,
 )
@@ -301,29 +302,23 @@ def strichartz_monitor(
     s0 = float(Fraction(1, 1) / q - Fraction(1, 1) / p)
     pf, qf = float(p), float(q)
     shift = "inhomogeneous" if nu > 0 else "homogeneous"
-    lam = op.eigenvalues + nu
-    om = np.sqrt(np.maximum(lam, 0.0))
-    mult = _powered(free_op, s0 / 2.0, shift)[:, None]
     times = np.linspace(0.0, T, n_t)
     vol = op.grid.volume_weights(op.m)[:, None]
     ids = [f"f{i}" for i in range(len(family))]
     ratios = []
     if len(family):
         data = np.stack(family, axis=1)
-        cf = op.coefficients(data)
         rhs = frac_norm(free_op, 0.5, data, shift)
-        # the flow of member i at every time: one (N, n_t) product
-        cos_table = np.cos(np.outer(om, times))
-        for i in range(len(family)):
-            if rhs[i] == 0.0:
-                ratios.append(0.0)
-                continue
-            u = op.from_coefficients(cos_table * cf[:, i : i + 1])
+        # the flow of every member, one time at a time: L^q norms only
+        lq = np.empty((len(family), n_t))
+        dt = T / (n_t - 1) if n_t > 1 else 0.0
+        for j, u in enumerate(_cosine_flow(op, nu, data, dt, n_t)):
             if s0 != 0.0:
-                u = free_op.from_coefficients(mult * free_op.coefficients(u))
-            lq = np.sum(np.abs(u) ** qf * vol, axis=0) ** (1.0 / qf)
-            lhs = np.trapezoid(lq**pf, times) ** (1.0 / pf)
-            ratios.append(float(lhs / rhs[i]))
+                u = _fractional_power(free_op, s0 / 2.0, u, shift)
+            lq[:, j] = np.sum(np.abs(u) ** qf * vol, axis=0) ** (1.0 / qf)
+        lhs = np.trapezoid(lq**pf, times, axis=1) ** (1.0 / pf)
+        ratios = [0.0 if rhs[i] == 0.0 else float(lhs[i] / rhs[i])
+                  for i in range(len(family))]
     return RatioReport(
         "strichartz", f"{len(family)} band-limited data", ids, ratios,
         bound=None,

@@ -35,9 +35,13 @@ KNOWN_SHAPES = ("gaussian", "zero")
 DATA_NUMBERS = ("amplitude", "width", "center", "velocity_amplitude")
 
 # Cost budget, checked before anything of grid size is allocated.
-# `all` holds two dense N x N eigenbases of 8 N^2 bytes each: 1 GiB at
-# N = 8192.  The longest run in the tests and the benchmark takes 33,334
-# steps.  A stored snapshot holds field and velocity, 16 N bytes.
+# Every pipeline holds O(N) numbers per vector, so N is bounded for run
+# time, not memory: the solver's step count and the Chebyshev
+# propagator's length both grow like N, their work like N^2.  `all` on
+# the README scenario at N = 8192 takes about 22 s and 140 MB (one BLAS
+# thread, 2-core VM).  The longest run in the tests and the benchmark
+# takes 33,334 steps.  A stored snapshot holds field and velocity, 16 N
+# bytes.
 MAX_GRID_POINTS = 8192
 MAX_STEPS = 1_000_000
 MAX_SNAPSHOT_BYTES = 2**30

@@ -29,11 +29,11 @@ from .errors import BlowUp, CFLViolation, DomainError
 from .profiles import _gamma_series, gamma_decompose
 from .reduction import compute_V, gamma_weights, indices, weight_w
 from .scenario import Scenario
-from .spectral import _powered, _Stencil, frac_norm
+from .spectral import _fractional_power, _Stencil, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
-# snapshots per batched eigenbasis transform: an (N, 128) stack is 4 MB
-# at N = 4000, small beside the N x N eigenbasis
+# snapshots per batched fractional power: each contour node solves on a
+# complex copy of the (N, 128) stack, 8 MB at N = 4000
 SNAPSHOT_BLOCK = 128
 
 
@@ -279,11 +279,13 @@ def integrate(
     check(t0, u)
     snapshot(t0, u, v)
     a = disc.acceleration(u)
+    half_dt = 0.5 * dt
+    incr = np.empty_like(u)  # the Verlet increments, in place of temporaries
     for step in range(1, n_steps + 1):
-        v += 0.5 * dt * a
-        u += dt * v
+        v += np.multiply(half_dt, a, out=incr)
+        u += np.multiply(dt, v, out=incr)
         a = disc.acceleration(u)
-        v += 0.5 * dt * a
+        v += np.multiply(half_dt, a, out=incr)
         t = t0 + step * dt
         check(t, u)
         if step % snap_stride == 0 or step == n_steps:
@@ -345,13 +347,12 @@ def strichartz_trace(
     s = (sc.n - 1) / 2
     w = weight_w(sc.profile(), sc.n, sc.k, op.grid.nodes)
     wq = op.grid.volume_weights(idx["m"])[:, None]
-    powered = _powered(op, s / 2, "inhomogeneous")[:, None]
     states = trajectory.states
     lq = []
     for j in range(0, len(states), SNAPSHOT_BLOCK):
         psi = np.stack([st.field if st.formulation == "psi" else st.field / w
                         for st in states[j : j + SNAPSHOT_BLOCK]], axis=1)
-        g = op.from_coefficients(powered * op.coefficients(psi))
+        g = _fractional_power(op, s / 2, psi, "inhomogeneous")
         lq.extend(np.sum(wq * np.abs(g) ** q, axis=0) ** (1.0 / q))
     lq = np.array(lq)
     partials = np.zeros_like(lq)

@@ -227,6 +227,22 @@ def test_strichartz_matches_per_time_reference(pq):
     assert rep.ratios == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("nu, pq", [(1.0, (3, 3)), (0.0, (4, Fraction(8, 3)))])
+def test_strichartz_holds_negative_modes_like_the_reference(nu, pq):
+    # W shifted below -nu for the two lowest modes: they stay at frequency 0
+    grid = RadialGrid(40.0, 400)
+    free = build_operator(grid, 5)
+    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
+    W = problem.W(grid.nodes)
+    lam = build_operator(grid, 5, W).eigenvalues
+    op = build_operator(grid, 5, W - (nu + 0.5 * (lam[1] + lam[2])))
+    assert np.sum(op.eigenvalues + nu < 0) == 2
+    fam = [tf.fn(grid.nodes) for tf in gaussian_family(3, 0, r_power=2)]
+    rep = strichartz_monitor(op, nu, pq, fam, free_op=free)
+    want = _strichartz_per_time(op, nu, pq, fam, free)
+    assert rep.ratios == pytest.approx(want, rel=1e-10)
+
+
 def test_strichartz_empty_family(strichartz_setup):
     grid, free, _ = strichartz_setup
     rep = strichartz_monitor(free, 0.0, (3, 3), [], free_op=free)

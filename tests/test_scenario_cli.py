@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -266,33 +267,68 @@ def _counting(monkeypatch, module, name, calls):
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append((name, kwargs))
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
 
 
 def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
-    # the reduced and the free operator are shared by every pipeline
+    # the reduced and the free operator are shared by every pipeline; no
+    # pipeline computes an eigenvector, and `reduce` takes the one full
+    # spectrum (the other solves find the lowest eigenvalue by bisection)
     eig, h_inf = [], []
-    _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal", eig)
+    for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
+        _counting(monkeypatch, scipy.linalg, name, eig)
     for module in (equiwave.admissibility, equiwave.reduction, equiwave.cli):
         _counting(monkeypatch, module, "estimate_h_infinity", h_inf)
     path = write_scenario(tmp_path, ALL_CHECKS)
     assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert len(eig) == 2
+    vectors = [kw for name, kw in eig
+               if name == "eigh_tridiagonal" and not kw.get("eigvals_only")]
+    full_spectra = [kw for _, kw in eig if kw.get("select", "a") == "a"]
+    assert vectors == []
+    assert len(full_spectra) == 1
     assert len(h_inf) <= 2
 
 
-def test_cli_all_batches_eigenbasis_transforms(tmp_path, monkeypatch):
+def test_cli_all_makes_no_eigenbasis_transform(tmp_path, monkeypatch):
     # the Strichartz monitor, the snapshot norms and the Strichartz trace
-    # each transform column stacks: 15 products here, not one per sample
+    # apply functions of the operator without its eigenbasis
     calls = []
     for name in ("coefficients", "from_coefficients"):
         _counting(monkeypatch, DiscreteRadialOperator, name, calls)
     path = write_scenario(tmp_path, ALL_CHECKS)
     assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert len(calls) <= 20
+    assert calls == []
+
+
+def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path):
+    # no pipeline holds an N x N array: at N = 2000 one is 8 N^2 = 32 MB
+    N = 2000
+    payload = {**ALL_CHECKS, "grid": {"R_max": 25.0, "N": N},
+               "time": {"T": 4.0, "dt_factor": 0.1, "snap_every": 0.5}}
+    path = write_scenario(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.special, scipy.fft and scipy.sparse would add to every start-up
+    code = ("import sys, equiwave.cli\n"
+            "print(sorted(m for m in ('scipy.special', 'scipy.fft', 'scipy.sparse')"
+            " if m in sys.modules))\n")
+    src = str(Path(equiwave.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),

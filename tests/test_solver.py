@@ -11,7 +11,7 @@ import equiwave.solver
 from _baselines import REGRESSION_WINDOW, SOLVER_TRACE
 from equiwave.errors import BlowUp, CFLViolation, DomainError
 from equiwave.profiles import _gamma_series, gamma_decompose
-from equiwave.reduction import compute_V
+from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.scenario import Scenario
 from equiwave.solver import (
     Trajectory,
@@ -22,7 +22,7 @@ from equiwave.solver import (
     integrate,
     strichartz_trace,
 )
-from equiwave.spectral import RadialGrid, build_operator, evolve_linear
+from equiwave.spectral import RadialGrid, _powered, build_operator, evolve_linear
 
 
 def make_scenario(
@@ -251,6 +251,27 @@ def test_strichartz_trace_baseline_and_monotonicity():
         tr.h_half_norms[:10], tr.local_energies[:10], tr.states[:10], "phi",
     )
     assert strichartz_trace(half, s) <= total
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_strichartz_trace_matches_dense_reference(n):
+    # (1+H)^((n-1)/4) of the snapshots without an eigenbasis, against the
+    # eigenbasis: n = 3 takes a contour, n = 5 one product with H
+    s = make_scenario(manifold="hyperbolic", n=n, N=400, T=6.0, snap=0.5)
+    tr = integrate(s, "phi", spectral_diagnostics=False)
+    _, partials = strichartz_trace(tr, s, return_partials=True)
+    idx = indices(s.n, s.k)
+    p, q = float(idx["p"]), float(idx["q"])
+    op = s.free_operator
+    w = weight_w(s.profile(), s.n, s.k, op.grid.nodes)
+    psi = np.stack([st.field / w for st in tr.states], axis=1)
+    powered = _powered(op, (s.n - 1) / 4, "inhomogeneous")[:, None]
+    g = op.from_coefficients(powered * op.coefficients(psi))
+    lq = np.sum(op.grid.volume_weights(idx["m"])[:, None] * np.abs(g) ** q,
+                axis=0) ** (1.0 / q)
+    steps = np.diff(tr.times) * 0.5 * (lq[1:] ** p + lq[:-1] ** p)
+    want = np.concatenate([[0.0], np.cumsum(steps)]) ** (1.0 / p)
+    assert partials == pytest.approx(want, rel=1e-10)
 
 
 def test_strichartz_trace_zero_trajectory():

@@ -1,5 +1,7 @@
 """Discrete radial operator: eigenbasis quality, fractional calculus,
-linear evolution, and the resolvent with manufactured solutions."""
+linear evolution, and the resolvent with manufactured solutions.  The
+contour-quadrature powers and the Chebyshev propagator are checked
+against the dense eigen-calculus."""
 
 import math
 
@@ -16,6 +18,11 @@ from equiwave.profiles import metric_profile
 from equiwave.reduction import reduce_problem
 from equiwave.spectral import (
     RadialGrid,
+    _contour_rule,
+    _cosine_flow,
+    _down_rows,
+    _fractional_power,
+    _powered,
     build_operator,
     evolve_linear,
     frac_norm,
@@ -203,3 +210,89 @@ def test_transforms_take_column_stacks(op600):
         ni = frac_norm(op600, 0.5, stack[:, i])
         assert isinstance(ni, float)
         assert abs(norms[i] - ni) <= 1e-12 * max(ni, 1.0)
+
+
+# -- functions of the operator without an eigenbasis, against the dense
+# eigen-calculus
+
+@pytest.fixture(scope="module")
+def free_and_reduced():
+    grid = RadialGrid(40.0, 800)
+    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
+    return build_operator(grid, 5), build_operator(grid, 5, problem.W(grid.nodes))
+
+
+def _samples(grid):
+    r = grid.nodes
+    return np.stack([r**2 * np.exp(-((r - c) ** 2)) for c in (0.0, 3.0, 7.0)]
+                    + [np.sin(r) * np.exp(-r / 5.0)], axis=1)
+
+
+def _dense_power(op, s, v, shift):
+    return op.from_coefficients(_down_rows(_powered(op, s, shift), v)
+                                * op.coefficients(v))
+
+
+def _l2_error(op, got, want):
+    # relative error per column in the L^2(R^m) norm
+    w = op.grid.volume_weights(op.m)[:, None]
+    return np.max(np.sqrt(np.sum(w * (got - want) ** 2, axis=0)
+                          / np.sum(w * want**2, axis=0)))
+
+
+def test_spectral_bounds(free_and_reduced):
+    for op in free_and_reduced:
+        lo, hi = op.spectral_bounds
+        assert lo == pytest.approx(op.eigenvalues[0], rel=1e-12)
+        assert hi >= op.eigenvalues[-1]
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, -1.0 / 32])
+@pytest.mark.parametrize("lo, hi", [(1.0, 1e5), (1e-3, 3e4)])
+def test_contour_rule_uniform_relative_accuracy(alpha, lo, hi):
+    # the quadrature is a rational function of lambda: test it pointwise
+    z, c = _contour_rule(alpha, lo, hi)
+    lam = np.geomspace(lo, hi, 500)
+    approx = np.sum(np.imag(c / (z - lam[:, None])), axis=1)
+    assert np.max(np.abs(approx / lam**alpha - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("shift", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("s", [-1.0, -0.5, 1.0 / 16, 0.5, 1.0])
+def test_frac_norm_matches_dense(free_and_reduced, s, shift):
+    for op in free_and_reduced:
+        v = _samples(op.grid)
+        scale = op.grid.surface_constant(op.m) * op.grid.dr
+        want = np.sqrt(scale * np.sum(_down_rows(_powered(op, s, shift), v)
+                                      * op.coefficients(v) ** 2, axis=0))
+        assert frac_norm(op, s, v, shift) == pytest.approx(want, rel=1e-10)
+        # a complex stack: real and imaginary parts add in the square
+        got = frac_norm(op, s, (1.0 + 2.0j) * v, shift)
+        assert got == pytest.approx(math.sqrt(5.0) * want, rel=1e-10)
+
+
+@pytest.mark.parametrize("s", [-1.5, -0.5, 0.25, 0.75])
+def test_fractional_power_matches_dense_with_modes_below_the_floor(free_and_reduced, s):
+    # shift W so that the lowest eigenvalue sits between 0 and the infrared
+    # floor: negative homogeneous powers floor it, positive ones do not
+    free, _ = free_and_reduced
+    floor = free.lambda_floor
+    shift_W = np.full(free.grid.N, 0.5 * floor - free.eigenvalues[0])
+    op = build_operator(free.grid, 5, shift_W)
+    assert 0.0 < op.eigenvalues[0] < floor
+    v = _samples(op.grid)
+    for shift in ("homogeneous", "inhomogeneous"):
+        got = _fractional_power(op, s, v, shift)
+        assert _l2_error(op, got, _dense_power(op, s, v, shift)) < 1e-10
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_cosine_flow_matches_evolve_linear(free_and_reduced, nu):
+    _, op = free_and_reduced
+    v = _samples(op.grid)
+    times = np.linspace(0.0, 20.0, 80)
+    flow = _cosine_flow(op, nu, v, times[1], len(times))
+    for t, u in zip(times, flow):
+        want = np.stack([evolve_linear(op, v[:, i], np.zeros(op.grid.N), nu, t)
+                         for i in range(v.shape[1])], axis=1)
+        assert _l2_error(op, u, want) < 1e-10
