@@ -123,7 +123,11 @@ def compute_P(
     if h_infinity is None:
         h_infinity, _ = estimate_h_infinity(profile, n)
     Hj = H_jet(profile, n, r, order=1)
-    H, H1 = Hj.value, Hj.derivative(1)
+    return _P_and_slope(r, Hj.value, Hj.derivative(1), h_infinity, delta0)
+
+
+def _P_and_slope(r, H, H1, h_infinity, delta0):
+    """P = r(H - h_inf) + (1-delta0)/(4r) and P' from H and H' at r."""
     P = r * (H - h_infinity) + (1 - delta0) / (4 * r)
     P1 = (H - h_infinity) + r * H1 - (1 - delta0) / (4 * r**2)
     return P, P1
@@ -235,8 +239,7 @@ def check_admissibility(
     if h_inf is not None and ok.any():
         r_ok, H_ok, H1_ok = rs[ok], H[ok], H1[ok]
         for d0 in DELTA0_GRID:
-            P = r_ok * (H_ok - h_inf) + (1 - d0) / (4 * r_ok)
-            P1 = (H_ok - h_inf) + r_ok * H1_ok - (1 - d0) / (4 * r_ok**2)
+            P, P1 = _P_and_slope(r_ok, H_ok, H1_ok, h_inf, d0)
             scale = np.max(np.abs(P)) + 1e-30
             if np.min(P) >= -1e-10 * scale and np.max(P1) <= 1e-10 * scale:
                 delta0 = float(d0)

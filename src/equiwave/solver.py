@@ -32,8 +32,9 @@ from .scenario import Scenario
 from .spectral import _fractional_power, _Stencil, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
-# snapshots per batched fractional power: each contour node solves on a
-# complex copy of the (N, 128) stack, 8 MB at N = 4000
+# snapshots per stack of _reduced_blocks, which feeds the H^(1/2) norms of
+# integrate and strichartz_trace: each contour node solves on a complex
+# copy of one (N, 128) stack, 8 MB at N = 4000
 SNAPSHOT_BLOCK = 128
 
 
@@ -200,6 +201,13 @@ def _local_energy(disc: _Discretization, phi, phi_t, radius: float) -> float:
     return 0.5 * disc.grid.dr * (np.sum(dens) + grad)
 
 
+def _reduced_blocks(states: list, w: np.ndarray):
+    """The reduced fields w^(-1) phi of the states, (N, <= SNAPSHOT_BLOCK) at a time."""
+    for j in range(0, len(states), SNAPSHOT_BLOCK):
+        yield np.stack([st.field if st.formulation == "psi" else st.field / w
+                        for st in states[j : j + SNAPSHOT_BLOCK]], axis=1)
+
+
 def integrate(
     scenario: Scenario,
     formulation: str = "phi",
@@ -229,18 +237,7 @@ def integrate(
         ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
     ball = grid.R_max / 3.0
 
-    free_op = scenario.free_operator if spectral_diagnostics else None
-
-    times, energies, sups, halves, locals_ = [], [], [], [], []
     states = []
-    pending = []  # reduced fields whose H^(1/2) norms are not taken yet
-
-    def flush_norms():
-        if pending:
-            stack = np.stack(pending, axis=1)
-            halves.extend(frac_norm(free_op, 0.5, stack).tolist())
-            pending.clear()
-
     work = np.empty_like(u)
 
     def check(t, uu):
@@ -255,29 +252,8 @@ def integrate(
             bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
             raise BlowUp(t, grid.nodes[bad])
 
-    # the energy quadrature always lives on the phi-form discretization
-    phi_disc = _Discretization(scenario, "phi") if formulation == "psi" else disc
-
-    def _energy_fast(uu, vv, phi, phi_t):
-        if formulation == "psi":
-            return _psi_form_energy(disc, uu, vv)
-        return _phi_form_energy(phi_disc, phi, phi_t)
-
-    def snapshot(t, uu, vv):
-        phi = disc.to_phi(uu)
-        phi_t = disc.to_phi(vv)
-        times.append(t)
-        energies.append(_energy_fast(uu, vv, phi, phi_t))
-        sups.append(float(np.max(np.abs(phi))))
-        if free_op is not None:
-            pending.append(uu.copy() if formulation == "psi" else phi / disc.w_nodes)
-            if len(pending) == SNAPSHOT_BLOCK:
-                flush_norms()
-        locals_.append(_local_energy(phi_disc, phi, phi_t, ball))
-        states.append(WaveState(t, uu.copy(), vv.copy(), formulation))
-
     check(t0, u)
-    snapshot(t0, u, v)
+    states.append(WaveState(t0, u.copy(), v.copy(), formulation))
     a = disc.acceleration(u)
     half_dt = 0.5 * dt
     incr = np.empty_like(u)  # the Verlet increments, in place of temporaries
@@ -289,13 +265,25 @@ def integrate(
         t = t0 + step * dt
         check(t, u)
         if step % snap_stride == 0 or step == n_steps:
-            snapshot(t, u, v)
-    flush_norms()
-    if free_op is None:
-        halves = [math.nan] * len(times)
+            states.append(WaveState(t, u.copy(), v.copy(), formulation))
+
+    # the snapshot diagnostics, from the stored states; the local energy
+    # always lives on the phi-form discretization
+    phi_disc = _Discretization(scenario, "phi") if formulation == "psi" else disc
+    energies, sups, locals_ = [], [], []
+    form_energy = _psi_form_energy if formulation == "psi" else _phi_form_energy
+    for st in states:
+        phi, phi_t = disc.to_phi(st.field), disc.to_phi(st.velocity)
+        energies.append(form_energy(disc, st.field, st.velocity))
+        sups.append(float(np.max(np.abs(phi))))
+        locals_.append(_local_energy(phi_disc, phi, phi_t, ball))
+    halves = [math.nan] * len(states)
+    if spectral_diagnostics:
+        halves = [x for psi in _reduced_blocks(states, disc.w_nodes)
+                  for x in frac_norm(scenario.free_operator, 0.5, psi).tolist()]
 
     return Trajectory(
-        times=np.array(times),
+        times=np.array([st.t for st in states]),
         energies=np.array(energies),
         sup_norms=np.array(sups),
         h_half_norms=np.array(halves),
@@ -347,11 +335,8 @@ def strichartz_trace(
     s = (sc.n - 1) / 2
     w = weight_w(sc.profile(), sc.n, sc.k, op.grid.nodes)
     wq = op.grid.volume_weights(idx["m"])[:, None]
-    states = trajectory.states
     lq = []
-    for j in range(0, len(states), SNAPSHOT_BLOCK):
-        psi = np.stack([st.field if st.formulation == "psi" else st.field / w
-                        for st in states[j : j + SNAPSHOT_BLOCK]], axis=1)
+    for psi in _reduced_blocks(trajectory.states, w):
         g = _fractional_power(op, s / 2, psi, "inhomogeneous")
         lq.extend(np.sum(wq * np.abs(g) ** q, axis=0) ** (1.0 / q))
     lq = np.array(lq)

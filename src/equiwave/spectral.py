@@ -8,9 +8,10 @@ the r=0 face vanishes identically (regularity) and the outer boundary is
 a zero Dirichlet value at R_max.
 
 Functions of the operator are applied without an eigenbasis, in O(N)
-memory per vector: fractional powers by contour quadrature of the
-resolvent (one complex tridiagonal solve per node), the wave propagator
-cos(t sqrt(nu+H)) by a Chebyshev series in H.  The dense
+memory per vector.  One shifted solve, (z - H) y = x by a complex
+tridiagonal LAPACK call, serves the resolvent and the fractional powers,
+contour quadratures of the resolvent with one solve per node; the wave
+propagator cos(t sqrt(nu+H)) is a Chebyshev series in H.  The dense
 eigendecomposition (eigenvectors, coefficients, from_coefficients,
 evolve_linear) is kept as the exact reference for tests and demos.
 
@@ -150,10 +151,20 @@ class DiscreteRadialOperator:
 
     grid: RadialGrid
     m: int
-    W_samples: np.ndarray
+    W_samples: Optional[np.ndarray]  # W at the nodes; None for W = 0
     stencil: _Stencil = field(repr=False)
     # eigenpairs below a cut, by cut: _modes_below computes each once
     _below: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        N = self.grid.N
+        W = np.zeros(N) if self.W_samples is None else np.asarray(self.W_samples, float)
+        if W.shape != (N,):
+            raise DomainError("W sample length does not match the grid")
+        bad = np.flatnonzero(~np.isfinite(W))
+        if bad.size:
+            raise DomainError(f"potential W is not finite at r = {self.grid.nodes[bad[0]]:.6g}")
+        self.W_samples = W
 
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -246,13 +257,7 @@ def build_operator(
     with W sampled at the grid nodes."""
     if m < 5:
         raise DimensionError(f"radial reduction requires m >= 5, got {m}")
-    if W is None:
-        Ws = np.zeros(grid.N)
-    else:
-        Ws = np.asarray(W, dtype=float)
-        if Ws.shape != (grid.N,):
-            raise DomainError("W sample length does not match the grid")
-    return DiscreteRadialOperator(grid, m, Ws, _Stencil.flat(grid, m))
+    return DiscreteRadialOperator(grid, m, W, _Stencil.flat(grid, m))
 
 
 def _power_base(op: DiscreteRadialOperator, s: float, shift: str) -> tuple[float, float]:
@@ -334,6 +339,17 @@ def _contour_rule(alpha: float, lo: float, hi: float):
     return w * w, -(4.0 * K / (math.pi * n)) * w ** (2.0 * alpha + 1.0) * dw
 
 
+def _shifted_solve(diag, off, z: complex, x: np.ndarray) -> np.ndarray:
+    """y with (z - A) y = x for the symmetric tridiagonal A = (diag, off), x
+    of shape (N,) or (N, k): one zgtsv, for the resolvent and each contour node."""
+    sub = -off.astype(complex)
+    *_, y, info = scipy.linalg.lapack.zgtsv(sub, z - diag, sub, x.astype(complex),
+                                             overwrite_b=1)
+    if info != 0:
+        raise SingularSystem(f"shift {z} hit the spectrum (info {info})")
+    return y
+
+
 def _contour_power(diag, off, alpha: float, x: np.ndarray, lo: float, hi: float):
     """A^alpha x for the symmetric tridiagonal A = (diag, off), spectrum
     in [lo, hi], -1 <= alpha < 0, and x of shape (N, k): one complex
@@ -342,15 +358,11 @@ def _contour_power(diag, off, alpha: float, x: np.ndarray, lo: float, hi: float)
         return (_contour_power(diag, off, alpha, x.real, lo, hi)
                 + 1j * _contour_power(diag, off, alpha, x.imag, lo, hi))
     z, c = _contour_rule(alpha, lo, hi)
-    sub = -off.astype(complex)
     x = np.asfortranarray(x)  # LAPACK's layout, kept by every array below
     out = np.zeros_like(x)
     tmp = np.empty_like(x)
     for zj, cj in zip(z, c):
-        *_, y, info = scipy.linalg.lapack.zgtsv(sub, zj - diag, sub, x.astype(complex),
-                                                 overwrite_b=1)
-        if info != 0:
-            raise SingularSystem(f"contour node {zj} hit the spectrum (info {info})")
+        y = _shifted_solve(diag, off, zj, x)
         out += np.multiply(cj.real, y.imag, out=tmp)
         out += np.multiply(cj.imag, y.real, out=tmp)
     return out
@@ -529,42 +541,26 @@ def resolve(
       u'' + (m-1)/r u' + kappa^2 u - W u = f        (flat R^m form), or
       u'' + (n-1) h'/h u' + kappa^2 u = f           (manifold form),
 
-    with regularity at 0 and zero value at R_max.  Valid when the decay
-    rate Im sqrt(kappa^2 - h_infinity) times R_max is at least 5.
+    with regularity at 0 and zero value at R_max, for f of shape (N,) or a
+    column stack (N, k).  Valid when the decay rate
+    Im sqrt(kappa^2 - h_infinity) times R_max is at least 5.
     """
     kappa = complex(kappa)
     if kappa.imag <= 0:
         raise DomainError("resolvent frequency needs Im kappa > 0")
-    kdec = np.emath.sqrt(kappa**2 - h_infinity)
-    if kdec.imag < 0:
-        kdec = -kdec
-    if kdec.imag * grid.R_max < 5.0:
-        raise TruncationTooSmall(
-            f"Im sqrt(kappa^2 - h_inf) * R_max = {kdec.imag * grid.R_max:.3f} < 5"
-        )
+    decay = abs(np.emath.sqrt(kappa**2 - h_infinity).imag) * grid.R_max
+    if decay < 5.0:
+        raise TruncationTooSmall(f"Im sqrt(kappa^2 - h_inf) * R_max = {decay:.3f} < 5")
     if profile is not None:
         if n is None or n < 3:
             raise DomainError("manifold form needs n >= 3")
-        stencil = _Stencil.manifold(grid, profile, n)
+        op = DiscreteRadialOperator(grid, n, None, _Stencil.manifold(grid, profile, n))
     else:
         if m is None or m < 3:
             raise DomainError("flat form needs m >= 3")
-        stencil = _Stencil.flat(grid, m)
-    diag, off = stencil.tridiagonal()
-    if profile is None and W is not None:
-        diag = diag + np.asarray(W)
-    rho_half = np.sqrt(stencil.rho)
-    f = np.asarray(f)
-    ft = rho_half * f
-    # (kappa^2 I - A) u~ = f~ with A = -(rho u')'/rho (+W), symmetrized
-    ab = np.zeros((3, grid.N), dtype=complex)
-    ab[0, 1:] = -off
-    ab[1, :] = kappa**2 - diag
-    ab[2, :-1] = -off
-    try:
-        ut = scipy.linalg.solve_banded((1, 1), ab, ft)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(str(exc)) from exc
+        op = DiscreteRadialOperator(grid, m, W, _Stencil.flat(grid, m))
+    # (kappa^2 - H) u~ = f~ in the symmetrized variable
+    ut = _shifted_solve(*op.tridiagonal, kappa**2, op.symmetrize(f))
     if not np.all(np.isfinite(ut)):
         raise SingularSystem("non-finite resolvent solution")
-    return ut / rho_half
+    return op.unsymmetrize(ut)

@@ -27,7 +27,7 @@ from equiwave.estimates import (
 from equiwave.profiles import metric_profile
 from equiwave.reduction import indices, reduce_problem
 from equiwave.scenario import Scenario
-from equiwave.solver import WaveState, consistency_check, integrate
+from equiwave.solver import WaveState, consistency_check, integrate, strichartz_trace
 from equiwave.spectral import RadialGrid, build_operator, evolve_linear, resolve
 
 ALL_PROFILES = [
@@ -256,3 +256,33 @@ def test_criterion_10_formulation_consistency():
     report(10, ok, f"mismatch {mis_4000:.2e} <= 1e-4 (refinement ratio "
                    f"{ratio:.2f}), linear-vs-spectral error {lin_errs[1]:.2e} "
                    f"(ratio {lin_ratio:.2f})")
+
+
+def test_small_data_scaling_oracle():
+    # Beside the gate, not a numbered criterion.  The Strichartz trace of a
+    # small-data run tends to that of the linear flow (flat target,
+    # g g' = s) as the amplitude eps -> 0.  The remainder is cubic, so the
+    # relative gap is O(eps^2): halving eps divides it by 4.
+    def trace(base, n, k, target, eps):
+        s = Scenario(
+            "scaling", {"kind": base}, {"kind": target}, n, k, 0.5,
+            {"R_max": 30.0, "N": 500},
+            {"T": 15.0, "dt_factor": 0.1, "snap_every": 0.5},
+            {"shape": "gaussian", "amplitude": eps, "width": 1.0, "center": 0.0},
+        )
+        return strichartz_trace(integrate(s, "phi", spectral_diagnostics=False), s)
+
+    details = []
+    ok = True
+    for base, n, k in (("flat", 3, 1), ("hyperbolic", 3, 1), ("hyperbolic", 4, 1),
+                       ("hyperbolic", 5, 2), ("sinh-perturbed", 3, 2)):
+        gaps = []
+        for eps in (0.2, 0.1, 0.05):
+            linear = trace(base, n, k, "flat", eps)
+            gaps.append(abs(trace(base, n, k, "sphere", eps) - linear) / linear)
+        factors = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
+        ok &= all(abs(f - 4.0) <= 0.3 for f in factors)
+        details.append(f"{base} n={n} k={k}: " + ", ".join(f"{f:.3f}" for f in factors))
+    line = f"scaling oracle: {'PASS' if ok else 'FAIL'} - gap factors " + "; ".join(details)
+    print(line)
+    assert ok, line

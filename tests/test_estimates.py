@@ -140,6 +140,46 @@ def test_smoothing_rejects_bad_delta0():
                         h_infinity=0.0, R_max=60.0, N=500)
 
 
+def test_smoothing_solves_once_per_frequency(monkeypatch):
+    # the whole family goes through the resolvent in one stacked solve
+    import equiwave.estimates as estimates
+    from equiwave.cli import _default_lambda_grid
+
+    calls = []
+    resolve = estimates.resolve
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "resolve", counted)
+    lam_grid = _default_lambda_grid()
+    rep = smoothing_check(metric_profile("hyperbolic"), 3, 1, 0.95, lam_grid,
+                          gaussian_family(10, 0, r_power=1), h_infinity=1.0,
+                          R_max=60.0, N=500)
+    assert len(calls) == len(lam_grid) == 20
+    assert calls[0] == (500, 10)
+    assert len(rep.ratios) == 200
+    assert rep.sample_ids[:2] == [f"gauss-0-0@{lam_grid[0]}", f"gauss-0-1@{lam_grid[0]}"]
+
+
+def test_smoothing_zero_member_and_empty_family():
+    # a local import: pytest would try to collect a module-level Test* class
+    from equiwave.estimates import TestFunction
+
+    flat = metric_profile("flat")
+    zero = TestFunction("zero", lambda r: 0.0 * r, lambda r: 0.0 * r)
+    fam = gaussian_family(2, 0, r_power=1)
+    kw = {"h_infinity": 0.0, "R_max": 60.0, "N": 500}
+    rep = smoothing_check(flat, 3, 1, 0.5, LAMBDA_GRID, [fam[0], zero, fam[1]], **kw)
+    alone = smoothing_check(flat, 3, 1, 0.5, LAMBDA_GRID, fam, **kw)
+    assert rep.ratios[1::3] == [0.0] * len(LAMBDA_GRID)
+    assert rep.ratios[0::3] == alone.ratios[0::2]
+    assert rep.ratios[2::3] == alone.ratios[1::2]
+    empty = smoothing_check(flat, 3, 1, 0.5, LAMBDA_GRID, [], **kw)
+    assert empty.sample_ids == [] and empty.ratios == []
+
+
 # -- Strichartz --------------------------------------------------------------------
 
 

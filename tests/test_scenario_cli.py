@@ -249,6 +249,18 @@ def test_cli_reduce_and_estimates_past_the_overflow_of_h_squared(tmp_path):
         assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / cmd)]) == 0
 
 
+def test_cli_non_finite_potential_exits_3(tmp_path, capsys):
+    # sinh r overflows past r ~ 711, and V with it: a numerical error
+    for checks in (["smoothing", "strichartz"], ["strichartz"]):
+        payload = {**ALL_CHECKS, "grid": {"R_max": 800.0, "N": 300}, "checks": checks}
+        path = write_scenario(tmp_path, payload)
+        for cmd in ("reduce", "estimates"):
+            assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / cmd)]) == 3
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert "DomainError" in err and "not finite at r = 710.667" in err
+
+
 def test_cli_all_artifacts_and_determinism(tmp_path):
     path = write_scenario(tmp_path, ALL_CHECKS)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -177,6 +177,34 @@ def test_resolvent_truncation_guard():
         resolve(1.0 - 1.0j, np.ones(500), grid, m=5)
 
 
+@pytest.mark.parametrize("form", ["flat", "manifold"])
+def test_resolve_stack_matches_single_solves(form):
+    # one solve on an (N, 3) stack gives the three single solves, bit for bit
+    grid = RadialGrid(30.0, 400)
+    r = grid.nodes
+    if form == "flat":
+        kw = {"m": 5, "W": 1.0 / (1.0 + r**2)}
+    else:
+        kw = {"profile": metric_profile("hyperbolic"), "n": 3, "h_infinity": 1.0}
+    stack = np.stack([np.exp(-((r - 2.0) ** 2)), np.zeros_like(r), r * np.exp(-r)],
+                     axis=1)
+    got = resolve(0.5 + 1.2j, stack, grid, **kw)
+    want = np.stack([resolve(0.5 + 1.2j, stack[:, j], grid, **kw) for j in range(3)],
+                    axis=1)
+    assert np.array_equal(got, want)
+    assert not got[:, 1].any()
+
+
+def test_non_finite_potential_is_a_domain_error():
+    grid = RadialGrid(30.0, 300)
+    W = np.zeros(grid.N)
+    W[200:] = np.nan
+    with pytest.raises(DomainError, match=f"r = {grid.nodes[200]:.6g}"):
+        build_operator(grid, 5, W)
+    with pytest.raises(DomainError, match="not finite"):
+        resolve(1.0 + 1.0j, np.ones(grid.N), grid, m=5, W=W)
+
+
 def test_reduced_operator_positive_spectrum():
     # hyperbolic reduction has W = V - 1 and the operator stays positive
     hyp = metric_profile("hyperbolic")
