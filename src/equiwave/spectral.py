@@ -14,6 +14,8 @@ contour quadratures of the resolvent with one solve per node; the wave
 propagator cos(t sqrt(nu+H)) is a Chebyshev series in H.  The dense
 eigendecomposition (eigenvectors, coefficients, from_coefficients,
 evolve_linear) is kept as the exact reference for tests and demos.
+LAPACK (scipy.linalg) is imported on the first solve, not with the
+module, so a process that never solves does not pay for its import.
 
 The stencil is defined once, by _Stencil, from face weights and cell
 averages; with the weight h^(n-1) of the base manifold the same stencil
@@ -28,7 +30,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -39,6 +40,16 @@ from .errors import (
 )
 
 EIG_TOL = 1e-8  # below -EIG_TOL an eigenvalue is treated as a real failure
+
+
+def _linalg():
+    """scipy.linalg, imported on the first solve: the import takes about
+    0.4 s on a 2-core VM, and admissibility, the closed forms and the
+    nonlinear flow never solve.  Callers look each routine up on the
+    module at call time."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -175,15 +186,15 @@ class DiscreteRadialOperator:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All N eigenvalues, ascending, without eigenvectors."""
-        return scipy.linalg.eigvalsh_tridiagonal(*self.tridiagonal)
+        return _linalg().eigvalsh_tridiagonal(*self.tridiagonal)
 
     @cached_property
     def spectral_bounds(self) -> tuple[float, float]:
         """(lowest eigenvalue, upper bound of the spectrum): the first by
         bisection, the second by Gershgorin's theorem."""
         diag, off = self.tridiagonal
-        lo = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
-                                               select_range=(0, 0))[0]
+        lo = _linalg().eigvalsh_tridiagonal(diag, off, select="i",
+                                            select_range=(0, 0))[0]
         radius = np.zeros_like(diag)
         radius[:-1] += np.abs(off)
         radius[1:] += np.abs(off)
@@ -197,7 +208,7 @@ class DiscreteRadialOperator:
             if lo > cut:
                 self._below[cut] = (np.empty(0), np.empty((self.grid.N, 0)))
             else:
-                self._below[cut] = scipy.linalg.eigh_tridiagonal(
+                self._below[cut] = _linalg().eigh_tridiagonal(
                     *self.tridiagonal, select="v",
                     select_range=(lo - 1.0 - abs(lo), cut))
         return self._below[cut]
@@ -206,7 +217,7 @@ class DiscreteRadialOperator:
 
     @cached_property
     def _eig(self):
-        return scipy.linalg.eigh_tridiagonal(*self.tridiagonal)
+        return _linalg().eigh_tridiagonal(*self.tridiagonal)
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -343,8 +354,8 @@ def _shifted_solve(diag, off, z: complex, x: np.ndarray) -> np.ndarray:
     """y with (z - A) y = x for the symmetric tridiagonal A = (diag, off), x
     of shape (N,) or (N, k): one zgtsv, for the resolvent and each contour node."""
     sub = -off.astype(complex)
-    *_, y, info = scipy.linalg.lapack.zgtsv(sub, z - diag, sub, x.astype(complex),
-                                             overwrite_b=1)
+    *_, y, info = _linalg().lapack.zgtsv(sub, z - diag, sub, x.astype(complex),
+                                         overwrite_b=1)
     if info != 0:
         raise SingularSystem(f"shift {z} hit the spectrum (info {info})")
     return y
@@ -429,8 +440,9 @@ def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
 
     One step C = cos(dt sqrt(nu+H)) is a Chebyshev series in H (Tal-Ezer &
     Kosloff, J. Chem. Phys. 81, 1984), applied by Clenshaw's recurrence
-    with the stencil; the times follow from u_(j+1) = 2 C u_j - u_(j-1),
-    exact for the cosine.  Memory is a few arrays of the shape of f."""
+    with the three bands of H; the times follow from u_(j+1) = 2 C u_j -
+    u_(j-1), exact for the cosine.  Memory is a few arrays of the shape
+    of f."""
     if n_t < 1:
         return
     f = np.asfortranarray(f, dtype=float)
@@ -452,20 +464,29 @@ def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
     tol = 16.0 * np.finfo(float).eps * (1.0 + dt * math.sqrt(nu + b))
     coef = _chebyshev_coefficients(
         lambda lam: np.cos(dt * np.sqrt(np.maximum(nu + lam, 0.0))), a, b, tol)
+    # 2X = s1 H - s0 for X = (2H - a - b) / (b - a), as three bands built
+    # once; H u = W u - (F u')'/rho has the diagonal of its symmetrized form
     s1, s0 = 4.0 / (b - a), 2.0 * (a + b) / (b - a)
+    F, scale = op.stencil.F[1:-1], op.stencil._scale
+    diag = _down_rows(s1 * op.tridiagonal[0] - s0, f)
+    upper = _down_rows(-s1 * F * scale[:-1], f)
+    lower = _down_rows(-s1 * F * scale[1:], f)
 
     def step(u):
-        # sum_n coef_n T_n(X) u with X = (2H - a - b) / (b - a), by Clenshaw
-        b1, b2 = coef[-1] * u, np.zeros_like(u)
-        tmp = np.empty_like(u)
+        # sum_n coef_n T_n(X) u by Clenshaw, every term written into the
+        # same four buffers
+        b1, b2, t, tmp = (np.empty_like(u) for _ in range(4))
+        np.multiply(coef[-1], u, out=b1)
+        b2.fill(0.0)
         for n in range(len(coef) - 2, -1, -1):
-            half = 0.5 if n == 0 else 1.0  # the last step is X b1 - b2 + c_0/2 u
-            t = op.apply(b1)
-            t *= half * s1
-            t -= np.multiply(half * s0, b1, out=tmp)
+            np.multiply(diag, b1, out=t)
+            t[:-1] += np.multiply(upper, b1[1:], out=tmp[:-1])
+            t[1:] += np.multiply(lower, b1[:-1], out=tmp[1:])
+            if n == 0:
+                t *= 0.5  # the last step is X b1 - b2 + c_0/2 u
             t -= b2
-            t += np.multiply(half * coef[n], u, out=tmp)
-            b1, b2 = t, b1
+            t += np.multiply(0.5 * coef[0] if n == 0 else coef[n], u, out=tmp)
+            b1, b2, t = t, b1, b2
         return project(b1)
 
     prev = project(f - held)

@@ -330,36 +330,70 @@ def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path):
     assert peak < 8 * N * N
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.special, scipy.fft and scipy.sparse would add to every start-up
-    code = ("import sys, equiwave.cli\n"
-            "print(sorted(m for m in ('scipy.special', 'scipy.fft', 'scipy.sparse')"
-            " if m in sys.modules))\n")
+def _python(code: str, *args: str, env_vars=None) -> str:
+    """Standard output of ``python -c code args`` with this checkout's
+    equiwave first on the path and env_vars set (unset where None)."""
     src = str(Path(equiwave.__file__).resolve().parents[1])
     env = dict(os.environ)
+    for key, val in (env_vars or {}).items():
+        if val is None:
+            env.pop(key, None)
+        else:
+            env[key] = val
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # each of these would add to every start-up; scipy.linalg, the largest,
+    # is imported on the first solve
+    code = ("import sys, equiwave.cli\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'scipy.fft',"
+            " 'scipy.sparse') if m in sys.modules))\n")
+    assert _python(code) == "[]"
+
+
+def test_cli_loads_lapack_only_to_solve(tmp_path):
+    # verify, closed-forms and the hardy and dimshift estimates make no
+    # solve, so they never import scipy.linalg; reduce does
+    path = write_scenario(tmp_path, {**GOOD, "checks": ["hardy", "dimshift"]})
+    scenario, out = ["--scenario", str(path)], ["--out", str(tmp_path / "o")]
+    runs = [["verify", *scenario, *out], ["closed-forms", *out],
+            ["estimates", *scenario, *out], ["reduce", *scenario, *out]]
+    code = ("import json, sys\n"
+            "from equiwave.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = main(argv)\n"
+            "    print(argv[0], code, 'scipy.linalg' in sys.modules)\n")
+    assert _python(code, json.dumps(runs)).splitlines() == [
+        "verify 0 False", "closed-forms 0 False", "estimates 0 False", "reduce 0 True"]
+
+
+_THREADS = ("status = open('/proc/self/status').read().splitlines()\n"
+            "print(next(l.split()[1] for l in status if l.startswith('Threads:')))\n")
+# EQUIWAVE_THREADS alone, with no explicit BLAS thread variable
+_CAPPED = {"EQUIWAVE_THREADS": "1", "OMP_NUM_THREADS": None,
+           "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="thread count is read from /proc/self/status")
 def test_equiwave_threads_caps_blas():
-    code = (
-        "import equiwave, numpy as np\n"
-        "a = np.ones((300, 300)); a @ a\n"
-        "status = open('/proc/self/status').read().splitlines()\n"
-        "print(next(l.split()[1] for l in status if l.startswith('Threads:')))\n"
-    )
-    env = {key: val for key, val in os.environ.items()
-           if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    src = str(Path(equiwave.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["EQUIWAVE_THREADS"] = "1"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "1"
+    code = "import equiwave, numpy as np\na = np.ones((300, 300)); a @ a\n" + _THREADS
+    assert _python(code, env_vars=_CAPPED) == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="thread count is read from /proc/self/status")
+def test_equiwave_threads_caps_lapack_loaded_on_first_solve():
+    # scipy's own BLAS loads with scipy.linalg, after equiwave set the cap
+    code = ("import sys, equiwave\n"
+            "from equiwave.spectral import RadialGrid, build_operator\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "build_operator(RadialGrid(10.0, 50), 5).eigenvalues\n" + _THREADS)
+    assert _python(code, env_vars=_CAPPED).splitlines() == ["False", "1"]
 
 
 def test_python_m_equiwave(tmp_path):
