@@ -1,26 +1,28 @@
-"""Discrete radial operator on R^m: eigenbasis quality, second order
-convergence of the resolvent, fractional norms, and the free linear
-flow through the functional calculus."""
+"""Discrete radial operator on R^m and the functional calculus the
+pipelines use: second order convergence of the resolvent, fractional
+norms by contour quadrature against a closed form, and the linear flow
+as a Chebyshev series inside the Strichartz monitor."""
+
+import math
 
 import numpy as np
 
 from equiwave import (
     RadialGrid,
     build_operator,
-    evolve_linear,
     frac_norm,
+    gaussian_family,
     metric_profile,
     reduce_problem,
     resolve,
+    strichartz_monitor,
 )
 
 m = 5
 grid = RadialGrid(40.0, 800)
 op = build_operator(grid, m)
 
-gram = op.eigenvectors.T @ op.eigenvectors
 print(f"operator on R^{m}, N = {grid.N}, dr = {grid.dr}")
-print(f"orthonormality defect: {np.max(np.abs(gram - np.eye(grid.N))):.2e}")
 print(f"lowest eigenvalues: {op.eigenvalues[:4]}")
 
 # resolvent with a manufactured solution u = e^(-r^2)
@@ -45,18 +47,32 @@ f = (4.0 * r**2 - 2.0) * u - 4.0 * r * u / np.tanh(r) + kappa**2 * u
 got = resolve(kappa, f, g, profile=hyp, n=3, h_infinity=1.0)
 print(f"manifold form (h = sinh r) max error: {np.max(np.abs(got - u)):.3e}")
 
+# || H^(1/2) e^(-r^2) ||^2 = || grad e^(-r^2) ||^2 on R^m, in closed form
+exact = math.sqrt(grid.surface_constant(m) * 4.0
+                  * math.gamma((m + 2) / 2) / (2.0 * 2.0 ** ((m + 2) / 2)))
+print(f"\n|| H^(1/2) e^(-r^2) || by contour quadrature (exact {exact:.8f}):")
+errs = []
+for N in (400, 800, 1600):
+    g = RadialGrid(20.0, N)
+    got = frac_norm(build_operator(g, m), 1.0, np.exp(-(g.nodes**2)))
+    errs.append(abs(got - exact))
+    ratio = "" if len(errs) == 1 else f"  ratio {errs[-2] / errs[-1]:.2f}"
+    print(f"  N = {N:5d}  {got:.8f}  error {errs[-1]:.3e}{ratio}")
+assert all(3.5 <= a / b <= 4.5 for a, b in zip(errs, errs[1:])), errs
+
 # fractional norms through the spectral calculus
 v = grid.nodes * np.exp(-(grid.nodes**2))
 print("\nfractional norms of r e^(-r^2):")
 for s in (-0.5, 0.0, 0.5, 1.0):
     print(f"  s = {s:+.1f}: {frac_norm(op, s, v):.6f}")
 
-# the reduced hyperbolic operator stays positive, so the linear flow
-# conserves modewise energy exactly
+# the reduced hyperbolic operator stays positive; the Strichartz monitor
+# steps its Klein-Gordon flow cos(t sqrt(1+H)) by a Chebyshev series
 problem = reduce_problem(hyp, 3, 1, h_infinity=1.0)
 op_red = build_operator(grid, m, problem.W(grid.nodes))
 print(f"\nreduced hyperbolic operator: lowest eigenvalue {op_red.eigenvalues[0]:.4f}")
-f0 = grid.nodes * np.exp(-((grid.nodes - 3.0) ** 2))
-ut = evolve_linear(op_red, f0, np.zeros_like(f0), 1.0, 6.0)
-print(f"linear Klein-Gordon flow at t = 6: sup |u| = {np.max(np.abs(ut)):.4f} "
-      f"(initial {np.max(np.abs(f0)):.4f})")
+fam = [tf.fn(grid.nodes) for tf in gaussian_family(4, 0, r_power=2)]
+rep = strichartz_monitor(op_red, 1.0, (3, 3), fam, free_op=op)
+print("Strichartz quotients of the Klein-Gordon flow, t in [0, 20]:")
+for sid, ratio in zip(rep.sample_ids, rep.ratios):
+    print(f"  {sid}: {ratio:.6f}")

@@ -95,7 +95,6 @@ from .spectral import (
     DiscreteRadialOperator,
     RadialGrid,
     build_operator,
-    evolve_linear,
     frac_norm,
     resolve,
 )
@@ -139,7 +138,6 @@ __all__ = [
     "dimshift_check",
     "energy",
     "estimate_h_infinity",
-    "evolve_linear",
     "frac_norm",
     "gamma_decompose",
     "gamma_weights",

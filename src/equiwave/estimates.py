@@ -196,7 +196,9 @@ def hardy2_check(
 ) -> RatioReport:
     """Hardy with the concave-weight choice alpha =
     (zeta' + 2 eps zeta) e^(-2 eps r) r^(1-n); zeta must satisfy
-    zeta >= 0, zeta' > 0, zeta'' <= 0 (checked by one jet on 80 radii)."""
+    zeta >= 0, zeta' > 0, zeta'' <= 0 (checked by one jet on 80 radii).
+    zeta enters only through its batched jets: zeta and zeta' on the
+    quadrature grid are one first-order jet."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     j = zeta.jet(np.geomspace(1e-3, R, 80), 2)
@@ -204,10 +206,8 @@ def hardy2_check(
     if np.any(zv < -1e-12) or np.any(z1 <= 0) or np.any(z2 > 1e-12):
         raise HypothesisFail("zeta must satisfy zeta>=0, zeta'>0, zeta''<=0")
     rs, dr = _quad_grid(R, Nq)
-    z = np.asarray(zeta(rs), dtype=float)
-    # zeta' on the quadrature grid by jets would be slow; differentiate
-    # the sampled zeta spectrally-safely with a centered difference
-    zp = np.gradient(z, rs)
+    j = zeta.jet(rs, 1)
+    z, zp = j.value, j.derivative(1)
     wt = (zp + 2.0 * epsilon * z) * np.exp(-2.0 * epsilon * rs)
     ids, ratios = [], []
     for tf in family:

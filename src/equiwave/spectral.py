@@ -11,11 +11,12 @@ Functions of the operator are applied without an eigenbasis, in O(N)
 memory per vector.  One shifted solve, (z - H) y = x by a complex
 tridiagonal LAPACK call, serves the resolvent and the fractional powers,
 contour quadratures of the resolvent with one solve per node; the wave
-propagator cos(t sqrt(nu+H)) is a Chebyshev series in H.  The dense
-eigendecomposition (eigenvectors, coefficients, from_coefficients,
-evolve_linear) is kept as the exact reference for tests and demos.
-LAPACK (scipy.linalg) is imported on the first solve, not with the
-module, so a process that never solves does not pay for its import.
+propagator cos(t sqrt(nu+H)) is a Chebyshev series in H.  No full
+eigendecomposition is made: the spectrum (eigenvalues only), the lowest
+eigenvalue by bisection and the few eigenpairs below a cut are the only
+eigensolves.  LAPACK (scipy.linalg) is imported on the first solve, not
+with the module, so a process that never solves does not pay for its
+import.
 
 The stencil is defined once, by _Stencil, from face weights and cell
 averages; with the weight h^(n-1) of the base manifold the same stencil
@@ -213,16 +214,6 @@ class DiscreteRadialOperator:
                     select_range=(lo - 1.0 - abs(lo), cut))
         return self._below[cut]
 
-    # the dense eigenbasis: the exact reference for tests and demos
-
-    @cached_property
-    def _eig(self):
-        return _linalg().eigh_tridiagonal(*self.tridiagonal)
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eig[1]
-
     @property
     def lambda_floor(self) -> float:
         # infrared cutoff imposed by truncation to [0, R_max]
@@ -232,9 +223,8 @@ class DiscreteRadialOperator:
     def rho_cells(self) -> np.ndarray:
         return self.stencil.rho
 
-    # The transforms below take one grid function, shape (N,), or a stack
-    # of them as the columns of an (N, k) array; a stack is transformed by
-    # one matrix product.
+    # The maps below take one grid function, shape (N,), or a stack of
+    # them as the columns of an (N, k) array.
 
     def symmetrize(self, v) -> np.ndarray:
         v = np.asarray(v)
@@ -248,12 +238,6 @@ class DiscreteRadialOperator:
         """H v for a radial grid function v."""
         v = np.asarray(v)
         return _down_rows(self.W_samples, v) * v - self.stencil.apply(v)
-
-    def coefficients(self, v) -> np.ndarray:
-        return self.eigenvectors.T @ self.symmetrize(v)
-
-    def from_coefficients(self, c) -> np.ndarray:
-        return self.unsymmetrize(self.eigenvectors @ np.asarray(c))
 
 
 def _down_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -283,13 +267,6 @@ def _power_base(op: DiscreteRadialOperator, s: float, shift: str) -> tuple[float
     if shift == "homogeneous":
         return 0.0, (op.lambda_floor if s < 0 else 0.0)
     raise DomainError(f"unknown shift {shift!r}")
-
-
-def _powered(op: DiscreteRadialOperator, s: float, shift: str) -> np.ndarray:
-    """Eigenvalue multiplier of the power in _power_base: the dense
-    reference for _fractional_power."""
-    b, c = _power_base(op, s, shift)
-    return (b + np.maximum(op.eigenvalues, c)) ** s
 
 
 # relative accuracy each contour quadrature is sized for
@@ -436,7 +413,7 @@ def frac_norm(
 def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
     """Yield cos(j dt sqrt(nu+H)) f for j = 0, ..., n_t - 1, one array of
     the shape of f, (N,) or (N, k), at a time.  Modes with nu + lambda < 0
-    are held at frequency 0, as evolve_linear holds them.
+    are held at frequency 0: they keep their share of f.
 
     One step C = cos(dt sqrt(nu+H)) is a Chebyshev series in H (Tal-Ezer &
     Kosloff, J. Chem. Phys. 81, 1984), applied by Clenshaw's recurrence
@@ -519,32 +496,6 @@ def _chebyshev_coefficients(g, a: float, b: float, tol: float) -> np.ndarray:
         if first < M // 2:
             return coef[: max(first, 2)]
         M *= 2
-
-
-def evolve_linear(
-    op: DiscreteRadialOperator,
-    f,
-    g,
-    nu: float,
-    t: float,
-    return_velocity: bool = False,
-):
-    """u(t) = cos(t sqrt(nu+H)) f + sin(t sqrt(nu+H)) (nu+H)^(-1/2) g."""
-    if nu < 0:
-        raise DomainError("nu must be nonnegative")
-    lam = op.eigenvalues + nu
-    if np.min(lam) < -EIG_TOL:
-        raise NegativeEigenvalue(f"nu + lambda_min = {np.min(lam)}")
-    om = np.sqrt(np.maximum(lam, 0.0))
-    cf = op.coefficients(f)
-    cg = op.coefficients(g)
-    # sin(t om)/om, continuous at om = 0
-    sinc = t * np.sinc(t * om / math.pi)
-    u = op.from_coefficients(np.cos(t * om) * cf + sinc * cg)
-    if not return_velocity:
-        return u
-    ut = op.from_coefficients(-om * np.sin(t * om) * cf + np.cos(t * om) * cg)
-    return u, ut
 
 
 def resolve(

@@ -28,7 +28,8 @@ from equiwave.profiles import metric_profile
 from equiwave.reduction import indices, reduce_problem
 from equiwave.scenario import Scenario
 from equiwave.solver import WaveState, consistency_check, integrate, strichartz_trace
-from equiwave.spectral import RadialGrid, build_operator, evolve_linear, resolve
+from _dense import evolve_linear
+from equiwave.spectral import RadialGrid, build_operator, resolve
 
 ALL_PROFILES = [
     "flat",

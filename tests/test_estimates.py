@@ -15,8 +15,10 @@ from _baselines import (
     STRICHARTZ_FREE,
     STRICHARTZ_HYPERBOLIC_KG,
 )
+from _dense import coefficients, from_coefficients, powered
 from equiwave.errors import BetaDiverges, DomainError, HypothesisFail, NotAdmissible
 from equiwave.estimates import (
+    _quad_grid,
     dimshift_check,
     gaussian_family,
     hardy2_check,
@@ -26,20 +28,17 @@ from equiwave.estimates import (
     strichartz_monitor,
     validate_wave_pair,
 )
-from equiwave.profiles import metric_profile
+from equiwave.profiles import MetricProfile, metric_profile, parse_expr
 from equiwave.reduction import reduce_problem
-from equiwave.spectral import RadialGrid, _powered, build_operator, frac_norm
+from equiwave.spectral import RadialGrid, build_operator, frac_norm
 
 
 class _JetWeight:
-    """Callable with a .jet method, for the concave-weight Hardy check."""
+    """A weight given by its derivatives, with the .jet method that the
+    concave-weight Hardy check evaluates."""
 
-    def __init__(self, fn, derivs):
-        self._fn = fn
+    def __init__(self, derivs):
         self._derivs = derivs
-
-    def __call__(self, r):
-        return self._fn(np.asarray(r, dtype=float))
 
     def jet(self, r0, order):
         from equiwave.jets import Jet
@@ -89,10 +88,7 @@ def test_hardy_beta_divergence_guard():
 def test_hardy2_matches_hardy_in_limit():
     # zeta = r makes the concave weight e^(-2 eps r)(1 + 2 eps r); as
     # eps -> 0 it recovers the classical inequality with weight 1/r^2
-    zeta = _JetWeight(
-        lambda r: r,
-        [lambda r: r, lambda r: 1.0, lambda r: 0.0, lambda r: 0.0],
-    )
+    zeta = _JetWeight([lambda r: r, lambda r: 1.0, lambda r: 0.0, lambda r: 0.0])
     fam = gaussian_family(10, 2, r_power=1)
     rep = hardy2_check(zeta, 1e-6, 3, fam)
     assert rep.passed
@@ -101,12 +97,24 @@ def test_hardy2_matches_hardy_in_limit():
 
 
 def test_hardy2_hypothesis_guard():
-    bad = _JetWeight(
-        lambda r: -r,
-        [lambda r: -r, lambda r: -1.0, lambda r: 0.0],
-    )
+    bad = _JetWeight([lambda r: -r, lambda r: -1.0, lambda r: 0.0])
     with pytest.raises(HypothesisFail):
         hardy2_check(bad, 0.1, 3, gaussian_family(2, 0))
+
+
+def test_hardy2_weight_takes_zeta_prime_from_the_jet():
+    # zeta = 1 - e^(-r): the ratios equal the quadrature with the exact
+    # weight (zeta' + 2 eps zeta) e^(-2 eps r), zeta' = e^(-r)
+    zeta = MetricProfile(
+        "1 - e^(-r)", parse_expr(["+", 1.0, ["*", -1.0, ["exp", ["*", -1.0, "r"]]]]))
+    eps = 0.1
+    fam = gaussian_family(10, 0, r_power=1)
+    rep = hardy2_check(zeta, eps, 3, fam)
+    rs, _ = _quad_grid(40.0, 20000)
+    wt = (np.exp(-rs) + 2.0 * eps * (1.0 - np.exp(-rs))) * np.exp(-2.0 * eps * rs)
+    want = [np.sum(wt * tf.fn(rs) ** 2 / rs**2) / (4.0 * np.sum(wt * tf.dfn(rs) ** 2))
+            for tf in fam]
+    assert rep.ratios == pytest.approx(want, rel=1e-12)
 
 
 # -- smoothing ---------------------------------------------------------------------
@@ -231,21 +239,21 @@ def _strichartz_per_time(op, nu, pq, family, free_op, T=20.0, n_t=80):
     s0 = float(1 / q - 1 / p)
     shift = "inhomogeneous" if nu > 0 else "homogeneous"
     om = np.sqrt(np.maximum(op.eigenvalues + nu, 0.0))
-    mult = _powered(free_op, s0 / 2.0, shift)
+    mult = powered(free_op, s0 / 2.0, shift)
     times = np.linspace(0.0, T, n_t)
     vol = op.grid.volume_weights(op.m)
     ratios = []
     for f in family:
-        cf = op.coefficients(f)
+        cf = coefficients(op, f)
         rhs = frac_norm(free_op, 0.5, f, shift)
         if rhs == 0.0:
             ratios.append(0.0)
             continue
         lq = np.empty(n_t)
         for j, t in enumerate(times):
-            u = op.from_coefficients(np.cos(t * om) * cf)
+            u = from_coefficients(op, np.cos(t * om) * cf)
             if s0 != 0.0:
-                u = free_op.from_coefficients(mult * free_op.coefficients(u))
+                u = from_coefficients(free_op, mult * coefficients(free_op, u))
             lq[j] = np.sum(np.abs(u) ** float(q) * vol) ** (1.0 / float(q))
         ratios.append(float(np.trapezoid(lq ** float(p), times) ** (1.0 / float(p))
                             / rhs))

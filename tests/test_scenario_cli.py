@@ -20,7 +20,6 @@ import equiwave.scenario
 from equiwave.cli import emit_closed_forms, main
 from equiwave.errors import CFLViolation, ClosedFormMismatch, ScenarioError
 from equiwave.scenario import Scenario, load_scenario
-from equiwave.spectral import DiscreteRadialOperator
 
 GOOD = {
     "name": "good",
@@ -302,17 +301,6 @@ def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
     assert vectors == []
     assert len(full_spectra) == 1
     assert len(h_inf) <= 2
-
-
-def test_cli_all_makes_no_eigenbasis_transform(tmp_path, monkeypatch):
-    # the Strichartz monitor, the snapshot norms and the Strichartz trace
-    # apply functions of the operator without its eigenbasis
-    calls = []
-    for name in ("coefficients", "from_coefficients"):
-        _counting(monkeypatch, DiscreteRadialOperator, name, calls)
-    path = write_scenario(tmp_path, ALL_CHECKS)
-    assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert calls == []
 
 
 def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path):

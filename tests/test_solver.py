@@ -9,6 +9,7 @@ import pytest
 import equiwave.profiles
 import equiwave.solver
 from _baselines import REGRESSION_WINDOW, SOLVER_TRACE
+from _dense import coefficients, evolve_linear, from_coefficients, powered
 from equiwave.errors import BlowUp, CFLViolation, DomainError
 from equiwave.profiles import _gamma_series, gamma_decompose
 from equiwave.reduction import compute_V, indices, weight_w
@@ -22,7 +23,7 @@ from equiwave.solver import (
     integrate,
     strichartz_trace,
 )
-from equiwave.spectral import RadialGrid, _powered, build_operator, evolve_linear
+from equiwave.spectral import RadialGrid, build_operator
 
 
 def make_scenario(
@@ -265,8 +266,8 @@ def test_strichartz_trace_matches_dense_reference(n):
     op = s.free_operator
     w = weight_w(s.profile(), s.n, s.k, op.grid.nodes)
     psi = np.stack([st.field / w for st in tr.states], axis=1)
-    powered = _powered(op, (s.n - 1) / 4, "inhomogeneous")[:, None]
-    g = op.from_coefficients(powered * op.coefficients(psi))
+    mult = powered(op, (s.n - 1) / 4, "inhomogeneous")[:, None]
+    g = from_coefficients(op, mult * coefficients(op, psi))
     lq = np.sum(op.grid.volume_weights(idx["m"])[:, None] * np.abs(g) ** q,
                 axis=0) ** (1.0 / q)
     steps = np.diff(tr.times) * 0.5 * (lq[1:] ** p + lq[:-1] ** p)

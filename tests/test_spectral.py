@@ -1,30 +1,31 @@
 """Discrete radial operator: eigenbasis quality, fractional calculus,
 linear evolution, and the resolvent with manufactured solutions.  The
 contour-quadrature powers and the Chebyshev propagator are checked
-against the dense eigen-calculus."""
+against the dense eigen-calculus of the tests (_dense)."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from _dense import coefficients, eigenvectors, evolve_linear, from_coefficients, powered
 from equiwave.errors import (
     DimensionError,
     DomainError,
     NegativeEigenvalue,
     TruncationTooSmall,
 )
+from equiwave.estimates import gaussian_family, strichartz_monitor
 from equiwave.profiles import metric_profile
-from equiwave.reduction import reduce_problem
+from equiwave.reduction import compute_V, reduce_problem, weight_w
 from equiwave.spectral import (
     RadialGrid,
     _contour_rule,
     _cosine_flow,
     _down_rows,
     _fractional_power,
-    _powered,
     build_operator,
-    evolve_linear,
     frac_norm,
     resolve,
 )
@@ -52,13 +53,13 @@ def test_dimension_guard():
 
 
 def test_eigenvectors_orthonormal(op600):
-    vec = op600.eigenvectors
+    vec = eigenvectors(op600)
     gram = vec.T @ vec
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-11
 
 
 def test_eigen_residual(op600):
-    lam, vec = op600.eigenvalues, op600.eigenvectors
+    lam, vec = op600.eigenvalues, eigenvectors(op600)
     for idx in (0, 5, 100):
         v = op600.unsymmetrize(vec[:, idx])
         resid = op600.apply(v) - lam[idx] * v
@@ -125,11 +126,11 @@ def test_evolve_identity_at_t0(op600):
 def test_evolve_modewise_energy_conserved(op600):
     r = op600.grid.nodes
     f = r * np.exp(-((r - 3.0) ** 2))
-    cf0 = op600.coefficients(f)
+    cf0 = coefficients(op600, f)
     u, ut = evolve_linear(op600, f, np.zeros_like(f), 0.5, 7.0, return_velocity=True)
     om2 = op600.eigenvalues + 0.5
-    cu = op600.coefficients(u)
-    cut = op600.coefficients(ut)
+    cu = coefficients(op600, u)
+    cut = coefficients(op600, ut)
     e = om2 * cu**2 + cut**2
     e0 = om2 * cf0**2
     assert np.max(np.abs(e - e0)) < 1e-12 * np.max(e0)
@@ -167,6 +168,25 @@ def test_resolvent_manufactured_manifold():
         got = resolve(kappa, f, grid, profile=hyp, n=3, h_infinity=1.0)
         errs.append(np.max(np.abs(got - u)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+def test_resolvent_manifold_form_is_the_reduced_flat_form():
+    # the reduction with k = 0: u = w v turns the manifold form into the
+    # flat form on R^n with W = V, for w and V of the base h = sinh r
+    hyp = metric_profile("hyperbolic")
+    kappa = 1.5 + 1.0j
+    errs = []
+    for N in (500, 1000, 2000):
+        grid = RadialGrid(30.0, N)
+        r = grid.nodes
+        f = np.exp(-((r - 3.0) ** 2))
+        w = weight_w(hyp, 3, 0, r)
+        got = resolve(kappa, f, grid, profile=hyp, n=3, h_infinity=1.0)
+        want = w * resolve(kappa, f / w, grid, m=3, W=compute_V(hyp, 3, 0, r),
+                           h_infinity=1.0)
+        errs.append(np.max(np.abs(got - want)))
+    assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.3)
+    assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.3)
 
 
 def test_resolvent_truncation_guard():
@@ -217,7 +237,7 @@ def test_reduced_operator_positive_spectrum():
 def test_spectral_function_round_trip(op600):
     r = op600.grid.nodes
     v = r * np.exp(-r)
-    back = op600.from_coefficients(op600.coefficients(v))
+    back = from_coefficients(op600, coefficients(op600, v))
     assert np.max(np.abs(back - v)) < 1e-10
 
 
@@ -226,14 +246,14 @@ def test_transforms_take_column_stacks(op600):
     r = op600.grid.nodes
     stack = np.stack([r * np.exp(-r), np.exp(-(r - 5.0) ** 2), np.zeros_like(r)],
                      axis=1)
-    coef = op600.coefficients(stack)
-    back = op600.from_coefficients(coef)
+    coef = coefficients(op600, stack)
+    back = from_coefficients(op600, coef)
     norms = frac_norm(op600, 0.5, stack)
     assert coef.shape == back.shape == stack.shape and norms.shape == (3,)
     for i in range(stack.shape[1]):
-        ci = op600.coefficients(stack[:, i])
+        ci = coefficients(op600, stack[:, i])
         assert np.max(np.abs(coef[:, i] - ci)) <= 1e-12 * np.max(np.abs(ci), initial=1.0)
-        bi = op600.from_coefficients(ci)
+        bi = from_coefficients(op600, ci)
         assert np.max(np.abs(back[:, i] - bi)) <= 1e-12 * np.max(np.abs(bi), initial=1.0)
         ni = frac_norm(op600, 0.5, stack[:, i])
         assert isinstance(ni, float)
@@ -257,8 +277,8 @@ def _samples(grid):
 
 
 def _dense_power(op, s, v, shift):
-    return op.from_coefficients(_down_rows(_powered(op, s, shift), v)
-                                * op.coefficients(v))
+    return from_coefficients(op, _down_rows(powered(op, s, shift), v)
+                             * coefficients(op, v))
 
 
 def _l2_error(op, got, want):
@@ -291,8 +311,8 @@ def test_frac_norm_matches_dense(free_and_reduced, s, shift):
     for op in free_and_reduced:
         v = _samples(op.grid)
         scale = op.grid.surface_constant(op.m) * op.grid.dr
-        want = np.sqrt(scale * np.sum(_down_rows(_powered(op, s, shift), v)
-                                      * op.coefficients(v) ** 2, axis=0))
+        want = np.sqrt(scale * np.sum(_down_rows(powered(op, s, shift), v)
+                                      * coefficients(op, v) ** 2, axis=0))
         assert frac_norm(op, s, v, shift) == pytest.approx(want, rel=1e-10)
         # a complex stack: real and imaginary parts add in the square
         got = frac_norm(op, s, (1.0 + 2.0j) * v, shift)
@@ -324,3 +344,40 @@ def test_cosine_flow_matches_evolve_linear(free_and_reduced, nu):
         want = np.stack([evolve_linear(op, v[:, i], np.zeros(op.grid.N), nu, t)
                          for i in range(v.shape[1])], axis=1)
         assert _l2_error(op, u, want) < 1e-10
+
+
+def test_functional_calculus_makes_no_full_eigensolve(free_and_reduced, monkeypatch):
+    # every function of the operator reaches eigh_tridiagonal only for the
+    # few eigenpairs below a cut (select=), never for the whole basis
+    selected = []
+    eigh = scipy.linalg.eigh_tridiagonal
+
+    def select_only(*args, **kwargs):
+        assert "select" in kwargs, "full eigendecomposition"
+        selected.append(kwargs["select"])
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", select_only)
+    free, reduced = free_and_reduced
+    grid = free.grid
+    # built as in test_strichartz_holds_negative_modes_like_the_reference
+    # at nu = 1: two modes below -nu, held by the flow
+    lam = reduced.eigenvalues
+    nu = 1.0
+    W = reduced.W_samples - (nu + 0.5 * (lam[1] + lam[2]))
+    op = build_operator(grid, 5, W)
+    assert np.sum(op.eigenvalues + nu < 0) == 2
+    fam = [tf.fn(grid.nodes) for tf in gaussian_family(3, 0, r_power=2)]
+    v = np.stack(fam, axis=1)
+    for u in _cosine_flow(op, nu, v, 0.25, 4):
+        assert np.all(np.isfinite(u))
+    rep = strichartz_monitor(op, nu, (3, 3), fam, free_op=free)
+    assert np.all(np.isfinite(rep.ratios))
+    assert np.all(np.isfinite(resolve(1.0 + 1.0j, v, grid, m=5, W=W)))
+    # frac_norm needs a nonnegative spectrum: one mode below the infrared
+    # floor is taken out under the homogeneous shift
+    floor = build_operator(grid, 5, np.full(grid.N, 0.5 * free.lambda_floor
+                                            - free.eigenvalues[0]))
+    for shift in ("homogeneous", "inhomogeneous"):
+        assert np.all(frac_norm(floor, 0.5, v, shift) > 0.0)
+    assert selected == ["v", "v"]
