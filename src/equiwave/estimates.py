@@ -157,13 +157,15 @@ def hardy_check(
       int |u|^2 beta^-2 alpha dV <= 4 int |u'|^2 alpha dV,
 
     beta(r) = alpha r^(n-1) int_0^r ds / (alpha s^(n-1))."""
+    i1, i2 = 10, 100  # the beta slope at 0 is read between these points
+    if Nq <= i2:
+        raise DomainError(f"hardy_check needs Nq > {i2}, got {Nq}")
     rs, dr = _quad_grid(R, Nq)
     a = np.asarray(alpha(rs), dtype=float)
     if np.any(a <= 0):
         raise DomainError("alpha must be positive")
     g = 1.0 / (a * rs ** (n - 1))
     # the beta integral must converge at 0: reject log-slope <= -1 there
-    i1, i2 = 10, 100
     slope = (math.log(g[i2]) - math.log(g[i1])) / (math.log(rs[i2]) - math.log(rs[i1]))
     if slope <= -0.99:
         raise BetaDiverges(

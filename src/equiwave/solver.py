@@ -10,17 +10,17 @@ velocity-Verlet (leapfrog) scheme:
 
 The phi form integrates the force as written; only the psi form builds
 the Taylor series of the cubic remainder Gamma, the reduced nonlinearity.
-Both spatial operators are the spectral module's finite-volume stencil,
-so the linear flat case reproduces the spectral propagator to second
-order.  The scheme is time-symmetric; reversal and energy drift double
-as correctness tests.
+The linear force of either form is -H u for a spectral
+DiscreteRadialOperator H, -Delta_h + D in the phi form and -Delta_m + V
+in the psi form, so the linear flat case reproduces the spectral
+propagator to second order.  The scheme is time-symmetric; reversal and
+energy drift double as correctness tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import BlowUp, CFLViolation, DomainError
 from .profiles import _gamma_series, gamma_decompose
 from .reduction import compute_V, gamma_weights, indices, weight_w
 from .scenario import Scenario
-from .spectral import _fractional_power, _Stencil, frac_norm
+from .spectral import DiscreteRadialOperator, _band_product, _fractional_power, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 # snapshots per stack of _reduced_blocks, which feeds the H^(1/2) norms of
@@ -99,42 +99,41 @@ class _Discretization:
         r = self.grid.nodes
         self.h_nodes = self.profile(r)
         self.w_nodes = weight_w(self.profile, n, k, r)
+        V = compute_V(self.profile, n, k, r)
         if formulation == "phi":
-            self.op = _Stencil.manifold(self.grid, self.profile, n)
             self.c = self.lbar / self.h_nodes**2  # weight of g g' in the force
+            # lbar*phi/h^2 in c*g(phi)g'(phi) is singular at r = 0 and must
+            # cancel the FV Laplacian discretely: below r = 1, c + D comes
+            # from the regular mode w by the exact identity (Delta_h -
+            # lbar/h^2) w = -V w; from r = 1 on D = 0, which agrees to
+            # second order and avoids boundary pollution
+            bare = DiscreteRadialOperator.manifold(self.grid, self.profile, n)
+            balanced = V - bare.apply(self.w_nodes) / self.w_nodes - self.c
+            self.D = np.where(r < 1.0, balanced, 0.0)
+            self.op = replace(bare, W_samples=self.D)
         elif formulation == "psi":
-            self.op = _Stencil.flat(self.grid, self.m)
-            self.V = compute_V(self.profile, n, k, r)
+            self.V = V
+            self.op = DiscreteRadialOperator.flat(self.grid, self.m, V)
             self.pref, _ = gamma_weights(self.profile, n, k, r)
             # Taylor coefficients of Gamma at 0, for the cubic remainder
             self.gamma_series = _gamma_series(self.target, self.lbar)
         else:
             raise DomainError(f"unknown formulation {formulation!r}")
 
-    @cached_property
-    def D(self) -> np.ndarray:
-        """phi form only, built on first use: a psi-form run reads its
-        phi-form discretization only for the local energy.
-
-        The linear part lbar*phi/h^2 of the force c*g(phi)g'(phi) is
-        singular at the origin and must cancel the FV Laplacian
-        discretely, not just in the continuum.  Below r = 1 the diagonal
-        c + D therefore comes from the regular mode w, through the exact
-        identity (Delta_h - lbar/h^2) w = -V w; from r = 1 on D is 0,
-        which agrees with it to second order and avoids boundary
-        pollution."""
-        r = self.grid.nodes
-        V = compute_V(self.profile, self.n, self.k, r)
-        balanced = self.op.apply(self.w_nodes) / self.w_nodes + V - self.c
-        return np.where(r < 1.0, balanced, 0.0)
+        # -H u from the negated bands: negation is exact, so the bits of -(H u)
+        self._neg_bands = tuple(-b for b in self.op.bands)
+        self._row = np.empty(self.grid.N)  # scratch of the band product
 
     def acceleration(self, u: np.ndarray) -> np.ndarray:
+        force = _band_product(*self._neg_bands, u, tmp=self._row)
         if self.formulation == "phi":
-            return self.op.apply(u) - self.D * u - self.c * self.target.gg_prime(u)
-        gam = gamma_decompose(self.target, self.lbar, self.w_nodes * u,
-                              series=self.gamma_series)
-        # u * u * u, not u**3: numpy sends any power but 2 through libm pow
-        return self.op.apply(u) - self.V * u - self.pref * (u * u * u) * gam
+            force -= self.c * self.target.gg_prime(u)
+        else:
+            gam = gamma_decompose(self.target, self.lbar, self.w_nodes * u,
+                                  series=self.gamma_series)
+            # u * u * u, not u**3: numpy sends any power but 2 through libm pow
+            force -= self.pref * (u * u * u) * gam
+        return force
 
     def to_phi(self, u: np.ndarray) -> np.ndarray:
         return u if self.formulation == "phi" else self.w_nodes * u
@@ -237,6 +236,9 @@ def integrate(
         ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
     ball = grid.R_max / 3.0
 
+    # the local energy always lives on the phi-form discretization, built
+    # before the run: the peak of its set-up and the stored states don't add
+    phi_disc = _Discretization(scenario, "phi") if formulation == "psi" else disc
     states = []
     work = np.empty_like(u)
 
@@ -267,9 +269,7 @@ def integrate(
         if step % snap_stride == 0 or step == n_steps:
             states.append(WaveState(t, u.copy(), v.copy(), formulation))
 
-    # the snapshot diagnostics, from the stored states; the local energy
-    # always lives on the phi-form discretization
-    phi_disc = _Discretization(scenario, "phi") if formulation == "psi" else disc
+    # the snapshot diagnostics, from the stored states
     energies, sups, locals_ = [], [], []
     form_energy = _psi_form_energy if formulation == "psi" else _phi_form_energy
     for st in states:

@@ -18,9 +18,12 @@ eigensolves.  LAPACK (scipy.linalg) is imported on the first solve, not
 with the module, so a process that never solves does not pay for its
 import.
 
-The stencil is defined once, by _Stencil, from face weights and cell
-averages; with the weight h^(n-1) of the base manifold the same stencil
-serves the manifold form of the resolvent and the nonlinear solver.
+One class, DiscreteRadialOperator, holds the stencil: face weights and
+cell averages of the volume weight, and the three row bands of H built
+from them once.  Every product with H is one band product
+(_band_product), in apply, in the Chebyshev step and in the nonlinear
+solver; with the weight h^(n-1) of the base manifold the same operator
+serves the manifold form of the resolvent and the solver's phi form.
 """
 
 from __future__ import annotations
@@ -89,82 +92,23 @@ class RadialGrid:
         return float(np.sqrt(np.sum(np.abs(v) ** 2 * self.volume_weights(m)).real))
 
 
-class _Stencil:
-    """Finite-volume divergence form (F u')'/rho on the cell grid, from
-    face weights F and cell averages rho of the volume weight, with zero
-    flux through r=0 and a zero Dirichlet value beyond R_max.
+@dataclass
+class DiscreteRadialOperator:
+    """H = -Delta + W on radial functions as -(F u')'/rho + W u in finite
+    volume divergence form: face weights F, cell averages rho of the
+    volume weight, zero flux through r=0 and a zero Dirichlet value
+    beyond R_max.  H is stored, and applied, as its three row bands.
 
     rho must hold cell averages, not midpoint values: the averages keep
     the stencil second order in the first cell at r=0.
     """
 
-    def __init__(self, grid: RadialGrid, F: np.ndarray, rho: np.ndarray):
-        self.grid = grid
-        self.F = F
-        self.rho = rho
-        self._scale = 1.0 / (grid.dr**2 * rho)
-
-    @classmethod
-    def flat(cls, grid: RadialGrid, m: int) -> "_Stencil":
-        """F = r^(m-1) with exact cell averages of r^(m-1)."""
-        f = grid.faces
-        return cls(grid, f ** (m - 1), (f[1:] ** m - f[:-1] ** m) / (m * grid.dr))
-
-    @classmethod
-    def manifold(cls, grid: RadialGrid, profile, n: int) -> "_Stencil":
-        """F = h^(n-1) with Simpson cell averages of h^(n-1).
-
-        F[0] = 0 is the zero flux through r=0 that h(0) = 0 gives; h is
-        not evaluated there, where a profile may have no jet."""
-        F = np.zeros(grid.N + 1)
-        F[1:] = profile(grid.faces[1:]) ** (n - 1)
-        rho = (F[:-1] + 4.0 * profile(grid.nodes) ** (n - 1) + F[1:]) / 6.0
-        return cls(grid, F, rho)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """(F u')'/rho in flux form, for real or complex u of shape (N,)
-        or a column stack of shape (N, k)."""
-        # out= saves three temporaries per call; the solver calls this every step
-        F, scale, order = self.F[1:-1], self._scale, "C"
-        if u.ndim > 1:
-            F, scale = F[:, None], scale[:, None]
-            # a column-major stack keeps its layout: whole columns per inner loop
-            order = "F" if u.flags.f_contiguous else "C"
-        flux = np.empty((self.grid.N + 1,) + u.shape[1:], dtype=np.result_type(u, 0.0),
-                        order=order)
-        flux[0] = 0.0
-        inner = np.subtract(u[1:], u[:-1], out=flux[1:-1])
-        inner *= F
-        flux[-1] = -self.F[-1] * u[-1]
-        out = np.subtract(flux[1:], flux[:-1])
-        out *= scale
-        return out
-
-    def quadratic_form(self, u: np.ndarray) -> float:
-        """sum over faces of F (du/dr)^2, the discrete gradient energy
-        (times dr it approximates the integral of F u'^2)."""
-        du2 = np.diff(u) ** 2
-        edge = u[-1] ** 2
-        return float(
-            (np.sum(self.F[1:-1] * du2) + self.F[-1] * edge) / self.grid.dr**2
-        )
-
-    def tridiagonal(self):
-        """Diagonal and off-diagonal of -(F u')'/rho conjugated by rho^(1/2)."""
-        dr2 = self.grid.dr**2
-        diag = (self.F[:-1] + self.F[1:]) / (dr2 * self.rho)
-        off = -self.F[1:-1] / (dr2 * np.sqrt(self.rho[:-1] * self.rho[1:]))
-        return diag, off
-
-
-@dataclass
-class DiscreteRadialOperator:
-    """H = -Delta + W on radial functions of R^m, symmetrized."""
-
     grid: RadialGrid
     m: int
     W_samples: Optional[np.ndarray]  # W at the nodes; None for W = 0
-    stencil: _Stencil = field(repr=False)
+    F: np.ndarray = field(repr=False)
+    rho: np.ndarray = field(repr=False)
+    bands: tuple = field(init=False, repr=False, compare=False)  # (diag, upper, lower)
     # eigenpairs below a cut, by cut: _modes_below computes each once
     _below: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -177,12 +121,40 @@ class DiscreteRadialOperator:
         if bad.size:
             raise DomainError(f"potential W is not finite at r = {self.grid.nodes[bad[0]]:.6g}")
         self.W_samples = W
+        F, dr2 = self.F, self.grid.dr**2
+        scale = 1.0 / (dr2 * self.rho)
+        self.bands = ((F[:-1] + F[1:]) / (dr2 * self.rho) + W,
+                      -F[1:-1] * scale[:-1], -F[1:-1] * scale[1:])
+
+    @classmethod
+    def flat(cls, grid: RadialGrid, m: int, W=None) -> "DiscreteRadialOperator":
+        """-Delta + W on R^m: F = r^(m-1) with exact cell averages of r^(m-1)."""
+        f = grid.faces
+        return cls(grid, m, W, f ** (m - 1), (f[1:] ** m - f[:-1] ** m) / (m * grid.dr))
+
+    @classmethod
+    def manifold(cls, grid: RadialGrid, profile, n: int, W=None) -> "DiscreteRadialOperator":
+        """-Delta_h + W on the base manifold: F = h^(n-1) with Simpson
+        cell averages of h^(n-1).
+
+        F[0] = 0 is the zero flux through r=0 that h(0) = 0 gives; h is
+        not evaluated there, where a profile may have no jet."""
+        F = np.zeros(grid.N + 1)
+        F[1:] = profile(grid.faces[1:]) ** (n - 1)
+        rho = (F[:-1] + 4.0 * profile(grid.nodes) ** (n - 1) + F[1:]) / 6.0
+        return cls(grid, n, W, F, rho)
+
+    def quadratic_form(self, u: np.ndarray) -> float:
+        """sum over faces of F (du/dr)^2, the discrete gradient energy
+        (times dr it approximates the integral of F u'^2)."""
+        du2 = np.diff(u) ** 2
+        return float((np.sum(self.F[1:-1] * du2) + self.F[-1] * u[-1] ** 2) / self.grid.dr**2)
 
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of H in the symmetrized variable."""
-        diag, off = self.stencil.tridiagonal()
-        return diag + self.W_samples, off
+        """Diagonal and off-diagonal of H conjugated by rho^(1/2)."""
+        off = -self.F[1:-1] / (self.grid.dr**2 * np.sqrt(self.rho[:-1] * self.rho[1:]))
+        return self.bands[0], off
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -219,25 +191,35 @@ class DiscreteRadialOperator:
         # infrared cutoff imposed by truncation to [0, R_max]
         return (math.pi / (2.0 * self.grid.R_max)) ** 2
 
-    @property
-    def rho_cells(self) -> np.ndarray:
-        return self.stencil.rho
-
     # The maps below take one grid function, shape (N,), or a stack of
     # them as the columns of an (N, k) array.
 
     def symmetrize(self, v) -> np.ndarray:
         v = np.asarray(v)
-        return v * _down_rows(np.sqrt(self.rho_cells), v)
+        return v * _down_rows(np.sqrt(self.rho), v)
 
     def unsymmetrize(self, vt) -> np.ndarray:
         vt = np.asarray(vt)
-        return vt / _down_rows(np.sqrt(self.rho_cells), vt)
+        return vt / _down_rows(np.sqrt(self.rho), vt)
 
     def apply(self, v) -> np.ndarray:
         """H v for a radial grid function v."""
         v = np.asarray(v)
-        return _down_rows(self.W_samples, v) * v - self.stencil.apply(v)
+        diag, upper, lower = self.bands
+        if v.ndim > 1:
+            diag, upper, lower = diag[:, None], upper[:, None], lower[:, None]
+        return _band_product(diag, upper, lower, v)
+
+
+def _band_product(diag, upper, lower, u, out=None, tmp=None):
+    """The rows lower_j u_(j-1) + diag_j u_j + upper_j u_(j+1) of a band
+    matrix times u, (N,) or (N, k) with bands shaped to match, written
+    into out with tmp as scratch (both of u's shape, made when None)."""
+    out = np.multiply(diag, u, out=out)
+    tmp = np.empty_like(out) if tmp is None else tmp
+    out[:-1] += np.multiply(upper, u[1:], out=tmp[:-1])
+    out[1:] += np.multiply(lower, u[:-1], out=tmp[1:])
+    return out
 
 
 def _down_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -252,7 +234,7 @@ def build_operator(
     with W sampled at the grid nodes."""
     if m < 5:
         raise DimensionError(f"radial reduction requires m >= 5, got {m}")
-    return DiscreteRadialOperator(grid, m, W, _Stencil.flat(grid, m))
+    return DiscreteRadialOperator.flat(grid, m, W)
 
 
 def _power_base(op: DiscreteRadialOperator, s: float, shift: str) -> tuple[float, float]:
@@ -405,7 +387,7 @@ def frac_norm(
     v = np.asarray(v)
     u = _fractional_power(op, s, v, shift)
     scale = op.grid.surface_constant(op.m) * op.grid.dr
-    form = np.sum(_down_rows(op.rho_cells, v) * np.conj(v) * u, axis=0).real
+    form = np.sum(_down_rows(op.rho, v) * np.conj(v) * u, axis=0).real
     norms = np.sqrt(scale * np.maximum(form, 0.0))
     return float(norms) if v.ndim == 1 else norms
 
@@ -441,13 +423,11 @@ def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
     tol = 16.0 * np.finfo(float).eps * (1.0 + dt * math.sqrt(nu + b))
     coef = _chebyshev_coefficients(
         lambda lam: np.cos(dt * np.sqrt(np.maximum(nu + lam, 0.0))), a, b, tol)
-    # 2X = s1 H - s0 for X = (2H - a - b) / (b - a), as three bands built
-    # once; H u = W u - (F u')'/rho has the diagonal of its symmetrized form
+    # 2X = s1 H - s0 for X = (2H - a - b) / (b - a): the bands of H,
+    # scaled and shifted once per call
     s1, s0 = 4.0 / (b - a), 2.0 * (a + b) / (b - a)
-    F, scale = op.stencil.F[1:-1], op.stencil._scale
-    diag = _down_rows(s1 * op.tridiagonal[0] - s0, f)
-    upper = _down_rows(-s1 * F * scale[:-1], f)
-    lower = _down_rows(-s1 * F * scale[1:], f)
+    diag, upper, lower = op.bands
+    bands = [_down_rows(x, f) for x in (s1 * diag - s0, s1 * upper, s1 * lower)]
 
     def step(u):
         # sum_n coef_n T_n(X) u by Clenshaw, every term written into the
@@ -456,9 +436,7 @@ def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
         np.multiply(coef[-1], u, out=b1)
         b2.fill(0.0)
         for n in range(len(coef) - 2, -1, -1):
-            np.multiply(diag, b1, out=t)
-            t[:-1] += np.multiply(upper, b1[1:], out=tmp[:-1])
-            t[1:] += np.multiply(lower, b1[:-1], out=tmp[1:])
+            _band_product(*bands, b1, out=t, tmp=tmp)
             if n == 0:
                 t *= 0.5  # the last step is X b1 - b2 + c_0/2 u
             t -= b2
@@ -526,11 +504,11 @@ def resolve(
     if profile is not None:
         if n is None or n < 3:
             raise DomainError("manifold form needs n >= 3")
-        op = DiscreteRadialOperator(grid, n, None, _Stencil.manifold(grid, profile, n))
+        op = DiscreteRadialOperator.manifold(grid, profile, n)
     else:
         if m is None or m < 3:
             raise DomainError("flat form needs m >= 3")
-        op = DiscreteRadialOperator(grid, m, W, _Stencil.flat(grid, m))
+        op = DiscreteRadialOperator.flat(grid, m, W)
     # (kappa^2 - H) u~ = f~ in the symmetrized variable
     ut = _shifted_solve(*op.tridiagonal, kappa**2, op.symmetrize(f))
     if not np.all(np.isfinite(ut)):

@@ -1,5 +1,7 @@
 """The public names of the package."""
 
+import dataclasses
+
 import equiwave
 import equiwave.spectral
 from equiwave.spectral import DiscreteRadialOperator
@@ -19,3 +21,8 @@ def test_no_dense_eigen_calculus_in_the_package():
         assert not hasattr(equiwave.spectral, name)
     for name in ("_eig", "eigenvectors", "coefficients", "from_coefficients"):
         assert not hasattr(DiscreteRadialOperator, name)
+    # the operator is the only stencil object: no separate stencil class
+    # or field (a field without a default is no class attribute)
+    assert not hasattr(equiwave.spectral, "_Stencil")
+    fields = {f.name for f in dataclasses.fields(DiscreteRadialOperator)}
+    assert "stencil" not in fields and {"F", "rho"} <= fields

@@ -85,6 +85,16 @@ def test_hardy_beta_divergence_guard():
         hardy_check(lambda r: np.ones_like(r), 3, gaussian_family(2, 0))
 
 
+def test_hardy_rejects_a_short_quadrature_grid():
+    # the beta slope reads the 100th quadrature point
+    fam = gaussian_family(2, 0)
+    with pytest.raises(DomainError):
+        hardy_check(lambda r: r ** (1.0 - 3), 3, fam, Nq=80)
+    with pytest.raises(DomainError):
+        hardy_check(lambda r: r ** (1.0 - 3), 3, fam, Nq=100)
+    assert hardy_check(lambda r: r ** (1.0 - 3), 3, fam, Nq=101).ratios
+
+
 def test_hardy2_matches_hardy_in_limit():
     # zeta = r makes the concave weight e^(-2 eps r)(1 + 2 eps r); as
     # eps -> 0 it recovers the classical inequality with weight 1/r^2

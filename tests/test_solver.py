@@ -23,7 +23,7 @@ from equiwave.solver import (
     integrate,
     strichartz_trace,
 )
-from equiwave.spectral import RadialGrid, build_operator
+from equiwave.spectral import DiscreteRadialOperator, RadialGrid, build_operator
 
 
 def make_scenario(
@@ -174,12 +174,14 @@ def _gamma_split_phi_force(disc, u):
     remainder Gamma(u) u^3 / h^2.  Returns the force and its linear term."""
     r = disc.grid.nodes
     V = compute_V(disc.profile, disc.n, disc.k, r)
-    balanced = disc.op.apply(disc.w_nodes) / disc.w_nodes + V
+    # the bare stencil, -Delta_h without a potential
+    bare = DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n)
+    balanced = -bare.apply(disc.w_nodes) / disc.w_nodes + V
     lin_diag = np.where(r < 1.0, balanced, disc.lbar / disc.h_nodes**2)
     series = _gamma_series(disc.target, disc.lbar)
     gam = gamma_decompose(disc.target, disc.lbar, u, series=series)
     cubic = gam * u * (u / disc.h_nodes) ** 2
-    return disc.op.apply(u) - lin_diag * u - cubic, lin_diag * u
+    return -bare.apply(u) - lin_diag * u - cubic, lin_diag * u
 
 
 @pytest.mark.parametrize("manifold", ["flat", "hyperbolic", "sinh-perturbed"])
@@ -282,9 +284,15 @@ def test_strichartz_trace_zero_trajectory():
 
 
 def test_spectral_operator_and_solver_share_one_stencil():
-    disc = _Discretization(make_scenario(manifold="hyperbolic"), "psi")
-    r = disc.grid.nodes
+    # the solver's linear force is -H u for the spectral operator itself:
+    # -Delta_m + V in the psi form, -Delta_h + D in the phi form
+    s = make_scenario(manifold="hyperbolic")
+    psi = _Discretization(s, "psi")
+    phi = _Discretization(s, "phi")
+    r = psi.grid.nodes
     v = r * np.exp(-((r - 2.0) ** 2))
-    want = -disc.op.apply(v)
-    got = build_operator(disc.grid, disc.m).apply(v)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = build_operator(psi.grid, psi.m, psi.V).apply(v)
+    assert np.array_equal(psi.op.apply(v), want)
+    want = DiscreteRadialOperator.manifold(phi.grid, phi.profile, phi.n,
+                                           W=phi.D).apply(v)
+    assert np.array_equal(phi.op.apply(v), want)
