@@ -33,9 +33,12 @@ from .spectral import DiscreteRadialOperator, _band_product, _fractional_power, 
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 # snapshots per stack of _reduced_blocks, which feeds the H^(1/2) norms of
-# integrate and strichartz_trace: each contour node solves on a complex
-# copy of one (N, 128) stack, 8 MB at N = 4000
-SNAPSHOT_BLOCK = 128
+# integrate and strichartz_trace.  Every column is solved and summed on its
+# own, so the width moves no bit; the transient of frac_norm is about 64 N
+# bytes per column (4.2 MB for 16 columns at N = 4000).  16 is the knee: at
+# N = 4000 a column costs about 6.5 ms in stacks of 16 or 32, no less at 101
+# and more at 8 (one BLAS thread, 2-core VM)
+SNAPSHOT_BLOCK = 16
 
 
 @dataclass
@@ -188,16 +191,19 @@ def _psi_form_energy(disc: "_Discretization", psi, psi_t) -> float:
     return 0.5 * disc.grid.dr * val
 
 
-def _local_energy(disc: _Discretization, phi, phi_t, radius: float) -> float:
-    """Energy density integrated over the ball r < radius."""
-    mask = disc.grid.nodes < radius
-    rho = disc.op.rho[mask]
-    g = disc.target(phi[mask])
-    dens = rho * (phi_t[mask] ** 2 + disc.c[mask] * g**2)
-    du = np.diff(phi) / disc.grid.dr
-    fmask = disc.grid.faces[1:-1] < radius
-    grad = np.sum(disc.op.F[1:-1][fmask] * du[fmask] ** 2)
-    return 0.5 * disc.grid.dr * (np.sum(dens) + grad)
+def _local_energy(op: DiscreteRadialOperator, c: np.ndarray, target, phi, phi_t,
+                  radius: float) -> float:
+    """Energy density of the phi form integrated over the ball r < radius,
+    from the manifold operator's weights F and rho and c = lbar/h^2."""
+    grid = op.grid
+    mask = grid.nodes < radius
+    rho = op.rho[mask]
+    g = target(phi[mask])
+    dens = rho * (phi_t[mask] ** 2 + c[mask] * g**2)
+    du = np.diff(phi) / grid.dr
+    fmask = grid.faces[1:-1] < radius
+    grad = np.sum(op.F[1:-1][fmask] * du[fmask] ** 2)
+    return 0.5 * grid.dr * (np.sum(dens) + grad)
 
 
 def _reduced_blocks(states: list, w: np.ndarray):
@@ -236,9 +242,13 @@ def integrate(
         ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
     ball = grid.R_max / 3.0
 
-    # the local energy always lives on the phi-form discretization, built
-    # before the run: the peak of its set-up and the stored states don't add
-    phi_disc = _Discretization(scenario, "phi") if formulation == "psi" else disc
+    # the local energy is that of the phi form: the weights of the manifold
+    # operator and c = lbar/h^2, which a psi run builds on its own
+    if formulation == "phi":
+        local_op, c = disc.op, disc.c
+    else:
+        local_op = DiscreteRadialOperator.manifold(grid, disc.profile, disc.n)
+        c = disc.lbar / disc.h_nodes**2
     states = []
     work = np.empty_like(u)
 
@@ -276,7 +286,7 @@ def integrate(
         phi, phi_t = disc.to_phi(st.field), disc.to_phi(st.velocity)
         energies.append(form_energy(disc, st.field, st.velocity))
         sups.append(float(np.max(np.abs(phi))))
-        locals_.append(_local_energy(phi_disc, phi, phi_t, ball))
+        locals_.append(_local_energy(local_op, c, disc.target, phi, phi_t, ball))
     halves = [math.nan] * len(states)
     if spectral_diagnostics:
         halves = [x for psi in _reduced_blocks(states, disc.w_nodes)
@@ -337,7 +347,10 @@ def strichartz_trace(
     wq = op.grid.volume_weights(idx["m"])[:, None]
     lq = []
     for psi in _reduced_blocks(trajectory.states, w):
-        g = _fractional_power(op, s / 2, psi, "inhomogeneous")
+        # F order, which the contour gives and a power without one ((n-1)/4
+        # an integer) does not: numpy then sums each column on its own,
+        # pairwise, as it sums a one-column block, so the width moves no bit
+        g = np.asfortranarray(_fractional_power(op, s / 2, psi, "inhomogeneous"))
         lq.extend(np.sum(wq * np.abs(g) ** q, axis=0) ** (1.0 / q))
     lq = np.array(lq)
     partials = np.zeros_like(lq)

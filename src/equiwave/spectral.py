@@ -383,11 +383,16 @@ def frac_norm(
 ) -> Union[float, np.ndarray]:
     """|| H^(s/2) v ||_{L^2(R^m)} (or <H>^(s/2)), as the square root of
     the quadratic form of _fractional_power(op, s): a float for v of
-    shape (N,), one norm per column for an (N, k) stack."""
+    shape (N,), one norm per column for an (N, k) stack.  A stack's
+    columns are summed row by row, so a column's norm has the same bits
+    whatever the width and layout of the stack it comes in."""
     v = np.asarray(v)
     u = _fractional_power(op, s, v, shift)
     scale = op.grid.surface_constant(op.m) * op.grid.dr
-    form = np.sum(_down_rows(op.rho, v) * np.conj(v) * u, axis=0).real
+    dens = _down_rows(op.rho, v) * np.conj(v) * u
+    # numpy sums a one-column or F-ordered stack pairwise, a wider
+    # C-ordered one row by row; accumulate is row by row for every stack
+    form = (np.sum(dens) if v.ndim == 1 else np.add.accumulate(dens, axis=0)[-1]).real
     norms = np.sqrt(scale * np.maximum(form, 0.0))
     return float(norms) if v.ndim == 1 else norms
 

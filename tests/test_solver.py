@@ -2,6 +2,7 @@
 formulation consistency, and blow-up detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from equiwave.solver import (
     Trajectory,
     WaveState,
     _Discretization,
+    _local_energy,
     consistency_check,
     energy,
     integrate,
     strichartz_trace,
 )
-from equiwave.spectral import DiscreteRadialOperator, RadialGrid, build_operator
+from equiwave.spectral import DiscreteRadialOperator, RadialGrid, _linalg, build_operator
 
 
 def make_scenario(
@@ -296,3 +298,50 @@ def test_spectral_operator_and_solver_share_one_stencil():
     want = DiscreteRadialOperator.manifold(phi.grid, phi.profile, phi.n,
                                            W=phi.D).apply(v)
     assert np.array_equal(phi.op.apply(v), want)
+
+
+def test_psi_local_energy_is_that_of_the_phi_discretization():
+    # a psi run builds only the weights of the phi-form local energy, not
+    # a phi-form discretization: the energies keep their bits
+    s = make_scenario(manifold="sinh-perturbed", N=600, T=2.0, snap=0.5)
+    tr = integrate(s, "psi", spectral_diagnostics=False)
+    phi = _Discretization(s, "phi")
+    want = [_local_energy(phi.op, phi.c, phi.target, phi.w_nodes * st.field,
+                          phi.w_nodes * st.velocity, tr.meta["ball_radius"])
+            for st in tr.states]
+    assert np.array_equal(tr.local_energies, want)
+
+
+@pytest.mark.parametrize("form, n", [("phi", 3), ("psi", 3), ("phi", 5)])
+def test_snapshot_blocking_moves_no_bit(monkeypatch, form, n):
+    # 33 snapshots: blocks of 16 leave a last block of one column, which
+    # numpy sums pairwise where it sums a wider C-ordered stack row by row;
+    # at n = 5 the Strichartz power is one product with H, without a contour
+    s = make_scenario(manifold="hyperbolic", n=n, N=400, T=3.1, snap=0.1)
+    runs = []
+    for block in (1, 16, 33):
+        monkeypatch.setattr(equiwave.solver, "SNAPSHOT_BLOCK", block)
+        tr = integrate(s, form)
+        assert len(tr.states) == 33
+        runs.append((tr.h_half_norms, strichartz_trace(tr, s, return_partials=True)[1]))
+    for halves, partials in runs[1:]:
+        assert np.array_equal(halves, runs[0][0])
+        assert np.array_equal(partials, runs[0][1])
+
+
+def test_snapshot_diagnostics_transient_does_not_grow_with_snapshots():
+    # the H^(1/2) norms work on blocks of SNAPSHOT_BLOCK snapshots, so the
+    # traced peak beyond the stored states (16 N bytes each) is the same
+    # for 42 and 163 snapshots
+    _linalg()  # its import is not the diagnostics' memory
+    N = 2000
+    for snap, count in ((0.1, 42), (0.025, 163)):
+        s = make_scenario(manifold="hyperbolic", N=N, T=4.11, snap=snap)
+        tracemalloc.start()
+        try:
+            tr = integrate(s, "phi")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tr.states) == count
+        assert peak - 16 * N * count <= 4 * 2**20
