@@ -415,7 +415,6 @@ def check_perturbation(
         # shared structure of the exponential / polynomial criteria:
         # growth floor, derivative-to-profile ratios, relative smallness
         if mode == "exponential":
-            floor = float(np.min(h / (rs + rs**n)))
             items.append({"name": "h_eps >= c(r + r^n)",
                           "sup": float(np.min(he / (rs + rs**n))), "bounded": True})
             # <r>^3 at large r; near the origin the criterion only uses

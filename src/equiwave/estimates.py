@@ -24,12 +24,13 @@ from .errors import (
     NotAdmissible,
 )
 from .profiles import MetricProfile
-from .reduction import compute_V, weight_w
+from .reduction import compute_V
 from .spectral import (
     DiscreteRadialOperator,
     RadialGrid,
     _cosine_flow,
-    _fractional_power,
+    _lp_partials,
+    _lq_norms,
     frac_norm,
     resolve,
 )
@@ -140,11 +141,6 @@ def hardy_probe_family(count: int, seed: int) -> list[TestFunction]:
 # -- weighted Hardy ---------------------------------------------------------------
 
 
-def _quad_grid(R: float, Nq: int) -> tuple[np.ndarray, float]:
-    dr = R / Nq
-    return (np.arange(Nq) + 0.5) * dr, dr
-
-
 def hardy_check(
     alpha: Callable,
     n: int,
@@ -160,7 +156,7 @@ def hardy_check(
     i1, i2 = 10, 100  # the beta slope at 0 is read between these points
     if Nq <= i2:
         raise DomainError(f"hardy_check needs Nq > {i2}, got {Nq}")
-    rs, dr = _quad_grid(R, Nq)
+    rs, dr = RadialGrid(R, Nq).nodes, R / Nq
     a = np.asarray(alpha(rs), dtype=float)
     if np.any(a <= 0):
         raise DomainError("alpha must be positive")
@@ -207,7 +203,7 @@ def hardy2_check(
     zv, z1, z2 = j.value, j.derivative(1), j.derivative(2)
     if np.any(zv < -1e-12) or np.any(z1 <= 0) or np.any(z2 > 1e-12):
         raise HypothesisFail("zeta must satisfy zeta>=0, zeta'>0, zeta''<=0")
-    rs, dr = _quad_grid(R, Nq)
+    rs, dr = RadialGrid(R, Nq).nodes, R / Nq
     j = zeta.jet(rs, 1)
     z, zp = j.value, j.derivative(1)
     wt = (zp + 2.0 * epsilon * z) * np.exp(-2.0 * epsilon * rs)
@@ -249,18 +245,17 @@ def smoothing_check(
     r = grid.nodes
     V_samp = compute_V(profile, n, k, r)
     fs = [tf.fn(r) for tf in family]
-    rhs = [grid.l2_norm(r * f, m) for f in fs]
-    live = [i for i, x in enumerate(rhs) if x != 0.0]  # the others have ratio 0
-    stack = np.stack([fs[i] for i in live], axis=1) if live else None
+    rhs = np.array([grid.l2_norm(r * f, m) for f in fs])
+    live = np.flatnonzero(rhs)  # the others have ratio 0
+    stack = np.stack([fs[i] for i in live], axis=1) if live.size else None
     ids, ratios = [], []
     for lam in lambda_grid:
-        ratio = [0.0] * len(family)
-        if live:  # the whole family in one stacked solve
+        ratio = np.zeros(len(family))
+        if live.size:  # the whole family in one stacked solve
             u = resolve(lam, stack, grid, m=m, W=V_samp, h_infinity=h_infinity)
-            for j, i in enumerate(live):
-                ratio[i] = float(grid.l2_norm(u[:, j] / r, m) / rhs[i])
+            ratio[live] = grid.l2_norm(u / r[:, None], m) / rhs[live]
         ids += [f"{tf.id}@{lam}" for tf in family]
-        ratios += ratio
+        ratios += ratio.tolist()
     return RatioReport(
         "smoothing", f"{len(family)} bumps x {len(lambda_grid)} frequencies",
         ids, ratios, bound=4.0 / delta0, tol=0.1,
@@ -297,28 +292,25 @@ def strichartz_monitor(
 ) -> RatioReport:
     """Discrete space-time norm of the linear flow against the initial
     Sobolev norm, taken with ``free_op``, the free operator on the same
-    grid.  The constant is implicit in the source estimate, so the sup
-    ratio is a regression number, not a bound."""
+    grid, over n_t >= 2 times in [0, T], T > 0.  The constant is implicit
+    in the source estimate, so the sup ratio is a regression number, not
+    a bound."""
+    if not (T > 0 and n_t >= 2):
+        raise DomainError(f"need T > 0 and n_t >= 2, got T = {T}, n_t = {n_t}")
     p, q = Fraction(pq[0]), Fraction(pq[1])
     validate_wave_pair(p, q, op.m)
     s0 = float(Fraction(1, 1) / q - Fraction(1, 1) / p)
     pf, qf = float(p), float(q)
     shift = "inhomogeneous" if nu > 0 else "homogeneous"
-    times = np.linspace(0.0, T, n_t)
-    vol = op.grid.volume_weights(op.m)[:, None]
     ids = [f"f{i}" for i in range(len(family))]
     ratios = []
     if len(family):
         data = np.stack(family, axis=1)
         rhs = frac_norm(free_op, 0.5, data, shift)
         # the flow of every member, one time at a time: L^q norms only
-        lq = np.empty((len(family), n_t))
-        dt = T / (n_t - 1) if n_t > 1 else 0.0
-        for j, u in enumerate(_cosine_flow(op, nu, data, dt, n_t)):
-            if s0 != 0.0:
-                u = _fractional_power(free_op, s0 / 2.0, u, shift)
-            lq[:, j] = np.sum(np.abs(u) ** qf * vol, axis=0) ** (1.0 / qf)
-        lhs = np.trapezoid(lq**pf, times, axis=1) ** (1.0 / pf)
+        lq = np.stack([_lq_norms(free_op, s0 / 2.0, u, shift, qf)
+                       for u in _cosine_flow(op, nu, data, T / (n_t - 1), n_t)], axis=1)
+        lhs = _lp_partials(lq, np.linspace(0.0, T, n_t), pf)[:, -1]
         ratios = [0.0 if rhs[i] == 0.0 else float(lhs[i] / rhs[i])
                   for i in range(len(family))]
     return RatioReport(
@@ -349,7 +341,7 @@ def dimshift_check(
     if s not in (0.0, 1.0, 0, 1):
         raise DomainError("only s in {0, 1} supported by quadrature")
     m = n + 2 * k
-    rs, dr = _quad_grid(R, Nq)
+    rs, dr = RadialGrid(R, Nq).nodes, R / Nq
     ids, ratios = [], []
     for tf in family:
         v = tf.fn(rs)

@@ -29,7 +29,7 @@ from .errors import BlowUp, CFLViolation, DomainError
 from .profiles import _gamma_series, gamma_decompose
 from .reduction import compute_V, gamma_weights, indices, weight_w
 from .scenario import Scenario
-from .spectral import DiscreteRadialOperator, _band_product, _fractional_power, frac_norm
+from .spectral import DiscreteRadialOperator, _band_product, _lp_partials, _lq_norms, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 # snapshots per stack of _reduced_blocks, which feeds the H^(1/2) norms of
@@ -138,6 +138,19 @@ class _Discretization:
             force -= self.pref * (u * u * u) * gam
         return force
 
+    def energy(self, u: np.ndarray, u_t: np.ndarray) -> float:
+        """Discrete energy conserved by the semidiscrete flow of this form,
+        the potential term the exact antiderivative of the discrete force
+        (so the leapfrog drift is pure O(dt^2)); the psi-form energy
+        agrees with the phi-form one in the continuum limit."""
+        if self.formulation == "phi":
+            pot = self.D * u**2 + self.c * self.target(u) ** 2
+        else:
+            s = self.w_nodes * u
+            pot = (self.V * u**2 + self.lbar * (self.target(s) ** 2 - s**2)
+                   / (self.h_nodes * self.w_nodes) ** 2)
+        return self.op.energy(u, u_t, pot)
+
     def to_phi(self, u: np.ndarray) -> np.ndarray:
         return u if self.formulation == "phi" else self.w_nodes * u
 
@@ -158,52 +171,8 @@ def energy(state: WaveState, scenario: Scenario) -> float:
     transformed to the phi-form first."""
     disc = _Discretization(scenario, "phi")
     if state.formulation == "psi":
-        phi = disc.w_nodes * state.field
-        phi_t = disc.w_nodes * state.velocity
-    else:
-        phi = state.field
-        phi_t = state.velocity
-    return _phi_form_energy(disc, phi, phi_t)
-
-
-def _phi_form_energy(disc: "_Discretization", phi, phi_t) -> float:
-    """FV quadrature of the phi-form energy, with the potential term the
-    exact antiderivative of the discrete force (so the semidiscrete flow
-    conserves it and the leapfrog drift is pure O(dt^2))."""
-    g = disc.target(phi)
-    rho = disc.op.rho
-    pot = disc.D * phi**2 + disc.c * g**2
-    val = np.sum(rho * phi_t**2) + np.sum(rho * pot)
-    val += disc.op.quadratic_form(phi)
-    return 0.5 * disc.grid.dr * val
-
-
-def _psi_form_energy(disc: "_Discretization", psi, psi_t) -> float:
-    """Discrete energy conserved by the semidiscrete psi-form flow; it
-    agrees with the phi-form energy in the continuum limit."""
-    rho = disc.op.rho
-    w, h = disc.w_nodes, disc.h_nodes
-    s = w * psi
-    g = disc.target(s)
-    pot = disc.V * psi**2 + disc.lbar * (g**2 - s**2) / (h * w) ** 2
-    val = np.sum(rho * psi_t**2) + np.sum(rho * pot)
-    val += disc.op.quadratic_form(psi)
-    return 0.5 * disc.grid.dr * val
-
-
-def _local_energy(op: DiscreteRadialOperator, c: np.ndarray, target, phi, phi_t,
-                  radius: float) -> float:
-    """Energy density of the phi form integrated over the ball r < radius,
-    from the manifold operator's weights F and rho and c = lbar/h^2."""
-    grid = op.grid
-    mask = grid.nodes < radius
-    rho = op.rho[mask]
-    g = target(phi[mask])
-    dens = rho * (phi_t[mask] ** 2 + c[mask] * g**2)
-    du = np.diff(phi) / grid.dr
-    fmask = grid.faces[1:-1] < radius
-    grad = np.sum(op.F[1:-1][fmask] * du[fmask] ** 2)
-    return 0.5 * grid.dr * (np.sum(dens) + grad)
+        return disc.energy(disc.w_nodes * state.field, disc.w_nodes * state.velocity)
+    return disc.energy(state.field, state.velocity)
 
 
 def _reduced_blocks(states: list, w: np.ndarray):
@@ -242,8 +211,8 @@ def integrate(
         ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
     ball = grid.R_max / 3.0
 
-    # the local energy is that of the phi form: the weights of the manifold
-    # operator and c = lbar/h^2, which a psi run builds on its own
+    # the local energy is that of the phi form without D: the weights of
+    # the manifold operator and c = lbar/h^2, which a psi run builds on its own
     if formulation == "phi":
         local_op, c = disc.op, disc.c
     else:
@@ -281,12 +250,11 @@ def integrate(
 
     # the snapshot diagnostics, from the stored states
     energies, sups, locals_ = [], [], []
-    form_energy = _psi_form_energy if formulation == "psi" else _phi_form_energy
     for st in states:
         phi, phi_t = disc.to_phi(st.field), disc.to_phi(st.velocity)
-        energies.append(form_energy(disc, st.field, st.velocity))
+        energies.append(disc.energy(st.field, st.velocity))
         sups.append(float(np.max(np.abs(phi))))
-        locals_.append(_local_energy(local_op, c, disc.target, phi, phi_t, ball))
+        locals_.append(local_op.energy(phi, phi_t, c * disc.target(phi) ** 2, ball))
     halves = [math.nan] * len(states)
     if spectral_diagnostics:
         halves = [x for psi in _reduced_blocks(states, disc.w_nodes)
@@ -342,23 +310,10 @@ def strichartz_trace(
     idx = indices(sc.n, sc.k)
     p, q = float(idx["p"]), float(idx["q"])
     op = sc.free_operator
-    s = (sc.n - 1) / 2
     w = weight_w(sc.profile(), sc.n, sc.k, op.grid.nodes)
-    wq = op.grid.volume_weights(idx["m"])[:, None]
-    lq = []
-    for psi in _reduced_blocks(trajectory.states, w):
-        # F order, which the contour gives and a power without one ((n-1)/4
-        # an integer) does not: numpy then sums each column on its own,
-        # pairwise, as it sums a one-column block, so the width moves no bit
-        g = np.asfortranarray(_fractional_power(op, s / 2, psi, "inhomogeneous"))
-        lq.extend(np.sum(wq * np.abs(g) ** q, axis=0) ** (1.0 / q))
-    lq = np.array(lq)
-    partials = np.zeros_like(lq)
-    if len(lq) > 1:
-        cum = np.concatenate(
-            [[0.0], np.cumsum(np.diff(trajectory.times) * 0.5 * (lq[1:] ** p + lq[:-1] ** p))]
-        )
-        partials = cum ** (1.0 / p)
+    lq = np.concatenate([_lq_norms(op, (sc.n - 1) / 4, psi, "inhomogeneous", q)
+                         for psi in _reduced_blocks(trajectory.states, w)])
+    partials = _lp_partials(lq, trajectory.times, p)
     total = float(partials[-1])
     if return_partials:
         return total, partials

@@ -24,6 +24,9 @@ from them once.  Every product with H is one band product
 (_band_product), in apply, in the Chebyshev step and in the nonlinear
 solver; with the weight h^(n-1) of the base manifold the same operator
 serves the manifold form of the resolvent and the solver's phi form.
+Every sum over the weights (energies, L^2 and L^q norms, the trapezoid
+in time) is written here, and a column of a stack has the bits of its
+1-D call.
 """
 
 from __future__ import annotations
@@ -87,9 +90,13 @@ class RadialGrid:
         """Quadrature weights for integrals over R^m of radial functions."""
         return self.surface_constant(m) * self.nodes ** (m - 1) * self.dr
 
-    def l2_norm(self, v, m: int) -> float:
+    def l2_norm(self, v, m: int) -> Union[float, np.ndarray]:
+        """L^2(R^m) norm of v: a float for v of shape (N,), one norm per
+        column for an (N, k) stack, each with the bits of its 1-D call."""
         v = np.asarray(v)
-        return float(np.sqrt(np.sum(np.abs(v) ** 2 * self.volume_weights(m)).real))
+        vw = _down_rows(self.volume_weights(m), v)
+        norms = np.sqrt(_column_sums(np.abs(v) ** 2 * vw).real)
+        return float(norms) if v.ndim == 1 else norms
 
 
 @dataclass
@@ -144,11 +151,20 @@ class DiscreteRadialOperator:
         rho = (F[:-1] + 4.0 * profile(grid.nodes) ** (n - 1) + F[1:]) / 6.0
         return cls(grid, n, W, F, rho)
 
-    def quadratic_form(self, u: np.ndarray) -> float:
-        """sum over faces of F (du/dr)^2, the discrete gradient energy
-        (times dr it approximates the integral of F u'^2)."""
-        du2 = np.diff(u) ** 2
-        return float((np.sum(self.F[1:-1] * du2) + self.F[-1] * u[-1] ** 2) / self.grid.dr**2)
+    def energy(self, u, u_t, pot, radius: float = math.inf) -> float:
+        """1/2 int (u_t^2 + u_r^2 + pot) dV over the ball r < radius, in
+        the weights of the stencil: rho on the cells, the gradient
+        F (du/dr)^2 on the faces, and on the face at R_max against the
+        zero Dirichlet value beyond it.  u, u_t and pot are (N,)."""
+        grid, dr = self.grid, self.grid.dr
+        cells = np.searchsorted(grid.nodes, radius)  # the cells r_j < radius
+        faces = np.searchsorted(grid.faces[1:-1], radius)  # the inner faces
+        rho = self.rho[:cells]
+        grad = np.sum(self.F[1 : faces + 1] * np.diff(u[: faces + 1]) ** 2)
+        if grid.R_max < radius:
+            grad += self.F[-1] * u[-1] ** 2
+        val = np.sum(rho * u_t[:cells] ** 2) + np.sum(rho * pot[:cells]) + grad / dr**2
+        return float(0.5 * dr * val)
 
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +241,14 @@ def _band_product(diag, upper, lower, u, out=None, tmp=None):
 def _down_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The (N,) vector w shaped to scale each row of v, (N,) or (N, k)."""
     return w.reshape(w.shape + (1,) * (v.ndim - 1))
+
+
+def _column_sums(x: np.ndarray):
+    """The sum of x, (N,), or of each column of an (N, k) stack.  Every
+    column is summed on its own, pairwise, as numpy sums a 1-D array
+    (it sums a C-ordered stack row by row), so a column has the bits of
+    its 1-D call whatever the width and layout of its stack."""
+    return np.sum(np.asfortranarray(x), axis=0)
 
 
 def build_operator(
@@ -383,18 +407,33 @@ def frac_norm(
 ) -> Union[float, np.ndarray]:
     """|| H^(s/2) v ||_{L^2(R^m)} (or <H>^(s/2)), as the square root of
     the quadratic form of _fractional_power(op, s): a float for v of
-    shape (N,), one norm per column for an (N, k) stack.  A stack's
-    columns are summed row by row, so a column's norm has the same bits
-    whatever the width and layout of the stack it comes in."""
+    shape (N,), one norm per column for an (N, k) stack, each with the
+    bits of its 1-D call."""
     v = np.asarray(v)
     u = _fractional_power(op, s, v, shift)
     scale = op.grid.surface_constant(op.m) * op.grid.dr
-    dens = _down_rows(op.rho, v) * np.conj(v) * u
-    # numpy sums a one-column or F-ordered stack pairwise, a wider
-    # C-ordered one row by row; accumulate is row by row for every stack
-    form = (np.sum(dens) if v.ndim == 1 else np.add.accumulate(dens, axis=0)[-1]).real
+    form = _column_sums(_down_rows(op.rho, v) * np.conj(v) * u).real
     norms = np.sqrt(scale * np.maximum(form, 0.0))
     return float(norms) if v.ndim == 1 else norms
+
+
+def _lq_norms(op: DiscreteRadialOperator, s: float, v, shift: str, q: float) -> np.ndarray:
+    """|| A^s v ||_{L^q(R^m)} of v, (N,), or of each column of an (N, k)
+    stack, A the base of _power_base (H or 1+H), by the volume weights
+    of R^m."""
+    g = _fractional_power(op, s, v, shift)
+    vol = _down_rows(op.grid.volume_weights(op.m), g)
+    # np.power, not **, which takes libm's pow for the numpy scalar of a
+    # 1-D call where numpy's vector pow takes every column of a stack
+    return np.power(_column_sums(vol * np.abs(g) ** q), 1.0 / q)
+
+
+def _lp_partials(y: np.ndarray, times: np.ndarray, p: float) -> np.ndarray:
+    """(int_(t_0)^(t_j) y^p dt)^(1/p) at every time t_j, by the trapezoid
+    rule along the last axis of y; 0 at t_0."""
+    y = y**p
+    steps = np.cumsum(np.diff(times) * 0.5 * (y[..., 1:] + y[..., :-1]), axis=-1)
+    return np.concatenate([np.zeros(y.shape[:-1] + (1,)), steps], axis=-1) ** (1.0 / p)
 
 
 def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):

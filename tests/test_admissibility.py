@@ -15,7 +15,7 @@ from equiwave.admissibility import (
 )
 from equiwave.errors import InconsistentFormulas, ModeMismatch, NoLimit
 from equiwave.jets import Jet
-from equiwave.profiles import MetricProfile, metric_profile
+from equiwave.profiles import MetricProfile, metric_profile, parse_expr
 
 
 def test_flat_H_closed_form():
@@ -126,6 +126,15 @@ def test_sin_profile_fails_with_witness():
     bad = [v for v in (report.cond_i, report.cond_ii, report.cond_iii) if not v.passed]
     assert bad
     assert any(v.witness_r is not None for v in bad)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_growing_profile_fails_cond_ii_with_witness(n):
+    # h = r e^(r^2/100): r H' grows, so the dyadic block sups increase
+    h = MetricProfile("r e^(r^2/100)", parse_expr(["*", "r", ["exp", ["*", 0.01, "r", "r"]]]))
+    verdict = check_admissibility(h, n).cond_ii
+    assert not verdict.passed and verdict.witness_r == 20.0
+    assert verdict.detail["reason"] == "block sup increases at j=1"
 
 
 def test_report_json_round_trip():

@@ -1,6 +1,8 @@
-"""The public names of the package."""
+"""The public names of the package, and static checks of its modules."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import equiwave
 import equiwave.spectral
@@ -26,3 +28,46 @@ def test_no_dense_eigen_calculus_in_the_package():
     assert not hasattr(equiwave.spectral, "_Stencil")
     fields = {f.name for f in dataclasses.fields(DiscreteRadialOperator)}
     assert "stencil" not in fields and {"F", "rho"} <= fields
+
+
+# the modules of the package but __init__.py, which imports to re-export
+MODULES = sorted(p for p in Path(equiwave.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({a.asname or a.name.split(".")[0]: node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
+def test_only_spectral_reads_the_operator_weights():
+    # the weights F and rho of the stencil, the volume weights of R^m and
+    # the sums over them (the row-by-row accumulate, the trapezoid in time)
+    # are written once, in spectral.py
+    weights = {"F", "rho", "volume_weights", "trapezoid"}
+    reads = []
+    for path in MODULES:
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Attribute):
+                accumulate = (node.attr == "accumulate" and isinstance(node.value, ast.Attribute)
+                              and node.value.attr == "add")
+                names = [node.attr] if node.attr in weights or accumulate else []
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names if a.name in weights]
+            reads += [f"{path.name}:{node.lineno} {name}" for name in names]
+    assert reads == []

@@ -18,7 +18,6 @@ from _baselines import (
 from _dense import coefficients, from_coefficients, powered
 from equiwave.errors import BetaDiverges, DomainError, HypothesisFail, NotAdmissible
 from equiwave.estimates import (
-    _quad_grid,
     dimshift_check,
     gaussian_family,
     hardy2_check,
@@ -120,7 +119,7 @@ def test_hardy2_weight_takes_zeta_prime_from_the_jet():
     eps = 0.1
     fam = gaussian_family(10, 0, r_power=1)
     rep = hardy2_check(zeta, eps, 3, fam)
-    rs, _ = _quad_grid(40.0, 20000)
+    rs = RadialGrid(40.0, 20000).nodes
     wt = (np.exp(-rs) + 2.0 * eps * (1.0 - np.exp(-rs))) * np.exp(-2.0 * eps * rs)
     want = [np.sum(wt * tf.fn(rs) ** 2 / rs**2) / (4.0 * np.sum(wt * tf.dfn(rs) ** 2))
             for tf in fam]
@@ -216,6 +215,17 @@ def strichartz_setup():
     fams = gaussian_family(10, 0, r_power=2)
     fam = [tf.fn(grid.nodes) for tf in fams]
     return grid, free, fam
+
+
+def test_strichartz_monitor_rejects_an_empty_time_window():
+    # T < 0 made the Chebyshev tolerance negative, and the series length
+    # doubled without end; T = 0 and n_t < 2 gave ratio 0 and a PASS
+    grid = RadialGrid(60.0, 200)
+    free = build_operator(grid, 5)
+    fam = [np.exp(-((grid.nodes - 3.0) ** 2))]
+    for T, n_t in [(-5.0, 80), (0.0, 80), (20.0, 0), (20.0, 1)]:
+        with pytest.raises(DomainError):
+            strichartz_monitor(free, 0.0, (3, 3), fam, T, n_t, free_op=free)
 
 
 def test_strichartz_free_baseline(strichartz_setup):

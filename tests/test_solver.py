@@ -19,7 +19,6 @@ from equiwave.solver import (
     Trajectory,
     WaveState,
     _Discretization,
-    _local_energy,
     consistency_check,
     energy,
     integrate,
@@ -306,8 +305,9 @@ def test_psi_local_energy_is_that_of_the_phi_discretization():
     s = make_scenario(manifold="sinh-perturbed", N=600, T=2.0, snap=0.5)
     tr = integrate(s, "psi", spectral_diagnostics=False)
     phi = _Discretization(s, "phi")
-    want = [_local_energy(phi.op, phi.c, phi.target, phi.w_nodes * st.field,
-                          phi.w_nodes * st.velocity, tr.meta["ball_radius"])
+    want = [phi.op.energy(phi.w_nodes * st.field, phi.w_nodes * st.velocity,
+                          phi.c * phi.target(phi.w_nodes * st.field) ** 2,
+                          tr.meta["ball_radius"])
             for st in tr.states]
     assert np.array_equal(tr.local_energies, want)
 

@@ -26,6 +26,7 @@ from equiwave.spectral import (
     _cosine_flow,
     _down_rows,
     _fractional_power,
+    _lq_norms,
     build_operator,
     frac_norm,
     resolve,
@@ -281,6 +282,29 @@ def test_transforms_take_column_stacks(op600):
         ni = frac_norm(op600, 0.5, stack[:, i])
         assert isinstance(ni, float)
         assert abs(norms[i] - ni) <= 1e-12 * max(ni, 1.0)
+
+
+def test_a_column_has_the_bits_of_its_1d_call(op600):
+    # every column of a stack is summed on its own, pairwise, as numpy sums
+    # a 1-D array: no block split or layout of the stack moves a bit.  The
+    # L^q norm takes a contour at s = 1/4 and products with H at s = 1
+    r = op600.grid.nodes
+    stack = np.stack([r**2 * np.exp(-((r - c) ** 2) / 4.0) for c in np.linspace(0.0, 20.0, 19)],
+                     axis=1)
+    norms = {
+        "frac_norm": lambda v: frac_norm(op600, 0.5, v),
+        "l2_norm": lambda v: op600.grid.l2_norm(v, op600.m),
+        "lq 1/4": lambda v: _lq_norms(op600, 0.25, v, "inhomogeneous", 3.0),
+        "lq 1": lambda v: _lq_norms(op600, 1.0, v, "inhomogeneous", 3.0),
+    }
+    for name, norm in norms.items():
+        want = [norm(stack[:, i]) for i in range(stack.shape[1])]
+        for split in ([1, 18], [16, 3], [5, 5, 9]):
+            blocks = np.split(stack, np.cumsum(split)[:-1], axis=1)
+            got = np.concatenate([norm(b) for b in blocks])
+            assert np.array_equal(got, want), (name, split)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert np.array_equal(norm(layout(stack)), want), (name, layout)
 
 
 # -- functions of the operator without an eigenbasis, against the dense
