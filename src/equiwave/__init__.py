@@ -76,7 +76,6 @@ from .profiles import (
 from .reduction import (
     ReducedProblem,
     compute_V,
-    gamma_weights,
     indices,
     reduce_problem,
     transform_field,
@@ -140,7 +139,6 @@ __all__ = [
     "estimate_h_infinity",
     "frac_norm",
     "gamma_decompose",
-    "gamma_weights",
     "gaussian_family",
     "hardy2_check",
     "hardy_check",

@@ -61,6 +61,10 @@ class BlowUp(EquiwaveError):
         self.r = r
         super().__init__(message or f"blow-up detected at t={t:.6g}, r={r:.6g}")
 
+    def __reduce__(self):
+        # args holds the message alone, which the default rebuild would pass as t
+        return type(self), (self.t, self.r, str(self))
+
 
 class CFLViolation(EquiwaveError):
     """Time step violates the CFL bound."""

@@ -344,13 +344,9 @@ def _gamma_series(target: TargetProfile, lbar: float, order: int = 9) -> np.ndar
     return j.taylor[::-1]
 
 
-def gamma_decompose(target: TargetProfile, lbar: float, s, *, series=None):
+def gamma_decompose(target: TargetProfile, lbar: float, s):
     """Gamma(s) = (lbar*g(s)*g'(s) - lbar*s) / s^3, with the removable
-    singularity at s=0 filled by the Taylor limit.
-
-    A caller that evaluates Gamma at every time step passes
-    ``series=_gamma_series(target, lbar)``, built once; without it the
-    series is built on each call that needs it."""
+    singularity at s=0 filled by the Taylor limit."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
@@ -364,8 +360,7 @@ def gamma_decompose(target: TargetProfile, lbar: float, s, *, series=None):
         sb = s[big]
         out[big] = (lbar * target.gg_prime(sb) - lbar * sb) / (sb * sb * sb)
     if small.any():
-        if series is None:
-            series = _gamma_series(target, lbar)
+        series = _gamma_series(target, lbar)
         # np.polyval's Horner recurrence, run in place
         x = s[small]
         y = np.full_like(x, series[0])

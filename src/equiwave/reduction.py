@@ -142,18 +142,6 @@ def transform_field(direction: str, field, profile: MetricProfile, n: int, k: in
     raise DomainError(f"unknown direction {direction!r}")
 
 
-def gamma_weights(profile: MetricProfile, n: int, k: int, r):
-    """The two radial weights of the cubic term in the reduced equation:
-    the prefactor r^(m-1)/h^(n+1) and the argument weight
-    r^((m-1)/2)/h^((n-1)/2) (which coincides with w)."""
-    r = np.asarray(r, dtype=float)
-    m = n + 2 * k
-    h = profile(r)
-    w = weight_w(profile, n, k, r)
-    prefactor = r ** (m - 1) / h ** (n + 1)
-    return prefactor, w
-
-
 @dataclass
 class ReducedProblem:
     """Data of the reduced radial equation on R^m."""

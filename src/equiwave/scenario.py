@@ -113,8 +113,9 @@ class Scenario:
             raise ScenarioError(f"bad manifold spec: {exc}") from exc
         if not normalized:
             raise ScenarioError("manifold profile must satisfy h(0) = 0 and h'(0) = 1")
-        # the solver needs the Taylor series of Gamma at s = 0 (lbar > 0
-        # since k >= 1); it exists only when g g' = s + O(s^3)
+        # the reduction needs g g' = s + O(s^3), so that the cubic remainder
+        # Gamma has a Taylor series at s = 0 (lbar > 0 since k >= 1); the
+        # solver evaluates g g' itself and builds no series
         try:
             _gamma_series(self.target_profile(), self.k * (self.k + self.n - 2))
         except (ValueError, DomainError, ZeroDivisionError, OverflowError) as exc:

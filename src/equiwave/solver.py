@@ -8,13 +8,16 @@ velocity-Verlet (leapfrog) scheme:
   psi-form on flat R^m (phi = w psi):
       psi_tt = Delta_m psi - V psi - (r^(m-1)/h^(n+1)) psi^3 Gamma(w psi).
 
-The phi form integrates the force as written; only the psi form builds
-the Taylor series of the cubic remainder Gamma, the reduced nonlinearity.
+Neither form evaluates Gamma, the cubic remainder of the reduced
+nonlinearity: with c = lbar/h^2 and s = w psi, the exact identity
+(r^(m-1)/h^(n+1)) psi^3 Gamma(s) = (c/w) (g(s) g'(s) - s) gives the psi
+force from the same g g' as the phi force c g(phi) g'(phi).
 The linear force of either form is -H u for a spectral
 DiscreteRadialOperator H, -Delta_h + D in the phi form and -Delta_m + V
 in the psi form, so the linear flat case reproduces the spectral
 propagator to second order.  The scheme is time-symmetric; reversal and
-energy drift double as correctness tests.
+energy drift double as correctness tests.  consistency_check runs the
+two forms at once, the psi form in a forked child process.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUp, CFLViolation, DomainError
-from .profiles import _gamma_series, gamma_decompose
-from .reduction import compute_V, gamma_weights, indices, weight_w
+from .reduction import compute_V, indices, weight_w
 from .scenario import Scenario
 from .spectral import DiscreteRadialOperator, _band_product, _lp_partials, _lq_norms, frac_norm
 
@@ -103,8 +105,8 @@ class _Discretization:
         self.h_nodes = self.profile(r)
         self.w_nodes = weight_w(self.profile, n, k, r)
         V = compute_V(self.profile, n, k, r)
+        self.c = self.lbar / self.h_nodes**2  # weight of g g' in the phi force
         if formulation == "phi":
-            self.c = self.lbar / self.h_nodes**2  # weight of g g' in the force
             # lbar*phi/h^2 in c*g(phi)g'(phi) is singular at r = 0 and must
             # cancel the FV Laplacian discretely: below r = 1, c + D comes
             # from the regular mode w by the exact identity (Delta_h -
@@ -117,9 +119,7 @@ class _Discretization:
         elif formulation == "psi":
             self.V = V
             self.op = DiscreteRadialOperator.flat(self.grid, self.m, V)
-            self.pref, _ = gamma_weights(self.profile, n, k, r)
-            # Taylor coefficients of Gamma at 0, for the cubic remainder
-            self.gamma_series = _gamma_series(self.target, self.lbar)
+            self.q = self.c / self.w_nodes  # weight of g g'(s) - s in the psi force
         else:
             raise DomainError(f"unknown formulation {formulation!r}")
 
@@ -132,10 +132,8 @@ class _Discretization:
         if self.formulation == "phi":
             force -= self.c * self.target.gg_prime(u)
         else:
-            gam = gamma_decompose(self.target, self.lbar, self.w_nodes * u,
-                                  series=self.gamma_series)
-            # u * u * u, not u**3: numpy sends any power but 2 through libm pow
-            force -= self.pref * (u * u * u) * gam
+            s = self.w_nodes * u
+            force -= self.q * (self.target.gg_prime(s) - s)
         return force
 
     def energy(self, u: np.ndarray, u_t: np.ndarray) -> float:
@@ -212,12 +210,9 @@ def integrate(
     ball = grid.R_max / 3.0
 
     # the local energy is that of the phi form without D: the weights of
-    # the manifold operator and c = lbar/h^2, which a psi run builds on its own
-    if formulation == "phi":
-        local_op, c = disc.op, disc.c
-    else:
-        local_op = DiscreteRadialOperator.manifold(grid, disc.profile, disc.n)
-        c = disc.lbar / disc.h_nodes**2
+    # the manifold operator, which a psi run builds on its own, and c
+    local_op = (disc.op if formulation == "phi"
+                else DiscreteRadialOperator.manifold(grid, disc.profile, disc.n))
     states = []
     work = np.empty_like(u)
 
@@ -254,7 +249,7 @@ def integrate(
         phi, phi_t = disc.to_phi(st.field), disc.to_phi(st.velocity)
         energies.append(disc.energy(st.field, st.velocity))
         sups.append(float(np.max(np.abs(phi))))
-        locals_.append(local_op.energy(phi, phi_t, c * disc.target(phi) ** 2, ball))
+        locals_.append(local_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2, ball))
     halves = [math.nan] * len(states)
     if spectral_diagnostics:
         halves = [x for psi in _reduced_blocks(states, disc.w_nodes)
@@ -280,11 +275,43 @@ def integrate(
     )
 
 
+def _integrate_psi(conn, scenario: Scenario) -> None:
+    """The psi half of consistency_check, in the child process: send the
+    trajectory, or the exception that stopped it, and exit."""
+    try:
+        result = integrate(scenario, "psi", spectral_diagnostics=False)
+    except Exception as exc:  # raised again by the parent
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def consistency_check(scenario: Scenario) -> dict:
     """Integrate both formulations on the same data and report the max
-    over snapshots of || w psi - phi ||_inf."""
-    traj_phi = integrate(scenario, "phi", spectral_diagnostics=False)
-    traj_psi = integrate(scenario, "psi", spectral_diagnostics=False)
+    over snapshots of || w psi - phi ||_inf.
+
+    The psi run goes to a forked child process while this one runs phi,
+    so the two halves take two cores.  An error of the phi run is raised
+    first, then one of the psi run, with its type and fields; the child
+    never outlives the call."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_integrate_psi, args=(send, scenario))
+    child.start()
+    send.close()
+    try:
+        traj_phi = integrate(scenario, "phi", spectral_diagnostics=False)
+        traj_psi = recv.recv()
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        recv.close()
+    if isinstance(traj_psi, Exception):
+        raise traj_psi
     w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
     per = []
     for sp, sq in zip(traj_phi.states, traj_psi.states):

@@ -5,7 +5,7 @@ acts on the symmetrized variable vtilde = r^((m-1)/2) v, where it becomes
 a symmetric tridiagonal matrix: a finite-volume divergence-form stencil
 for (r^(m-1) v')' / r^(m-1), conjugated by r^((m-1)/2).  The flux through
 the r=0 face vanishes identically (regularity) and the outer boundary is
-a zero Dirichlet value at R_max.
+a zero Dirichlet value at the ghost node R_max + dr/2.
 
 Functions of the operator are applied without an eigenbasis, in O(N)
 memory per vector.  One shifted solve, (z - H) y = x by a complex
@@ -535,8 +535,9 @@ def resolve(
       u'' + (m-1)/r u' + kappa^2 u - W u = f        (flat R^m form), or
       u'' + (n-1) h'/h u' + kappa^2 u = f           (manifold form),
 
-    with regularity at 0 and zero value at R_max, for f of shape (N,) or a
-    column stack (N, k).  Valid when the decay rate
+    with regularity at 0 and zero value at the ghost node R_max + dr/2 (as
+    the operator puts it), for f of shape (N,) or a column stack (N, k).
+    Valid when the decay rate
     Im sqrt(kappa^2 - h_infinity) times R_max is at least 5.
     """
     kappa = complex(kappa)

@@ -2,9 +2,12 @@
 
 import ast
 import dataclasses
+import inspect
+import pickle
 from pathlib import Path
 
 import equiwave
+import equiwave.errors
 import equiwave.spectral
 from equiwave.spectral import DiscreteRadialOperator
 
@@ -13,6 +16,20 @@ def test_every_export_resolves_once():
     missing = [name for name in equiwave.__all__ if not hasattr(equiwave, name)]
     assert missing == []
     assert len(set(equiwave.__all__)) == len(equiwave.__all__)
+
+
+def test_every_error_survives_pickling():
+    # an error of the psi half of consistency_check crosses a pipe to the caller
+    errors = [cls for _, cls in inspect.getmembers(equiwave.errors, inspect.isclass)
+              if issubclass(cls, equiwave.errors.EquiwaveError)]
+    assert equiwave.errors.BlowUp in errors
+    for cls in errors:
+        exc = cls(0.5, 3.0) if cls is equiwave.errors.BlowUp else cls("a message")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is cls
+        assert (str(copy), copy.args, vars(copy)) == (str(exc), exc.args, vars(exc))
+    blowup = pickle.loads(pickle.dumps(equiwave.errors.BlowUp(0.5, 3.0, "custom")))
+    assert (blowup.t, blowup.r, str(blowup)) == (0.5, 3.0, "custom")
 
 
 def test_no_dense_eigen_calculus_in_the_package():

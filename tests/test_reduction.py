@@ -12,7 +12,6 @@ from equiwave.errors import DomainError
 from equiwave.profiles import SERIES_RADIUS, metric_profile
 from equiwave.reduction import (
     compute_V,
-    gamma_weights,
     indices,
     reduce_problem,
     transform_field,
@@ -136,15 +135,6 @@ def test_transform_round_trip():
     assert np.allclose(back, phi, rtol=1e-14)
     with pytest.raises(DomainError):
         transform_field("sideways", phi, hyp, 3, 1, rs)
-
-
-def test_gamma_weights_flat():
-    flat = metric_profile("flat")
-    rs = np.array([0.5, 1.0, 2.0])
-    pref, arg = gamma_weights(flat, 3, 1, rs)
-    # m=5: r^4 / r^4 = 1 and w = r
-    assert np.allclose(pref, 1.0)
-    assert np.allclose(arg, rs)
 
 
 def test_reduce_problem_summary():

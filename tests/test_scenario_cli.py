@@ -336,10 +336,10 @@ def _python(code: str, *args: str, env_vars=None) -> str:
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # each of these would add to every start-up; scipy.linalg, the largest,
-    # is imported on the first solve
+    # is imported on the first solve, multiprocessing by consistency_check
     code = ("import sys, equiwave.cli\n"
             "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'scipy.fft',"
-            " 'scipy.sparse') if m in sys.modules))\n")
+            " 'scipy.sparse', 'multiprocessing') if m in sys.modules))\n")
     assert _python(code) == "[]"
 
 

@@ -2,6 +2,8 @@
 formulation consistency, and blow-up detection."""
 
 import math
+import multiprocessing
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ import equiwave.solver
 from _baselines import REGRESSION_WINDOW, SOLVER_TRACE
 from _dense import coefficients, evolve_linear, from_coefficients, powered
 from equiwave.errors import BlowUp, CFLViolation, DomainError
-from equiwave.profiles import _gamma_series, gamma_decompose
+from equiwave.profiles import gamma_decompose
 from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.scenario import Scenario
 from equiwave.solver import (
@@ -126,6 +128,48 @@ def test_consistency_zero_data_exact():
     assert rep["mismatch"] == 0.0
 
 
+def test_consistency_check_equals_two_direct_runs():
+    s = make_scenario(manifold="hyperbolic", N=400, T=4.0)
+    phi = integrate(s, "phi", spectral_diagnostics=False)
+    psi = integrate(s, "psi", spectral_diagnostics=False)
+    w = weight_w(s.profile(), s.n, s.k, s.radial_grid.nodes)
+    per = [float(np.max(np.abs(a.field - w * b.field)))
+           for a, b in zip(phi.states, psi.states)]
+    want = {"mismatch": max(per), "per_snapshot": per, "times": phi.times.tolist(),
+            "N": 400}
+    assert consistency_check(s) == want
+    assert multiprocessing.active_children() == []
+
+
+FAILURES = {"blowup": BlowUp(1.5, 2.25), "domain": DomainError("left the domain")}
+
+
+@pytest.mark.parametrize("failing", [("phi",), ("psi",), ("phi", "psi")],
+                         ids=["phi", "psi", "both"])
+@pytest.mark.parametrize("kind", sorted(FAILURES))
+def test_consistency_check_raises_either_half(monkeypatch, kind, failing):
+    # the forked psi half inherits the patch; the phi half's error comes first
+    real = equiwave.solver.integrate
+
+    def integrate_or_fail(scenario, formulation, **kwargs):
+        if formulation in failing:
+            raise FAILURES[kind]
+        if formulation == "psi":  # a psi half that outlasts the phi error
+            time.sleep(60.0)
+        return real(scenario, formulation, **kwargs)
+
+    monkeypatch.setattr(equiwave.solver, "integrate", integrate_or_fail)
+    t0 = time.monotonic()
+    with pytest.raises(type(FAILURES[kind])) as exc:
+        consistency_check(make_scenario(N=300, T=3.0))
+    assert time.monotonic() - t0 < 30.0  # the sleeping child was terminated
+    # an error of the psi half crossed the pipe: an equal copy, not the object
+    assert (exc.value is FAILURES[kind]) == (failing[0] == "phi")
+    assert str(exc.value) == str(FAILURES[kind])
+    assert vars(exc.value) == vars(FAILURES[kind])
+    assert multiprocessing.active_children() == []
+
+
 def test_blowup_detection():
     # ceiling forced to a tiny value trips the detector immediately
     s = make_scenario(N=300, T=5.0)
@@ -150,23 +194,25 @@ def test_blowup_on_nonfinite_field_with_infinite_ceiling(form, bad):
     assert exc.value.r == disc.grid.nodes[17]
 
 
-def test_gamma_series_built_once_per_integrate(monkeypatch):
-    builds = []
-    real = equiwave.profiles._gamma_series
+def test_no_form_builds_a_gamma_series_during_integrate(monkeypatch):
+    # both forces evaluate g g' as written: neither builds the Taylor series
+    # of Gamma nor evaluates Gamma itself
+    calls = []
 
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(equiwave.profiles, "_gamma_series", counted)
-    monkeypatch.setattr(equiwave.solver, "_gamma_series", counted)
+    for name in ("_gamma_series", "gamma_decompose"):
+        monkeypatch.setattr(equiwave.profiles, name,
+                            counted(getattr(equiwave.profiles, name)))
     s = make_scenario(N=300, T=3.0)
-    # the phi form integrates g g' as written; only the psi form needs Gamma
-    for form, want in (("phi", 0), ("psi", 1)):
-        builds.clear()
+    for form in ("phi", "psi"):
         tr = integrate(s, form, spectral_diagnostics=False)
         assert tr.meta["n_steps"] > 100
-        assert len(builds) == want
+    assert calls == []
 
 
 def _gamma_split_phi_force(disc, u):
@@ -179,8 +225,7 @@ def _gamma_split_phi_force(disc, u):
     bare = DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n)
     balanced = -bare.apply(disc.w_nodes) / disc.w_nodes + V
     lin_diag = np.where(r < 1.0, balanced, disc.lbar / disc.h_nodes**2)
-    series = _gamma_series(disc.target, disc.lbar)
-    gam = gamma_decompose(disc.target, disc.lbar, u, series=series)
+    gam = gamma_decompose(disc.target, disc.lbar, u)
     cubic = gam * u * (u / disc.h_nodes) ** 2
     return -bare.apply(u) - lin_diag * u - cubic, lin_diag * u
 
@@ -197,6 +242,27 @@ def test_phi_force_matches_gamma_split(manifold, target):
         want, linear = _gamma_split_phi_force(disc, u)
         err = np.max(np.abs(disc.acceleration(u) - want))
         assert err <= 1e-14 * np.max(np.abs(linear))
+
+
+@pytest.mark.parametrize("manifold", ["flat", "hyperbolic", "sinh-perturbed"])
+@pytest.mark.parametrize("target", ["sphere", "hyperbolic",
+                                    {"kind": "custom", "expr": ["sin", "r"]}, "flat"],
+                         ids=["sphere", "hyperbolic", "custom-sin", "flat"])
+def test_psi_force_matches_gamma_split(manifold, target):
+    # the psi force as first written: -H u minus the cubic remainder
+    # (r^(m-1)/h^(n+1)) u^3 Gamma(w u), Gamma with its Taylor series near 0
+    for amp in (1e-4, 0.05, 0.5):
+        data = {"shape": "gaussian", "amplitude": amp, "width": 1.0, "center": 0.0}
+        disc = _Discretization(make_scenario(manifold, target, N=500, data=data), "psi")
+        u = disc.initial_state().field
+        r = disc.grid.nodes
+        linear = disc.op.apply(u)
+        gam = gamma_decompose(disc.target, disc.lbar, disc.w_nodes * u)
+        want = -linear - r ** (disc.m - 1) / disc.h_nodes ** (disc.n + 1) * u**3 * gam
+        err = np.max(np.abs(disc.acceleration(u) - want))
+        assert err <= 1e-13 * np.max(np.abs(linear))
+        if target == "flat":  # g g'(s) - s and Gamma are exactly 0
+            assert err == 0.0
 
 
 def test_trajectory_energy_drift_and_cfl_ratio():
