@@ -4,6 +4,16 @@ file and write deterministic JSON/CSV artifacts.
 Commands: verify, reduce, estimates, evolve, all, closed-forms.
 Exit codes: 0 all PASS, 1 a verdict FAILed, 2 configuration error,
 3 numerical error.
+
+`evolve` and `all` run the evolve stage on two processes.  A child is
+forked (solver.forked) before any other stage runs, so it carries
+none of their operators or spectra.  It integrates the
+phi form and sends the trajectory as soon as stepping ends, then the
+H^(1/2) norms of its snapshots (solver.staged_phi_run).  Meanwhile this
+process runs verify, reduce and estimates, then the Strichartz trace of
+the received trajectory, and it alone writes the artifacts.  An error
+of a stage of this process is raised first; one of the child after
+them.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +38,7 @@ from .estimates import (
 )
 from .profiles import metric_profile
 from .scenario import Scenario, load_scenario
-from .solver import integrate, strichartz_trace
+from .solver import forked, staged_phi_run, strichartz_trace
 from .spectral import EIG_TOL
 
 
@@ -120,9 +131,13 @@ def run_estimates(scenario: Scenario, out: Path) -> dict:
     return results
 
 
-def run_evolve(scenario: Scenario, out: Path) -> dict:
-    trajectory = integrate(scenario, "phi")
+def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
+    """The evolve stage from `evolve`, the values of a forked
+    staged_phi_run: the trajectory, then its H^(1/2) norms, which the
+    child computes while this process takes the Strichartz trace."""
+    trajectory = next(evolve)
     total, partials = strichartz_trace(trajectory, scenario, return_partials=True)
+    trajectory.h_half_norms = next(evolve)
     _write_csv(
         out / "trajectory.csv",
         ["t", "energy", "sup", "h_half_norm", "strichartz_partial"],
@@ -304,14 +319,20 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario)
             if args.seed is not None:
                 scenario.seed = args.seed
+            names = list(PIPELINES) if args.command == "all" else [args.command]
+            stages = {}
+            # evolve starts first, in a child, and is collected last
+            with (forked(staged_phi_run, scenario) if "evolve" in names
+                  else nullcontext()) as evolve:
+                for name in names:
+                    extra = (evolve,) if name == "evolve" else ()
+                    stages[name] = PIPELINES[name](scenario, out, *extra)
             if args.command == "all":
-                report = {"scenario": scenario.to_json()}
-                for name, fn in PIPELINES.items():
-                    report[name] = fn(scenario, out)
+                report = {"scenario": scenario.to_json(), **stages}
                 verdicts = [report[name].get("verdict") for name in PIPELINES]
                 report["verdict"] = "PASS" if all(v == "PASS" for v in verdicts) else "FAIL"
             else:
-                report = PIPELINES[args.command](scenario, out)
+                report = stages[args.command]
                 report["scenario"] = scenario.to_json()
     except (ScenarioError, CFLViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -16,13 +16,20 @@ The linear force of either form is -H u for a spectral
 DiscreteRadialOperator H, -Delta_h + D in the phi form and -Delta_m + V
 in the psi form, so the linear flat case reproduces the spectral
 propagator to second order.  The scheme is time-symmetric; reversal and
-energy drift double as correctness tests.  consistency_check runs the
-two forms at once, the psi form in a forked child process.
+energy drift double as correctness tests.
+
+`forked` is the one way the package uses a second core: it runs a
+generator in one forked child process and hands its values to the caller
+through a one-way pipe.  consistency_check runs the psi form in the
+child while the caller runs the phi form; `staged_phi_run` is the child
+of the CLI's evolve stage, which sends the phi trajectory as soon as
+stepping ends and then its H^(1/2) snapshot norms.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -34,8 +41,8 @@ from .scenario import Scenario
 from .spectral import DiscreteRadialOperator, _band_product, _lp_partials, _lq_norms, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
-# snapshots per stack of _reduced_blocks, which feeds the H^(1/2) norms of
-# integrate and strichartz_trace.  Every column is solved and summed on its
+# snapshots per stack of _reduced_blocks, which feeds h_half_norms and
+# strichartz_trace.  Every column is solved and summed on its
 # own, so the width moves no bit; the transient of frac_norm is about 64 N
 # bytes per column (4.2 MB for 16 columns at N = 4000).  16 is the knee: at
 # N = 4000 a column costs about 6.5 ms in stacks of 16 or 32, no less at 101
@@ -173,11 +180,19 @@ def energy(state: WaveState, scenario: Scenario) -> float:
     return disc.energy(state.field, state.velocity)
 
 
-def _reduced_blocks(states: list, w: np.ndarray):
+def _reduced_blocks(states: list, scenario: Scenario):
     """The reduced fields w^(-1) phi of the states, (N, <= SNAPSHOT_BLOCK) at a time."""
+    w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
     for j in range(0, len(states), SNAPSHOT_BLOCK):
         yield np.stack([st.field if st.formulation == "psi" else st.field / w
                         for st in states[j : j + SNAPSHOT_BLOCK]], axis=1)
+
+
+def h_half_norms(states: list, scenario: Scenario) -> np.ndarray:
+    """The H^(1/2) norm of the reduced field w^(-1) phi of each state,
+    under the free operator of R^m."""
+    return np.concatenate([frac_norm(scenario.free_operator, 0.5, psi)
+                           for psi in _reduced_blocks(states, scenario)])
 
 
 def integrate(
@@ -223,7 +238,9 @@ def integrate(
         a = np.abs(phi, out=work)
         top = a.max()
         if disc.target.domain_bound <= top < math.inf:
-            raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}")
+            r = grid.nodes[np.argmax(a)]
+            raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}, "
+                              f"r={r:.6g}")
         if not top < math.inf or top > ceiling:
             bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
             raise BlowUp(t, grid.nodes[bad])
@@ -250,16 +267,14 @@ def integrate(
         energies.append(disc.energy(st.field, st.velocity))
         sups.append(float(np.max(np.abs(phi))))
         locals_.append(local_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2, ball))
-    halves = [math.nan] * len(states)
-    if spectral_diagnostics:
-        halves = [x for psi in _reduced_blocks(states, disc.w_nodes)
-                  for x in frac_norm(scenario.free_operator, 0.5, psi).tolist()]
+    halves = (h_half_norms(states, scenario) if spectral_diagnostics
+              else np.full(len(states), math.nan))
 
     return Trajectory(
         times=np.array([st.t for st in states]),
         energies=np.array(energies),
         sup_norms=np.array(sups),
-        h_half_norms=np.array(halves),
+        h_half_norms=halves,
         local_energies=np.array(locals_),
         states=states,
         formulation=formulation,
@@ -275,15 +290,53 @@ def integrate(
     )
 
 
-def _integrate_psi(conn, scenario: Scenario) -> None:
-    """The psi half of consistency_check, in the child process: send the
-    trajectory, or the exception that stopped it, and exit."""
+def _send_all(conn, generator, args) -> None:
+    """The body of the child of `forked`: send each value of
+    generator(*args), or the exception that stopped it, and close."""
     try:
-        result = integrate(scenario, "psi", spectral_diagnostics=False)
+        for value in generator(*args):
+            conn.send(value)
     except Exception as exc:  # raised again by the parent
-        result = exc
-    conn.send(result)
-    conn.close()
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+@contextmanager
+def forked(generator, *args):
+    """Run generator(*args) in one forked child process; the block gets
+    an iterator over its values, in order, through a one-way pipe.
+
+    An exception of the child arrives as its next value and is raised
+    there; reading past the last value, or from a child that died,
+    raises EOFError.  When the block ends, by an exception or not, the
+    child is terminated (a no-op once it has sent everything), joined,
+    and the pipe closed, so the child never outlives the block."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_all, args=(send, generator, args))
+    child.start()
+    send.close()
+
+    def values():
+        while True:
+            value = recv.recv()
+            if isinstance(value, Exception):
+                raise value
+            yield value
+
+    try:
+        yield values()
+    finally:
+        child.terminate()
+        child.join()
+        recv.close()
+
+
+def _psi_run(scenario: Scenario):
+    yield integrate(scenario, "psi", spectral_diagnostics=False)
 
 
 def consistency_check(scenario: Scenario) -> dict:
@@ -294,24 +347,9 @@ def consistency_check(scenario: Scenario) -> dict:
     so the two halves take two cores.  An error of the phi run is raised
     first, then one of the psi run, with its type and fields; the child
     never outlives the call."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_integrate_psi, args=(send, scenario))
-    child.start()
-    send.close()
-    try:
+    with forked(_psi_run, scenario) as psi:
         traj_phi = integrate(scenario, "phi", spectral_diagnostics=False)
-        traj_psi = recv.recv()
-    except BaseException:
-        child.terminate()
-        raise
-    finally:
-        child.join()
-        recv.close()
-    if isinstance(traj_psi, Exception):
-        raise traj_psi
+        traj_psi = next(psi)
     w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
     per = []
     for sp, sq in zip(traj_phi.states, traj_psi.states):
@@ -322,6 +360,16 @@ def consistency_check(scenario: Scenario) -> dict:
         "times": traj_phi.times.tolist(),
         "N": int(scenario.grid["N"]),
     }
+
+
+def staged_phi_run(scenario: Scenario):
+    """The phi run of the scenario in two values: the trajectory as soon
+    as stepping ends, its h_half_norms still NaN, and then those norms.
+    Run in a child of `forked`, so the caller works on the trajectory
+    while the child computes the norms."""
+    trajectory = integrate(scenario, "phi", spectral_diagnostics=False)
+    yield trajectory
+    yield h_half_norms(trajectory.states, scenario)
 
 
 def strichartz_trace(
@@ -337,9 +385,8 @@ def strichartz_trace(
     idx = indices(sc.n, sc.k)
     p, q = float(idx["p"]), float(idx["q"])
     op = sc.free_operator
-    w = weight_w(sc.profile(), sc.n, sc.k, op.grid.nodes)
     lq = np.concatenate([_lq_norms(op, (sc.n - 1) / 4, psi, "inhomogeneous", q)
-                         for psi in _reduced_blocks(trajectory.states, w)])
+                         for psi in _reduced_blocks(trajectory.states, sc)])
     partials = _lp_partials(lq, trajectory.times, p)
     total = float(partials[-1])
     if return_partials:

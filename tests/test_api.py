@@ -88,3 +88,26 @@ def test_only_spectral_reads_the_operator_weights():
                 names = [a.name for a in node.names if a.name in weights]
             reads += [f"{path.name}:{node.lineno} {name}" for name in names]
     assert reads == []
+
+
+def test_only_the_fork_helper_uses_multiprocessing():
+    # one fork mechanism: solver.forked imports multiprocessing in its
+    # body, so importing the package loads none of it
+    uses = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function; ast.walk goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(node): fn.name for node in ast.walk(fn)})
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            if any(name.split(".")[0] == "multiprocessing" for name in names):
+                uses.add(f"{path.name}:{owner.get(id(node))}")
+    assert uses == {"solver.py:forked"}

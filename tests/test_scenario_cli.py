@@ -1,11 +1,15 @@
 """Scenario validation and the command line contract: artifacts, exit
 codes, and determinism."""
 
+import csv
+import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,9 +21,11 @@ import equiwave.admissibility
 import equiwave.cli
 import equiwave.reduction
 import equiwave.scenario
+import equiwave.solver
 from equiwave.cli import emit_closed_forms, main
-from equiwave.errors import CFLViolation, ClosedFormMismatch, ScenarioError
+from equiwave.errors import BlowUp, CFLViolation, ClosedFormMismatch, ScenarioError
 from equiwave.scenario import Scenario, load_scenario
+from equiwave.solver import integrate, strichartz_trace
 
 GOOD = {
     "name": "good",
@@ -240,6 +246,19 @@ def test_cli_numerical_error_exit_3(tmp_path):
     assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_cli_domain_exit_names_its_radius(tmp_path, capsys):
+    # the data 8 r e^(-r^2) peak at r = 1/sqrt(2), above pi, the bound of
+    # the sphere target; 0.725 is the grid node nearest the peak
+    payload = {"manifold": {"kind": "flat"}, "target": {"kind": "sphere"},
+               "n": 3, "k": 1, "grid": {"R_max": 10.0, "N": 200},
+               "time": {"T": 2.0, "dt_factor": 0.1, "snap_every": 0.5},
+               "data": {"shape": "gaussian", "amplitude": 8.0}}
+    path = write_scenario(tmp_path, payload)
+    assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == ("numerical error (DomainError): field 3.42888 "
+                                       "left the target domain at t=0, r=0.725\n")
+
+
 def test_cli_reduce_and_estimates_past_the_overflow_of_h_squared(tmp_path):
     # sinh(r)^2 overflows past r ~ 355; the potential must stay finite there
     payload = {**ALL_CHECKS, "grid": {"R_max": 400.0, "N": 400}}
@@ -274,11 +293,15 @@ def test_cli_all_artifacts_and_determinism(tmp_path):
     assert header == "t,energy,sup,h_half_norm,strichartz_partial"
 
 
-def _counting(monkeypatch, module, name, calls):
+def _counting(monkeypatch, module, name, log):
+    """Patch module.name to append a line per call to the file log: from
+    this process and from the evolve child, which inherits the patch."""
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append((name, kwargs))
+        with open(log, "a") as fh:
+            fh.write(json.dumps([name, kwargs.get("eigvals_only", False),
+                                 kwargs.get("select", "a")]) + "\n")
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -288,34 +311,137 @@ def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
     # the reduced and the free operator are shared by every pipeline; no
     # pipeline computes an eigenvector, and `reduce` takes the one full
     # spectrum (the other solves find the lowest eigenvalue by bisection)
-    eig, h_inf = [], []
+    eig, h_inf = tmp_path / "eig.log", tmp_path / "h_inf.log"
     for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
         _counting(monkeypatch, scipy.linalg, name, eig)
     for module in (equiwave.admissibility, equiwave.reduction, equiwave.cli):
         _counting(monkeypatch, module, "estimate_h_infinity", h_inf)
     path = write_scenario(tmp_path, ALL_CHECKS)
     assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
-    vectors = [kw for name, kw in eig
-               if name == "eigh_tridiagonal" and not kw.get("eigvals_only")]
-    full_spectra = [kw for _, kw in eig if kw.get("select", "a") == "a"]
+    eig_calls = [json.loads(line) for line in eig.read_text().splitlines()]
+    vectors = [call for call in eig_calls
+               if call[0] == "eigh_tridiagonal" and not call[1]]
+    full_spectra = [call for call in eig_calls if call[2] == "a"]
     assert vectors == []
     assert len(full_spectra) == 1
-    assert len(h_inf) <= 2
+    assert len(h_inf.read_text().splitlines()) <= 2
 
 
-def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path):
-    # no pipeline holds an N x N array: at N = 2000 one is 8 N^2 = 32 MB
+def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path, monkeypatch):
+    # no pipeline holds an N x N array: at N = 2000 one is 8 N^2 = 32 MB.
+    # The evolve child inherits the tracing and logs its own peak when its
+    # last value, the H^(1/2) norms, is computed
     N = 2000
     payload = {**ALL_CHECKS, "grid": {"R_max": 25.0, "N": N},
                "time": {"T": 4.0, "dt_factor": 0.1, "snap_every": 0.5}}
     path = write_scenario(tmp_path, payload)
+    child_peak = tmp_path / "child_peak"
+    h_half_norms = equiwave.solver.h_half_norms
+
+    def logging_peak(*args):
+        norms = h_half_norms(*args)
+        child_peak.write_text(str(tracemalloc.get_traced_memory()[1]))
+        return norms
+
+    monkeypatch.setattr(equiwave.solver, "h_half_norms", logging_peak)
     tracemalloc.start()
     try:
         assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * N * N
+    assert max(peak, int(child_peak.read_text())) < 8 * N * N
+
+
+# -- the evolve stage on two processes ------------------------------------------------
+
+# 33 snapshots: the child's H^(1/2) norms span three blocks
+EVOLVE = {**GOOD, "grid": {"R_max": 25.0, "N": 300},
+          "time": {"T": 8.0, "dt_factor": 0.1, "snap_every": 0.25}}
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    wr.writerows(rows)
+    return buf.getvalue()
+
+
+def test_cli_evolve_matches_an_in_process_run(tmp_path):
+    path = write_scenario(tmp_path, EVOLVE)
+    out = tmp_path / "o"
+    assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    scenario = load_scenario(path)
+    tr = integrate(scenario, "phi")
+    total, partials = strichartz_trace(tr, scenario, return_partials=True)
+    header = ["t", "energy", "sup", "h_half_norm", "strichartz_partial"]
+    want = _csv_text(header, tr.csv_rows(partials.tolist()))
+    assert (out / "trajectory.csv").read_bytes().decode() == want
+    report = json.loads((out / "report.json").read_text())
+    assert report["snapshots"] == len(tr.times) == 33
+    assert report["strichartz_trace"] == total
+    assert report["energy_drift"] == float(tr.energy_drift.max())
+    assert report["local_energy_final"] == float(tr.local_energies[-1])
+    assert report["verdict"] == "PASS"
+
+
+def test_cli_evolve_blowup_in_the_child_exits_3(tmp_path, monkeypatch, capsys):
+    # a ceiling below the initial sup: the forked run raises BlowUp at t = 0
+    monkeypatch.setattr(equiwave.solver, "BLOWUP_FACTOR", 0.5)
+    path = write_scenario(tmp_path, EVOLVE)
+    with pytest.raises(BlowUp) as exc:
+        integrate(load_scenario(path), "phi", spectral_diagnostics=False)
+    for cmd in ("evolve", "all"):
+        out = tmp_path / cmd
+        assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical error (BlowUp): {exc.value}\n"
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.json").exists()
+        assert multiprocessing.active_children() == []
+
+
+def _failing_estimates(exc):
+    def run_estimates(scenario, out):
+        raise exc
+    return run_estimates
+
+
+def test_cli_all_raises_a_parent_stage_error_first(tmp_path, monkeypatch, capsys):
+    # evolve fails at once, but the error of estimates, which the parent
+    # runs first, sets the exit code
+    monkeypatch.setattr(equiwave.solver, "BLOWUP_FACTOR", 0.5)
+    monkeypatch.setitem(equiwave.cli.PIPELINES, "estimates",
+                        _failing_estimates(ScenarioError("no estimates")))
+    path = write_scenario(tmp_path, EVOLVE)
+    out = tmp_path / "o"
+    assert main(["all", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: no estimates\n"
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("exc", [ScenarioError("no estimates"), KeyboardInterrupt()],
+                         ids=["config-error", "interrupt"])
+def test_cli_all_terminates_the_evolve_child_on_a_parent_error(tmp_path, monkeypatch,
+                                                               exc):
+    def slow_integrate(*args, **kwargs):
+        time.sleep(60.0)
+
+    monkeypatch.setattr(equiwave.solver, "integrate", slow_integrate)
+    monkeypatch.setitem(equiwave.cli.PIPELINES, "estimates", _failing_estimates(exc))
+    argv = ["all", "--scenario", str(write_scenario(tmp_path, EVOLVE)),
+            "--out", str(tmp_path / "o")]
+    t0 = time.monotonic()
+    if isinstance(exc, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
+    assert time.monotonic() - t0 < 30.0  # the sleeping child was terminated
+    assert multiprocessing.active_children() == []
 
 
 def _python(code: str, *args: str, env_vars=None) -> str:
@@ -336,7 +462,7 @@ def _python(code: str, *args: str, env_vars=None) -> str:
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # each of these would add to every start-up; scipy.linalg, the largest,
-    # is imported on the first solve, multiprocessing by consistency_check
+    # is imported on the first solve, multiprocessing by the fork helper
     code = ("import sys, equiwave.cli\n"
             "print(sorted(m for m in ('scipy.linalg', 'scipy.special', 'scipy.fft',"
             " 'scipy.sparse', 'multiprocessing') if m in sys.modules))\n")
