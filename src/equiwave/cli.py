@@ -7,13 +7,15 @@ Exit codes: 0 all PASS, 1 a verdict FAILed, 2 configuration error,
 
 `evolve` and `all` run the evolve stage on two processes.  A child is
 forked (solver.forked) before any other stage runs, so it carries
-none of their operators or spectra.  It integrates the
-phi form and sends the trajectory as soon as stepping ends, then the
-H^(1/2) norms of its snapshots (solver.staged_phi_run).  Meanwhile this
-process runs verify, reduce and estimates, then the Strichartz trace of
-the received trajectory, and it alone writes the artifacts.  An error
-of a stage of this process is raised first; one of the child after
-them.
+none of their operators or spectra.  It integrates the phi form with
+numpy alone, writes each snapshot's field into its column of an (N, S)
+array on a shared mapping made before the fork, and sends through the
+pipe only the end of each block of 16 columns, then the trajectory
+without states (solver._phi_fields).  Meanwhile this process runs
+verify, reduce and estimates; then it takes the H^(1/2) norms and the
+Strichartz trace of each block, as soon as the child has written it,
+and it alone writes the artifacts.  An error of a stage of this process
+is raised first; one of the child after them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .estimates import (
 )
 from .profiles import metric_profile
 from .scenario import Scenario, load_scenario
-from .solver import forked, staged_phi_run, strichartz_trace
+from .solver import _measure_phi_fields, _phi_fields, _shared_columns, forked
 from .spectral import EIG_TOL
 
 
@@ -132,12 +134,11 @@ def run_estimates(scenario: Scenario, out: Path) -> dict:
 
 
 def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
-    """The evolve stage from `evolve`, the values of a forked
-    staged_phi_run: the trajectory, then its H^(1/2) norms, which the
-    child computes while this process takes the Strichartz trace."""
-    trajectory = next(evolve)
-    total, partials = strichartz_trace(trajectory, scenario, return_partials=True)
-    trajectory.h_half_norms = next(evolve)
+    """The evolve stage from `evolve`, the shared snapshot fields and the
+    values of a forked solver._phi_fields: each block of fields is
+    measured here as soon as the child has written it."""
+    trajectory, partials = _measure_phi_fields(scenario, *evolve)
+    total = float(partials[-1])
     _write_csv(
         out / "trajectory.csv",
         ["t", "energy", "sup", "h_half_norm", "strichartz_partial"],
@@ -321,11 +322,14 @@ def main(argv=None) -> int:
                 scenario.seed = args.seed
             names = list(PIPELINES) if args.command == "all" else [args.command]
             stages = {}
-            # evolve starts first, in a child, and is collected last
-            with (forked(staged_phi_run, scenario) if "evolve" in names
-                  else nullcontext()) as evolve:
+            evolve = nullcontext()
+            if "evolve" in names:
+                # evolve starts first, in a child, and is collected last
+                fields = _shared_columns(scenario.radial_grid.N, scenario.snapshot_count)
+                evolve = forked(_phi_fields, scenario, fields)
+            with evolve as values:
                 for name in names:
-                    extra = (evolve,) if name == "evolve" else ()
+                    extra = ((fields, values),) if name == "evolve" else ()
                     stages[name] = PIPELINES[name](scenario, out, *extra)
             if args.command == "all":
                 report = {"scenario": scenario.to_json(), **stages}

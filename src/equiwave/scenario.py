@@ -38,10 +38,11 @@ DATA_NUMBERS = ("amplitude", "width", "center", "velocity_amplitude")
 # Every pipeline holds O(N) numbers per vector, so N is bounded for run
 # time, not memory: the solver's step count and the Chebyshev
 # propagator's length both grow like N, their work like N^2.  `all` on
-# the README scenario at N = 8192 takes about 20 s and 86 MB peak RSS (one
-# BLAS thread, 2-core VM).  The longest run in the tests and the benchmark
-# takes 33,334 steps.  A stored snapshot holds field and velocity, 16 N
-# bytes.
+# the README scenario at N = 8192 takes about 9 s, and its larger process
+# peaks at 77 MB RSS (one BLAS thread, 2-core VM).  The longest run in the
+# tests and the benchmark takes 33,334 steps.  A stored snapshot holds
+# field and velocity, 16 N bytes; the evolve stage of the CLI shares the
+# fields alone, 8 N bytes.
 MAX_GRID_POINTS = 8192
 MAX_STEPS = 1_000_000
 MAX_SNAPSHOT_BYTES = 2**30
@@ -163,8 +164,7 @@ class Scenario:
             raise ScenarioError(
                 f"step count T / (dt_factor * dr) exceeds the budget of {MAX_STEPS}"
             )
-        n_steps, _, stride = self.stepping
-        snapshots = 1 + n_steps // stride + (n_steps % stride > 0)
+        snapshots = self.snapshot_count
         if 16 * N * snapshots > MAX_SNAPSHOT_BYTES:
             raise ScenarioError(
                 f"{snapshots} snapshots of {N} points exceed the budget of "
@@ -183,6 +183,13 @@ class Scenario:
         snap = float(self.time["snap_every"])
         stride = max(1, int(round(min(snap / dt, n_steps)))) if n_steps else 1
         return n_steps, dt, stride
+
+    @property
+    def snapshot_count(self) -> int:
+        """Snapshots of a Verlet run to T: t = 0, every stride-th step,
+        and the last step when the stride does not divide the step count."""
+        n_steps, _, stride = self.stepping
+        return 1 + n_steps // stride + (n_steps % stride > 0)
 
     @property
     def support_radius(self) -> float:

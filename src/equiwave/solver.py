@@ -18,12 +18,22 @@ in the psi form, so the linear flat case reproduces the spectral
 propagator to second order.  The scheme is time-symmetric; reversal and
 energy drift double as correctness tests.
 
+One step loop, `_Run.snapshots`, serves every run: it records the
+energy, sup and local energy at each snapshot and yields, and the caller
+keeps what it needs of the state there; `integrate` keeps every state.
+
 `forked` is the one way the package uses a second core: it runs a
 generator in one forked child process and hands its values to the caller
 through a one-way pipe.  consistency_check runs the psi form in the
-child while the caller runs the phi form; `staged_phi_run` is the child
-of the CLI's evolve stage, which sends the phi trajectory as soon as
-stepping ends and then its H^(1/2) snapshot norms.
+child while the caller runs the phi form.  `_phi_fields` is the child of
+the CLI's evolve stage.  It writes the field of each snapshot into a
+column of an (N, S) array on a shared mapping made before the fork
+(`_shared_columns`), keeps no state, makes no spectral solve, and sends
+through the pipe only the end of each block of SNAPSHOT_BLOCK columns,
+then the trajectory without states.  The caller measures each block as
+soon as its end arrives (`_measure_phi_fields`), with the per-block code
+of h_half_norms and strichartz_trace, so every bit is that of an
+in-process run.
 """
 
 from __future__ import annotations
@@ -42,11 +52,12 @@ from .spectral import DiscreteRadialOperator, _band_product, _lp_partials, _lq_n
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 # snapshots per stack of _reduced_blocks, which feeds h_half_norms and
-# strichartz_trace.  Every column is solved and summed on its
-# own, so the width moves no bit; the transient of frac_norm is about 64 N
-# bytes per column (4.2 MB for 16 columns at N = 4000).  16 is the knee: at
-# N = 4000 a column costs about 6.5 ms in stacks of 16 or 32, no less at 101
-# and more at 8 (one BLAS thread, 2-core VM)
+# strichartz_trace, and per block of the evolve child's fields.  Every
+# column is solved and summed on its own, so the width moves no bit; the
+# transient of frac_norm is about 64 N bytes per column (4.2 MB for 16
+# columns at N = 4000).  16 is the knee: at N = 4000 a column costs about
+# 6.5 ms in stacks of 16 or 32, no less at 101 and more at 8 (one BLAS
+# thread, 2-core VM)
 SNAPSHOT_BLOCK = 16
 
 
@@ -188,11 +199,129 @@ def _reduced_blocks(states: list, scenario: Scenario):
                         for st in states[j : j + SNAPSHOT_BLOCK]], axis=1)
 
 
+def _strichartz_lq(psi: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """The L^q norm of <H>^((n-1)/4) psi of each column of a block of
+    reduced fields, H the free operator of R^m: the integrand in time
+    of the Strichartz trace."""
+    q = float(indices(scenario.n, scenario.k)["q"])
+    return _lq_norms(scenario.free_operator, (scenario.n - 1) / 4, psi, "inhomogeneous", q)
+
+
+def _strichartz_partials(lq: np.ndarray, times: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """The L^p norm in time of the _strichartz_lq of every snapshot, up
+    to each snapshot."""
+    return _lp_partials(lq, times, float(indices(scenario.n, scenario.k)["p"]))
+
+
 def h_half_norms(states: list, scenario: Scenario) -> np.ndarray:
     """The H^(1/2) norm of the reduced field w^(-1) phi of each state,
     under the free operator of R^m."""
     return np.concatenate([frac_norm(scenario.free_operator, 0.5, psi)
                            for psi in _reduced_blocks(states, scenario)])
+
+
+class _Run:
+    """One velocity-Verlet run of a scenario to time T, with snapshots
+    every snap_every.  `snapshots` steps it; at each snapshot the state
+    is in u and v, the run's own buffers (copy what must outlive the
+    next step), and its time and diagnostics are appended to the lists
+    that `trajectory` returns as arrays."""
+
+    def __init__(self, scenario: Scenario, formulation: str,
+                 initial_state: Optional[WaveState] = None, ceiling: Optional[float] = None):
+        disc = _Discretization(scenario, formulation)
+        dt_factor = float(scenario.time["dt_factor"])
+        if dt_factor > 0.5:
+            raise CFLViolation(f"dt_factor {dt_factor} exceeds 0.5")
+        state = initial_state or disc.initial_state()
+        if state.formulation != formulation:
+            raise DomainError("initial state formulation does not match")
+        self.disc = disc
+        self.t0 = state.t
+        self.u = np.array(state.field, dtype=float)
+        self.v = np.array(state.velocity, dtype=float)
+        sup0 = float(np.max(np.abs(disc.to_phi(self.u))))
+        if ceiling is None:
+            ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
+        self.ceiling = ceiling
+        self.ball = disc.grid.R_max / 3.0
+        # the local energy is that of the phi form without D: the weights of
+        # the manifold operator, which a psi run builds on its own, and c
+        self.local_op = (disc.op if formulation == "phi"
+                         else DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n))
+        self.times, self.energies, self.sups, self.locals = [], [], [], []
+
+    def _record(self, t: float) -> float:
+        """Append t and the energy, sup |phi| and local energy of (u, v)."""
+        disc = self.disc
+        phi, phi_t = disc.to_phi(self.u), disc.to_phi(self.v)
+        self.times.append(t)
+        self.energies.append(disc.energy(self.u, self.v))
+        self.sups.append(float(np.max(np.abs(phi))))
+        self.locals.append(self.local_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2,
+                                                self.ball))
+        return t
+
+    def snapshots(self):
+        """Step to T; yield the time of each snapshot, t0 first.  Raises
+        BlowUp when the field exceeds the ceiling or becomes non-finite,
+        DomainError when it leaves the domain of the target."""
+        disc, u, v, t0, ceiling = self.disc, self.u, self.v, self.t0, self.ceiling
+        grid, formulation = disc.grid, disc.formulation
+        n_steps, dt, snap_stride = disc.scenario.stepping
+        work = np.empty_like(u)
+
+        def check(t):
+            # |phi| into one buffer and one max: a NaN makes the max NaN and
+            # fails `< inf`, which also catches inf under ceiling = inf
+            phi = u if formulation == "phi" else np.multiply(disc.w_nodes, u, out=work)
+            a = np.abs(phi, out=work)
+            top = a.max()
+            if disc.target.domain_bound <= top < math.inf:
+                r = grid.nodes[np.argmax(a)]
+                raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}, "
+                                  f"r={r:.6g}")
+            if not top < math.inf or top > ceiling:
+                bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
+                raise BlowUp(t, grid.nodes[bad])
+
+        check(t0)
+        yield self._record(t0)
+        a = disc.acceleration(u)
+        half_dt = 0.5 * dt
+        incr = np.empty_like(u)  # the Verlet increments, in place of temporaries
+        for step in range(1, n_steps + 1):
+            v += np.multiply(half_dt, a, out=incr)
+            u += np.multiply(dt, v, out=incr)
+            a = disc.acceleration(u)
+            v += np.multiply(half_dt, a, out=incr)
+            t = t0 + step * dt
+            check(t)
+            if step % snap_stride == 0 or step == n_steps:
+                yield self._record(t)
+
+    def trajectory(self, states: list, h_half_norms: np.ndarray) -> Trajectory:
+        """The run up to its last snapshot, with the given states and norms."""
+        disc = self.disc
+        n_steps, dt, _ = disc.scenario.stepping
+        return Trajectory(
+            times=np.array(self.times),
+            energies=np.array(self.energies),
+            sup_norms=np.array(self.sups),
+            h_half_norms=h_half_norms,
+            local_energies=np.array(self.locals),
+            states=states,
+            formulation=disc.formulation,
+            meta={
+                "dt": dt,
+                "cfl_ratio": dt / disc.grid.dr,
+                "n_steps": n_steps,
+                "ceiling": self.ceiling,
+                "ball_radius": self.ball,
+                "energy_functional": disc.formulation,
+                "scenario": disc.scenario.to_json(),
+            },
+        )
 
 
 def integrate(
@@ -203,91 +332,15 @@ def integrate(
     ceiling: Optional[float] = None,
 ) -> Trajectory:
     """Velocity-Verlet integration of the scenario to time T with
-    snapshots every snap_every.  Raises BlowUp when the field exceeds
-    BLOWUP_FACTOR times its initial sup or becomes non-finite."""
-    disc = _Discretization(scenario, formulation)
-    grid = disc.grid
-    dt_factor = float(scenario.time["dt_factor"])
-    if dt_factor > 0.5:
-        raise CFLViolation(f"dt_factor {dt_factor} exceeds 0.5")
-    n_steps, dt, snap_stride = scenario.stepping
-
-    state = initial_state or disc.initial_state()
-    if state.formulation != formulation:
-        raise DomainError("initial state formulation does not match")
-    u = np.array(state.field, dtype=float)
-    v = np.array(state.velocity, dtype=float)
-    t0 = state.t
-
-    sup0 = float(np.max(np.abs(disc.to_phi(u))))
-    if ceiling is None:
-        ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
-    ball = grid.R_max / 3.0
-
-    # the local energy is that of the phi form without D: the weights of
-    # the manifold operator, which a psi run builds on its own, and c
-    local_op = (disc.op if formulation == "phi"
-                else DiscreteRadialOperator.manifold(grid, disc.profile, disc.n))
-    states = []
-    work = np.empty_like(u)
-
-    def check(t, uu):
-        # |phi| into one buffer and one max: a NaN makes the max NaN and
-        # fails `< inf`, which also catches inf under ceiling = inf
-        phi = uu if formulation == "phi" else np.multiply(disc.w_nodes, uu, out=work)
-        a = np.abs(phi, out=work)
-        top = a.max()
-        if disc.target.domain_bound <= top < math.inf:
-            r = grid.nodes[np.argmax(a)]
-            raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}, "
-                              f"r={r:.6g}")
-        if not top < math.inf or top > ceiling:
-            bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
-            raise BlowUp(t, grid.nodes[bad])
-
-    check(t0, u)
-    states.append(WaveState(t0, u.copy(), v.copy(), formulation))
-    a = disc.acceleration(u)
-    half_dt = 0.5 * dt
-    incr = np.empty_like(u)  # the Verlet increments, in place of temporaries
-    for step in range(1, n_steps + 1):
-        v += np.multiply(half_dt, a, out=incr)
-        u += np.multiply(dt, v, out=incr)
-        a = disc.acceleration(u)
-        v += np.multiply(half_dt, a, out=incr)
-        t = t0 + step * dt
-        check(t, u)
-        if step % snap_stride == 0 or step == n_steps:
-            states.append(WaveState(t, u.copy(), v.copy(), formulation))
-
-    # the snapshot diagnostics, from the stored states
-    energies, sups, locals_ = [], [], []
-    for st in states:
-        phi, phi_t = disc.to_phi(st.field), disc.to_phi(st.velocity)
-        energies.append(disc.energy(st.field, st.velocity))
-        sups.append(float(np.max(np.abs(phi))))
-        locals_.append(local_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2, ball))
+    snapshots every snap_every, each state kept.  Raises BlowUp when the
+    field exceeds BLOWUP_FACTOR times its initial sup or becomes
+    non-finite."""
+    run = _Run(scenario, formulation, initial_state, ceiling)
+    states = [WaveState(t, run.u.copy(), run.v.copy(), formulation)
+              for t in run.snapshots()]
     halves = (h_half_norms(states, scenario) if spectral_diagnostics
               else np.full(len(states), math.nan))
-
-    return Trajectory(
-        times=np.array([st.t for st in states]),
-        energies=np.array(energies),
-        sup_norms=np.array(sups),
-        h_half_norms=halves,
-        local_energies=np.array(locals_),
-        states=states,
-        formulation=formulation,
-        meta={
-            "dt": dt,
-            "cfl_ratio": dt / grid.dr,
-            "n_steps": n_steps,
-            "ceiling": ceiling,
-            "ball_radius": ball,
-            "energy_functional": formulation,
-            "scenario": scenario.to_json(),
-        },
-    )
+    return run.trajectory(states, halves)
 
 
 def _send_all(conn, generator, args) -> None:
@@ -362,14 +415,48 @@ def consistency_check(scenario: Scenario) -> dict:
     }
 
 
-def staged_phi_run(scenario: Scenario):
-    """The phi run of the scenario in two values: the trajectory as soon
-    as stepping ends, its h_half_norms still NaN, and then those norms.
-    Run in a child of `forked`, so the caller works on the trajectory
-    while the child computes the norms."""
-    trajectory = integrate(scenario, "phi", spectral_diagnostics=False)
-    yield trajectory
-    yield h_half_norms(trajectory.states, scenario)
+def _shared_columns(rows: int, cols: int) -> np.ndarray:
+    """A zeroed (rows, cols) F-ordered float64 array on an anonymous
+    shared mapping: what a child forked after this call writes into it,
+    the caller reads, without a copy through a pipe."""
+    import mmap
+
+    return np.ndarray((rows, cols), dtype=float, buffer=mmap.mmap(-1, 8 * rows * cols),
+                      order="F")
+
+
+def _phi_fields(scenario: Scenario, fields: np.ndarray):
+    """The phi run of the CLI's evolve stage, in a child of `forked`.
+    Writes the field of snapshot j into column j of the shared (N, S)
+    array fields, keeps no state, and yields the end of each block of
+    SNAPSHOT_BLOCK columns, and of the last, as soon as it is written;
+    then the trajectory, without states or H^(1/2) norms.  Makes no
+    spectral solve."""
+    run = _Run(scenario, "phi")
+    count = fields.shape[1]
+    for j, _ in enumerate(run.snapshots()):
+        fields[:, j] = run.u
+        if (j + 1) % SNAPSHOT_BLOCK == 0 or j + 1 == count:
+            yield j + 1
+    yield run.trajectory([], np.full(count, math.nan))
+
+
+def _measure_phi_fields(scenario: Scenario, fields: np.ndarray, values):
+    """The trajectory from `values`, those of a forked _phi_fields, with
+    its H^(1/2) norms, and the Strichartz partials of strichartz_trace.
+    Each block of fields is reduced and measured as soon as its end
+    arrives, while the child steps on; every column has the bits of an
+    in-process integrate and strichartz_trace."""
+    w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
+    halves, lq, start = [], [], 0
+    while isinstance(end := next(values), int):
+        psi = fields[:, start:end] / w[:, None]
+        halves.append(frac_norm(scenario.free_operator, 0.5, psi))
+        lq.append(_strichartz_lq(psi, scenario))
+        start = end
+    trajectory = end
+    trajectory.h_half_norms = np.concatenate(halves)
+    return trajectory, _strichartz_partials(np.concatenate(lq), trajectory.times, scenario)
 
 
 def strichartz_trace(
@@ -381,13 +468,9 @@ def strichartz_trace(
     rule over the stored snapshots."""
     if not trajectory.states:
         raise DomainError("trajectory carries no stored states")
-    sc = scenario
-    idx = indices(sc.n, sc.k)
-    p, q = float(idx["p"]), float(idx["q"])
-    op = sc.free_operator
-    lq = np.concatenate([_lq_norms(op, (sc.n - 1) / 4, psi, "inhomogeneous", q)
-                         for psi in _reduced_blocks(trajectory.states, sc)])
-    partials = _lp_partials(lq, trajectory.times, p)
+    lq = np.concatenate([_strichartz_lq(psi, scenario)
+                         for psi in _reduced_blocks(trajectory.states, scenario)])
+    partials = _strichartz_partials(lq, trajectory.times, scenario)
     total = float(partials[-1])
     if return_partials:
         return total, partials

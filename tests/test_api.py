@@ -92,8 +92,9 @@ def test_only_spectral_reads_the_operator_weights():
 
 def test_only_the_fork_helper_uses_multiprocessing():
     # one fork mechanism: solver.forked imports multiprocessing in its
-    # body, so importing the package loads none of it
-    uses = set()
+    # body, so importing the package loads none of it; and one buffer
+    # shared with a child, solver._shared_columns, the one use of mmap
+    uses = {"multiprocessing": set(), "mmap": set()}
     for path in MODULES:
         tree = ast.parse(path.read_text())
         owner = {}  # node -> innermost enclosing function; ast.walk goes outside in
@@ -108,6 +109,8 @@ def test_only_the_fork_helper_uses_multiprocessing():
                 names = [node.module or ""]
             elif isinstance(node, ast.Name):
                 names = [node.id]
-            if any(name.split(".")[0] == "multiprocessing" for name in names):
-                uses.add(f"{path.name}:{owner.get(id(node))}")
-    assert uses == {"solver.py:forked"}
+            for module, users in uses.items():
+                if any(name.split(".")[0] == module for name in names):
+                    users.add(f"{path.name}:{owner.get(id(node))}")
+    assert uses == {"multiprocessing": {"solver.py:forked"},
+                    "mmap": {"solver.py:_shared_columns"}}

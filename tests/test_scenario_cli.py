@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -22,10 +23,11 @@ import equiwave.cli
 import equiwave.reduction
 import equiwave.scenario
 import equiwave.solver
+import equiwave.spectral
 from equiwave.cli import emit_closed_forms, main
 from equiwave.errors import BlowUp, CFLViolation, ClosedFormMismatch, ScenarioError
 from equiwave.scenario import Scenario, load_scenario
-from equiwave.solver import integrate, strichartz_trace
+from equiwave.solver import Trajectory, integrate, strichartz_trace
 
 GOOD = {
     "name": "good",
@@ -310,7 +312,8 @@ def _counting(monkeypatch, module, name, log):
 def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
     # the reduced and the free operator are shared by every pipeline; no
     # pipeline computes an eigenvector, and `reduce` takes the one full
-    # spectrum (the other solves find the lowest eigenvalue by bisection)
+    # spectrum (the other solves of this process find the lowest eigenvalue
+    # by bisection; the evolve child makes no eigensolve at all)
     eig, h_inf = tmp_path / "eig.log", tmp_path / "h_inf.log"
     for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
         _counting(monkeypatch, scipy.linalg, name, eig)
@@ -329,21 +332,22 @@ def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
 
 def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path, monkeypatch):
     # no pipeline holds an N x N array: at N = 2000 one is 8 N^2 = 32 MB.
-    # The evolve child inherits the tracing and logs its own peak when its
-    # last value, the H^(1/2) norms, is computed
+    # The evolve child inherits the tracing and logs its own peak before
+    # it sends its last value, the trajectory
     N = 2000
     payload = {**ALL_CHECKS, "grid": {"R_max": 25.0, "N": N},
                "time": {"T": 4.0, "dt_factor": 0.1, "snap_every": 0.5}}
     path = write_scenario(tmp_path, payload)
     child_peak = tmp_path / "child_peak"
-    h_half_norms = equiwave.solver.h_half_norms
+    phi_fields = equiwave.cli._phi_fields
 
     def logging_peak(*args):
-        norms = h_half_norms(*args)
-        child_peak.write_text(str(tracemalloc.get_traced_memory()[1]))
-        return norms
+        for value in phi_fields(*args):
+            if isinstance(value, Trajectory):
+                child_peak.write_text(str(tracemalloc.get_traced_memory()[1]))
+            yield value
 
-    monkeypatch.setattr(equiwave.solver, "h_half_norms", logging_peak)
+    monkeypatch.setattr(equiwave.cli, "_phi_fields", logging_peak)
     tracemalloc.start()
     try:
         assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -427,10 +431,11 @@ def test_cli_all_raises_a_parent_stage_error_first(tmp_path, monkeypatch, capsys
                          ids=["config-error", "interrupt"])
 def test_cli_all_terminates_the_evolve_child_on_a_parent_error(tmp_path, monkeypatch,
                                                                exc):
-    def slow_integrate(*args, **kwargs):
+    def slow_snapshots(run):
         time.sleep(60.0)
+        yield run.t0
 
-    monkeypatch.setattr(equiwave.solver, "integrate", slow_integrate)
+    monkeypatch.setattr(equiwave.solver._Run, "snapshots", slow_snapshots)
     monkeypatch.setitem(equiwave.cli.PIPELINES, "estimates", _failing_estimates(exc))
     argv = ["all", "--scenario", str(write_scenario(tmp_path, EVOLVE)),
             "--out", str(tmp_path / "o")]
@@ -442,6 +447,94 @@ def test_cli_all_terminates_the_evolve_child_on_a_parent_error(tmp_path, monkeyp
         assert main(argv) == 2
     assert time.monotonic() - t0 < 30.0  # the sleeping child was terminated
     assert multiprocessing.active_children() == []
+
+
+def _artifacts(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_cli_evolve_child_makes_no_spectral_solve(tmp_path, monkeypatch):
+    # the child only steps; every solve (LAPACK, through spectral._linalg)
+    # of the evolve stage is made by this process, with the same bits
+    path = write_scenario(tmp_path, EVOLVE)
+    for cmd in ("evolve", "all"):
+        assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / "a" / cmd)]) == 0
+    pid, linalg = os.getpid(), equiwave.spectral._linalg
+
+    def parent_only():
+        if os.getpid() != pid:
+            raise AssertionError("the evolve child made a spectral solve")
+        return linalg()
+
+    monkeypatch.setattr(equiwave.spectral, "_linalg", parent_only)
+    for cmd in ("evolve", "all"):
+        out = tmp_path / "b" / cmd
+        assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 0
+        assert _artifacts(out) == _artifacts(tmp_path / "a" / cmd)
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_evolve_child_never_waits_on_the_parent(tmp_path, monkeypatch):
+    # 52 snapshots of 600 points, four blocks of up to 77 KB, more than a pipe
+    # holds: the child writes its last column while estimates still sleeps
+    payload = {**EVOLVE, "grid": {"R_max": 25.0, "N": 600},
+               "time": {"T": 4.0, "dt_factor": 0.1, "snap_every": 0.08}}
+    assert Scenario(**payload).snapshot_count == 52
+    log = tmp_path / "times.log"
+    phi_fields, run_estimates = equiwave.cli._phi_fields, equiwave.cli.run_estimates
+
+    def logging_blocks(*args):
+        for value in phi_fields(*args):
+            if not isinstance(value, Trajectory):  # a block was just written
+                with open(log, "a") as fh:
+                    fh.write(f"child {time.monotonic()!r}\n")
+            yield value
+
+    def slow_estimates(scenario, out):
+        report = run_estimates(scenario, out)
+        time.sleep(1.0)
+        with open(log, "a") as fh:
+            fh.write(f"estimates {time.monotonic()!r}\n")
+        return report
+
+    monkeypatch.setattr(equiwave.cli, "_phi_fields", logging_blocks)
+    monkeypatch.setitem(equiwave.cli.PIPELINES, "estimates", slow_estimates)
+    path = write_scenario(tmp_path, payload)
+    assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    times = [line.split() for line in log.read_text().splitlines()]
+    child = [float(t) for who, t in times if who == "child"]
+    (estimates,) = [float(t) for who, t in times if who == "estimates"]
+    assert len(child) == 4
+    assert max(child) < estimates
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_evolve_child_failing_mid_run_exits_3(tmp_path, monkeypatch, capsys):
+    # the force turns NaN after 600 of the 961 calls, between the first
+    # and the second block of snapshots (one per 30 steps)
+    acceleration = equiwave.solver._Discretization.acceleration
+    calls = []
+
+    def failing(disc, u):
+        calls.append(None)
+        force = acceleration(disc, u)
+        return force if len(calls) <= 600 else np.full_like(force, np.nan)
+
+    monkeypatch.setattr(equiwave.solver._Discretization, "acceleration", failing)
+    path = write_scenario(tmp_path, EVOLVE)
+    with pytest.raises(BlowUp) as exc:
+        integrate(load_scenario(path), "phi", spectral_diagnostics=False)
+    # snapshot 15, the end of the first block, is at step 450; 31 at 930
+    assert 450 < exc.value.t / (8.0 / 960) < 930
+    for cmd in ("evolve", "all"):
+        calls.clear()  # the child inherits the count at the fork
+        out = tmp_path / cmd
+        assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numerical error (BlowUp): {exc.value}\n"
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.json").exists()
+        assert multiprocessing.active_children() == []
+    assert list((tmp_path / "evolve").iterdir()) == []
 
 
 def _python(code: str, *args: str, env_vars=None) -> str:

@@ -21,6 +21,8 @@ from equiwave.solver import (
     Trajectory,
     WaveState,
     _Discretization,
+    _phi_fields,
+    _shared_columns,
     consistency_check,
     energy,
     integrate,
@@ -393,6 +395,29 @@ def test_snapshot_blocking_moves_no_bit(monkeypatch, form, n):
     for halves, partials in runs[1:]:
         assert np.array_equal(halves, runs[0][0])
         assert np.array_equal(partials, runs[0][1])
+
+
+@pytest.mark.parametrize("T, snap, count", [
+    (2.0, 5.0, 2),    # a stride beyond the 200 steps: t = 0 and T
+    (2.0, 0.7, 4),    # a stride of 70 leaves 60 steps to the last snapshot
+    (0.0, 1.0, 1),    # T = 0: the initial state alone
+    (3.1, 0.1, 32),   # two full blocks of SNAPSHOT_BLOCK
+], ids=["stride-beyond-T", "remainder", "T0", "two-blocks"])
+def test_snapshot_count_is_that_of_a_run(T, snap, count):
+    s = make_scenario(N=300, T=T, snap=snap)
+    tr = integrate(s, "phi", spectral_diagnostics=False)
+    assert s.snapshot_count == len(tr.times) == count
+    # the evolve child's generator, in this process: each field in its
+    # column, the end of every block and of the last sent, then the
+    # trajectory without states
+    fields = _shared_columns(300, count)
+    *ends, last = _phi_fields(s, fields)
+    assert ends == [*range(16, count, 16), count]
+    assert np.array_equal(fields, np.stack([st.field for st in tr.states], axis=1))
+    assert last.states == [] and np.all(np.isnan(last.h_half_norms))
+    for name in ("times", "energies", "sup_norms", "local_energies"):
+        assert np.array_equal(getattr(last, name), getattr(tr, name))
+    assert last.meta == tr.meta
 
 
 def test_snapshot_diagnostics_transient_does_not_grow_with_snapshots():
