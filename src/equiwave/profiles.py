@@ -278,6 +278,9 @@ def check_normalization(profile: MetricProfile, tol: float = 1e-8) -> bool:
 
 # -- target profiles -----------------------------------------------------------
 
+# TargetProfile.linear_radius of the built-in targets
+_LINEAR_RADIUS = {"flat": math.inf, "sphere": 2.0**-27, "hyperbolic": 2.0**-27}
+
 
 @dataclass(frozen=True)
 class TargetProfile:
@@ -299,18 +302,27 @@ class TargetProfile:
             )
         return self.expr.jet(s0, order)
 
-    def gg_prime(self, s):
-        """g(s) g'(s) evaluated on arrays (the wave-map nonlinearity)."""
+    @property
+    def linear_radius(self) -> float:
+        """The radius below which g(s) g'(s) rounds to s.  0.5 sin(2s) and
+        0.5 sinh(2s) are s bit for bit when |s| < 2^-27, where their cubic
+        term 2 s^3 / 3 is below half an ulp of s (the first inexact s is
+        near 1.07e-8); flat g g' is s itself; a custom target gets 0, so
+        its jet runs on every s."""
+        return _LINEAR_RADIUS.get(self.kind, 0.0)
+
+    def gg_prime(self, s, out=None):
+        """g(s) g'(s) evaluated on arrays (the wave-map nonlinearity),
+        written into out, an array of s's shape, when given."""
         s = np.asarray(s, dtype=float)
         # closed forms for the built-in targets, else one jet over all of s
         if self.kind == "flat":
-            return s.copy()
-        if self.kind == "sphere":
-            return 0.5 * np.sin(2.0 * s)
-        if self.kind == "hyperbolic":
-            return 0.5 * np.sinh(2.0 * s)
+            return np.positive(s, out=out)
+        if self.kind in ("sphere", "hyperbolic"):
+            fn = np.sin if self.kind == "sphere" else np.sinh
+            return np.multiply(0.5, fn(np.multiply(2.0, s, out=out), out=out), out=out)
         j = self.expr.jet(s, 1)
-        return j.value * j.derivative(1)
+        return np.multiply(j.value, j.derivative(1), out=out)
 
     def spec(self) -> dict:
         return {"kind": self.kind}

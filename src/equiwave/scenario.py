@@ -38,7 +38,7 @@ DATA_NUMBERS = ("amplitude", "width", "center", "velocity_amplitude")
 # Every pipeline holds O(N) numbers per vector, so N is bounded for run
 # time, not memory: the solver's step count and the Chebyshev
 # propagator's length both grow like N, their work like N^2.  `all` on
-# the README scenario at N = 8192 takes about 9 s, and its larger process
+# the README scenario at N = 8192 takes about 7 s, and its larger process
 # peaks at 77 MB RSS (one BLAS thread, 2-core VM).  The longest run in the
 # tests and the benchmark takes 33,334 steps.  A stored snapshot holds
 # field and velocity, 16 N bytes; the evolve stage of the CLI shares the

@@ -21,6 +21,14 @@ energy drift double as correctness tests.
 One step loop, `_Run.snapshots`, serves every run: it records the
 energy, sup and local energy at each snapshot and yields, and the caller
 keeps what it needs of the state there; `integrate` keeps every state.
+A step does only work that can change a bit.  It takes |s| of the new
+field once (s = phi, or w psi in the psi form), checks its max, and only
+then the force, which evaluates g g' in the window of cells from the
+first to the last with |s| >= TargetProfile.linear_radius: outside it
+g g'(s) rounds to s, so the phi force takes c u there and the psi
+remainder is 0.  Every array of a step is made once, and the half kick
+that ends a step is the product that starts the next, so a run has the
+bits of the textbook velocity-Verlet loop with g g' on every cell.
 
 `forked` is the one way the package uses a second core: it runs a
 generator in one forked child process and hands its values to the caller
@@ -141,17 +149,62 @@ class _Discretization:
         else:
             raise DomainError(f"unknown formulation {formulation!r}")
 
+        # g g'(s) rounds to s below the target's linear radius, so there
+        # c g g'(u) is c u and q (g g'(s) - s) is q * (+0) = +0, which
+        # leaves the force as it is when q >= 0; a q negative or NaN
+        # somewhere gets g g' on every cell
+        self.linear_radius = self.target.linear_radius
+        if formulation == "psi" and not np.all(self.q >= 0):
+            self.linear_radius = 0.0
+        # every array of a step, made once: the force and the scratch of its
+        # band product, s = w u, |s|, the nonlinear term, and the flags of
+        # |s| >= the radius on a bytearray, whose find and rfind give the
+        # window's ends at memchr speed (an argmax of the flags and of their
+        # reversed view left the phi/psi consistency check at N = 2000
+        # about 8% slower on a 2-core VM)
+        N = self.grid.N
+        self._force, self._row, self._s, self._abs, self._nl = np.empty((5, N))
+        self._flags = bytearray(N)
+        self._flag_array = np.frombuffer(self._flags, dtype=bool)
+        self._measured = None  # (field, i0, i1) of a measure that no force used yet
         # -H u from the negated bands: negation is exact, so the bits of -(H u)
         self._neg_bands = tuple(-b for b in self.op.bands)
-        self._row = np.empty(self.grid.N)  # scratch of the band product
+
+    def measure(self, u: np.ndarray) -> np.ndarray:
+        """|s| of the field u, s = u in the phi form and w u in the psi
+        form, in a buffer of this discretization.  The next
+        acceleration(u) takes its window from here, not from u again."""
+        s = u if self.formulation == "phi" else np.multiply(self.w_nodes, u, out=self._s)
+        mag = np.abs(s, out=self._abs)
+        # the window [i0, i1): from the first to the last cell at or above
+        # the radius, (0, 0) when there is none
+        np.greater_equal(mag, self.linear_radius, out=self._flag_array)
+        self._measured = (u, max(self._flags.find(1), 0), self._flags.rfind(1) + 1)
+        return mag
 
     def acceleration(self, u: np.ndarray) -> np.ndarray:
-        force = _band_product(*self._neg_bands, u, tmp=self._row)
+        """The force at the field u, in a buffer of this discretization
+        that the next call overwrites.  g g' is evaluated only in the
+        window of |s| >= the linear radius, that of the measure(u) just
+        made or else measured here; outside it the nonlinear term takes
+        its exact linear value."""
+        if self._measured is None or self._measured[0] is not u:
+            self.measure(u)
+        (_, i0, i1), self._measured = self._measured, None
+        force = _band_product(*self._neg_bands, u, out=self._force, tmp=self._row)
+        window = self._nl[i0:i1]
         if self.formulation == "phi":
-            force -= self.c * self.target.gg_prime(u)
+            # c u, then c g g'(u) over it in the window
+            nl = np.multiply(self.c, u, out=self._nl)
+            self.target.gg_prime(u[i0:i1], out=window)
+            window *= self.c[i0:i1]
+            force -= nl
         else:
-            s = self.w_nodes * u
-            force -= self.q * (self.target.gg_prime(s) - s)
+            s = self._s[i0:i1]
+            self.target.gg_prime(s, out=window)
+            window -= s
+            window *= self.q[i0:i1]
+            force[i0:i1] -= window
         return force
 
     def energy(self, u: np.ndarray, u_t: np.ndarray) -> float:
@@ -267,15 +320,14 @@ class _Run:
         BlowUp when the field exceeds the ceiling or becomes non-finite,
         DomainError when it leaves the domain of the target."""
         disc, u, v, t0, ceiling = self.disc, self.u, self.v, self.t0, self.ceiling
-        grid, formulation = disc.grid, disc.formulation
+        grid = disc.grid
         n_steps, dt, snap_stride = disc.scenario.stepping
-        work = np.empty_like(u)
 
         def check(t):
-            # |phi| into one buffer and one max: a NaN makes the max NaN and
-            # fails `< inf`, which also catches inf under ceiling = inf
-            phi = u if formulation == "phi" else np.multiply(disc.w_nodes, u, out=work)
-            a = np.abs(phi, out=work)
+            # |phi|, which the force to come reuses, and one max, before any
+            # force of it: a NaN makes the max NaN and fails `< inf`, which
+            # also catches inf under ceiling = inf
+            a = disc.measure(u)
             top = a.max()
             if disc.target.domain_bound <= top < math.inf:
                 r = grid.nodes[np.argmax(a)]
@@ -285,18 +337,20 @@ class _Run:
                 bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
                 raise BlowUp(t, grid.nodes[bad])
 
-        check(t0)
-        yield self._record(t0)
-        a = disc.acceleration(u)
+        # the half kick ending a step is the one starting the next: one
+        # product, added twice
+        kick, drift = np.empty_like(u), np.empty_like(u)
         half_dt = 0.5 * dt
-        incr = np.empty_like(u)  # the Verlet increments, in place of temporaries
+        check(t0)
+        np.multiply(half_dt, disc.acceleration(u), out=kick)
+        yield self._record(t0)
         for step in range(1, n_steps + 1):
-            v += np.multiply(half_dt, a, out=incr)
-            u += np.multiply(dt, v, out=incr)
-            a = disc.acceleration(u)
-            v += np.multiply(half_dt, a, out=incr)
+            v += kick
+            u += np.multiply(dt, v, out=drift)
             t = t0 + step * dt
             check(t)
+            np.multiply(half_dt, disc.acceleration(u), out=kick)
+            v += kick
             if step % snap_stride == 0 or step == n_steps:
                 yield self._record(t)
 

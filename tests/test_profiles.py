@@ -142,6 +142,52 @@ def test_target_gg_prime():
     assert np.allclose(target_profile("hyperbolic").gg_prime(s), 0.5 * np.sinh(2 * s))
 
 
+def _below(radius, count=500_000, seed=0):
+    """A dense sample of s with |s| < radius, both signs: uniform, log-uniform
+    down to the smallest subnormal, and the edges (+-0, the subnormal
+    extremes, the smallest normal, the largest float below radius)."""
+    rng = np.random.default_rng(seed)
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [0.0, tiny, np.finfo(float).smallest_normal - tiny,
+             np.finfo(float).smallest_normal, np.nextafter(radius, 0.0)]
+    mags = np.concatenate([rng.uniform(0.0, radius, count),
+                           np.exp(rng.uniform(np.log(tiny), np.log(radius), count)),
+                           edges])
+    mags = mags[mags < radius]
+    return np.concatenate([mags, -mags])
+
+
+@pytest.mark.parametrize("kind, fn", [("sphere", np.sin), ("hyperbolic", np.sinh)])
+def test_gg_prime_is_s_below_the_linear_radius(kind, fn):
+    # the solver takes c s for c g g'(s) below this radius: on a libm that
+    # rounds 0.5 sin(2s) or 0.5 sinh(2s) off s there, this must fail
+    target = target_profile(kind)
+    assert target.linear_radius == 2.0**-27
+    s = _below(target.linear_radius)
+    for got in (0.5 * fn(2.0 * s), target.gg_prime(s)):
+        bits_differ = got.view(np.int64) != s.view(np.int64)  # tells -0 from +0
+        assert not bits_differ.any(), f"g g'(s) != s at s = {s[bits_differ][:5]}"
+
+
+def test_linear_radius_of_each_target_is_derived():
+    assert target_profile("flat").linear_radius == math.inf
+    custom = target_profile("custom", expr=["sin", "r"])
+    assert custom.linear_radius == 0.0  # its jet runs on every s
+    with pytest.raises(AttributeError):
+        custom.linear_radius = 1.0
+
+
+@pytest.mark.parametrize("target", [target_profile("flat"), target_profile("sphere"),
+                                    target_profile("hyperbolic"),
+                                    target_profile("custom", expr=["sin", "r"])],
+                         ids=["flat", "sphere", "hyperbolic", "custom"])
+def test_gg_prime_into_a_buffer_has_the_same_bits(target):
+    s = np.linspace(-1.0, 1.0, 101)
+    out = np.empty_like(s)
+    assert target.gg_prime(s, out=out) is out
+    assert np.array_equal(out, target.gg_prime(s))
+
+
 def test_custom_target_gg_prime_jet_fallback():
     tgt = target_profile("custom", expr=["sin", "r"])
     s = np.array([0.3, 0.8])

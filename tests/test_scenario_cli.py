@@ -220,6 +220,40 @@ def test_cli_verify_fail_exit_1(tmp_path, capsys):
     assert iii["detail"]["reason"] in line
 
 
+# h = r + 0.3 r^3 (1 + r^2)^-2, asymptotically flat: verify finds no delta0
+BULGE = {**ALL_CHECKS, "grid": {"R_max": 60.0, "N": 1000},
+         "manifold": {"kind": "custom", "expr": [
+             "+", "r", ["*", 0.3, ["pow", "r", 3], ["pow", ["+", 1, ["*", "r", "r"]], -2]]]}}
+
+
+def test_cli_smoothing_without_delta0_fails_with_a_report(tmp_path, capsys):
+    # condition iii finds no delta0, so the smoothing check cannot run: it
+    # fails as not run, the other checks run, and every command exits 1
+    path = write_scenario(tmp_path, BULGE)
+    not_run = {"verdict": "FAIL", "not_run": "no delta0 found for smoothing check"}
+    reports = {}
+    for cmd in ("verify", "estimates", "all"):
+        out = tmp_path / cmd
+        assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 1
+        reports[cmd] = json.loads((out / "report.json").read_text())
+        assert reports[cmd]["verdict"] == "FAIL"
+        err = capsys.readouterr().err
+        if cmd != "verify":
+            assert not (out / "ratios_smoothing.csv").exists()
+            assert (out / "ratios_strichartz.csv").exists()
+            prefix = "estimates." if cmd == "all" else ""
+            assert f"{prefix}smoothing.not run" in err
+            assert "reason: no delta0 found for smoothing check" in err
+    iii = next(c for c in reports["verify"]["conditions"] if c["name"] == "iii")
+    assert iii["verdict"] == "FAIL" and round(iii["witness_r"], 3) == 1.497
+    for estimates in (reports["estimates"], reports["all"]["estimates"]):
+        assert estimates["smoothing"] == not_run
+        assert all(estimates[name]["verdict"] == "PASS"
+                   for name in ("hardy", "strichartz", "dimshift"))
+    assert [reports["all"][stage]["verdict"] for stage in equiwave.cli.PIPELINES] == [
+        "FAIL", "PASS", "FAIL", "PASS"]
+
+
 def test_cli_config_error_exit_2(tmp_path):
     assert main(["verify", "--scenario", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2

@@ -436,3 +436,94 @@ def test_snapshot_diagnostics_transient_does_not_grow_with_snapshots():
             tracemalloc.stop()
         assert len(tr.states) == count
         assert peak - 16 * N * count <= 4 * 2**20
+
+
+def _textbook_verlet(s, form, st):
+    """Velocity Verlet as written from the state st, on the full grid, with
+    no window: -H u minus c g g'(u), or minus q (g g'(s) - s) with s = w u.
+    Returns the states, energies, sups and local energies at the snapshots."""
+    disc = _Discretization(s, form)
+    n_steps, dt, stride = s.stepping
+    local_op = (disc.op if form == "phi"
+                else DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n))
+
+    def force(u):
+        if form == "phi":
+            return -disc.op.apply(u) - disc.c * disc.target.gg_prime(u)
+        w_u = disc.w_nodes * u
+        return -disc.op.apply(u) - disc.q * (disc.target.gg_prime(w_u) - w_u)
+
+    def record(u, v):
+        phi, phi_t = disc.to_phi(u), disc.to_phi(v)
+        return (u, v, disc.energy(u, v), float(np.max(np.abs(phi))),
+                local_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2, s.grid["R_max"] / 3))
+
+    u, v = st.field, st.velocity
+    a = force(u)
+    rows = [record(u, v)]
+    for step in range(1, n_steps + 1):
+        v = v + 0.5 * dt * a
+        u = u + dt * v
+        a = force(u)
+        v = v + 0.5 * dt * a
+        if step % stride == 0 or step == n_steps:
+            rows.append(record(u, v))
+    return rows
+
+
+# amplitude and width of data a r e^(-(r/width)^2) whose window of
+# |phi| >= 2^-27 at t = 0 is empty, part of the grid and all of it (a width
+# the scenario's causality budget would not admit)
+WINDOWS = {"empty": (1e-9, 1.0), "partial": (0.05, 1.0), "full": (0.2, 10.0)}
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("form", ["phi", "psi"])
+@pytest.mark.parametrize("target", ["sphere", "hyperbolic", "flat",
+                                    {"kind": "custom", "expr": ["sin", "r"]}],
+                         ids=["sphere", "hyperbolic", "flat", "custom-sin"])
+def test_integrate_is_the_textbook_verlet_loop_bit_for_bit(target, form, window):
+    amp, width = WINDOWS[window]
+    s = make_scenario("hyperbolic", target, N=300, T=3.0, snap=0.5)
+    disc = _Discretization(s, form)
+    r = disc.grid.nodes
+    u0 = amp * r * np.exp(-((r / width) ** 2))
+    st = WaveState(0.0, u0 if form == "phi" else u0 / disc.w_nodes, np.zeros_like(r), form)
+    rows = _textbook_verlet(s, form, st)
+    tr = integrate(s, form, initial_state=st, spectral_diagnostics=False)
+    assert tr.meta["n_steps"] == 300
+    if target in ("sphere", "hyperbolic"):
+        disc.measure(st.field)
+        i0, i1 = disc._measured[1:]
+        assert {"empty": i1 == i0, "partial": 0 < i1 - i0 < 300,
+                "full": (i0, i1) == (0, 300)}[window]
+    assert len(tr.states) == len(rows)
+    for state, (u, v, _, _, _) in zip(tr.states, rows):
+        assert np.array_equal(state.field, u) and np.array_equal(state.velocity, v)
+    for i, name in enumerate(("energies", "sup_norms", "local_energies"), start=2):
+        assert np.array_equal(getattr(tr, name), [row[i] for row in rows])
+
+
+@pytest.mark.parametrize("form", ["phi", "psi"])
+def test_steps_allocate_no_grid_array(form):
+    # 500 steps at N = 2000, traced from the first snapshot to the entry
+    # of the last one: every buffer of a step is made before the first
+    N = 2000
+    s = make_scenario("hyperbolic", N=N, T=0.75, snap=10.0)
+    assert s.stepping[0] == 500
+    run = equiwave.solver._Run(s, form)
+    peaks, record = [], run._record
+
+    def traced_record(t):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return record(t)
+
+    steps = run.snapshots()
+    next(steps)
+    run._record = traced_record
+    tracemalloc.start()
+    try:
+        assert list(steps) == [0.75]
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 8 * N
