@@ -150,8 +150,10 @@ def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
     drift = float(trajectory.energy_drift.max())
     sup0 = trajectory.sup_norms[0]
     sup_ratio = float(trajectory.sup_norms.max() / sup0) if sup0 > 0 else 0.0
-    bounded = sup0 == 0 or sup_ratio <= 2.0
-    return {
+    bounds = (("sup_ratio", sup_ratio, 2.0, sup0 == 0 or sup_ratio <= 2.0),
+              ("energy_drift", drift, 1e-4, drift <= 1e-4))
+    failed = [f"{name} {value:.3g} > {bound:g}" for name, value, bound, ok in bounds if not ok]
+    report = {
         "T": trajectory.times[-1],
         "snapshots": int(len(trajectory.times)),
         "energy_initial": float(trajectory.energies[0]),
@@ -160,8 +162,11 @@ def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
         "strichartz_trace": total,
         "ball_radius": trajectory.meta["ball_radius"],
         "local_energy_final": float(trajectory.local_energies[-1]),
-        "verdict": "PASS" if (bounded and drift <= 1e-4) else "FAIL",
+        "verdict": "FAIL" if failed else "PASS",
     }
+    if failed:
+        report["reason"] = "; ".join(failed)
+    return report
 
 
 # -- closed-form reference values ----------------------------------------------------
@@ -277,6 +282,8 @@ def _summary_lines(report: dict, prefix=""):
             lines.extend(_summary_lines(val, prefix=f"{prefix}{key}."))
     if "not_run" in report:
         lines.append(f"{prefix + 'not run':<28} reason: {report['not_run']}")
+    if "reason" in report:
+        lines.append(f"{prefix or 'result':<28} reason: {report['reason']}")
     for cond in report.get("conditions", []):
         if cond["verdict"] == "FAIL":
             label = f"{prefix}condition {cond['name']}"

@@ -8,27 +8,28 @@ velocity-Verlet (leapfrog) scheme:
   psi-form on flat R^m (phi = w psi):
       psi_tt = Delta_m psi - V psi - (r^(m-1)/h^(n+1)) psi^3 Gamma(w psi).
 
-Neither form evaluates Gamma, the cubic remainder of the reduced
-nonlinearity: with c = lbar/h^2 and s = w psi, the exact identity
-(r^(m-1)/h^(n+1)) psi^3 Gamma(s) = (c/w) (g(s) g'(s) - s) gives the psi
-force from the same g g' as the phi force c g(phi) g'(phi).
-The linear force of either form is -H u for a spectral
-DiscreteRadialOperator H, -Delta_h + D in the phi form and -Delta_m + V
-in the psi form, so the linear flat case reproduces the spectral
-propagator to second order.  The scheme is time-symmetric; reversal and
-energy drift double as correctness tests.
+Both forms take one force, -H u - a (g g'(s) - s): a linear radial wave
+operator H and the cubic remainder of the nonlinearity.  With
+c = lbar/h^2, the phi form has s = phi, a = c and H = -Delta_h + P, P = c
+from r = 1 on, which makes the force the phi force as written there;
+below r = 1, P is balanced against the finite-volume Laplacian.  The psi
+form has s = w psi, a = c/w and H = -Delta_m + V, by the exact identity
+(r^(m-1)/h^(n+1)) psi^3 Gamma(s) = (c/w) (g(s) g'(s) - s), so neither
+form evaluates Gamma.  H is a spectral DiscreteRadialOperator, so the
+linear flat case reproduces the spectral propagator to second order.
+The scheme is time-symmetric; reversal and energy drift double as
+correctness tests.
 
 One step loop, `_Run.snapshots`, serves every run: it records the
 energy, sup and local energy at each snapshot and yields, and the caller
 keeps what it needs of the state there; `integrate` keeps every state.
 A step does only work that can change a bit.  It takes |s| of the new
-field once (s = phi, or w psi in the psi form), checks its max, and only
-then the force, which evaluates g g' in the window of cells from the
-first to the last with |s| >= TargetProfile.linear_radius: outside it
-g g'(s) rounds to s, so the phi force takes c u there and the psi
-remainder is 0.  Every array of a step is made once, and the half kick
-that ends a step is the product that starts the next, so a run has the
-bits of the textbook velocity-Verlet loop with g g' on every cell.
+field once, checks its max, and only then the force, which evaluates
+g g' in the window of cells from the first to the last with
+|s| >= TargetProfile.linear_radius: outside it g g'(s) rounds to s, so
+the remainder is 0.  Every array of a step is made once, and the half
+kick that ends a step is the product that starts the next, so a run has
+the bits of the textbook velocity-Verlet loop with g g' on every cell.
 
 `forked` is the one way the package uses a second core: it runs a
 generator in one forked child process and hands its values to the caller
@@ -53,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUp, CFLViolation, DomainError
+from .errors import BlowUp, CFLViolation, DomainError, EquiwaveError
 from .reduction import compute_V, indices, weight_w
 from .scenario import Scenario
 from .spectral import DiscreteRadialOperator, _band_product, _lp_partials, _lq_norms, frac_norm
@@ -131,30 +132,29 @@ class _Discretization:
         self.h_nodes = self.profile(r)
         self.w_nodes = weight_w(self.profile, n, k, r)
         V = compute_V(self.profile, n, k, r)
-        self.c = self.lbar / self.h_nodes**2  # weight of g g' in the phi force
+        self.c = self.lbar / self.h_nodes**2
+        # -Delta_h, whose weights also give the local energy
+        self.manifold_op = DiscreteRadialOperator.manifold(self.grid, self.profile, n)
+        # the operator H, s = b u, and the weight a of g g'(s) - s
         if formulation == "phi":
-            # lbar*phi/h^2 in c*g(phi)g'(phi) is singular at r = 0 and must
-            # cancel the FV Laplacian discretely: below r = 1, c + D comes
-            # from the regular mode w by the exact identity (Delta_h -
-            # lbar/h^2) w = -V w; from r = 1 on D = 0, which agrees to
-            # second order and avoids boundary pollution
-            bare = DiscreteRadialOperator.manifold(self.grid, self.profile, n)
-            balanced = V - bare.apply(self.w_nodes) / self.w_nodes - self.c
-            self.D = np.where(r < 1.0, balanced, 0.0)
-            self.op = replace(bare, W_samples=self.D)
+            # P = c, but below r = 1 the singular c u must cancel the FV
+            # Laplacian discretely: there P comes from the regular mode w by
+            # the exact identity (Delta_h - c) w = -V w
+            P = np.where(r < 1.0, V - self.manifold_op.apply(self.w_nodes) / self.w_nodes,
+                         self.c)
+            self.op = replace(self.manifold_op, W_samples=P)
+            self.a, self.b = self.c, 1.0
         elif formulation == "psi":
-            self.V = V
             self.op = DiscreteRadialOperator.flat(self.grid, self.m, V)
-            self.q = self.c / self.w_nodes  # weight of g g'(s) - s in the psi force
+            self.a, self.b = self.c / self.w_nodes, self.w_nodes
         else:
             raise DomainError(f"unknown formulation {formulation!r}")
 
         # g g'(s) rounds to s below the target's linear radius, so there
-        # c g g'(u) is c u and q (g g'(s) - s) is q * (+0) = +0, which
-        # leaves the force as it is when q >= 0; a q negative or NaN
-        # somewhere gets g g' on every cell
+        # a (g g'(s) - s) is a * (+0) = +0, which leaves the force as it is
+        # when a >= 0; an a negative or NaN somewhere gets g g' on every cell
         self.linear_radius = self.target.linear_radius
-        if formulation == "psi" and not np.all(self.q >= 0):
+        if not np.all(self.a >= 0):
             self.linear_radius = 0.0
         # every array of a step, made once: the force and the scratch of its
         # band product, s = w u, |s|, the nonlinear term, and the flags of
@@ -166,7 +166,7 @@ class _Discretization:
         self._force, self._row, self._s, self._abs, self._nl = np.empty((5, N))
         self._flags = bytearray(N)
         self._flag_array = np.frombuffer(self._flags, dtype=bool)
-        self._measured = None  # (field, i0, i1) of a measure that no force used yet
+        self._measured = None  # (u, s, i0, i1) of a measure that no force used yet
         # -H u from the negated bands: negation is exact, so the bits of -(H u)
         self._neg_bands = tuple(-b for b in self.op.bands)
 
@@ -179,32 +179,24 @@ class _Discretization:
         # the window [i0, i1): from the first to the last cell at or above
         # the radius, (0, 0) when there is none
         np.greater_equal(mag, self.linear_radius, out=self._flag_array)
-        self._measured = (u, max(self._flags.find(1), 0), self._flags.rfind(1) + 1)
+        self._measured = (u, s, max(self._flags.find(1), 0), self._flags.rfind(1) + 1)
         return mag
 
     def acceleration(self, u: np.ndarray) -> np.ndarray:
-        """The force at the field u, in a buffer of this discretization
-        that the next call overwrites.  g g' is evaluated only in the
-        window of |s| >= the linear radius, that of the measure(u) just
-        made or else measured here; outside it the nonlinear term takes
-        its exact linear value."""
+        """The force -H u - a (g g'(s) - s) at the field u, in a buffer of
+        this discretization that the next call overwrites.  The remainder
+        is taken only in the window of |s| >= the linear radius, that of
+        the measure(u) just made or else measured here; outside it it is
+        exactly 0."""
         if self._measured is None or self._measured[0] is not u:
             self.measure(u)
-        (_, i0, i1), self._measured = self._measured, None
+        (_, s, i0, i1), self._measured = self._measured, None
         force = _band_product(*self._neg_bands, u, out=self._force, tmp=self._row)
-        window = self._nl[i0:i1]
-        if self.formulation == "phi":
-            # c u, then c g g'(u) over it in the window
-            nl = np.multiply(self.c, u, out=self._nl)
-            self.target.gg_prime(u[i0:i1], out=window)
-            window *= self.c[i0:i1]
-            force -= nl
-        else:
-            s = self._s[i0:i1]
-            self.target.gg_prime(s, out=window)
-            window -= s
-            window *= self.q[i0:i1]
-            force[i0:i1] -= window
+        s, window = s[i0:i1], self._nl[i0:i1]
+        self.target.gg_prime(s, out=window)
+        window -= s
+        window *= self.a[i0:i1]
+        force[i0:i1] -= window
         return force
 
     def energy(self, u: np.ndarray, u_t: np.ndarray) -> float:
@@ -212,22 +204,16 @@ class _Discretization:
         the potential term the exact antiderivative of the discrete force
         (so the leapfrog drift is pure O(dt^2)); the psi-form energy
         agrees with the phi-form one in the continuum limit."""
-        if self.formulation == "phi":
-            pot = self.D * u**2 + self.c * self.target(u) ** 2
-        else:
-            s = self.w_nodes * u
-            pot = (self.V * u**2 + self.lbar * (self.target(s) ** 2 - s**2)
-                   / (self.h_nodes * self.w_nodes) ** 2)
+        s = self.to_phi(u)
+        pot = self.op.W_samples * u**2 + self.a / self.b * (self.target(s) ** 2 - s**2)
         return self.op.energy(u, u_t, pot)
 
     def to_phi(self, u: np.ndarray) -> np.ndarray:
-        return u if self.formulation == "phi" else self.w_nodes * u
+        return self.b * u
 
     def initial_state(self) -> WaveState:
         phi0, phi1 = self.scenario.initial_data(self.grid.nodes)
-        if self.formulation == "psi":
-            return WaveState(0.0, phi0 / self.w_nodes, phi1 / self.w_nodes, "psi")
-        return WaveState(0.0, phi0, phi1, "phi")
+        return WaveState(0.0, phi0 / self.b, phi1 / self.b, self.formulation)
 
 
 def energy(state: WaveState, scenario: Scenario) -> float:
@@ -239,9 +225,8 @@ def energy(state: WaveState, scenario: Scenario) -> float:
     semidiscrete flow conserves it exactly.  psi-form states are
     transformed to the phi-form first."""
     disc = _Discretization(scenario, "phi")
-    if state.formulation == "psi":
-        return disc.energy(disc.w_nodes * state.field, disc.w_nodes * state.velocity)
-    return disc.energy(state.field, state.velocity)
+    w = disc.w_nodes if state.formulation == "psi" else 1.0
+    return disc.energy(w * state.field, w * state.velocity)
 
 
 def _reduced_blocks(states: list, scenario: Scenario):
@@ -298,10 +283,6 @@ class _Run:
             ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
         self.ceiling = ceiling
         self.ball = disc.grid.R_max / 3.0
-        # the local energy is that of the phi form without D: the weights of
-        # the manifold operator, which a psi run builds on its own, and c
-        self.local_op = (disc.op if formulation == "phi"
-                         else DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n))
         self.times, self.energies, self.sups, self.locals = [], [], [], []
 
     def _record(self, t: float) -> float:
@@ -311,7 +292,7 @@ class _Run:
         self.times.append(t)
         self.energies.append(disc.energy(self.u, self.v))
         self.sups.append(float(np.max(np.abs(phi))))
-        self.locals.append(self.local_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2,
+        self.locals.append(disc.manifold_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2,
                                                 self.ball))
         return t
 
@@ -415,10 +396,12 @@ def forked(generator, *args):
     an iterator over its values, in order, through a one-way pipe.
 
     An exception of the child arrives as its next value and is raised
-    there; reading past the last value, or from a child that died,
-    raises EOFError.  When the block ends, by an exception or not, the
-    child is terminated (a no-op once it has sent everything), joined,
-    and the pipe closed, so the child never outlives the block."""
+    there.  A child that ends without sending the next value (killed,
+    out of memory, or stopped by an exception that cannot be pickled)
+    raises EquiwaveError naming its exit code.  When the block ends, by
+    an exception or not, the child is terminated (a no-op once it has
+    sent everything), joined, and the pipe closed, so the child never
+    outlives the block."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -429,7 +412,12 @@ def forked(generator, *args):
 
     def values():
         while True:
-            value = recv.recv()
+            try:
+                value = recv.recv()
+            except EOFError:
+                child.join()
+                raise EquiwaveError(f"the forked child ended with exit code "
+                                    f"{child.exitcode} before sending a value") from None
             if isinstance(value, Exception):
                 raise value
             yield value

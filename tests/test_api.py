@@ -8,6 +8,7 @@ from pathlib import Path
 
 import equiwave
 import equiwave.errors
+import equiwave.solver
 import equiwave.spectral
 from equiwave.spectral import DiscreteRadialOperator
 
@@ -114,3 +115,16 @@ def test_only_the_fork_helper_uses_multiprocessing():
                     users.add(f"{path.name}:{owner.get(id(node))}")
     assert uses == {"multiprocessing": {"solver.py:forked"},
                     "mmap": {"solver.py:_shared_columns"}}
+
+
+def test_force_and_energy_take_one_path_for_both_formulations():
+    # the formulation picks the operator and s = b u once, in __init__: the
+    # force and the energy never read it
+    tree = ast.parse(Path(equiwave.solver.__file__).read_text())
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "_Discretization"]
+    methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    reads = [f"{name}:{node.lineno}" for name in ("acceleration", "energy")
+             for node in ast.walk(methods[name])
+             if isinstance(node, ast.Attribute) and node.attr == "formulation"]
+    assert reads == []

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -422,7 +423,7 @@ def test_cli_evolve_matches_an_in_process_run(tmp_path):
     assert report["strichartz_trace"] == total
     assert report["energy_drift"] == float(tr.energy_drift.max())
     assert report["local_energy_final"] == float(tr.local_energies[-1])
-    assert report["verdict"] == "PASS"
+    assert report["verdict"] == "PASS" and "reason" not in report
 
 
 def test_cli_evolve_blowup_in_the_child_exits_3(tmp_path, monkeypatch, capsys):
@@ -569,6 +570,36 @@ def test_cli_evolve_child_failing_mid_run_exits_3(tmp_path, monkeypatch, capsys)
         assert not (out / "report.json").exists()
         assert multiprocessing.active_children() == []
     assert list((tmp_path / "evolve").iterdir()) == []
+
+
+def test_cli_evolve_child_killed_exits_3(tmp_path, capsys,
+                                        child_killed_at_the_fourth_snapshot):
+    # a child that dies without sending (killed, out of memory) is a
+    # numerical error that names its exit code, not an EOFError
+    path = write_scenario(tmp_path, EVOLVE)
+    for cmd in ("evolve", "all"):
+        out = tmp_path / cmd
+        assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical error (EquiwaveError): the forked child ended with exit code "
+            f"{-signal.SIGKILL} before sending a value\n")
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.json").exists()
+        assert multiprocessing.active_children() == []
+
+
+def test_cli_evolve_fail_prints_its_reason(tmp_path, capsys):
+    # amplitude 0.5 on a coarse grid: the energy drifts past its bound
+    payload = {**GOOD, "manifold": {"kind": "flat"}, "grid": {"R_max": 25.0, "N": 200},
+               "data": {**GOOD["data"], "amplitude": 0.5}}
+    path = write_scenario(tmp_path, payload)
+    assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["verdict"] == "FAIL"
+    assert report["reason"] == "energy_drift 0.000135 > 0.0001"
+    assert capsys.readouterr().err == (
+        "result                       FAIL\n"
+        "result                       reason: energy_drift 0.000135 > 0.0001\n")
 
 
 def _python(code: str, *args: str, env_vars=None) -> str:

@@ -3,6 +3,7 @@ formulation consistency, and blow-up detection."""
 
 import math
 import multiprocessing
+import signal
 import time
 import tracemalloc
 
@@ -13,7 +14,7 @@ import equiwave.profiles
 import equiwave.solver
 from _baselines import REGRESSION_WINDOW, SOLVER_TRACE
 from _dense import coefficients, evolve_linear, from_coefficients, powered
-from equiwave.errors import BlowUp, CFLViolation, DomainError
+from equiwave.errors import BlowUp, CFLViolation, DomainError, EquiwaveError
 from equiwave.profiles import gamma_decompose
 from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.scenario import Scenario
@@ -169,6 +170,13 @@ def test_consistency_check_raises_either_half(monkeypatch, kind, failing):
     assert (exc.value is FAILURES[kind]) == (failing[0] == "phi")
     assert str(exc.value) == str(FAILURES[kind])
     assert vars(exc.value) == vars(FAILURES[kind])
+    assert multiprocessing.active_children() == []
+
+
+def test_consistency_check_raises_when_the_child_dies(child_killed_at_the_fourth_snapshot):
+    # the psi child dies at its fourth snapshot and sends nothing
+    with pytest.raises(EquiwaveError, match=f"exit code {-signal.SIGKILL} "):
+        consistency_check(make_scenario(N=300, T=3.0))
     assert multiprocessing.active_children() == []
 
 
@@ -354,16 +362,19 @@ def test_strichartz_trace_zero_trajectory():
 
 def test_spectral_operator_and_solver_share_one_stencil():
     # the solver's linear force is -H u for the spectral operator itself:
-    # -Delta_m + V in the psi form, -Delta_h + D in the phi form
+    # -Delta_m + V in the psi form, -Delta_h + P in the phi form, with P
+    # the lbar/h^2 of the phi force from r = 1 on
     s = make_scenario(manifold="hyperbolic")
     psi = _Discretization(s, "psi")
     phi = _Discretization(s, "phi")
     r = psi.grid.nodes
     v = r * np.exp(-((r - 2.0) ** 2))
-    want = build_operator(psi.grid, psi.m, psi.V).apply(v)
-    assert np.array_equal(psi.op.apply(v), want)
-    want = DiscreteRadialOperator.manifold(phi.grid, phi.profile, phi.n,
-                                           W=phi.D).apply(v)
+    V = psi.op.W_samples
+    assert np.array_equal(V, compute_V(psi.profile, psi.n, psi.k, r))
+    assert np.array_equal(psi.op.apply(v), build_operator(psi.grid, psi.m, V).apply(v))
+    P = phi.op.W_samples
+    assert np.array_equal(P[r >= 1.0], phi.c[r >= 1.0])
+    want = DiscreteRadialOperator.manifold(phi.grid, phi.profile, phi.n, W=P).apply(v)
     assert np.array_equal(phi.op.apply(v), want)
 
 
@@ -440,18 +451,16 @@ def test_snapshot_diagnostics_transient_does_not_grow_with_snapshots():
 
 def _textbook_verlet(s, form, st):
     """Velocity Verlet as written from the state st, on the full grid, with
-    no window: -H u minus c g g'(u), or minus q (g g'(s) - s) with s = w u.
-    Returns the states, energies, sups and local energies at the snapshots."""
+    no window: -H u minus a (g g'(s) - s), s = u in the phi form and w u in
+    the psi form.  Returns the states, energies, sups and local energies at
+    the snapshots."""
     disc = _Discretization(s, form)
     n_steps, dt, stride = s.stepping
-    local_op = (disc.op if form == "phi"
-                else DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n))
+    local_op = DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n)
 
     def force(u):
-        if form == "phi":
-            return -disc.op.apply(u) - disc.c * disc.target.gg_prime(u)
-        w_u = disc.w_nodes * u
-        return -disc.op.apply(u) - disc.q * (disc.target.gg_prime(w_u) - w_u)
+        s = disc.to_phi(u)
+        return -disc.op.apply(u) - disc.a * (disc.target.gg_prime(s) - s)
 
     def record(u, v):
         phi, phi_t = disc.to_phi(u), disc.to_phi(v)
@@ -494,7 +503,7 @@ def test_integrate_is_the_textbook_verlet_loop_bit_for_bit(target, form, window)
     assert tr.meta["n_steps"] == 300
     if target in ("sphere", "hyperbolic"):
         disc.measure(st.field)
-        i0, i1 = disc._measured[1:]
+        i0, i1 = disc._measured[2:]
         assert {"empty": i1 == i0, "partial": 0 < i1 - i0 < 300,
                 "full": (i0, i1) == (0, 300)}[window]
     assert len(tr.states) == len(rows)
