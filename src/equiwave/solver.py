@@ -63,10 +63,11 @@ BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 # snapshots per stack of _reduced_blocks, which feeds h_half_norms and
 # strichartz_trace, and per block of the evolve child's fields.  Every
 # column is solved and summed on its own, so the width moves no bit; the
-# transient of frac_norm is about 64 N bytes per column (4.2 MB for 16
-# columns at N = 4000).  16 is the knee: at N = 4000 a column costs about
-# 6.5 ms in stacks of 16 or 32, no less at 101 and more at 8 (one BLAS
-# thread, 2-core VM)
+# transient of frac_norm is about 34 N bytes per column (2.2 MB for 16
+# columns at N = 4000).  At N = 4000 the H^(1/2) norm and the Strichartz
+# L^q norm of a column cost about 2.2 ms together in stacks of 8, 16 or
+# 32 and 2.4 ms at 101: 16 stays, as fast as 32 in half its working set
+# (one BLAS thread, 2-core VM)
 SNAPSHOT_BLOCK = 16
 
 
@@ -380,12 +381,17 @@ def integrate(
 
 def _send_all(conn, generator, args) -> None:
     """The body of the child of `forked`: send each value of
-    generator(*args), or the exception that stopped it, and close."""
+    generator(*args), or the exception that stopped it, and close.  An
+    exception that cannot be pickled goes as an EquiwaveError that
+    carries its type name and message."""
     try:
         for value in generator(*args):
             conn.send(value)
     except Exception as exc:  # raised again by the parent
-        conn.send(exc)
+        try:
+            conn.send(exc)
+        except Exception:  # pickling fails before a byte is written
+            conn.send(EquiwaveError(f"{type(exc).__name__}: {exc}"))
     finally:
         conn.close()
 
@@ -396,12 +402,12 @@ def forked(generator, *args):
     an iterator over its values, in order, through a one-way pipe.
 
     An exception of the child arrives as its next value and is raised
-    there.  A child that ends without sending the next value (killed,
-    out of memory, or stopped by an exception that cannot be pickled)
-    raises EquiwaveError naming its exit code.  When the block ends, by
-    an exception or not, the child is terminated (a no-op once it has
-    sent everything), joined, and the pipe closed, so the child never
-    outlives the block."""
+    there; one that cannot be pickled arrives as an EquiwaveError
+    "<type name>: <message>".  A child that ends without sending the
+    next value (killed, out of memory) raises EquiwaveError naming its
+    exit code.  When the block ends, by an exception or not, the child
+    is terminated (a no-op once it has sent everything), joined, and the
+    pipe closed, so the child never outlives the block."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")

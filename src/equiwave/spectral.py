@@ -8,10 +8,14 @@ the r=0 face vanishes identically (regularity) and the outer boundary is
 a zero Dirichlet value at the ghost node R_max + dr/2.
 
 Functions of the operator are applied without an eigenbasis, in O(N)
-memory per vector.  One shifted solve, (z - H) y = x by a complex
-tridiagonal LAPACK call, serves the resolvent and the fractional powers,
-contour quadratures of the resolvent with one solve per node; the wave
-propagator cos(t sqrt(nu+H)) is a Chebyshev series in H.  No full
+memory per vector.  Two tridiagonal LAPACK solves serve them.  The
+complex shifted solve, (z - H) y = x, serves the resolvent and the
+contour quadratures of the resolvent behind the fractional powers, one
+solve per node.  The real positive definite solve, (H + p) y = x,
+serves the square roots H^(1/2) and (1+H)^(1/2) of the snapshot norms
+and the Strichartz norms: Zolotarev's rational approximation of
+lambda^(-1/2), one solve per real pole.  The wave propagator
+cos(t sqrt(nu+H)) is a Chebyshev series in H.  No full
 eigendecomposition is made: the spectrum (eigenvalues only), the lowest
 eigenvalue by bisection and the few eigenpairs below a cut are the only
 eigensolves.  LAPACK (scipy.linalg) is imported on the first solve, not
@@ -275,7 +279,7 @@ def _power_base(op: DiscreteRadialOperator, s: float, shift: str) -> tuple[float
     raise DomainError(f"unknown shift {shift!r}")
 
 
-# relative accuracy each contour quadrature is sized for
+# relative accuracy each contour quadrature and pole rule is sized for
 _CONTOUR_TOL = 1e-15
 
 
@@ -333,6 +337,59 @@ def _contour_rule(alpha: float, lo: float, hi: float):
     return w * w, -(4.0 * K / (math.pi * n)) * w ** (2.0 * alpha + 1.0) * dw
 
 
+def _sc(f: np.ndarray, kp: float) -> np.ndarray:
+    """Jacobi sc(f K) = sn/cn of the modulus with complement kp <= 2^(-1/2),
+    K = _ellipk(kp), for 0 < f < 1, to a few ulps.
+
+    By the theta series of the complementary nome q = exp(-pi K/K'),
+    which is at most exp(-pi): sc(u) = -i sn(iu) of the modulus kp, a
+    ratio of sums of sinh and cosh whose terms fall off as q^(j^2) for
+    u <= K/2, and sc(K - u) = 1 / (kp sc(u)) past it.  The descending AGM
+    of _ellipj loses about 500 ulps near K/2 when kp is small (its
+    arcsin works next to 1)."""
+    K, Kp = _ellipk(kp), _ellipk(math.sqrt((1.0 - kp) * (1.0 + kp)))
+    t = math.pi * K / Kp  # q = exp(-t)
+    tv = t * np.minimum(f, 1.0 - f)  # pi u / K' for u = min(f, 1 - f) K
+    j = np.arange(4)[:, None]  # term 4 is below q^14 < 1e-19 of the sum
+    sign, q = (-1.0) ** j, np.exp(-t * j**2)
+    theta4 = np.sum(np.where(j > 0, 2.0, 1.0) * sign * q * np.cosh(j * tv), axis=0)
+    theta3 = 1.0 + 2.0 * np.sum(q[1:])
+    r = np.exp(-t * (j + 0.5) ** 2)  # theta1(i pi u/(2 K')) / i and theta2, halved
+    theta1 = np.sum(sign * r * np.sinh((j + 0.5) * tv), axis=0)
+    sc = theta3 * theta1 / (np.sum(r) * theta4)
+    return np.where(f < 0.5, sc, 1.0 / (kp * sc))
+
+
+def _zolotarev_rule(lo: float, hi: float):
+    """Poles p > 0, weights a > 0 and d > 0 with
+    A^(-1/2) x = d x + sum_j a_j (A + p_j)^(-1) x, sized for relative
+    accuracy _CONTOUR_TOL, for symmetric A with spectrum in [lo, hi],
+    0 < lo.
+
+    Zolotarev's best uniform relative approximation of lambda^(-1/2) on
+    [lo, hi] of type (n, n) (van den Eshof et al., Comput. Phys. Commun.
+    146, 2002): with c_l = sc^2(l K/(2n+1)) of the modulus with
+    complement kp = (lo/hi)^(1/2), it is
+    d prod_l (lambda + lo c_(2l)) / (lambda + lo c_(2l-1)).  Its relative
+    error equioscillates with extremes of opposite sign at lo and hi,
+    which d centres, and is about 4 exp(-(2n+1) pi K'/K), where
+    pi K'/K is about pi^2 / ln(16 hi/lo): n is the least that takes this
+    estimate below _CONTOUR_TOL."""
+    hi = max(hi, 2.0 * lo)
+    kappa = hi / lo
+    n = math.ceil((math.log(4.0 / _CONTOUR_TOL) * math.log(16.0 * kappa) / math.pi**2 - 1.0)
+                  / 2.0)
+    c = lo * _sc(np.arange(1, 2 * n + 1) / (2 * n + 1), math.sqrt(1.0 / kappa)) ** 2
+    p, z = c[0::2], c[1::2]
+    d = 2.0 / sum(math.sqrt(x) * np.prod((x + z) / (x + p)) for x in (lo, hi))
+    # residue at -p_j: d (z_j - p_j) prod_(l != j) (z_l - p_j) / (p_l - p_j),
+    # a product of ratios near 1 that neither overflows nor underflows
+    ratios = z[None, :] - p[:, None]
+    den = p[None, :] - p[:, None]
+    np.fill_diagonal(den, 1.0)
+    return p, d * np.prod(ratios / den, axis=1), d
+
+
 def _shifted_solve(diag, off, z: complex, x: np.ndarray) -> np.ndarray:
     """y with (z - A) y = x for the symmetric tridiagonal A = (diag, off), x
     of shape (N,) or (N, k): one zgtsv, for the resolvent and each contour node."""
@@ -342,6 +399,33 @@ def _shifted_solve(diag, off, z: complex, x: np.ndarray) -> np.ndarray:
     if info != 0:
         raise SingularSystem(f"shift {z} hit the spectrum (info {info})")
     return y
+
+
+def _spd_solve(diag, off, p: float, x: np.ndarray) -> np.ndarray:
+    """y with (A + p) y = x for the symmetric tridiagonal A = (diag, off),
+    A + p positive definite, and real x of shape (N, k): one dptsv, for
+    each pole of _zolotarev_rule."""
+    *_, y, info = _linalg().lapack.dptsv(diag + p, off, x)
+    if info != 0:
+        raise SingularSystem(f"shift {p} leaves the operator not positive definite "
+                             f"(info {info})")
+    return y
+
+
+def _inverse_sqrt(diag, off, x: np.ndarray, lo: float, hi: float):
+    """A^(-1/2) x for the symmetric tridiagonal A = (diag, off), positive
+    definite with spectrum in [lo, hi], and x of shape (N, k): one real
+    positive definite solve per pole of _zolotarev_rule."""
+    if np.iscomplexobj(x):
+        return (_inverse_sqrt(diag, off, x.real, lo, hi)
+                + 1j * _inverse_sqrt(diag, off, x.imag, lo, hi))
+    p, a, d = _zolotarev_rule(lo, hi)
+    x = np.asfortranarray(x)  # LAPACK's layout, kept by every array below
+    out = np.multiply(d, x)
+    tmp = np.empty_like(x)
+    for pj, aj in zip(p, a):
+        out += np.multiply(aj, _spd_solve(diag, off, pj, x), out=tmp)
+    return out
 
 
 def _contour_power(diag, off, alpha: float, x: np.ndarray, lo: float, hi: float):
@@ -367,10 +451,14 @@ def _fractional_power(
 ) -> np.ndarray:
     """The power of _power_base applied to v, (N,) or an (N, k) stack,
     without an eigenbasis.  A power s = j + beta, j an integer and
-    -1 < beta <= 0, is beta by contour quadrature, then j products with
-    the operator (or -j contours of power -1).  Eigenpairs below the
-    clip (at most a few, none on an operator without a negative
-    potential) are taken out and powered exactly."""
+    -1 < beta <= 0, is beta first, then j products with the operator (or
+    -j contours of power -1).  beta = -1/2 takes the real poles of
+    _zolotarev_rule, whose shifted operators are positive definite when
+    the operator is (it may not be only under the homogeneous shift,
+    with its lowest eigenvalue within EIG_TOL below 0); every other beta,
+    and that case, takes the contour.  Eigenpairs below the clip (at
+    most a few, none on an operator without a negative potential) are
+    taken out and powered exactly."""
     b, c = _power_base(op, s, shift)
     v = np.asarray(v)
     if s == 0:
@@ -388,7 +476,9 @@ def _fractional_power(
     lam_lo, lam_hi = op.spectral_bounds
     lo, hi = b + max(lam_lo, cut), b + lam_hi
     j = math.ceil(s)
-    if s != j:
+    if s - j == -0.5 and b + lam_lo > 0:
+        x = _inverse_sqrt(diag, off, x, lo, hi)
+    elif s != j:
         x = _contour_power(diag, off, s - j, x, lo, hi)
     for _ in range(-j):
         x = _contour_power(diag, off, -1.0, x, lo, hi)

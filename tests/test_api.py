@@ -128,3 +128,39 @@ def test_force_and_energy_take_one_path_for_both_formulations():
              for node in ast.walk(methods[name])
              if isinstance(node, ast.Attribute) and node.attr == "formulation"]
     assert reads == []
+
+
+def test_spectral_solves_go_through_two_helpers():
+    # scipy is reached only through _linalg(), whose routines are the two
+    # eigensolvers and LAPACK; LAPACK solves only in the complex shifted
+    # solve (resolvent, contour nodes) and the real positive definite
+    # solve (the poles of the square roots)
+    tree = ast.parse(Path(equiwave.spectral.__file__).read_text())
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            owner.update({id(node): fn.name for node in ast.walk(fn)})
+
+    def from_linalg(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_linalg")
+
+    routines, solves, scipy_users = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and from_linalg(node.value):
+            routines.add(node.attr)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "lapack"):
+            solves.add((owner.get(id(node)), node.attr))
+        names = []
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        if any(name.split(".")[0] == "scipy" for name in names):
+            scipy_users.add(owner.get(id(node)))
+    assert routines == {"eigvalsh_tridiagonal", "eigh_tridiagonal", "lapack"}
+    assert solves == {("_shifted_solve", "zgtsv"), ("_spd_solve", "dptsv")}
+    assert scipy_users == {"_linalg"}

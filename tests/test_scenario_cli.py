@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -586,6 +587,31 @@ def test_cli_evolve_child_killed_exits_3(tmp_path, capsys,
         assert not (out / "trajectory.csv").exists()
         assert not (out / "report.json").exists()
         assert multiprocessing.active_children() == []
+
+
+def test_cli_evolve_child_error_that_cannot_be_pickled_exits_3(tmp_path, capfd, monkeypatch):
+    # an exception of the child that holds a lock cannot be pickled: the
+    # child sends its type name and message, and prints no traceback
+    class Bad(Exception):
+        def __init__(self, message):
+            super().__init__(message)
+            self.lock = threading.Lock()
+
+    record, pid = equiwave.solver._Run._record, os.getpid()
+
+    def failing_record(run, t):
+        if os.getpid() != pid and len(run.times) == 3:
+            raise Bad("original message")
+        return record(run, t)
+
+    monkeypatch.setattr(equiwave.solver._Run, "_record", failing_record)
+    path = write_scenario(tmp_path, EVOLVE)
+    out = tmp_path / "o"
+    assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 3
+    assert capfd.readouterr().err == (
+        "numerical error (EquiwaveError): Bad: original message\n")
+    assert not (out / "trajectory.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_evolve_fail_prints_its_reason(tmp_path, capsys):

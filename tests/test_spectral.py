@@ -1,14 +1,17 @@
 """Discrete radial operator: eigenbasis quality, fractional calculus,
 linear evolution, and the resolvent with manufactured solutions.  The
-contour-quadrature powers and the Chebyshev propagator are checked
-against the dense eigen-calculus of the tests (_dense)."""
+fractional powers (contour quadrature, and real poles for the square
+roots) and the Chebyshev propagator are checked against the dense
+eigen-calculus of the tests (_dense)."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+import equiwave.spectral
 from _dense import coefficients, eigenvectors, evolve_linear, from_coefficients, powered
 from equiwave.errors import (
     DimensionError,
@@ -27,6 +30,7 @@ from equiwave.spectral import (
     _down_rows,
     _fractional_power,
     _lq_norms,
+    _zolotarev_rule,
     build_operator,
     frac_norm,
     resolve,
@@ -352,6 +356,37 @@ def test_contour_rule_uniform_relative_accuracy(alpha, lo, hi):
     assert np.max(np.abs(approx / lam**alpha - 1.0)) < 1e-13
 
 
+# the intervals of the contour test, then those of H and 1+H on the README
+# scenario, with their pole counts
+@pytest.mark.parametrize("lo, hi, poles", [(1.0, 1e5, 26), (1e-3, 3e4, 36),
+                                           (0.0056, 2.6e4, 33), (1.006, 2.6e4, 24)])
+def test_zolotarev_rule_uniform_relative_accuracy(lo, hi, poles):
+    # d + sum_j a_j / (lambda + p_j) against lambda^(-1/2), both at 30
+    # digits: the error is that of the rule's coefficients alone
+    p, a, d = _zolotarev_rule(lo, hi)
+    assert len(p) == len(a) == poles
+    assert np.all(p > 0) and np.all(a > 0) and d > 0
+    with mpmath.workdps(30):
+        worst = max(abs(mpmath.sqrt(lam) * (d + mpmath.fsum(
+                        mpmath.mpf(aj) / (lam + mpmath.mpf(pj)) for aj, pj in zip(a, p))) - 1)
+                    for lam in map(mpmath.mpf, np.geomspace(lo, hi, 500)))
+    assert worst <= 1e-13
+
+
+def test_square_roots_make_no_complex_solve(free_and_reduced, monkeypatch):
+    # H^(1/2) and (1+H)^(1/2) take real poles only: the snapshot norms and
+    # the Strichartz L^q norms never reach the complex shifted solve
+    def no_complex_solve(*args):
+        raise AssertionError("complex solve")
+
+    monkeypatch.setattr(equiwave.spectral, "_shifted_solve", no_complex_solve)
+    for op in free_and_reduced:
+        v = _samples(op.grid)
+        for shift in ("homogeneous", "inhomogeneous"):
+            assert np.all(frac_norm(op, 0.5, v, shift) > 0.0)
+            assert np.all(_lq_norms(op, 0.5, v, shift, 3.0) > 0.0)
+
+
 @pytest.mark.parametrize("shift", ["homogeneous", "inhomogeneous"])
 @pytest.mark.parametrize("s", [-1.0, -0.5, 1.0 / 16, 0.5, 1.0])
 def test_frac_norm_matches_dense(free_and_reduced, s, shift):
@@ -379,6 +414,21 @@ def test_fractional_power_matches_dense_with_modes_below_the_floor(free_and_redu
     for shift in ("homogeneous", "inhomogeneous"):
         got = _fractional_power(op, s, v, shift)
         assert _l2_error(op, got, _dense_power(op, s, v, shift)) < 1e-10
+
+
+def test_square_root_with_an_eigenvalue_just_below_zero():
+    # the lowest eigenvalue, -5e-9, is within EIG_TOL; on this wide grid
+    # the first real pole is smaller, so H + p is indefinite and H^(1/2)
+    # takes the contour
+    grid = RadialGrid(4000.0, 800)
+    free = build_operator(grid, 5)
+    op = build_operator(grid, 5, np.full(grid.N, -5e-9 - free.eigenvalues[0]))
+    assert -1e-8 < op.spectral_bounds[0] < -_zolotarev_rule(
+        op.lambda_floor, op.spectral_bounds[1])[0][0]
+    r = grid.nodes
+    v = np.stack([r**2 * np.exp(-(((r - c) / 100.0) ** 2)) for c in (0.0, 600.0)], axis=1)
+    got = _fractional_power(op, 0.5, v, "homogeneous")
+    assert _l2_error(op, got, _dense_power(op, 0.5, v, "homogeneous")) < 1e-10
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0])
