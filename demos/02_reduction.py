@@ -9,7 +9,6 @@ from equiwave import (
     indices,
     metric_profile,
     reduce_problem,
-    transform_field,
     weight_w,
 )
 
@@ -43,6 +42,7 @@ print(f"reduced problem: m = {problem.m}, "
 # round trip phi -> psi -> phi
 rr = np.linspace(0.05, 20.0, 400)
 phi = rr * np.exp(-((rr - 3.0) ** 2))
-psi = transform_field("phi_to_psi", phi, hyp, n, k, rr)
-back = transform_field("psi_to_phi", psi, hyp, n, k, rr)
+wr = weight_w(hyp, n, k, rr)
+psi = phi / wr
+back = psi * wr
 print(f"transform round trip max error: {np.max(np.abs(back - phi)):.2e}")

@@ -1,7 +1,8 @@
 """Discrete radial operator on R^m and the functional calculus the
 pipelines use: second order convergence of the resolvent, fractional
-norms by contour quadrature against a closed form, and the linear flow
-as a Chebyshev series inside the Strichartz monitor."""
+norms by Zolotarev's real-pole rational approximation against a closed
+form, and the linear flow as a Chebyshev series inside the Strichartz
+monitor."""
 
 import math
 
@@ -50,7 +51,7 @@ print(f"manifold form (h = sinh r) max error: {np.max(np.abs(got - u)):.3e}")
 # || H^(1/2) e^(-r^2) ||^2 = || grad e^(-r^2) ||^2 on R^m, in closed form
 exact = math.sqrt(grid.surface_constant(m) * 4.0
                   * math.gamma((m + 2) / 2) / (2.0 * 2.0 ** ((m + 2) / 2)))
-print(f"\n|| H^(1/2) e^(-r^2) || by contour quadrature (exact {exact:.8f}):")
+print(f"\n|| H^(1/2) e^(-r^2) || by Zolotarev's real poles (exact {exact:.8f}):")
 errs = []
 for N in (400, 800, 1600):
     g = RadialGrid(20.0, N)

@@ -68,7 +68,6 @@ from .profiles import (
     MetricProfile,
     TargetProfile,
     check_normalization,
-    gamma_decompose,
     metric_profile,
     parse_expr,
     target_profile,
@@ -78,7 +77,6 @@ from .reduction import (
     compute_V,
     indices,
     reduce_problem,
-    transform_field,
     weight_w,
 )
 from .scenario import Scenario, load_scenario
@@ -86,7 +84,6 @@ from .solver import (
     Trajectory,
     WaveState,
     consistency_check,
-    energy,
     integrate,
     strichartz_trace,
 )
@@ -135,10 +132,8 @@ __all__ = [
     "compute_V",
     "consistency_check",
     "dimshift_check",
-    "energy",
     "estimate_h_infinity",
     "frac_norm",
-    "gamma_decompose",
     "gaussian_family",
     "hardy2_check",
     "hardy_check",
@@ -154,7 +149,6 @@ __all__ = [
     "strichartz_monitor",
     "strichartz_trace",
     "target_profile",
-    "transform_field",
     "validate_wave_pair",
     "weight_w",
 ]

@@ -71,14 +71,6 @@ class Jet:
         t[0] = value
         return cls(center, t)
 
-    @classmethod
-    def from_derivatives(cls, center, derivs) -> "Jet":
-        """Jet from f(center), f'(center), ...; each entry is a number or
-        an array shaped like ``center``."""
-        shape = np.shape(center)
-        d = np.array([np.broadcast_to(x, shape) for x in derivs], dtype=float)
-        return cls(center, (d.T / _factorials(len(d) - 1)).T)
-
     # -- accessors -----------------------------------------------------
 
     @property
@@ -242,11 +234,6 @@ def _cyclic(n: int, v, fns, sign: float = 1.0):
     return np.array([sign ** (j // p) * vals[j % p] / math.factorial(j) for j in range(n + 1)])
 
 
-def _log_series(v, n):
-    v = _positive(v, "log")
-    return np.array([np.log(v)] + [(-1) ** (j + 1) / (j * v**j) for j in range(1, n + 1)])
-
-
 def _power_series(p):
     def series(v, n):
         v = _positive(v, "real power")
@@ -264,16 +251,8 @@ def jet_exp(x: Jet) -> Jet:
     return x.apply(lambda v, n: _cyclic(n, v, [np.exp]))
 
 
-def jet_log(x: Jet) -> Jet:
-    return x.apply(_log_series)
-
-
 def jet_sin(x: Jet) -> Jet:
     return x.apply(lambda v, n: _cyclic(n, v, [np.sin, np.cos], -1.0))
-
-
-def jet_cos(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, v, [np.cos, lambda s: -np.sin(s)], -1.0))
 
 
 def jet_sinh(x: Jet) -> Jet:

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DomainError, OrderUnavailable
 from .jets import Jet, jet_cosh, jet_exp, jet_sin, jet_sinh, jet_sqrt
 
-# Below this radius quantities with removable singularities are evaluated
-# by series expansion at the origin instead of direct formulas.
+# Below this radius compute_V, whose brackets have removable
+# singularities at the origin, evaluates them by their series there.
 SERIES_RADIUS = 1e-3
 
 
@@ -324,9 +324,6 @@ class TargetProfile:
         j = self.expr.jet(s, 1)
         return np.multiply(j.value, j.derivative(1), out=out)
 
-    def spec(self) -> dict:
-        return {"kind": self.kind}
-
 
 def target_profile(kind: str, domain_bound: Optional[float] = None, **params) -> TargetProfile:
     if kind == "flat":
@@ -355,29 +352,3 @@ def _gamma_series(target: TargetProfile, lbar: float, order: int = 9) -> np.ndar
     j = Jet(0.0, t).shift_down(3, tol=1e-12)
     return j.taylor[::-1]
 
-
-def gamma_decompose(target: TargetProfile, lbar: float, s):
-    """Gamma(s) = (lbar*g(s)*g'(s) - lbar*s) / s^3, with the removable
-    singularity at s=0 filled by the Taylor limit."""
-    s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    a = np.abs(s)
-    if (a >= target.domain_bound).any():
-        raise DomainError("argument outside target domain")
-    out = np.empty_like(s)
-    small = a < SERIES_RADIUS
-    big = ~small
-    if big.any():
-        sb = s[big]
-        out[big] = (lbar * target.gg_prime(sb) - lbar * sb) / (sb * sb * sb)
-    if small.any():
-        series = _gamma_series(target, lbar)
-        # np.polyval's Horner recurrence, run in place
-        x = s[small]
-        y = np.full_like(x, series[0])
-        for c in series[1:]:
-            y *= x
-            y += c
-        out[small] = y
-    return float(out[0]) if scalar else out

@@ -5,8 +5,8 @@ The angular mode phi(t,r) of equivariance degree k on an n-dimensional
 rotationally symmetric base is written phi = w(r) psi with
 w = r^(k+(n-1)/2) / h^((n-1)/2).  The function psi then solves a radial
 semilinear wave equation on R^m, m = n+2k, with potential V(r) that is
-smooth at the origin.  This module provides w, V, W = V - h_inf,
-the exact rational Strichartz indices, and the field transforms.
+smooth at the origin.  This module provides w, V, W = V - h_inf and
+the exact rational Strichartz indices.
 """
 
 from __future__ import annotations
@@ -125,21 +125,6 @@ def indices(n: int, k: int) -> dict:
     assert 2 * a_prime == p and b == q
     assert 2 < p and 2 <= q < Fraction(2 * (m - 1), m - 3)
     return {"m": m, "p": p, "q": q, "a": a, "a_prime": a_prime, "b": b}
-
-
-def transform_field(direction: str, field, profile: MetricProfile, n: int, k: int, r):
-    """phi = w * psi: convert between the geometric field phi and the
-    reduced field psi on a set of positive radii."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("transform requires positive radii")
-    w = weight_w(profile, n, k, r)
-    field = np.asarray(field, dtype=float)
-    if direction == "phi_to_psi":
-        return field / w
-    if direction == "psi_to_phi":
-        return field * w
-    raise DomainError(f"unknown direction {direction!r}")
 
 
 @dataclass

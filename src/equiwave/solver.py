@@ -217,19 +217,6 @@ class _Discretization:
         return WaveState(0.0, phi0 / self.b, phi1 / self.b, self.formulation)
 
 
-def energy(state: WaveState, scenario: Scenario) -> float:
-    """Discrete conserved energy of the phi-form flow,
-
-      E = 1/2 integral (phi_t^2 + phi_r^2 + lbar g(phi)^2/h^2) h^(n-1) dr,
-
-    evaluated with the same finite-volume weights as the stencil so the
-    semidiscrete flow conserves it exactly.  psi-form states are
-    transformed to the phi-form first."""
-    disc = _Discretization(scenario, "phi")
-    w = disc.w_nodes if state.formulation == "psi" else 1.0
-    return disc.energy(w * state.field, w * state.velocity)
-
-
 def _reduced_blocks(states: list, scenario: Scenario):
     """The reduced fields w^(-1) phi of the states, (N, <= SNAPSHOT_BLOCK) at a time."""
     w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)

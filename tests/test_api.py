@@ -1,15 +1,21 @@
-"""The public names of the package, and static checks of its modules."""
+"""The public names of the package, which of them the commands run, and
+static checks of its modules."""
 
 import ast
 import dataclasses
 import inspect
+import json
 import pickle
+import sys
+from collections import Counter
 from pathlib import Path
 
 import equiwave
+import equiwave.cli
 import equiwave.errors
 import equiwave.solver
 import equiwave.spectral
+from equiwave.scenario import load_scenario
 from equiwave.spectral import DiscreteRadialOperator
 
 
@@ -164,3 +170,84 @@ def test_spectral_solves_go_through_two_helpers():
     assert routines == {"eigvalsh_tridiagonal", "eigh_tridiagonal", "lapack"}
     assert solves == {("_shifted_solve", "zgtsv"), ("_spd_solve", "dptsv")}
     assert scipy_users == {"_linalg"}
+
+
+def _names_read(node) -> Counter:
+    """How often each name is read below node, as a Name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_module_function_is_used_or_exported():
+    # a module-level function that no other code of the package names, and
+    # that is not public, is dead code
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(equiwave.__file__).parent.glob("*.py")}
+    reads = sum((_names_read(tree) for tree in trees.values()), Counter())
+    dead = [f"{name}:{fn.lineno} {fn.name}" for name, tree in trees.items()
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and fn.name not in equiwave.__all__
+            and reads[fn.name] == _names_read(fn)[fn.name]]
+    assert dead == []
+
+
+# the public functions that no command runs, each with the reason it stays
+NOT_RUN_BY_A_COMMAND = {
+    "integrate": "the in-process solver API (README quick start, demo 05, bench)",
+    "strichartz_trace": "the in-process solver API (demo 05, bench)",
+    "consistency_check": "the in-process solver API (demo 05, bench)",
+    "check_perturbation": "certifies perturbations of a base; no command yet "
+                          "(ROADMAP item 11)",
+    "hardy2_check": "the concave-weight Hardy check; no command yet (ROADMAP item 8)",
+    "hardy_probe_family": "the Hardy probes of demo 04; no command yet (ROADMAP item 8)",
+}
+
+# a small `all` run with every estimate check, once with a built-in target
+# and once at even n with a custom target: even n takes the contour of the
+# fractional powers, and the custom target is parsed and evaluated by jets
+# (dt_factor 0.05 keeps the energy drift of the n = 4 run within the
+# evolve bound at N = 300)
+TRACED_SCENARIOS = [
+    {"manifold": {"kind": "hyperbolic"}, "target": {"kind": "sphere"}, "n": 3},
+    {"manifold": {"kind": "hyperbolic"}, "target": {"kind": "custom", "expr": ["sin", "r"]},
+     "n": 4},
+]
+
+
+def test_every_public_function_is_run_by_a_command_or_has_a_reason(tmp_path):
+    # every command under a function-level profiler; the evolve child of
+    # `all` is forked, out of the profiler's sight, so its generator also
+    # runs here
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    paths = []
+    for i, spec in enumerate(TRACED_SCENARIOS):
+        paths.append(tmp_path / f"s{i}.json")
+        paths[-1].write_text(json.dumps({
+            **spec, "k": 1, "grid": {"R_max": 25.0, "N": 300},
+            "time": {"T": 2.0, "dt_factor": 0.05, "snap_every": 0.5},
+            "checks": ["hardy", "smoothing", "strichartz", "dimshift"]}))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [equiwave.cli.main(["all", "--scenario", str(path),
+                                    "--out", str(tmp_path / path.stem)])
+                 for path in paths]
+        codes.append(equiwave.cli.main(["closed-forms", "--out", str(tmp_path)]))
+        for path in paths:
+            scenario = load_scenario(path)
+            fields = equiwave.solver._shared_columns(scenario.radial_grid.N,
+                                                     scenario.snapshot_count)
+            for _ in equiwave.solver._phi_fields(scenario, fields):
+                pass
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0, 0, 0]
+    public = {name: getattr(equiwave, name) for name in equiwave.__all__}
+    not_run = {name for name, obj in public.items()
+               if inspect.isfunction(obj) and obj.__code__ not in entered}
+    assert not_run == set(NOT_RUN_BY_A_COMMAND)

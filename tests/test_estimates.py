@@ -42,7 +42,9 @@ class _JetWeight:
     def jet(self, r0, order):
         from equiwave.jets import Jet
 
-        return Jet.from_derivatives(r0, [d(r0) for d in self._derivs[: order + 1]])
+        taylor = [np.broadcast_to(d(r0), np.shape(r0)) / math.factorial(j)
+                  for j, d in enumerate(self._derivs[: order + 1])]
+        return Jet(r0, taylor)
 
 
 # -- Hardy -------------------------------------------------------------------------

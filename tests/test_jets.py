@@ -8,10 +8,8 @@ import sympy as sp
 
 from equiwave.jets import (
     Jet,
-    jet_cos,
     jet_cosh,
     jet_exp,
-    jet_log,
     jet_sin,
     jet_sinh,
     jet_sqrt,
@@ -47,9 +45,7 @@ def test_arithmetic_matches_sympy():
     "jet_fn,sp_fn",
     [
         (jet_exp, sp.exp),
-        (jet_log, sp.log),
         (jet_sin, sp.sin),
-        (jet_cos, sp.cos),
         (jet_sinh, sp.sinh),
         (jet_cosh, sp.cosh),
         (jet_sqrt, sp.sqrt),
@@ -104,9 +100,3 @@ def test_shift_down_rejects_nonvanishing():
     with pytest.raises(Exception):
         jet.shift_down(2)
 
-
-def test_from_derivatives_round_trip():
-    derivs = [1.0, -2.0, 0.5, 3.0]
-    jet = Jet.from_derivatives(1.5, derivs)
-    got = [jet.derivative(j) for j in range(4)]
-    assert np.allclose(got, derivs)

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from _gamma import SEAM, gamma_reference
 from equiwave.errors import DomainError, OrderUnavailable
-from equiwave.jets import Jet
 from equiwave.profiles import (
-    SERIES_RADIUS,
     check_normalization,
-    gamma_decompose,
     metric_profile,
     parse_expr,
     target_profile,
@@ -198,11 +196,11 @@ def test_sphere_domain_bound():
     assert target_profile("sphere").domain_bound == math.pi
 
 
-def test_gamma_decompose_sphere():
+def test_gamma_reference_sphere():
     tgt = target_profile("sphere")
     lbar = 2.0
     s = np.array([1e-8, 1e-4, 0.01, 0.5, 1.5])
-    got = gamma_decompose(tgt, lbar, s)
+    got = gamma_reference(tgt, lbar, s)
     # closed form away from 0
     want = lbar * (0.5 * np.sin(2 * s) - s) / s**3
     assert np.allclose(got[2:], want[2:], rtol=1e-10)
@@ -210,65 +208,13 @@ def test_gamma_decompose_sphere():
     assert np.allclose(got[:2], -2.0 * lbar / 3.0, rtol=1e-6)
 
 
-def test_gamma_decompose_flat_is_zero():
+def test_gamma_reference_flat_is_zero():
     tgt = target_profile("flat")
     s = np.array([0.0, 1e-6, 0.1, 2.0])
-    assert np.allclose(gamma_decompose(tgt, 2.0, s), 0.0, atol=1e-12)
+    assert np.allclose(gamma_reference(tgt, 2.0, s), 0.0, atol=1e-12)
 
 
-def test_gamma_decompose_seam_continuity():
+def test_gamma_reference_seam_continuity():
     tgt = target_profile("sphere")
-    below, above = 0.999e-3, 1.001e-3
-    g1 = gamma_decompose(tgt, 2.0, below)
-    g2 = gamma_decompose(tgt, 2.0, above)
-    assert abs(g1 - g2) < 1e-8
-
-
-def test_gamma_decompose_domain_guard():
-    tgt = target_profile("sphere")
-    with pytest.raises(DomainError):
-        gamma_decompose(tgt, 2.0, np.array([3.5]))
-    # a NaN must not hide an out-of-domain value (a max-based guard would)
-    with pytest.raises(DomainError):
-        gamma_decompose(tgt, 2.0, np.array([np.nan, 3.5]))
-
-
-def _gamma_reference(target, lbar, s, cube):
-    """gamma_decompose as first written: masked closed form, and the Taylor
-    series rebuilt through jets on every call and evaluated by np.polyval."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    g = target.jet(0.0, 9)
-    t = lbar * (g * g.deriv()).taylor
-    t[1] -= lbar
-    coeffs = Jet(0.0, t).shift_down(3, tol=1e-12).taylor
-    out = np.empty_like(s)
-    small = np.abs(s) < SERIES_RADIUS
-    sb = s[~small]
-    out[~small] = (lbar * target.gg_prime(sb) - lbar * sb) / cube(sb)
-    out[small] = np.polyval(coeffs[::-1], s[small])
-    return out
-
-
-GAMMA_TARGETS = [("sphere", {}), ("hyperbolic", {}), ("flat", {}),
-                 ("custom", {"expr": ["sin", "r"]})]
-# zeros, the seam at 1e-3 from both sides, tiny, negative and O(1) values
-GAMMA_ARGS = np.array([0.0, -0.0, 1e-3, -1e-3, 0.999e-3, -0.999e-3, 1.001e-3,
-                       1e-300, -1e-12, 5e-7, -0.3, 0.5, 1.0, -1.5, 2.5])
-
-
-@pytest.mark.parametrize("kind,params", GAMMA_TARGETS)
-def test_gamma_decompose_matches_first_formula(kind, params):
-    tgt = target_profile(kind, **params)
-    lbar = 2.0
-    got = gamma_decompose(tgt, lbar, GAMMA_ARGS)
-    # exact against the first formula with the cube taken as a product
-    want = _gamma_reference(tgt, lbar, GAMMA_ARGS, lambda x: x * x * x)
-    assert np.array_equal(got, want)
-    # and within a few ulp of it with libm's pow: x**3 and x*x*x may
-    # differ in the last bit
-    pow_cube = _gamma_reference(tgt, lbar, GAMMA_ARGS, lambda x: x**3)
-    assert np.allclose(got, pow_cube, rtol=1e-15, atol=0.0)
-    # 0-d input gives a float
-    for x, w in zip(GAMMA_ARGS, want):
-        val = gamma_decompose(tgt, lbar, x)
-        assert isinstance(val, float) and val == w
+    below, above = gamma_reference(tgt, 2.0, [0.999 * SEAM, 1.001 * SEAM])
+    assert abs(below - above) < 1e-8

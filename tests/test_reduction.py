@@ -1,5 +1,6 @@
 """Change of variables to the flat radial problem: weight, potential,
-exact indices, and field transforms."""
+exact indices, and the spectrum of the reduced operator on H^n against
+its continuum limit."""
 
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.optimize import brentq
 
 from equiwave.errors import DomainError
 from equiwave.profiles import SERIES_RADIUS, metric_profile
@@ -14,9 +16,9 @@ from equiwave.reduction import (
     compute_V,
     indices,
     reduce_problem,
-    transform_field,
     weight_w,
 )
+from equiwave.scenario import Scenario
 
 
 def sympy_V(h_expr, r, n, k, r0):
@@ -126,17 +128,6 @@ def test_indices_extended_range():
         assert lhs <= rhs
 
 
-def test_transform_round_trip():
-    hyp = metric_profile("hyperbolic")
-    rs = np.linspace(0.1, 5.0, 40)
-    phi = rs * np.exp(-rs)
-    psi = transform_field("phi_to_psi", phi, hyp, 3, 1, rs)
-    back = transform_field("psi_to_phi", psi, hyp, 3, 1, rs)
-    assert np.allclose(back, phi, rtol=1e-14)
-    with pytest.raises(DomainError):
-        transform_field("sideways", phi, hyp, 3, 1, rs)
-
-
 def test_reduce_problem_summary():
     hyp = metric_profile("hyperbolic")
     problem = reduce_problem(hyp, 3, 1)
@@ -155,3 +146,53 @@ def test_reduce_problem_rejects_bad_inputs():
         indices(3, 0)
     with pytest.raises(DomainError):
         compute_V(hyp, 2, 1, 1.0)
+
+
+def _dirichlet_kappas(ell: int, R: float, count: int) -> np.ndarray:
+    """The lowest count roots kappa > 0 of psi_ell(kappa, R) = 0, where
+    psi_ell = A_ell* ... A_1* sin(kappa r) with A_j* = -d/dr + j coth r: the
+    Dirichlet eigenfunctions on [0, R] of -d^2/dr^2 + ell(ell+1)/sinh^2 r,
+    the reflectionless Poschl-Teller well of the reduced operator on H^n,
+    n odd, with ell = k + (n-3)/2 (Cooper, Khare & Sukhatme, Phys. Rep. 251
+    (1995))."""
+    r, kappa = sp.symbols("r kappa", positive=True)
+    psi = sp.sin(kappa * r)
+    for j in range(1, ell + 1):
+        psi = -sp.diff(psi, r) + j * sp.coth(r) * psi
+    f = sp.lambdify(kappa, psi.subs(r, R), "math")
+    roots, step, a = [], 0.1 / R, 0.1 / R
+    while len(roots) < count:
+        if f(a) * f(a + step) < 0:
+            roots.append(brentq(f, a, a + step, xtol=1e-15, rtol=1e-15))
+        a += step
+    return np.array(roots)
+
+
+# max |eigenvalue - kappa^2| over the lowest 6 modes at R_max = 30 and
+# N = 500, 1000, 2000, as measured when this oracle was added
+EXACT_SPECTRUM_ERRORS = {
+    (3, 1): (7.10e-5, 1.78e-5, 4.45e-6),
+    (5, 1): (1.15e-4, 2.87e-5, 7.18e-6),
+    (3, 2): (1.15e-4, 2.87e-5, 7.18e-6),
+    (7, 1): (1.86e-4, 4.66e-5, 1.17e-5),
+}
+
+
+@pytest.mark.parametrize("n,k", list(EXACT_SPECTRUM_ERRORS))
+def test_reduced_spectrum_on_odd_hyperbolic_space_converges_to_the_exact_one(n, k):
+    # on h = sinh r the reduced operator minus h_inf is, in v = r^((m-1)/2)
+    # psi, -d^2/dr^2 + ell(ell+1)/sinh^2 r: compute_V, the weights and the
+    # stencil together against a continuum answer, at second order
+    R_max, modes = 30.0, 6
+    errors = []
+    for N in (500, 1000, 2000):
+        s = Scenario("oracle", {"kind": "hyperbolic"}, {"kind": "sphere"}, n, k, 0.5,
+                     {"R_max": R_max, "N": N}, {"T": 1.0, "dt_factor": 0.1, "snap_every": 1.0},
+                     {"shape": "zero"})
+        # the Dirichlet condition sits on the ghost node, half a cell past R_max
+        kappas = _dirichlet_kappas(k + (n - 3) // 2, R_max + 0.5 * s.radial_grid.dr, modes)
+        errors.append(np.max(np.abs(s.reduced_operator.eigenvalues[:modes] - kappas**2)))
+    bounds = [2.0 * e for e in EXACT_SPECTRUM_ERRORS[n, k]]
+    assert all(e < b for e, b in zip(errors, bounds)), (errors, bounds)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.3)
