@@ -20,14 +20,16 @@ from .errors import DomainError, InconsistentFormulas, ModeMismatch, NoLimit
 from .jets import Jet
 from .profiles import MetricProfile
 
-DEFAULT_GRID = {"r_min": 1e-3, "r_max": 1e3, "points": 600}
+# the radii of the admissibility and perturbation checks, read-only
+# because every check shares them
+GRID = np.geomspace(1e-3, 1e3, 600)
+GRID.flags.writeable = False
 
+# the windows [R1, 4 R1] of the fit of H(r) = h_inf + c/r^2
+H_INFINITY_WINDOWS = (20.0, 40.0, 80.0)
 
-def _grid(opts: Optional[dict]) -> np.ndarray:
-    o = dict(DEFAULT_GRID)
-    if opts:
-        o.update(opts)
-    return np.geomspace(o["r_min"], o["r_max"], o["points"])
+# the largest perturbation size that check_perturbation certifies
+EPS_MAX = 0.1
 
 
 def H_jet(profile: MetricProfile, n: int, r, order: int = 0) -> Jet:
@@ -61,9 +63,7 @@ def compute_H(profile: MetricProfile, n: int, r: float, tol: float = 1e-10) -> f
     return stable
 
 
-def estimate_h_infinity(
-    profile: MetricProfile, n: int, windows=(20.0, 40.0, 80.0)
-) -> tuple[float, float]:
+def estimate_h_infinity(profile: MetricProfile, n: int) -> tuple[float, float]:
     """Fit H(r) = h_inf + c/r^2 on r in [R1, 4*R1] for increasing R1,
     then Richardson-extrapolate the window intercepts.
 
@@ -71,7 +71,7 @@ def estimate_h_infinity(
     Raises NoLimit when the fitted residual does not decay like r^-2.
     """
     fits = []
-    for R1 in windows:
+    for R1 in H_INFINITY_WINDOWS:
         rs = np.linspace(R1, 4 * R1, 60)
         H = H_jet(profile, n, rs).value  # NaN where h = 0 or it overflows
         ok = np.isfinite(H)
@@ -102,7 +102,7 @@ def estimate_h_infinity(
     if est < 0:
         # clamp fit bias of order residual / R1^2; a truly negative
         # limit is not a curvature limit
-        bias = max(1e-8, sups[-1] / windows[-1] ** 2)
+        bias = max(1e-8, sups[-1] / H_INFINITY_WINDOWS[-1] ** 2)
         if est < -bias:
             raise NoLimit(f"curvature limit is negative: {est}")
         est = 0.0
@@ -194,16 +194,14 @@ class AdmissibilityReport:
 DELTA0_GRID = np.round(np.arange(0.95, 0.049, -0.05), 2)
 
 
-def check_admissibility(
-    profile: MetricProfile, n: int, opts: Optional[dict] = None
-) -> AdmissibilityReport:
-    """Evaluate the three admissibility conditions on a geometric grid.
+def check_admissibility(profile: MetricProfile, n: int) -> AdmissibilityReport:
+    """Evaluate the three admissibility conditions on the geometric grid GRID.
 
     Failures are verdicts with witness points, never exceptions.
     """
     if n < 3:
         raise DomainError("base dimension must be >= 3")
-    rs = _grid(opts)
+    rs = GRID
     grid_spec = {"r_min": float(rs[0]), "r_max": float(rs[-1]), "points": len(rs)}
 
     h = profile(rs)  # NaN past an overflow
@@ -347,15 +345,14 @@ def check_perturbation(
     perturbed: MetricProfile,
     mode: str,
     n: int,
-    eps_max: float = 0.1,
-    opts: Optional[dict] = None,
 ) -> PerturbationReport:
-    """Grid evaluation of the perturbation criterion for the given growth
-    class; returns the smallest epsilon for which the smallness items hold
-    together with large-r boundedness verdicts."""
+    """Evaluation on GRID of the perturbation criterion for the given
+    growth class; returns the smallest epsilon for which the smallness
+    items hold together with large-r boundedness verdicts, and passes
+    when that epsilon is at most EPS_MAX."""
     if mode not in ("general", "exponential", "polynomial"):
         raise DomainError(f"unknown perturbation mode {mode!r}")
-    rs = _grid(opts)
+    rs = GRID
     jmax_large = (n - 1) // 2 + 2
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -367,7 +364,7 @@ def check_perturbation(
     mu_sup = float(np.max(np.abs(he - h)))
     if mu_sup == 0.0:
         # identical profiles: trivially admissible together
-        return PerturbationReport(mode, 0.0, True, [{"name": "identical", "sup": 0.0}], eps_max)
+        return PerturbationReport(mode, 0.0, True, [{"name": "identical", "sup": 0.0}], EPS_MAX)
 
     if mode == "exponential":
         # requires super-polynomial growth of the base: h / (r + r^n)
@@ -452,5 +449,5 @@ def check_perturbation(
             )
 
     bounded_ok = all(it.get("bounded", True) for it in items)
-    passed = bounded_ok and eps <= eps_max
-    return PerturbationReport(mode, eps, passed, items, eps_max)
+    passed = bounded_ok and eps <= EPS_MAX
+    return PerturbationReport(mode, eps, passed, items, EPS_MAX)

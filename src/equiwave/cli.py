@@ -177,55 +177,59 @@ def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / scale
 
 
+def _sampled_H(label, profile, n, key, shift, closed_form, tol) -> list:
+    """Rows {"r", key: H(r) - shift, "closed_form"} at four radii; raises
+    ClosedFormMismatch where H(r) - shift and closed_form(n, r) disagree."""
+    rows = []
+    for r in (0.5, 1.0, 2.0, 5.0):
+        got = compute_H(profile, n, r) - shift
+        want = closed_form(n, r)
+        if _rel_err(got, want) > tol:
+            raise ClosedFormMismatch(f"{label} H n={n} r={r}: {got} vs {want}")
+        rows.append({"r": r, key: got, "closed_form": want})
+    return rows
+
+
+def _checked_h_infinity(label, profile, n, tol) -> float:
+    """h_inf of the profile; raises ClosedFormMismatch unless it is (n-1)^2/4."""
+    h_inf, _ = estimate_h_infinity(profile, n)
+    want = (n - 1) ** 2 / 4.0
+    if _rel_err(h_inf, want) > tol:
+        raise ClosedFormMismatch(f"{label} h_inf n={n}: {h_inf} vs {want}")
+    return h_inf
+
+
+def _exp_growth_H(n, r):
+    x = 1.0 / (1.0 - np.exp(-r))  # e^r/(e^r - 1)
+    return (n - 1) / 2.0 * x + (n - 1) * (n - 3) / 4.0 * x * x
+
+
+# the families with a closed form of H: (label, profile kind, dimensions,
+# whether h_inf = (n-1)^2/4 is checked and reported, the row key, and the
+# closed form at (n, r) of H, or of H - h_inf for the key H_minus_h_inf)
+_H_FAMILIES = (
+    ("flat", "flat", (3, 4, 5), False, "H",
+     lambda n, r: (n - 1) * (n - 3) / (4.0 * r * r)),
+    ("hyperbolic", "hyperbolic", (3, 4, 5), True, "H_minus_h_inf",
+     lambda n, r: (n - 1) * (n - 3) / (4.0 * np.sinh(r) ** 2)),
+    ("exp", "exp-growth", (3, 4), True, "H", _exp_growth_H),
+)
+
+
 def emit_closed_forms(tol: float = 1e-8) -> dict:
     """Recompute every built-in closed-form quantity through the numeric
     pipeline and compare: flat and exponential H(r), hyperbolic h_inf and
     H - h_inf, and the polynomial-growth coefficients Q0, Q1, Q2 of
     16 r (1+sqrt(r))^2 P(r).  Raises ClosedFormMismatch on disagreement."""
     report = {}
-    radii = [0.5, 1.0, 2.0, 5.0]
-
-    flat = metric_profile("flat")
-    for n in (3, 4, 5):
-        rows = []
-        for r in radii:
-            got = compute_H(flat, n, r)
-            want = (n - 1) * (n - 3) / (4.0 * r * r)
-            if _rel_err(got, want) > tol:
-                raise ClosedFormMismatch(f"flat H n={n} r={r}: {got} vs {want}")
-            rows.append({"r": r, "H": got, "closed_form": want})
-        report[f"flat_n{n}"] = rows
-
-    hyp = metric_profile("hyperbolic")
-    for n in (3, 4, 5):
-        h_inf, _ = estimate_h_infinity(hyp, n)
-        want_inf = (n - 1) ** 2 / 4.0
-        if _rel_err(h_inf, want_inf) > tol:
-            raise ClosedFormMismatch(f"hyperbolic h_inf n={n}: {h_inf} vs {want_inf}")
-        rows = []
-        for r in radii:
-            got = compute_H(hyp, n, r) - want_inf
-            want = (n - 1) * (n - 3) / (4.0 * np.sinh(r) ** 2)
-            if _rel_err(got, want) > tol:
-                raise ClosedFormMismatch(f"hyperbolic H n={n} r={r}: {got} vs {want}")
-            rows.append({"r": r, "H_minus_h_inf": got, "closed_form": want})
-        report[f"hyperbolic_n{n}"] = {"h_infinity": h_inf, "samples": rows}
-
-    expg = metric_profile("exp-growth")
-    for n in (3, 4):
-        h_inf, _ = estimate_h_infinity(expg, n)
-        want_inf = (n - 1) ** 2 / 4.0
-        if _rel_err(h_inf, want_inf) > tol:
-            raise ClosedFormMismatch(f"exp h_inf n={n}: {h_inf} vs {want_inf}")
-        rows = []
-        for r in radii:
-            got = compute_H(expg, n, r)
-            x = 1.0 / (1.0 - np.exp(-r))  # e^r/(e^r - 1)
-            want = (n - 1) / 2.0 * x + (n - 1) * (n - 3) / 4.0 * x * x
-            if _rel_err(got, want) > tol:
-                raise ClosedFormMismatch(f"exp H n={n} r={r}: {got} vs {want}")
-            rows.append({"r": r, "H": got, "closed_form": want})
-        report[f"exp_n{n}"] = {"h_infinity": h_inf, "samples": rows}
+    for label, kind, dims, limit, key, closed_form in _H_FAMILIES:
+        profile = metric_profile(kind)
+        for n in dims:
+            h_inf = _checked_h_infinity(label, profile, n, tol) if limit else None
+            shift = (n - 1) ** 2 / 4.0 if key == "H_minus_h_inf" else 0.0
+            rows = _sampled_H(label, profile, n, key, shift, closed_form, tol)
+            report[f"{label}_n{n}"] = (rows if h_inf is None
+                                       else {"h_infinity": h_inf, "samples": rows})
 
     for n, M, delta0 in ((3, 1, 0.5), (4, 2, 0.25)):
         poly = metric_profile("polynomial-growth", M=M)

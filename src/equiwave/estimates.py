@@ -93,14 +93,12 @@ class TestFunction:
     dfn: Callable
 
 
-def gaussian_family(
-    count: int, seed: int, r_power: int = 1, spread: float = 8.0
-) -> list[TestFunction]:
-    """Seeded bumps amp * r^p * exp(-(r-c)^2 / sig^2)."""
+def gaussian_family(count: int, seed: int, r_power: int = 1) -> list[TestFunction]:
+    """Seeded bumps amp * r^p * exp(-(r-c)^2 / sig^2), c in [0, 8)."""
     rng = np.random.default_rng(seed)
     fam = []
     for i in range(count):
-        c = float(rng.uniform(0.0, spread))
+        c = float(rng.uniform(0.0, 8.0))
         sig = float(rng.uniform(0.3, 2.0))
         amp = float(rng.uniform(0.5, 2.0))
         p = r_power
@@ -140,13 +138,17 @@ def hardy_probe_family(count: int, seed: int) -> list[TestFunction]:
 
 # -- weighted Hardy ---------------------------------------------------------------
 
+# the midpoint quadrature of the Hardy and dimension-shift checks: Nq
+# cells on [0, QUAD_R]
+QUAD_R = 40.0
+QUAD_NQ = 20000
+
 
 def hardy_check(
     alpha: Callable,
     n: int,
     family: Sequence[TestFunction],
-    R: float = 40.0,
-    Nq: int = 20000,
+    Nq: int = QUAD_NQ,
 ) -> RatioReport:
     """Ratio of the two sides of the weighted Hardy inequality
 
@@ -156,7 +158,7 @@ def hardy_check(
     i1, i2 = 10, 100  # the beta slope at 0 is read between these points
     if Nq <= i2:
         raise DomainError(f"hardy_check needs Nq > {i2}, got {Nq}")
-    rs, dr = RadialGrid(R, Nq).nodes, R / Nq
+    rs, dr = RadialGrid(QUAD_R, Nq).nodes, QUAD_R / Nq
     a = np.asarray(alpha(rs), dtype=float)
     if np.any(a <= 0):
         raise DomainError("alpha must be positive")
@@ -180,7 +182,7 @@ def hardy_check(
     return RatioReport(
         "hardy", f"{len(family)} radial test functions", ids, ratios,
         bound=1.0, tol=0.0,
-        detail={"n": n, "R": R, "Nq": Nq, "beta_slope": slope},
+        detail={"n": n, "R": QUAD_R, "Nq": Nq, "beta_slope": slope},
     )
 
 
@@ -189,8 +191,6 @@ def hardy2_check(
     epsilon: float,
     n: int,
     family: Sequence[TestFunction],
-    R: float = 40.0,
-    Nq: int = 20000,
 ) -> RatioReport:
     """Hardy with the concave-weight choice alpha =
     (zeta' + 2 eps zeta) e^(-2 eps r) r^(1-n); zeta must satisfy
@@ -199,11 +199,11 @@ def hardy2_check(
     quadrature grid are one first-order jet."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    j = zeta.jet(np.geomspace(1e-3, R, 80), 2)
+    j = zeta.jet(np.geomspace(1e-3, QUAD_R, 80), 2)
     zv, z1, z2 = j.value, j.derivative(1), j.derivative(2)
     if np.any(zv < -1e-12) or np.any(z1 <= 0) or np.any(z2 > 1e-12):
         raise HypothesisFail("zeta must satisfy zeta>=0, zeta'>0, zeta''<=0")
-    rs, dr = RadialGrid(R, Nq).nodes, R / Nq
+    rs, dr = RadialGrid(QUAD_R, QUAD_NQ).nodes, QUAD_R / QUAD_NQ
     j = zeta.jet(rs, 1)
     z, zp = j.value, j.derivative(1)
     wt = (zp + 2.0 * epsilon * z) * np.exp(-2.0 * epsilon * rs)
@@ -217,7 +217,7 @@ def hardy2_check(
     return RatioReport(
         "hardy-concave", f"{len(family)} radial test functions", ids, ratios,
         bound=1.0, tol=0.0,
-        detail={"n": n, "epsilon": epsilon, "R": R, "Nq": Nq},
+        detail={"n": n, "epsilon": epsilon, "R": QUAD_R, "Nq": QUAD_NQ},
     )
 
 
@@ -332,8 +332,6 @@ def dimshift_check(
     k: int,
     s: float,
     family: Sequence[TestFunction],
-    R: float = 40.0,
-    Nq: int = 20000,
 ) -> RatioReport:
     """Ratio of || r^k v ||_{Hdot^s(R^n)} to || v ||_{Hdot^s(R^(n+2k))}
     (1-D radial integrals, no angular constants).  s=0 is an exact
@@ -341,7 +339,7 @@ def dimshift_check(
     if s not in (0.0, 1.0, 0, 1):
         raise DomainError("only s in {0, 1} supported by quadrature")
     m = n + 2 * k
-    rs, dr = RadialGrid(R, Nq).nodes, R / Nq
+    rs, dr = RadialGrid(QUAD_R, QUAD_NQ).nodes, QUAD_R / QUAD_NQ
     ids, ratios = [], []
     for tf in family:
         v = tf.fn(rs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class Pow(Expr):
     a positive base."""
 
     def __init__(self, child, p):
+        if not isinstance(p, (int, float)):
+            raise DomainError(f"pow exponent must be a number, got {p!r}")
         self.child = child
         self.p = p
 
@@ -156,7 +158,21 @@ class SqrtCutoff(Expr):
 
 # -- expression parsing (scenario files) --------------------------------------
 
-_UNARY = {"exp": Exp, "sin": Sin, "sinh": Sinh, "cosh": Cosh, "sqrt": Sqrt}
+# each operator: the least and the most operands, and its node built
+# from them (pow's exponent and the cutoff eps are numbers)
+_OPERATORS = {
+    "+": (1, math.inf, lambda *a: Add(*map(parse_expr, a))),
+    "*": (1, math.inf, lambda *a: Mul(*map(parse_expr, a))),
+    "/": (2, 2, lambda a, b: Div(parse_expr(a), parse_expr(b))),
+    "pow": (2, 2, lambda a, p: Pow(parse_expr(a), p)),
+    "exp": (1, 1, lambda a: Exp(parse_expr(a))),
+    "sin": (1, 1, lambda a: Sin(parse_expr(a))),
+    "sinh": (1, 1, lambda a: Sinh(parse_expr(a))),
+    "cosh": (1, 1, lambda a: Cosh(parse_expr(a))),
+    "sqrt": (1, 1, lambda a: Sqrt(parse_expr(a))),
+    "cutoff": (1, 1, Cutoff),
+    "sqrt_cutoff": (1, 1, SqrtCutoff),
+}
 
 
 def parse_expr(spec) -> Expr:
@@ -174,21 +190,13 @@ def parse_expr(spec) -> Expr:
     if not isinstance(spec, (list, tuple)) or not spec:
         raise DomainError(f"bad expression node {spec!r}")
     op, *args = spec
-    if op == "+":
-        return Add(*[parse_expr(a) for a in args])
-    if op == "*":
-        return Mul(*[parse_expr(a) for a in args])
-    if op == "/":
-        return Div(parse_expr(args[0]), parse_expr(args[1]))
-    if op == "pow":
-        return Pow(parse_expr(args[0]), args[1])
-    if op == "cutoff":
-        return Cutoff(args[0])
-    if op == "sqrt_cutoff":
-        return SqrtCutoff(args[0])
-    if op in _UNARY:
-        return _UNARY[op](parse_expr(args[0]))
-    raise DomainError(f"unknown expression operator {op!r}")
+    if not isinstance(op, str) or op not in _OPERATORS:
+        raise DomainError(f"unknown expression operator {op!r}")
+    least, most, build = _OPERATORS[op]
+    if not least <= len(args) <= most:
+        count = least if least == most else f"at least {least}"
+        raise DomainError(f"operator {op!r} takes {count} operand(s), got {len(args)}")
+    return build(*args)
 
 
 # -- metric profiles -----------------------------------------------------------
@@ -201,8 +209,8 @@ class MetricProfile:
     kind: str
     expr: Expr
     params: dict = field(default_factory=dict)
-    max_order: int = 12
     smooth_at_zero: bool = True
+    max_order: ClassVar[int] = 12
 
     def __call__(self, r):
         """h(r), the value of its order-0 jet: NaN on an array where h
@@ -265,12 +273,12 @@ def metric_profile(kind: str, **params) -> MetricProfile:
     raise DomainError(f"unknown metric profile kind {kind!r}")
 
 
-def check_normalization(profile: MetricProfile, tol: float = 1e-8) -> bool:
-    """h(0) = 0 and h'(0) = 1, evaluated by jets (or a near-zero limit for
-    profiles that are singular at the origin)."""
+def check_normalization(profile: MetricProfile) -> bool:
+    """h(0) = 0 and h'(0) = 1 within 1e-8 by jets (within 1e-3 by a
+    near-zero limit for profiles that are singular at the origin)."""
     if profile.smooth_at_zero:
         j = profile.jet(0.0, 1)
-        return abs(j.value) <= tol and abs(j.derivative(1) - 1.0) <= tol
+        return abs(j.value) <= 1e-8 and abs(j.derivative(1) - 1.0) <= 1e-8
     r = 1e-8
     j = profile.jet(r, 1)
     return abs(j.value / r - 1.0) <= 1e-3 and abs(j.derivative(1) - 1.0) <= 1e-3
@@ -289,7 +297,7 @@ class TargetProfile:
     kind: str
     expr: Expr
     domain_bound: float = math.inf  # g > 0 on (0, A)
-    max_order: int = 12
+    max_order: ClassVar[int] = 12
 
     def __call__(self, s):
         """g(s), the value of its order-0 jet."""
@@ -342,10 +350,11 @@ def target_profile(kind: str, domain_bound: Optional[float] = None, **params) ->
 # -- cubic decomposition of the nonlinearity ---------------------------------
 
 
-def _gamma_series(target: TargetProfile, lbar: float, order: int = 9) -> np.ndarray:
-    """Taylor coefficients of Gamma(s) at s=0, highest degree first (the
-    order np.polyval takes), where lbar*g(s)*g'(s) = lbar*s + s^3 * Gamma(s)."""
-    g = target.jet(0.0, order)
+def _gamma_series(target: TargetProfile, lbar: float) -> np.ndarray:
+    """Taylor coefficients of Gamma(s) at s=0 up to degree 5, highest
+    degree first (the order np.polyval takes), where
+    lbar*g(s)*g'(s) = lbar*s + s^3 * Gamma(s)."""
+    g = target.jet(0.0, 9)
     gg = g * g.deriv()  # order drops by one
     t = lbar * gg.taylor
     t[1] -= lbar

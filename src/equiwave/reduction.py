@@ -147,10 +147,10 @@ class ReducedProblem:
     def W(self, r):
         return self.V(r) - self.h_infinity
 
-    def summary(self, r_samples=None) -> dict:
+    def summary(self) -> dict:
         idx = {key: [v.numerator, v.denominator] if isinstance(v, Fraction) else v
                for key, v in self.indices.items()}
-        out = {
+        return {
             "profile": self.profile.spec(),
             "n": self.n,
             "k": self.k,
@@ -158,10 +158,6 @@ class ReducedProblem:
             "h_infinity": self.h_infinity,
             "indices": idx,
         }
-        if r_samples is not None:
-            r = np.asarray(r_samples, dtype=float)
-            out["V_samples"] = {"r": r.tolist(), "V": self.V(r).tolist()}
-        return out
 
 
 def reduce_problem(

@@ -120,8 +120,6 @@ class DiscreteRadialOperator:
     F: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
     bands: tuple = field(init=False, repr=False, compare=False)  # (diag, upper, lower)
-    # eigenpairs below a cut, by cut: _modes_below computes each once
-    _below: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = self.grid.N
@@ -144,16 +142,17 @@ class DiscreteRadialOperator:
         return cls(grid, m, W, f ** (m - 1), (f[1:] ** m - f[:-1] ** m) / (m * grid.dr))
 
     @classmethod
-    def manifold(cls, grid: RadialGrid, profile, n: int, W=None) -> "DiscreteRadialOperator":
-        """-Delta_h + W on the base manifold: F = h^(n-1) with Simpson
-        cell averages of h^(n-1).
+    def manifold(cls, grid: RadialGrid, profile, n: int) -> "DiscreteRadialOperator":
+        """-Delta_h on the base manifold: F = h^(n-1) with Simpson cell
+        averages of h^(n-1); dataclasses.replace with W_samples adds a
+        potential.
 
         F[0] = 0 is the zero flux through r=0 that h(0) = 0 gives; h is
         not evaluated there, where a profile may have no jet."""
         F = np.zeros(grid.N + 1)
         F[1:] = profile(grid.faces[1:]) ** (n - 1)
         rho = (F[:-1] + 4.0 * profile(grid.nodes) ** (n - 1) + F[1:]) / 6.0
-        return cls(grid, n, W, F, rho)
+        return cls(grid, n, None, F, rho)
 
     def energy(self, u, u_t, pot, radius: float = math.inf) -> float:
         """1/2 int (u_t^2 + u_r^2 + pot) dV over the ball r < radius, in
@@ -196,15 +195,11 @@ class DiscreteRadialOperator:
     def _modes_below(self, cut: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues up to ``cut`` and their eigenvectors in the
         symmetrized variable, as (p,) and (N, p) arrays; usually p = 0."""
-        if cut not in self._below:
-            lo = self.spectral_bounds[0]
-            if lo > cut:
-                self._below[cut] = (np.empty(0), np.empty((self.grid.N, 0)))
-            else:
-                self._below[cut] = _linalg().eigh_tridiagonal(
-                    *self.tridiagonal, select="v",
-                    select_range=(lo - 1.0 - abs(lo), cut))
-        return self._below[cut]
+        lo = self.spectral_bounds[0]
+        if lo > cut:
+            return np.empty(0), np.empty((self.grid.N, 0))
+        return _linalg().eigh_tridiagonal(*self.tridiagonal, select="v",
+                                          select_range=(lo - 1.0 - abs(lo), cut))
 
     @property
     def lambda_floor(self) -> float:

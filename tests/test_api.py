@@ -251,3 +251,79 @@ def test_every_public_function_is_run_by_a_command_or_has_a_reason(tmp_path):
     not_run = {name for name, obj in public.items()
                if inspect.isfunction(obj) and obj.__code__ not in entered}
     assert not_run == set(NOT_RUN_BY_A_COMMAND)
+
+
+# the default-valued parameters that no call in src/, demos/ or bench/
+# sets, each with the reason it stays an option
+OPTIONS_WITHOUT_A_CALLER = {
+    "hardy_check.Nq": "the acceptance gate refines the Hardy quadrature (criterion 4)",
+    "compute_H.tol": "the acceptance gate sets the H formula check (criterion 3)",
+    "emit_closed_forms.tol": "the acceptance gate sets it (criterion 1), and a test "
+                             "trips every closed form with it",
+    "strichartz_monitor.T": "validation tests; ROADMAP item 8 measures growth in T",
+    "strichartz_monitor.n_t": "validation tests; ROADMAP item 8 measures growth in T",
+    "strichartz_trace.return_partials": "tests compare the CLI's partials against it",
+}
+
+
+def _default_parameters(tree):
+    """(name, callee, offset, {parameter: position}) of every module-level
+    function and method of a module that has a default-valued parameter:
+    name is "f" or "Class.f"; a call of callee reaches it, which is the
+    class for __init__; offset is 1 for the bound self or cls of a
+    method; position is None for a keyword-only parameter.  Nested
+    closures are left out."""
+    defs = [(None, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    defs += [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    for owner, fn in defs:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = {a.arg: i for i, a in enumerate(positional) if i >= first}
+        params.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None})
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        if params:
+            name = f"{owner}.{fn.name}" if owner else fn.name
+            callee = owner if fn.name == "__init__" else fn.name
+            yield name, callee, int(owner is not None and not static), params
+
+
+def _calls(tree):
+    """(callee, positional count, keywords, whether *args is given) of
+    every call in a module, a keyword None for a **kwargs.  pickle calls
+    the class that a __reduce__ returns with the tuple that follows it,
+    so that is a call too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield (callee, len(node.args) - starred, {kw.arg for kw in node.keywords},
+                   starred)
+        elif isinstance(node, ast.ClassDef):
+            for ret in (r for fn in node.body if isinstance(fn, ast.FunctionDef)
+                        and fn.name == "__reduce__" for r in ast.walk(fn)):
+                if (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
+                        and isinstance(ret.value.elts[1], ast.Tuple)):
+                    yield node.name, len(ret.value.elts[1].elts), set(), False
+
+
+def test_every_option_is_set_by_a_caller_or_has_a_reason():
+    # an option that every caller leaves at its default is a constant; a
+    # call reaches every function of its name
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for path in (p for d in ("src", "demos", "bench") for p in sorted((root / d).rglob("*.py"))):
+        for callee, *call in _calls(ast.parse(path.read_text())):
+            calls.setdefault(callee, []).append(call)
+    unset = set()
+    for path in MODULES:
+        for name, callee, offset, params in _default_parameters(ast.parse(path.read_text())):
+            unset |= {f"{name}.{param}" for param, position in params.items()
+                      if not any(param in keywords or None in keywords
+                                 or position is not None and (starred or position - offset < count)
+                                 for count, keywords, starred in calls.get(callee, []))}
+    assert unset == set(OPTIONS_WITHOUT_A_CALLER)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import equiwave.admissibility
 from equiwave.admissibility import H_jet, check_admissibility
 from equiwave.errors import DomainError
 from equiwave.jets import Jet, jet_exp
@@ -155,8 +156,9 @@ def _count_profile_jets(monkeypatch):
 @pytest.mark.parametrize("points", [150, 1200])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_check_admissibility_jet_count_is_grid_free(monkeypatch, n, points):
+    monkeypatch.setattr(equiwave.admissibility, "GRID", np.geomspace(1e-3, 1e3, points))
     calls = _count_profile_jets(monkeypatch)
-    check_admissibility(metric_profile("sinh-perturbed"), n, {"points": points})
+    check_admissibility(metric_profile("sinh-perturbed"), n)
     assert 0 < len(calls) <= 40
 
 

@@ -135,9 +135,8 @@ def test_reduce_problem_summary():
     assert math.isclose(problem.h_infinity, 1.0, rel_tol=1e-8)
     rs = np.array([0.5, 1.0])
     assert np.allclose(problem.W(rs), problem.V(rs) - problem.h_infinity)
-    summary = problem.summary(r_samples=rs)
+    summary = problem.summary()
     assert summary["indices"]["p"] == [3, 1]
-    assert len(summary["V_samples"]["V"]) == 2
 
 
 def test_reduce_problem_rejects_bad_inputs():

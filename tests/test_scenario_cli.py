@@ -728,3 +728,30 @@ def test_closed_forms_pass():
 def test_closed_forms_tolerance_guard():
     with pytest.raises(ClosedFormMismatch):
         emit_closed_forms(tol=-1.0)  # impossible tolerance must trip
+
+
+@pytest.mark.parametrize("patched, kind, message", [
+    ("compute_H", "flat", "flat H n=4 r=0.5: "),  # H = 0 at n = 3
+    ("compute_H", "hyperbolic", "hyperbolic H n=3 r=0.5: "),
+    ("compute_H", "exp-growth", "exp H n=3 r=0.5: "),
+    ("estimate_h_infinity", "hyperbolic", "hyperbolic h_inf n=3: "),
+    ("estimate_h_infinity", "exp-growth", "exp h_inf n=3: "),
+    ("compute_P", "polynomial-growth", "polynomial Q0 (n=3, M=1, delta0=0.5): "),
+])
+def test_closed_forms_name_the_family_that_mismatches(monkeypatch, patched, kind, message):
+    # one pipeline value of one family off by a relative 1e-6, far above
+    # the tolerance: the mismatch raised is that family's own
+    real = getattr(equiwave.cli, patched)
+
+    def off(profile, *args, **kwargs):
+        value = real(profile, *args, **kwargs)
+        if profile.kind != kind:
+            return value
+        if isinstance(value, tuple):
+            return (value[0] * (1.0 + 1e-6),) + value[1:]
+        return value * (1.0 + 1e-6)
+
+    monkeypatch.setattr(equiwave.cli, patched, off)
+    with pytest.raises(ClosedFormMismatch) as exc:
+        emit_closed_forms()
+    assert str(exc.value).startswith(message)

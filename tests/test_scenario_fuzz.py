@@ -88,3 +88,36 @@ def test_unreadable_scenario_exits_2(workdir, blob):
     path = workdir / "scenario.json"
     path.write_bytes(blob)
     assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2
+
+
+# operators with the operand counts they must not take
+_WRONG_OPERANDS = {"+": [0], "*": [0], "/": [0, 1, 3], "pow": [0, 1, 3],
+                   "cutoff": [0, 2], "sqrt_cutoff": [0, 2],
+                   **{op: [0, 2, 3] for op in ("exp", "sin", "sinh", "cosh", "sqrt")}}
+
+
+@st.composite
+def malformed_expression(draw):
+    """A node with a wrong operand count, under up to two valid nodes."""
+    op = draw(st.sampled_from(sorted(_WRONG_OPERANDS)))
+    tree = [op] + ["r"] * draw(st.sampled_from(_WRONG_OPERANDS[op]))
+    for _ in range(draw(st.integers(0, 2))):
+        tree = draw(st.sampled_from([["+", "r", tree], ["*", tree, 2.0], ["sin", tree],
+                                     ["/", tree, ["cosh", "r"]]]))
+    return tree
+
+
+@hypothesis.given(expr=malformed_expression(), where=st.sampled_from(["manifold", "target"]))
+@hypothesis.example(expr=["+"], where="manifold")
+@hypothesis.example(expr=["*"], where="manifold")
+@hypothesis.example(expr=["+"], where="target")
+@hypothesis.example(expr=["sin", "r", "junk"], where="manifold")
+@hypothesis.example(expr=["sin", "r", "junk"], where="target")
+@hypothesis.example(expr=["*", "r", ["pow", ["+", 1, "r"], "x"]], where="manifold")
+@hypothesis.example(expr=["*", "r", ["pow", ["+", 1, "r"], "x"]], where="target")
+def test_malformed_expression_exits_2(workdir, expr, where):
+    payload = json.loads(json.dumps(VALID))
+    payload[where] = {"kind": "custom", "expr": expr}
+    path = workdir / "scenario.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2

@@ -1,6 +1,7 @@
 """Nonlinear integrator: cross-module oracles, symmetry diagnostics,
 formulation consistency, and blow-up detection."""
 
+import dataclasses
 import math
 import multiprocessing
 import signal
@@ -367,7 +368,8 @@ def test_spectral_operator_and_solver_share_one_stencil():
     assert np.array_equal(psi.op.apply(v), build_operator(psi.grid, psi.m, V).apply(v))
     P = phi.op.W_samples
     assert np.array_equal(P[r >= 1.0], phi.c[r >= 1.0])
-    want = DiscreteRadialOperator.manifold(phi.grid, phi.profile, phi.n, W=P).apply(v)
+    bare = DiscreteRadialOperator.manifold(phi.grid, phi.profile, phi.n)
+    want = dataclasses.replace(bare, W_samples=P).apply(v)
     assert np.array_equal(phi.op.apply(v), want)
 
 
