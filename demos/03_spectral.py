@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from equiwave import (
+    DiscreteRadialOperator,
     RadialGrid,
     build_operator,
     frac_norm,
@@ -35,17 +36,17 @@ for N in (500, 1000, 2000):
     r = g.nodes
     u = np.exp(-(r**2))
     f = (4.0 * r**2 - 2.0 * m) * u + kappa**2 * u
-    errs.append(np.max(np.abs(resolve(kappa, f, g, m=m) - u)))
+    errs.append(np.max(np.abs(resolve(kappa, f, build_operator(g, m)) - u)))
     ratio = "" if len(errs) == 1 else f"  ratio {errs[-2] / errs[-1]:.2f}"
     print(f"  N = {N:5d}  max error {errs[-1]:.3e}{ratio}")
 
-# the same resolver accepts the manifold form of the equation
+# the same resolver takes an operator of the manifold form of the equation
 hyp = metric_profile("hyperbolic")
 g = RadialGrid(30.0, 1000)
 r = g.nodes
 u = np.exp(-(r**2))
 f = (4.0 * r**2 - 2.0) * u - 4.0 * r * u / np.tanh(r) + kappa**2 * u
-got = resolve(kappa, f, g, profile=hyp, n=3, h_infinity=1.0)
+got = resolve(kappa, f, DiscreteRadialOperator.manifold(g, hyp, 3), h_infinity=1.0)
 print(f"manifold form (h = sinh r) max error: {np.max(np.abs(got - u)):.3e}")
 
 # || H^(1/2) e^(-r^2) ||^2 = || grad e^(-r^2) ||^2 on R^m, in closed form

@@ -243,7 +243,7 @@ def smoothing_check(
     m = n + 2 * k
     grid = RadialGrid(R_max, N)
     r = grid.nodes
-    V_samp = compute_V(profile, n, k, r)
+    op = DiscreteRadialOperator.flat(grid, m, compute_V(profile, n, k, r))
     fs = [tf.fn(r) for tf in family]
     rhs = np.array([grid.l2_norm(r * f, m) for f in fs])
     live = np.flatnonzero(rhs)  # the others have ratio 0
@@ -252,7 +252,7 @@ def smoothing_check(
     for lam in lambda_grid:
         ratio = np.zeros(len(family))
         if live.size:  # the whole family in one stacked solve
-            u = resolve(lam, stack, grid, m=m, W=V_samp, h_infinity=h_infinity)
+            u = resolve(lam, stack, op, h_infinity)
             ratio[live] = grid.l2_norm(u / r[:, None], m) / rhs[live]
         ids += [f"{tf.id}@{lam}" for tf in family]
         ratios += ratio.tolist()

@@ -1,15 +1,18 @@
 """Closed-form radial profiles for base and target metrics.
 
-Profiles are small expression trees over a fixed elementary basis
-(polynomials, sqrt, exp, sinh, cosh, rationals, the smooth cutoff
-exp(-eps/r)), closed under +, *, / and composition.  Every profile can be
-evaluated on arrays and differentiated to any requested finite order
-through jet arithmetic, at one radius or on a whole grid in one pass.
+Every profile, built-in or custom, is a tree of the scenario grammar
+over a fixed elementary basis (polynomials, sqrt, exp, sinh, cosh,
+rationals, the smooth cutoff exp(-eps/r)), closed under +, *, / and
+composition.  Every profile can be evaluated on arrays and
+differentiated to any requested finite order through jet arithmetic, at
+one radius or on a whole grid in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -22,157 +25,68 @@ from .jets import Jet, jet_cosh, jet_exp, jet_sin, jet_sinh, jet_sqrt
 # singularities at the origin, evaluates them by their series there.
 SERIES_RADIUS = 1e-3
 
+# exp(-eps/r) is taken as exactly 0 where eps/r exceeds this
+UNDERFLOW = 700.0
 
-# -- expression nodes ---------------------------------------------------------
+
+# -- the expression grammar ---------------------------------------------------
 
 
 class Expr:
+    """A node of the grammar: fn applied to the jets of its operands, or
+    fn(r0, order) for a leaf, which has none."""
+
+    def __init__(self, fn, *operands):
+        self.fn, self.operands = fn, operands
+
     def jet(self, r0, order: int) -> Jet:
         """Jet at r0, a number or an array of centres (a batched jet)."""
-        raise NotImplementedError
+        if not self.operands:
+            return self.fn(r0, order)
+        return self.fn(*(a.jet(r0, order) for a in self.operands))
 
 
-class Var(Expr):
-    def jet(self, r0, order):
-        return Jet.variable(r0, order)
-
-
-class Const(Expr):
-    def __init__(self, c):
-        self.c = float(c)
-
-    def jet(self, r0, order):
-        return Jet.constant(self.c, r0, order)
-
-
-class Add(Expr):
-    def __init__(self, *terms):
-        self.terms = terms
-
-    def jet(self, r0, order):
-        j = self.terms[0].jet(r0, order)
-        for t in self.terms[1:]:
-            j = j + t.jet(r0, order)
-        return j
-
-
-class Mul(Expr):
-    def __init__(self, *factors):
-        self.factors = factors
-
-    def jet(self, r0, order):
-        j = self.factors[0].jet(r0, order)
-        for f in self.factors[1:]:
-            j = j * f.jet(r0, order)
-        return j
-
-
-class Div(Expr):
-    def __init__(self, num, den):
-        self.num, self.den = num, den
-
-    def jet(self, r0, order):
-        return self.num.jet(r0, order) / self.den.jet(r0, order)
-
-
-class Pow(Expr):
-    """child**p; integer p works for any sign of the base, real p needs
-    a positive base."""
-
-    def __init__(self, child, p):
-        if not isinstance(p, (int, float)):
-            raise DomainError(f"pow exponent must be a number, got {p!r}")
-        self.child = child
-        self.p = p
-
-    def jet(self, r0, order):
-        return self.child.jet(r0, order) ** self.p
-
-
-class _Unary(Expr):
-    _jet_fn = None
-
-    def __init__(self, child):
-        self.child = child
-
-    def jet(self, r0, order):
-        return type(self)._jet_fn(self.child.jet(r0, order))
-
-
-class Exp(_Unary):
-    _jet_fn = staticmethod(jet_exp)
-
-
-class Sin(_Unary):
-    _jet_fn = staticmethod(jet_sin)
-
-
-class Sinh(_Unary):
-    _jet_fn = staticmethod(jet_sinh)
-
-
-class Cosh(_Unary):
-    _jet_fn = staticmethod(jet_cosh)
-
-
-class Sqrt(_Unary):
-    _jet_fn = staticmethod(jet_sqrt)
-
-
-class Cutoff(Expr):
-    """The smooth cutoff exp(-eps/r), extended by 0 at r = 0.
-
-    All derivatives vanish at the origin; the jet is exactly zero once
-    exp(-eps/r0) underflows.
-    """
-
-    UNDERFLOW = 700.0
-
-    def __init__(self, eps):
-        self.eps = float(eps)
-
-    def jet(self, r0, order):
-        return _cutoff_jet(r0, order, self.eps, lambda x: jet_exp(-self.eps / x))
-
-
-def _cutoff_jet(r0, order, eps, build) -> Jet:
-    """build(x) for x the variable at r0; the zero jet where the cutoff is 0."""
+def _cutoff(sqrt: bool, eps, r0, order) -> Jet:
+    """The smooth cutoff exp(-eps/r), times sqrt(r) if sqrt (smooth at
+    the origin thanks to the cutoff), extended by 0 at r <= 0: all its
+    derivatives vanish at the origin, and the jet is exactly zero once
+    exp(-eps/r0) underflows."""
     r0 = np.asarray(r0, dtype=float)
     with np.errstate(divide="ignore"):
-        zero = (r0 <= 0) | (eps / r0 > Cutoff.UNDERFLOW)
-    t = build(Jet.variable(np.where(zero, 1.0, r0), order)).taylor
-    return Jet(r0, np.where(zero, 0.0, t))
+        zero = (r0 <= 0) | (eps / r0 > UNDERFLOW)
+    x = Jet.variable(np.where(zero, 1.0, r0), order)
+    t = jet_exp(-eps / x)
+    if sqrt:
+        t = jet_sqrt(x) * t
+    return Jet(r0, np.where(zero, 0.0, t.taylor))
 
 
-class SqrtCutoff(Expr):
-    """sqrt(r) * exp(-eps/r); smooth at the origin thanks to the cutoff."""
-
-    def __init__(self, eps):
-        self.eps = float(eps)
-
-    def jet(self, r0, order):
-        return _cutoff_jet(
-            r0, order, self.eps, lambda x: jet_sqrt(x) * jet_exp(-self.eps / x)
-        )
+def _fold(op):
+    return lambda *jets: functools.reduce(op, jets)
 
 
-# -- expression parsing (scenario files) --------------------------------------
-
-# each operator: the least and the most operands, and its node built
-# from them (pow's exponent and the cutoff eps are numbers)
+# each operator: the least and the most operands, and its node's jet
+# function.  pow's exponent and the cutoffs' eps are numbers, bound into
+# the function first, so a cutoff is a leaf.
 _OPERATORS = {
-    "+": (1, math.inf, lambda *a: Add(*map(parse_expr, a))),
-    "*": (1, math.inf, lambda *a: Mul(*map(parse_expr, a))),
-    "/": (2, 2, lambda a, b: Div(parse_expr(a), parse_expr(b))),
-    "pow": (2, 2, lambda a, p: Pow(parse_expr(a), p)),
-    "exp": (1, 1, lambda a: Exp(parse_expr(a))),
-    "sin": (1, 1, lambda a: Sin(parse_expr(a))),
-    "sinh": (1, 1, lambda a: Sinh(parse_expr(a))),
-    "cosh": (1, 1, lambda a: Cosh(parse_expr(a))),
-    "sqrt": (1, 1, lambda a: Sqrt(parse_expr(a))),
-    "cutoff": (1, 1, Cutoff),
-    "sqrt_cutoff": (1, 1, SqrtCutoff),
+    "+": (1, math.inf, _fold(operator.add)),
+    "*": (1, math.inf, _fold(operator.mul)),
+    "/": (2, 2, operator.truediv),
+    "pow": (2, 2, lambda p, j: j**p),
+    "exp": (1, 1, jet_exp),
+    "sin": (1, 1, jet_sin),
+    "sinh": (1, 1, jet_sinh),
+    "cosh": (1, 1, jet_cosh),
+    "sqrt": (1, 1, jet_sqrt),
+    "cutoff": (1, 1, functools.partial(_cutoff, False)),
+    "sqrt_cutoff": (1, 1, functools.partial(_cutoff, True)),
 }
+# the operators whose last operand is a number, and what it is
+_NUMBERS = {"pow": "exponent", "cutoff": "eps", "sqrt_cutoff": "eps"}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def parse_expr(spec) -> Expr:
@@ -180,23 +94,41 @@ def parse_expr(spec) -> Expr:
 
     Examples: "r", 2.5, ["+", a, b], ["*", a, b], ["/", a, b],
     ["pow", a, p], ["exp", a], ["cutoff", eps], ["sqrt_cutoff", eps].
+    A JSON boolean is no number.
     """
     if isinstance(spec, str):
         if spec == "r":
-            return Var()
+            return Expr(Jet.variable)
         raise DomainError(f"unknown expression symbol {spec!r}")
-    if isinstance(spec, (int, float)):
-        return Const(spec)
+    if _is_number(spec):
+        return Expr(functools.partial(Jet.constant, float(spec)))
     if not isinstance(spec, (list, tuple)) or not spec:
         raise DomainError(f"bad expression node {spec!r}")
     op, *args = spec
     if not isinstance(op, str) or op not in _OPERATORS:
         raise DomainError(f"unknown expression operator {op!r}")
-    least, most, build = _OPERATORS[op]
+    least, most, fn = _OPERATORS[op]
     if not least <= len(args) <= most:
         count = least if least == most else f"at least {least}"
         raise DomainError(f"operator {op!r} takes {count} operand(s), got {len(args)}")
-    return build(*args)
+    if op in _NUMBERS:
+        *args, x = args
+        if not _is_number(x):
+            raise DomainError(f"{op} {_NUMBERS[op]} must be a number, got {x!r}")
+        fn = functools.partial(fn, x)
+    return Expr(fn, *map(parse_expr, args))
+
+
+def _built_in(table: dict, what: str, kind, params: dict):
+    """The parameters of a built-in kind (its defaults updated by params,
+    which may name no other key) and the rest of its table entry."""
+    if not isinstance(kind, str) or kind not in table:
+        raise DomainError(f"unknown {what} profile kind {kind!r}")
+    defaults, *entry = table[kind]
+    for key in params:
+        if key not in defaults:
+            raise DomainError(f"{what} profile {kind!r} has no parameter {key!r}")
+    return {**defaults, **params}, *entry
 
 
 # -- metric profiles -----------------------------------------------------------
@@ -234,43 +166,33 @@ class MetricProfile:
         return {"kind": self.kind, "params": dict(self.params)}
 
 
+# each built-in metric: its parameters with their defaults, its grammar
+# tree, and whether it is smooth at r = 0
+_METRICS = {
+    "flat": ({}, lambda: "r", True),
+    "hyperbolic": ({}, lambda: ["sinh", "r"], True),
+    # sinh(r) + a r^3 / (1+r^2)^3: odd, mu'(0)=0, decays like r^-3
+    "sinh-perturbed": ({"amplitude": 0.01}, lambda amplitude: [
+        "+", ["sinh", "r"],
+        ["/", ["*", amplitude, ["pow", "r", 3]], ["pow", ["+", 1.0, ["pow", "r", 2]], 3]],
+    ], True),
+    "polynomial-growth": ({"M": 1.0}, lambda M: [
+        "*", "r", ["pow", ["+", 1.0, ["sqrt", "r"]], M]], False),
+    "smoothed-polynomial": ({"M": 1.0, "eps": 0.05}, lambda M, eps: [
+        "*", "r", ["pow", ["+", 1.0, ["sqrt_cutoff", eps]], M]], True),
+    "exp-growth": ({}, lambda: ["+", ["exp", "r"], -1.0], False),
+    # r + (e^r - 1 - r) * exp(-eps/r): flattened near the origin
+    "smoothed-exponential": ({"eps": 0.05}, lambda eps: [
+        "+", "r", ["*", ["+", ["exp", "r"], -1.0, ["*", -1.0, "r"]], ["cutoff", eps]]], True),
+    "sin": ({}, lambda: ["sin", "r"], True),
+    "custom": ({"expr": None}, lambda expr: expr, True),
+}
+
+
 def metric_profile(kind: str, **params) -> MetricProfile:
-    """Factory for the built-in metric families."""
-    if kind == "flat":
-        return MetricProfile("flat", Var())
-    if kind == "hyperbolic":
-        return MetricProfile("hyperbolic", Sinh(Var()))
-    if kind == "sinh-perturbed":
-        # sinh(r) + a r^3 / (1+r^2)^3: odd, mu'(0)=0, decays like r^-3
-        a = params.get("amplitude", 0.01)
-        mu = Div(Mul(Const(a), Pow(Var(), 3)), Pow(Add(Const(1.0), Pow(Var(), 2)), 3))
-        return MetricProfile("sinh-perturbed", Add(Sinh(Var()), mu), {"amplitude": a})
-    if kind == "polynomial-growth":
-        M = params.get("M", 1.0)
-        expr = Mul(Var(), Pow(Add(Const(1.0), Sqrt(Var())), M))
-        return MetricProfile(
-            "polynomial-growth", expr, {"M": M}, smooth_at_zero=False
-        )
-    if kind == "smoothed-polynomial":
-        M = params.get("M", 1.0)
-        eps = params.get("eps", 0.05)
-        expr = Mul(Var(), Pow(Add(Const(1.0), SqrtCutoff(eps)), M))
-        return MetricProfile("smoothed-polynomial", expr, {"M": M, "eps": eps})
-    if kind == "exp-growth":
-        return MetricProfile(
-            "exp-growth", Add(Exp(Var()), Const(-1.0)), smooth_at_zero=False
-        )
-    if kind == "smoothed-exponential":
-        eps = params.get("eps", 0.05)
-        # r + (e^r - 1 - r) * exp(-eps/r): flattened near the origin
-        corr = Add(Exp(Var()), Const(-1.0), Mul(Const(-1.0), Var()))
-        expr = Add(Var(), Mul(corr, Cutoff(eps)))
-        return MetricProfile("smoothed-exponential", expr, {"eps": eps})
-    if kind == "sin":
-        return MetricProfile("sin", Sin(Var()))
-    if kind == "custom":
-        return MetricProfile("custom", parse_expr(params["expr"]), dict(params))
-    raise DomainError(f"unknown metric profile kind {kind!r}")
+    """A built-in metric family, or a custom one from its "expr" tree."""
+    params, tree, smooth = _built_in(_METRICS, "metric", kind, params)
+    return MetricProfile(kind, parse_expr(tree(**params)), params, smooth)
 
 
 def check_normalization(profile: MetricProfile) -> bool:
@@ -333,18 +255,25 @@ class TargetProfile:
         return np.multiply(j.value, j.derivative(1), out=out)
 
 
+# each built-in target: its parameters with their defaults, its grammar
+# tree, and its default domain bound
+_TARGETS = {
+    "flat": ({}, lambda: "r", math.inf),
+    "sphere": ({}, lambda: ["sin", "r"], math.pi),
+    "hyperbolic": ({}, lambda: ["sinh", "r"], math.inf),
+    "custom": ({"expr": None}, lambda expr: expr, math.inf),
+}
+
+
 def target_profile(kind: str, domain_bound: Optional[float] = None, **params) -> TargetProfile:
-    if kind == "flat":
-        return TargetProfile("flat", Var(), domain_bound or math.inf)
-    if kind == "sphere":
-        return TargetProfile("sphere", Sin(Var()), domain_bound or math.pi)
-    if kind == "hyperbolic":
-        return TargetProfile("hyperbolic", Sinh(Var()), domain_bound or math.inf)
-    if kind == "custom":
-        return TargetProfile(
-            "custom", parse_expr(params["expr"]), domain_bound or math.inf
-        )
-    raise DomainError(f"unknown target profile kind {kind!r}")
+    """A built-in target family, or a custom one from its "expr" tree;
+    a domain_bound given replaces the kind's own and must be positive."""
+    params, tree, bound = _built_in(_TARGETS, "target", kind, params)
+    if domain_bound is not None:
+        if not domain_bound > 0:
+            raise DomainError(f"target domain_bound must be positive, got {domain_bound}")
+        bound = domain_bound
+    return TargetProfile(kind, parse_expr(tree(**params)), bound)
 
 
 # -- cubic decomposition of the nonlinearity ---------------------------------

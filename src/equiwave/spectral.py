@@ -606,19 +606,13 @@ def _chebyshev_coefficients(g, a: float, b: float, tol: float) -> np.ndarray:
 
 
 def resolve(
-    kappa: complex,
-    f,
-    grid: RadialGrid,
-    m: Optional[int] = None,
-    W: Optional[np.ndarray] = None,
-    profile=None,
-    n: Optional[int] = None,
-    h_infinity: float = 0.0,
+    kappa: complex, f, op: DiscreteRadialOperator, h_infinity: float = 0.0
 ) -> np.ndarray:
-    """Solve the truncated radial Helmholtz problem
+    """Solve the truncated radial Helmholtz problem (kappa^2 - H) u = f
+    for the operator H of op, which is
 
-      u'' + (m-1)/r u' + kappa^2 u - W u = f        (flat R^m form), or
-      u'' + (n-1) h'/h u' + kappa^2 u = f           (manifold form),
+      u'' + (m-1)/r u' + kappa^2 u - W u = f   (DiscreteRadialOperator.flat), or
+      u'' + (n-1) h'/h u' + kappa^2 u = f      (DiscreteRadialOperator.manifold),
 
     with regularity at 0 and zero value at the ghost node R_max + dr/2 (as
     the operator puts it), for f of shape (N,) or a column stack (N, k).
@@ -628,17 +622,9 @@ def resolve(
     kappa = complex(kappa)
     if kappa.imag <= 0:
         raise DomainError("resolvent frequency needs Im kappa > 0")
-    decay = abs(np.emath.sqrt(kappa**2 - h_infinity).imag) * grid.R_max
+    decay = abs(np.emath.sqrt(kappa**2 - h_infinity).imag) * op.grid.R_max
     if decay < 5.0:
         raise TruncationTooSmall(f"Im sqrt(kappa^2 - h_inf) * R_max = {decay:.3f} < 5")
-    if profile is not None:
-        if n is None or n < 3:
-            raise DomainError("manifold form needs n >= 3")
-        op = DiscreteRadialOperator.manifold(grid, profile, n)
-    else:
-        if m is None or m < 3:
-            raise DomainError("flat form needs m >= 3")
-        op = DiscreteRadialOperator.flat(grid, m, W)
     # (kappa^2 - H) u~ = f~ in the symmetrized variable
     ut = _shifted_solve(*op.tridiagonal, kappa**2, op.symmetrize(f))
     if not np.all(np.isfinite(ut)):

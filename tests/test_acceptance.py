@@ -137,7 +137,7 @@ def test_criterion_6_resolvent_convergence():
         r = grid.nodes
         u = np.exp(-(r**2))
         f = (4.0 * r**2 - 10.0) * u + kappa**2 * u
-        errs.append(np.max(np.abs(resolve(kappa, f, grid, m=5) - u)))
+        errs.append(np.max(np.abs(resolve(kappa, f, build_operator(grid, 5)) - u)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = abs(r1 - 4.0) <= 0.6 and abs(r2 - 4.0) <= 0.6
     report(6, ok, f"max-error ratios {r1:.2f}, {r2:.2f} within 4 +- 15%")

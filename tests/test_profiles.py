@@ -1,13 +1,17 @@
 """Metric and target profiles: values, jets, normalization, and the
 cubic decomposition of the wave-map nonlinearity."""
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from _gamma import SEAM, gamma_reference
+from equiwave.admissibility import GRID
 from equiwave.errors import DomainError, OrderUnavailable
 from equiwave.profiles import (
     check_normalization,
@@ -34,16 +38,22 @@ def test_normalization(kind):
     assert check_normalization(metric_profile(kind))
 
 
-def sympy_profile(kind):
+def sympy_profile(kind, amplitude=0.01, M=1.0, eps=0.05):
     r = sp.symbols("r", positive=True)
     if kind == "flat":
         return r, r
     if kind == "hyperbolic":
         return sp.sinh(r), r
+    if kind == "sinh-perturbed":
+        return sp.sinh(r) + amplitude * r**3 / (1 + r**2) ** 3, r
     if kind == "polynomial-growth":
         return r * (1 + sp.sqrt(r)), r
+    if kind == "smoothed-polynomial":
+        return r * (1 + sp.sqrt(r) * sp.exp(-eps / r)) ** M, r
     if kind == "exp-growth":
         return sp.exp(r) - 1, r
+    if kind == "smoothed-exponential":
+        return r + (sp.exp(r) - 1 - r) * sp.exp(-eps / r), r
     if kind == "sin":
         return sp.sin(r), r
     raise ValueError(kind)
@@ -51,8 +61,26 @@ def sympy_profile(kind):
 
 @pytest.mark.parametrize("kind", ["flat", "hyperbolic", "polynomial-growth", "exp-growth", "sin"])
 def test_values_and_jets_match_sympy(kind):
-    expr, r = sympy_profile(kind)
-    profile = metric_profile(kind)
+    assert_matches_sympy(kind, {})
+
+
+# the three parametrised built-ins, at their defaults and at one other set
+@pytest.mark.parametrize("kind, params", [
+    ("sinh-perturbed", {}),
+    ("sinh-perturbed", {"amplitude": 0.3}),
+    ("smoothed-polynomial", {}),
+    ("smoothed-polynomial", {"M": 2.5, "eps": 0.2}),
+    ("smoothed-exponential", {}),
+    ("smoothed-exponential", {"eps": 0.3}),
+])
+def test_parametrised_values_and_jets_match_sympy(kind, params):
+    assert_matches_sympy(kind, params)
+
+
+def assert_matches_sympy(kind, params):
+    """Orders 0-4 at three radii, and values on an array, against sympy."""
+    expr, r = sympy_profile(kind, **params)
+    profile = metric_profile(kind, **params)
     for r0 in (0.3, 1.0, 2.7):
         jet = profile.jet(r0, 4)
         for j in range(5):
@@ -109,6 +137,31 @@ def test_parse_expr_round_trip():
 def test_parse_expr_rejects_garbage():
     with pytest.raises(DomainError):
         parse_expr(["nosuch", "r"])
+
+
+def _readme_trees(heading):
+    """{kind: tree} of the README table whose first column is heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split(f"| {heading} |", 1)[1].split("\n\n", 1)[0]
+    return {kind: json.loads(tree) for kind, tree
+            in re.findall(r"^\| `([a-z-]+)` \| [^|]* \| `(.+)` \|$", table, re.M)}
+
+
+def test_readme_trees_are_the_built_in_profiles():
+    # the trees README lists give every built-in's jets bit for bit
+    metrics = _readme_trees("manifold `kind`")
+    assert sorted(metrics) == sorted(ALL_KINDS)
+    for kind, tree in metrics.items():
+        want = metric_profile(kind)
+        for r0 in (GRID, 1.7):
+            got = parse_expr(tree).jet(r0, 8).taylor
+            assert got.tobytes() == want.jet(r0, 8).taylor.tobytes(), kind
+    targets = _readme_trees("target `kind`")
+    assert sorted(targets) == ["flat", "hyperbolic", "sphere"]
+    s = np.linspace(-2.0, 2.0, 41)
+    for kind, tree in targets.items():
+        got = parse_expr(tree).jet(s, 8).taylor
+        assert got.tobytes() == target_profile(kind).jet(s, 8).taylor.tobytes(), kind
 
 
 def test_custom_profile():
@@ -194,6 +247,7 @@ def test_custom_target_gg_prime_jet_fallback():
 
 def test_sphere_domain_bound():
     assert target_profile("sphere").domain_bound == math.pi
+    assert target_profile("sphere", domain_bound=2.0).domain_bound == 2.0
 
 
 def test_gamma_reference_sphere():

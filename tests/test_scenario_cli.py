@@ -113,6 +113,17 @@ def test_defaults_applied(tmp_path):
          ScenarioError),
         ({"target": {"kind": "custom", "expr": ["*", "r", ["exp", 1000]]}},
          ScenarioError),
+        # a key that the kind does not take, and a domain bound that is not
+        # positive: each ran at the kind's defaults (a bound of 0 became pi)
+        ({"manifold": {"kind": "sinh-perturbed", "amplitue": 0.5}}, ScenarioError),
+        ({"manifold": {"kind": "flat", "M": 3}}, ScenarioError),
+        ({"manifold": {"kind": "polynomial-growth", "eps": 0.1}}, ScenarioError),
+        ({"manifold": {"kind": "custom", "expr": "r", "M": 1.0}}, ScenarioError),
+        ({"manifold": {"kind": "hyperbolic", "domain_bound": 1.0}}, ScenarioError),
+        ({"target": {"kind": "sphere", "radius": 2}}, ScenarioError),
+        ({"target": {"kind": "flat", "expr": "r"}}, ScenarioError),
+        ({"target": {"kind": "sphere", "domain_bound": 0}}, ScenarioError),
+        ({"target": {"kind": "hyperbolic", "domain_bound": -1.0}}, ScenarioError),
     ],
 )
 def test_validation_rejects(tmp_path, patch, exc):

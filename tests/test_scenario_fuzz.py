@@ -115,6 +115,12 @@ def malformed_expression(draw):
 @hypothesis.example(expr=["sin", "r", "junk"], where="target")
 @hypothesis.example(expr=["*", "r", ["pow", ["+", 1, "r"], "x"]], where="manifold")
 @hypothesis.example(expr=["*", "r", ["pow", ["+", 1, "r"], "x"]], where="target")
+# a JSON boolean as a constant, an exponent or an eps: each passed as 0 or 1
+@hypothesis.example(expr=["+", "r", ["*", False, ["pow", "r", 2]]], where="manifold")
+@hypothesis.example(expr=["pow", ["sinh", "r"], True], where="manifold")
+@hypothesis.example(expr=["sin", ["*", True, "r"]], where="target")
+@hypothesis.example(expr=["pow", ["sin", "r"], True], where="target")
+@hypothesis.example(expr=["*", "r", ["+", 1.0, ["sqrt_cutoff", True]]], where="manifold")
 def test_malformed_expression_exits_2(workdir, expr, where):
     payload = json.loads(json.dumps(VALID))
     payload[where] = {"kind": "custom", "expr": expr}

@@ -174,7 +174,7 @@ def test_resolvent_manufactured_flat():
         u = np.exp(-(r**2))
         lap = (4.0 * r**2 - 2.0 * 5.0) * np.exp(-(r**2))
         f = lap + kappa**2 * u
-        got = resolve(kappa, f, grid, m=5)
+        got = resolve(kappa, f, build_operator(grid, 5))
         errs.append(np.max(np.abs(got - u)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
@@ -193,7 +193,7 @@ def test_resolvent_manufactured_manifold():
         du = -2.0 * r * np.exp(-(r**2))
         d2u = (4.0 * r**2 - 2.0) * np.exp(-(r**2))
         f = d2u + 2.0 * du / np.tanh(r) + kappa**2 * u
-        got = resolve(kappa, f, grid, profile=hyp, n=3, h_infinity=1.0)
+        got = resolve(kappa, f, DiscreteRadialOperator.manifold(grid, hyp, 3), 1.0)
         errs.append(np.max(np.abs(got - u)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -209,9 +209,9 @@ def test_resolvent_manifold_form_is_the_reduced_flat_form():
         r = grid.nodes
         f = np.exp(-((r - 3.0) ** 2))
         w = weight_w(hyp, 3, 0, r)
-        got = resolve(kappa, f, grid, profile=hyp, n=3, h_infinity=1.0)
-        want = w * resolve(kappa, f / w, grid, m=3, W=compute_V(hyp, 3, 0, r),
-                           h_infinity=1.0)
+        got = resolve(kappa, f, DiscreteRadialOperator.manifold(grid, hyp, 3), 1.0)
+        flat = DiscreteRadialOperator.flat(grid, 3, compute_V(hyp, 3, 0, r))
+        want = w * resolve(kappa, f / w, flat, 1.0)
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.3)
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.3)
@@ -220,9 +220,9 @@ def test_resolvent_manifold_form_is_the_reduced_flat_form():
 def test_resolvent_truncation_guard():
     grid = RadialGrid(30.0, 500)
     with pytest.raises(TruncationTooSmall):
-        resolve(1.0 + 0.01j, np.ones(500), grid, m=5)
+        resolve(1.0 + 0.01j, np.ones(500), build_operator(grid, 5))
     with pytest.raises(DomainError):
-        resolve(1.0 - 1.0j, np.ones(500), grid, m=5)
+        resolve(1.0 - 1.0j, np.ones(500), build_operator(grid, 5))
 
 
 @pytest.mark.parametrize("form", ["flat", "manifold"])
@@ -231,13 +231,14 @@ def test_resolve_stack_matches_single_solves(form):
     grid = RadialGrid(30.0, 400)
     r = grid.nodes
     if form == "flat":
-        kw = {"m": 5, "W": 1.0 / (1.0 + r**2)}
+        op, h_infinity = build_operator(grid, 5, 1.0 / (1.0 + r**2)), 0.0
     else:
-        kw = {"profile": metric_profile("hyperbolic"), "n": 3, "h_infinity": 1.0}
+        op = DiscreteRadialOperator.manifold(grid, metric_profile("hyperbolic"), 3)
+        h_infinity = 1.0
     stack = np.stack([np.exp(-((r - 2.0) ** 2)), np.zeros_like(r), r * np.exp(-r)],
                      axis=1)
-    got = resolve(0.5 + 1.2j, stack, grid, **kw)
-    want = np.stack([resolve(0.5 + 1.2j, stack[:, j], grid, **kw) for j in range(3)],
+    got = resolve(0.5 + 1.2j, stack, op, h_infinity)
+    want = np.stack([resolve(0.5 + 1.2j, stack[:, j], op, h_infinity) for j in range(3)],
                     axis=1)
     assert np.array_equal(got, want)
     assert not got[:, 1].any()
@@ -250,7 +251,7 @@ def test_non_finite_potential_is_a_domain_error():
     with pytest.raises(DomainError, match=f"r = {grid.nodes[200]:.6g}"):
         build_operator(grid, 5, W)
     with pytest.raises(DomainError, match="not finite"):
-        resolve(1.0 + 1.0j, np.ones(grid.N), grid, m=5, W=W)
+        DiscreteRadialOperator.flat(grid, 3, W)
 
 
 def test_reduced_operator_positive_spectrum():
@@ -470,7 +471,7 @@ def test_functional_calculus_makes_no_full_eigensolve(free_and_reduced, monkeypa
         assert np.all(np.isfinite(u))
     rep = strichartz_monitor(op, nu, (3, 3), fam, free_op=free)
     assert np.all(np.isfinite(rep.ratios))
-    assert np.all(np.isfinite(resolve(1.0 + 1.0j, v, grid, m=5, W=W)))
+    assert np.all(np.isfinite(resolve(1.0 + 1.0j, v, op)))
     # frac_norm needs a nonnegative spectrum: one mode below the infrared
     # floor is taken out under the homogeneous shift
     floor = build_operator(grid, 5, np.full(grid.N, 0.5 * free.lambda_floor
