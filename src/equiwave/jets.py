@@ -101,7 +101,8 @@ class Jet:
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if not np.array_equal(other.center, self.center):
+            # the jets of one expression share the centre array itself
+            if other.center is not self.center and not np.array_equal(other.center, self.center):
                 raise ValueError("jet centers differ")
             return other
         return Jet.constant(other, self.center, self.order)
@@ -191,6 +192,8 @@ class Jet:
                 outer[:, bad] = np.nan
             elif np.isfinite(v):
                 raise OverflowError(f"elementary function overflows at {v}")
+        if self.order == 0:  # the Horner loop is empty: the outer value is the jet
+            return Jet(self.center, outer)
         return self.compose_outer(outer)
 
     def deriv(self) -> "Jet":

@@ -241,18 +241,38 @@ class TargetProfile:
         its jet runs on every s."""
         return _LINEAR_RADIUS.get(self.kind, 0.0)
 
+    @property
+    def gg_prime_fn(self):
+        """g g' as a function f(s, out) of a float64 array s, written into
+        out (an array of s's shape, or None): the closed form of a
+        built-in kind, else one jet of the expression over all of s.  A
+        loop takes it once and calls it without gg_prime's conversion."""
+        return _GG_PRIME.get(self.kind) or functools.partial(_gg_jet, self.expr)
+
     def gg_prime(self, s, out=None):
         """g(s) g'(s) evaluated on arrays (the wave-map nonlinearity),
         written into out, an array of s's shape, when given."""
-        s = np.asarray(s, dtype=float)
-        # closed forms for the built-in targets, else one jet over all of s
-        if self.kind == "flat":
-            return np.positive(s, out=out)
-        if self.kind in ("sphere", "hyperbolic"):
-            fn = np.sin if self.kind == "sphere" else np.sinh
-            return np.multiply(0.5, fn(np.multiply(2.0, s, out=out), out=out), out=out)
-        j = self.expr.jet(s, 1)
-        return np.multiply(j.value, j.derivative(1), out=out)
+        return self.gg_prime_fn(np.asarray(s, dtype=float), out)
+
+
+def _gg_circular(fn):
+    """g g'(s) = 0.5 fn(2s), for g = sin (fn = sin) and g = sinh (fn = sinh)."""
+    multiply, half, two = np.multiply, np.array(0.5), np.array(2.0)
+
+    def gg_prime(s, out):
+        return multiply(half, fn(multiply(two, s, out=out), out=out), out=out)
+
+    return gg_prime
+
+
+def _gg_jet(expr: Expr, s, out):
+    j = expr.jet(s, 1)
+    return np.multiply(j.value, j.derivative(1), out=out)
+
+
+# TargetProfile.gg_prime_fn of the built-in targets, by kind
+_GG_PRIME = {"flat": lambda s, out: np.positive(s, out=out),
+             "sphere": _gg_circular(np.sin), "hyperbolic": _gg_circular(np.sinh)}
 
 
 # each built-in target: its parameters with their defaults, its grammar

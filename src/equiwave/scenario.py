@@ -146,6 +146,9 @@ class Scenario:
                    ("data", DATA_NUMBERS))
         for section, keys in numeric:
             spec = getattr(self, section)
+            unknown = set(spec) - set(keys) - ({"shape"} if section == "data" else set())
+            if unknown:
+                raise ScenarioError(f"{section} spec has unknown keys {sorted(map(str, unknown))}")
             for key in keys:
                 if section != "data" and key not in spec:
                     raise ScenarioError(f"{section} spec is missing {key!r}")

@@ -27,9 +27,13 @@ A step does only work that can change a bit.  It takes |s| of the new
 field once, checks its max, and only then the force, which evaluates
 g g' in the window of cells from the first to the last with
 |s| >= TargetProfile.linear_radius: outside it g g'(s) rounds to s, so
-the remainder is 0.  Every array of a step is made once, and the half
-kick that ends a step is the product that starts the next, so a run has
-the bits of the textbook velocity-Verlet loop with g g' on every cell.
+the remainder is 0.  Everything a step touches is bound once per run:
+its arrays, the force at the run's field (`_Discretization.bind`, whose
+band product has its neighbour views made once), the ufuncs, dt and dt/2
+as 0-d arrays and the target's g g' function (`gg_prime_fn`).  A step
+makes its numpy calls and slices only the g g' window, and the half kick
+that ends a step is the product that starts the next, so a run has the
+bits of the textbook velocity-Verlet loop with g g' on every cell.
 
 `forked` is the one way the package uses a second core: it runs a
 generator in one forked child process and hands its values to the caller
@@ -166,39 +170,63 @@ class _Discretization:
         N = self.grid.N
         self._force, self._row, self._s, self._abs, self._nl = np.empty((5, N))
         self._flags = bytearray(N)
-        self._flag_array = np.frombuffer(self._flags, dtype=bool)
-        self._measured = None  # (u, s, i0, i1) of a measure that no force used yet
+        self._measured = None  # [u, s, i0, i1] of the last measure of a bound field
         # -H u from the negated bands: negation is exact, so the bits of -(H u)
         self._neg_bands = tuple(-b for b in self.op.bands)
 
+    def bind(self, u: np.ndarray):
+        """The force at the field buffer u, bound to it once for a loop
+        that steps u in place: (measure, force), two functions of no
+        arguments.  measure() writes |s| of what u holds (s = u in the
+        phi form, w u in the psi form) into a buffer of this
+        discretization, returns it, and keeps the window [i0, i1) from
+        the first to the last cell with |s| >= the linear radius, (0, 0)
+        when there is none, in self._measured = [u, s, i0, i1].  force()
+        writes -H u - a (g g'(s) - s) into a buffer that the next call
+        overwrites and returns it; the remainder is taken in the window of
+        the last measure(), outside which it is exactly 0."""
+        multiply, subtract, absolute, at_least = np.multiply, np.subtract, np.abs, np.greater_equal
+        phi_form = self.formulation == "phi"
+        s, w, mag, nl, a = u if phi_form else self._s, self.w_nodes, self._abs, self._nl, self.a
+        radius, find, rfind = np.array(self.linear_radius), self._flags.find, self._flags.rfind
+        flags = np.frombuffer(self._flags, dtype=bool)
+        measured = self._measured = [u, s, 0, 0]
+        product = _band_product(*self._neg_bands, u, self._force, self._row)
+        gg_prime = self.target.gg_prime_fn
+
+        def measure():
+            if not phi_form:
+                multiply(w, u, out=s)
+            absolute(s, out=mag)
+            at_least(mag, radius, out=flags)
+            measured[2] = max(find(1), 0)
+            measured[3] = rfind(1) + 1
+            return mag
+
+        def force():
+            out = product()
+            _, _, i0, i1 = measured
+            s_in, nl_in, out_in = s[i0:i1], nl[i0:i1], out[i0:i1]
+            gg_prime(s_in, nl_in)
+            subtract(nl_in, s_in, out=nl_in)
+            multiply(nl_in, a[i0:i1], out=nl_in)
+            subtract(out_in, nl_in, out=out_in)
+            return out
+
+        return measure, force
+
     def measure(self, u: np.ndarray) -> np.ndarray:
-        """|s| of the field u, s = u in the phi form and w u in the psi
-        form, in a buffer of this discretization.  The next
-        acceleration(u) takes its window from here, not from u again."""
-        s = u if self.formulation == "phi" else np.multiply(self.w_nodes, u, out=self._s)
-        mag = np.abs(s, out=self._abs)
-        # the window [i0, i1): from the first to the last cell at or above
-        # the radius, (0, 0) when there is none
-        np.greater_equal(mag, self.linear_radius, out=self._flag_array)
-        self._measured = (u, s, max(self._flags.find(1), 0), self._flags.rfind(1) + 1)
-        return mag
+        """|s| of the field u, and its window in self._measured: the
+        measure() of bind(u)."""
+        return self.bind(u)[0]()
 
     def acceleration(self, u: np.ndarray) -> np.ndarray:
         """The force -H u - a (g g'(s) - s) at the field u, in a buffer of
-        this discretization that the next call overwrites.  The remainder
-        is taken only in the window of |s| >= the linear radius, that of
-        the measure(u) just made or else measured here; outside it it is
-        exactly 0."""
-        if self._measured is None or self._measured[0] is not u:
-            self.measure(u)
-        (_, s, i0, i1), self._measured = self._measured, None
-        force = _band_product(*self._neg_bands, u, out=self._force, tmp=self._row)
-        s, window = s[i0:i1], self._nl[i0:i1]
-        self.target.gg_prime(s, out=window)
-        window -= s
-        window *= self.a[i0:i1]
-        force[i0:i1] -= window
-        return force
+        this discretization that the next call overwrites: u measured and
+        then the force() of bind(u)."""
+        measure, force = self.bind(u)
+        measure()
+        return force()
 
     def energy(self, u: np.ndarray, u_t: np.ndarray) -> float:
         """Discrete energy conserved by the semidiscrete flow of this form,
@@ -289,39 +317,50 @@ class _Run:
         BlowUp when the field exceeds the ceiling or becomes non-finite,
         DomainError when it leaves the domain of the target."""
         disc, u, v, t0, ceiling = self.disc, self.u, self.v, self.t0, self.ceiling
-        grid = disc.grid
         n_steps, dt, snap_stride = disc.scenario.stepping
-
-        def check(t):
-            # |phi|, which the force to come reuses, and one max, before any
-            # force of it: a NaN makes the max NaN and fails `< inf`, which
-            # also catches inf under ceiling = inf
-            a = disc.measure(u)
-            top = a.max()
-            if disc.target.domain_bound <= top < math.inf:
-                r = grid.nodes[np.argmax(a)]
-                raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}, "
-                                  f"r={r:.6g}")
-            if not top < math.inf or top > ceiling:
-                bad = np.argmax(np.where(np.isfinite(a), a, np.inf))
-                raise BlowUp(t, grid.nodes[bad])
-
-        # the half kick ending a step is the one starting the next: one
-        # product, added twice
+        bound = disc.target.domain_bound
+        # everything a step touches, bound once: the force at u, the ufuncs,
+        # the buffers and the factors dt and dt/2 as 0-d arrays (a Python
+        # float is converted on every call); the half kick ending a step is
+        # the one starting the next: one product, added twice
+        measure, force = disc.bind(u)
+        add, multiply, top_of = np.add, np.multiply, np.maximum.reduce
         kick, drift = np.empty_like(u), np.empty_like(u)
-        half_dt = 0.5 * dt
-        check(t0)
-        np.multiply(half_dt, disc.acceleration(u), out=kick)
+        step_dt, half_dt = np.array(dt), np.array(0.5 * dt)
+
+        # |s|, which the force to come reuses, and its max, before any force
+        # of it: a max that is NaN, inf or past a bound fails the test (top
+        # < bound keeps top < inf when the bound is inf), and _check raises
+        top = top_of(measure())
+        if not (top < bound and top <= ceiling):
+            self._check(t0)
+        multiply(half_dt, force(), out=kick)
         yield self._record(t0)
         for step in range(1, n_steps + 1):
-            v += kick
-            u += np.multiply(dt, v, out=drift)
-            t = t0 + step * dt
-            check(t)
-            np.multiply(half_dt, disc.acceleration(u), out=kick)
-            v += kick
+            add(v, kick, out=v)
+            add(u, multiply(step_dt, v, out=drift), out=u)
+            top = top_of(measure())
+            if not (top < bound and top <= ceiling):
+                self._check(t0 + step * dt)
+            multiply(half_dt, force(), out=kick)
+            add(v, kick, out=v)
             if step % snap_stride == 0 or step == n_steps:
-                yield self._record(t)
+                yield self._record(t0 + step * dt)
+
+    def _check(self, t: float):
+        """Raise for the field last measured, at time t, when it is past
+        a bound: DomainError when its max is finite and at or past the
+        target's domain bound, BlowUp when it is not finite or exceeds the
+        ceiling.  snapshots calls it only when its own test of the max
+        fails."""
+        disc = self.disc
+        a, nodes = disc._abs, disc.grid.nodes
+        top = a.max()
+        if disc.target.domain_bound <= top < math.inf:
+            raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}, "
+                              f"r={nodes[np.argmax(a)]:.6g}")
+        if not top < math.inf or top > self.ceiling:
+            raise BlowUp(t, nodes[np.argmax(np.where(np.isfinite(a), a, np.inf))])
 
     def trajectory(self, states: list, h_half_norms: np.ndarray) -> Trajectory:
         """The run up to its last snapshot, with the given states and norms."""

@@ -25,8 +25,8 @@ import.
 One class, DiscreteRadialOperator, holds the stencil: face weights and
 cell averages of the volume weight, and the three row bands of H built
 from them once.  Every product with H is one band product
-(_band_product), in apply, in the Chebyshev step and in the nonlinear
-solver; with the weight h^(n-1) of the base manifold the same operator
+(_band_product, bound once to its buffers), in apply, in the Chebyshev
+step and in the nonlinear solver; with the weight h^(n-1) of the base manifold the same operator
 serves the manifold form of the resolvent and the solver's phi form.
 Every sum over the weights (energies, L^2 and L^q norms, the trapezoid
 in time) is written here, and a column of a stack has the bits of its
@@ -220,21 +220,29 @@ class DiscreteRadialOperator:
     def apply(self, v) -> np.ndarray:
         """H v for a radial grid function v."""
         v = np.asarray(v)
-        diag, upper, lower = self.bands
-        if v.ndim > 1:
-            diag, upper, lower = diag[:, None], upper[:, None], lower[:, None]
-        return _band_product(diag, upper, lower, v)
+        bands = [_down_rows(b, v) for b in self.bands]
+        out, tmp = (np.empty_like(v, dtype=np.result_type(bands[0], v)) for _ in range(2))
+        return _band_product(*bands, v, out, tmp)()
 
 
-def _band_product(diag, upper, lower, u, out=None, tmp=None):
-    """The rows lower_j u_(j-1) + diag_j u_j + upper_j u_(j+1) of a band
-    matrix times u, (N,) or (N, k) with bands shaped to match, written
-    into out with tmp as scratch (both of u's shape, made when None)."""
-    out = np.multiply(diag, u, out=out)
-    tmp = np.empty_like(out) if tmp is None else tmp
-    out[:-1] += np.multiply(upper, u[1:], out=tmp[:-1])
-    out[1:] += np.multiply(lower, u[:-1], out=tmp[1:])
-    return out
+def _band_product(diag, upper, lower, u, out, tmp):
+    """The product of a band matrix with the buffer u, bound to it once:
+    a function of no arguments that writes the rows lower_j u_(j-1) +
+    diag_j u_j + upper_j u_(j+1) of what u holds into out, with tmp as
+    scratch, and returns out.  u, out and tmp have one shape, (N,) or
+    (N, k), the bands that of one row of it; every view is made here, so
+    a call makes five ufunc calls and nothing else."""
+    multiply, add = np.multiply, np.add
+    u_next, u_prev = u[1:], u[:-1]
+    out_head, out_tail, tmp_head, tmp_tail = out[:-1], out[1:], tmp[:-1], tmp[1:]
+
+    def product():
+        multiply(diag, u, out=out)
+        add(out_head, multiply(upper, u_next, out=tmp_head), out=out_head)
+        add(out_tail, multiply(lower, u_prev, out=tmp_tail), out=out_tail)
+        return out
+
+    return product
 
 
 def _down_rows(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -560,12 +568,14 @@ def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
 
     def step(u):
         # sum_n coef_n T_n(X) u by Clenshaw, every term written into the
-        # same four buffers
+        # same four buffers; (b1, b2, t) rotate with period 3, so three
+        # bound products X b1 -> t serve every term
         b1, b2, t, tmp = (np.empty_like(u) for _ in range(4))
+        products = [_band_product(*bands, x, y, tmp) for x, y in ((b1, t), (t, b2), (b2, b1))]
         np.multiply(coef[-1], u, out=b1)
         b2.fill(0.0)
-        for n in range(len(coef) - 2, -1, -1):
-            _band_product(*bands, b1, out=t, tmp=tmp)
+        for i, n in enumerate(range(len(coef) - 2, -1, -1)):
+            products[i % 3]()
             if n == 0:
                 t *= 0.5  # the last step is X b1 - b2 + c_0/2 u
             t -= b2

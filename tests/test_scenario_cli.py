@@ -124,6 +124,10 @@ def test_defaults_applied(tmp_path):
         ({"target": {"kind": "flat", "expr": "r"}}, ScenarioError),
         ({"target": {"kind": "sphere", "domain_bound": 0}}, ScenarioError),
         ({"target": {"kind": "hyperbolic", "domain_bound": -1.0}}, ScenarioError),
+        # a key that data, grid or time does not take: each ran at its default
+        ({"data": {"shape": "gaussian", "amplitue": 0.5}}, ScenarioError),
+        ({"grid": {"R_max": 25.0, "N": 300, "n": 5}}, ScenarioError),
+        ({"time": {"T": 8.0, "dt_factor": 0.1, "snap_every": 1.0, "dt": 0.5}}, ScenarioError),
     ],
 )
 def test_validation_rejects(tmp_path, patch, exc):
@@ -559,15 +563,20 @@ def test_cli_evolve_child_never_waits_on_the_parent(tmp_path, monkeypatch):
 def test_cli_evolve_child_failing_mid_run_exits_3(tmp_path, monkeypatch, capsys):
     # the force turns NaN after 600 of the 961 calls, between the first
     # and the second block of snapshots (one per 30 steps)
-    acceleration = equiwave.solver._Discretization.acceleration
+    bind = equiwave.solver._Discretization.bind
     calls = []
 
     def failing(disc, u):
-        calls.append(None)
-        force = acceleration(disc, u)
-        return force if len(calls) <= 600 else np.full_like(force, np.nan)
+        measure, force = bind(disc, u)
 
-    monkeypatch.setattr(equiwave.solver._Discretization, "acceleration", failing)
+        def failing_force():
+            calls.append(None)
+            out = force()
+            return out if len(calls) <= 600 else np.full_like(out, np.nan)
+
+        return measure, failing_force
+
+    monkeypatch.setattr(equiwave.solver._Discretization, "bind", failing)
     path = write_scenario(tmp_path, EVOLVE)
     with pytest.raises(BlowUp) as exc:
         integrate(load_scenario(path), "phi", spectral_diagnostics=False)
@@ -678,6 +687,23 @@ def test_cli_loads_lapack_only_to_solve(tmp_path):
             "    print(argv[0], code, 'scipy.linalg' in sys.modules)\n")
     assert _python(code, json.dumps(runs)).splitlines() == [
         "verify 0 False", "closed-forms 0 False", "estimates 0 False", "reduce 0 True"]
+
+
+def test_solver_without_spectral_diagnostics_never_loads_lapack():
+    # the phi/psi consistency check, the evolve child and a run without
+    # diagnostics make no solve; importing scipy.linalg would cost each of
+    # them about 0.3 s and 27 MB
+    code = ("import json, sys\n"
+            "from equiwave.scenario import Scenario\n"
+            "from equiwave.solver import _phi_fields, _shared_columns, consistency_check,"
+            " integrate\n"
+            "s = Scenario(**json.loads(sys.argv[1]))\n"
+            "consistency_check(s)\n"
+            "list(_phi_fields(s, _shared_columns(s.radial_grid.N, s.snapshot_count)))\n"
+            "for form in ('phi', 'psi'):\n"
+            "    integrate(s, form, spectral_diagnostics=False)\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    assert _python(code, json.dumps(GOOD)) == "False"
 
 
 _THREADS = ("status = open('/proc/self/status').read().splitlines()\n"

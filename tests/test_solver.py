@@ -508,6 +508,23 @@ def test_integrate_is_the_textbook_verlet_loop_bit_for_bit(target, form, window)
         assert np.array_equal(getattr(tr, name), [row[i] for row in rows])
 
 
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("form", ["phi", "psi"])
+@pytest.mark.parametrize("target", ["sphere", "hyperbolic", "flat",
+                                    {"kind": "custom", "expr": ["sin", "r"]}],
+                         ids=["sphere", "hyperbolic", "flat", "custom-sin"])
+def test_force_is_the_textbook_force_bit_for_bit(target, form, window):
+    # the force as written, g g' on every cell: the window, the negated
+    # bands and the bound buffers move no bit
+    amp, width = WINDOWS[window]
+    disc = _Discretization(make_scenario("hyperbolic", target, N=300), form)
+    r = disc.grid.nodes
+    u = amp * r * np.exp(-((r / width) ** 2)) / disc.b
+    s = disc.to_phi(u)
+    want = -disc.op.apply(u) - disc.a * (disc.target.gg_prime(s) - s)
+    assert np.array_equal(disc.acceleration(u.copy()), want)
+
+
 @pytest.mark.parametrize("form", ["phi", "psi"])
 def test_steps_allocate_no_grid_array(form):
     # 500 steps at N = 2000, traced from the first snapshot to the entry
