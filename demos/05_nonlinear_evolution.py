@@ -27,7 +27,7 @@ def scenario(manifold, N=1000, T=20.0):
 
 for manifold in ("flat", "hyperbolic"):
     s = scenario(manifold)
-    # the trace below reduces the states itself: no H^(1/2) norms needed
+    # the trace below reduces the stored fields itself: no H^(1/2) norms needed
     tr = integrate(s, "phi", spectral_diagnostics=False)
     drift = np.max(np.abs(tr.energies - tr.energies[0])) / tr.energies[0]
     trace = strichartz_trace(tr, s)

@@ -5,17 +5,14 @@ Commands: verify, reduce, estimates, evolve, all, closed-forms.
 Exit codes: 0 all PASS, 1 a verdict FAILed, 2 configuration error,
 3 numerical error.
 
-`evolve` and `all` run the evolve stage on two processes.  A child is
-forked (solver.forked) before any other stage runs, so it carries
-none of their operators or spectra.  It integrates the phi form with
-numpy alone, writes each snapshot's field into its column of an (N, S)
-array on a shared mapping made before the fork, and sends through the
-pipe only the end of each block of 16 columns, then the trajectory
-without states (solver._phi_fields).  Meanwhile this process runs
-verify, reduce and estimates; then it takes the H^(1/2) norms and the
-Strichartz trace of each block, as soon as the child has written it,
-and it alone writes the artifacts.  An error of a stage of this process
-is raised first; one of the child after them.
+`evolve` and `all` run the evolve stage on two processes: its phi run
+is forked (solver._forked_run) before any other stage runs, so the
+child carries none of their operators or spectra.  Meanwhile this
+process runs verify, reduce and estimates; then it takes the H^(1/2)
+norms and the Strichartz trace of each block of the child's fields, as
+soon as the child has written it, and it alone writes the artifacts.
+An error of a stage of this process is raised first; one of the child
+after them.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from .estimates import (
 )
 from .profiles import metric_profile
 from .scenario import Scenario, load_scenario
-from .solver import _measure_phi_fields, _phi_fields, _shared_columns, forked
-from .spectral import EIG_TOL
+from .solver import _forked_run, _reduced_blocks, _strichartz_lq, _strichartz_partials
+from .spectral import EIG_TOL, frac_norm
 
 
 def _write_json(path: Path, payload: dict):
@@ -136,15 +133,23 @@ def run_estimates(scenario: Scenario, out: Path) -> dict:
 
 
 def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
-    """The evolve stage from `evolve`, the shared snapshot fields and the
-    values of a forked solver._phi_fields: each block of fields is
-    measured here as soon as the child has written it."""
-    trajectory, partials = _measure_phi_fields(scenario, *evolve)
+    """The evolve stage from `evolve`, the (fields, values) of a
+    solver._forked_run of the phi form: each block of fields is measured
+    here as soon as the child has written it, with the code of integrate
+    and strichartz_trace."""
+    fields, values = evolve
+    halves, lq = [], []
+    for psi in _reduced_blocks(fields, values, scenario, "phi"):
+        halves.append(frac_norm(scenario.free_operator, 0.5, psi))
+        lq.append(_strichartz_lq(psi, scenario))
+    trajectory = next(values)
+    partials = _strichartz_partials(np.concatenate(lq), trajectory.times, scenario)
     total = float(partials[-1])
     _write_csv(
         out / "trajectory.csv",
         ["t", "energy", "sup", "h_half_norm", "strichartz_partial"],
-        trajectory.csv_rows(partials.tolist()),
+        zip(trajectory.times, trajectory.energies, trajectory.sup_norms,
+            np.concatenate(halves), partials.tolist()),
     )
     # division by E(0) > 0 is monotone, so this max is max(|E - E0|) / E0
     drift = float(trajectory.energy_drift.max())
@@ -337,14 +342,11 @@ def main(argv=None) -> int:
                 scenario.seed = args.seed
             names = list(PIPELINES) if args.command == "all" else [args.command]
             stages = {}
-            evolve = nullcontext()
-            if "evolve" in names:
-                # evolve starts first, in a child, and is collected last
-                fields = _shared_columns(scenario.radial_grid.N, scenario.snapshot_count)
-                evolve = forked(_phi_fields, scenario, fields)
-            with evolve as values:
+            # evolve starts first, in a child, and is collected last
+            evolve = _forked_run(scenario, "phi") if "evolve" in names else nullcontext()
+            with evolve as child:
                 for name in names:
-                    extra = ((fields, values),) if name == "evolve" else ()
+                    extra = (child,) if name == "evolve" else ()
                     stages[name] = PIPELINES[name](scenario, out, *extra)
             if args.command == "all":
                 report = {"scenario": scenario.to_json(), **stages}

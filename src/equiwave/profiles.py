@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
@@ -86,7 +88,9 @@ _NUMBERS = {"pow": "exponent", "cutoff": "eps", "sqrt_cutoff": "eps"}
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A real number in the range of a float: no JSON boolean, NaN,
+    Infinity, or integer that no float holds."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def parse_expr(spec) -> Expr:
@@ -94,7 +98,7 @@ def parse_expr(spec) -> Expr:
 
     Examples: "r", 2.5, ["+", a, b], ["*", a, b], ["/", a, b],
     ["pow", a, p], ["exp", a], ["cutoff", eps], ["sqrt_cutoff", eps].
-    A JSON boolean is no number.
+    A number is finite, and a JSON boolean is none.
     """
     if isinstance(spec, str):
         if spec == "r":
@@ -114,7 +118,7 @@ def parse_expr(spec) -> Expr:
     if op in _NUMBERS:
         *args, x = args
         if not _is_number(x):
-            raise DomainError(f"{op} {_NUMBERS[op]} must be a number, got {x!r}")
+            raise DomainError(f"{op} {_NUMBERS[op]} must be a finite number, got {x!r}")
         fn = functools.partial(fn, x)
     return Expr(fn, *map(parse_expr, args))
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -20,6 +20,7 @@ from .profiles import (
     MetricProfile,
     TargetProfile,
     _gamma_series,
+    _is_number,
     check_normalization,
     metric_profile,
     target_profile,
@@ -50,10 +51,6 @@ MAX_SNAPSHOT_BYTES = 2**30
 
 def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass
@@ -255,19 +252,7 @@ class Scenario:
         return amp * bump, vamp * bump
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "manifold": self.manifold,
-            "target": self.target,
-            "n": self.n,
-            "k": self.k,
-            "delta0": self.delta0,
-            "grid": self.grid,
-            "time": self.time,
-            "data": self.data,
-            "checks": list(self.checks),
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def load_scenario(path) -> Scenario:
@@ -282,11 +267,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    known = {
-        "name", "manifold", "target", "n", "k", "delta0",
-        "grid", "time", "data", "checks", "seed",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(Scenario)}
     if unknown:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
     defaults = {

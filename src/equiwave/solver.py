@@ -20,9 +20,12 @@ linear flat case reproduces the spectral propagator to second order.
 The scheme is time-symmetric; reversal and energy drift double as
 correctness tests.
 
-One step loop, `_Run.snapshots`, serves every run: it records the
-energy, sup and local energy at each snapshot and yields, and the caller
-keeps what it needs of the state there; `integrate` keeps every state.
+One step loop, `_Run.snapshots`, makes every run and stores its
+snapshots in one layout: the field of snapshot j goes into column j of
+an F-ordered (N, S) array, and the velocity into a second one when the
+caller passes it.  At each snapshot it also records the energy, sup and
+local energy, and it yields the end of each block of SNAPSHOT_BLOCK
+columns as soon as the block is written, then the trajectory.
 A step does only work that can change a bit.  It takes |s| of the new
 field once, checks its max, and only then the force, which evaluates
 g g' in the window of cells from the first to the last with
@@ -35,25 +38,24 @@ makes its numpy calls and slices only the g g' window, and the half kick
 that ends a step is the product that starts the next, so a run has the
 bits of the textbook velocity-Verlet loop with g g' on every cell.
 
-`forked` is the one way the package uses a second core: it runs a
-generator in one forked child process and hands its values to the caller
-through a one-way pipe.  consistency_check runs the psi form in the
-child while the caller runs the phi form.  `_phi_fields` is the child of
-the CLI's evolve stage.  It writes the field of each snapshot into a
-column of an (N, S) array on a shared mapping made before the fork
-(`_shared_columns`), keeps no state, makes no spectral solve, and sends
-through the pipe only the end of each block of SNAPSHOT_BLOCK columns,
-then the trajectory without states.  The caller measures each block as
-soon as its end arrives (`_measure_phi_fields`), with the per-block code
-of h_half_norms and strichartz_trace, so every bit is that of an
-in-process run.
+`integrate` runs it on arrays of its own.  `_forked_run` is the one way
+the package uses a second core: it makes the (N, S) array on an
+anonymous shared mapping, forks one child that runs the formulation
+into it, and hands the caller the array and, through a one-way pipe,
+the block ends and the trajectory.  The child keeps no velocities and
+makes no spectral solve.  consistency_check runs the psi form so while
+it runs the phi form; the CLI's evolve stage runs the phi form so while
+it runs the other stages.  `_reduced_blocks` turns the fields into
+reduced fields a block at a time, as the ends arrive, for the H^(1/2)
+norms of `integrate` and of the CLI and for `strichartz_trace`, so the
+CLI's artifacts have every bit of an in-process run.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -64,11 +66,10 @@ from .scenario import Scenario
 from .spectral import DiscreteRadialOperator, _band_product, _lp_partials, _lq_norms, frac_norm
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
-# snapshots per stack of _reduced_blocks, which feeds h_half_norms and
-# strichartz_trace, and per block of the evolve child's fields.  Every
-# column is solved and summed on its own, so the width moves no bit; the
-# transient of frac_norm is about 34 N bytes per column (2.2 MB for 16
-# columns at N = 4000).  At N = 4000 the H^(1/2) norm and the Strichartz
+# snapshots per block of a run's fields, each reduced and measured as a
+# stack (_reduced_blocks).  Every column is solved and summed on its
+# own, so the width moves no bit; the transient of frac_norm is about
+# 34 N bytes per column (2.2 MB for 16 columns at N = 4000).  At N = 4000 the H^(1/2) norm and the Strichartz
 # L^q norm of a column cost about 2.2 ms together in stacks of 8, 16 or
 # 32 and 2.4 ms at 101: 16 stays, as fast as 32 in half its working set
 # (one BLAS thread, 2-core VM)
@@ -89,18 +90,24 @@ class WaveState:
 
 @dataclass
 class Trajectory:
+    """A run's diagnostics at its S snapshots, and its fields and
+    velocities as (N, S) arrays whose column j is the state at times[j]
+    (None in the trajectory that _Run.snapshots yields)."""
+
     times: np.ndarray
     energies: np.ndarray
     sup_norms: np.ndarray
     h_half_norms: np.ndarray
     local_energies: np.ndarray
-    states: list
+    fields: Optional[np.ndarray]
+    velocities: Optional[np.ndarray]
     formulation: str
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def final_state(self) -> WaveState:
-        return self.states[-1]
+        return WaveState(float(self.times[-1]), self.fields[:, -1], self.velocities[:, -1],
+                         self.formulation)
 
     @property
     def energy_drift(self) -> np.ndarray:
@@ -108,16 +115,6 @@ class Trajectory:
         e0 = self.energies[0]
         dev = np.abs(self.energies - e0)
         return dev / e0 if e0 > 0 else np.zeros_like(dev)
-
-    def csv_rows(self, strichartz_partials=None):
-        rows = []
-        for i, t in enumerate(self.times):
-            part = "" if strichartz_partials is None else strichartz_partials[i]
-            rows.append(
-                (t, self.energies[i], self.sup_norms[i],
-                 self.h_half_norms[i], part)
-            )
-        return rows
 
 
 class _Discretization:
@@ -215,19 +212,6 @@ class _Discretization:
 
         return measure, force
 
-    def measure(self, u: np.ndarray) -> np.ndarray:
-        """|s| of the field u, and its window in self._measured: the
-        measure() of bind(u)."""
-        return self.bind(u)[0]()
-
-    def acceleration(self, u: np.ndarray) -> np.ndarray:
-        """The force -H u - a (g g'(s) - s) at the field u, in a buffer of
-        this discretization that the next call overwrites: u measured and
-        then the force() of bind(u)."""
-        measure, force = self.bind(u)
-        measure()
-        return force()
-
     def energy(self, u: np.ndarray, u_t: np.ndarray) -> float:
         """Discrete energy conserved by the semidiscrete flow of this form,
         the potential term the exact antiderivative of the discrete force
@@ -245,12 +229,19 @@ class _Discretization:
         return WaveState(0.0, phi0 / self.b, phi1 / self.b, self.formulation)
 
 
-def _reduced_blocks(states: list, scenario: Scenario):
-    """The reduced fields w^(-1) phi of the states, (N, <= SNAPSHOT_BLOCK) at a time."""
+def _reduced_blocks(fields: np.ndarray, ends, scenario: Scenario, formulation: str):
+    """The reduced fields w^(-1) phi of the (N, S) fields of a run of the
+    formulation (in the psi form, the fields themselves), a block of
+    columns at a time: from the end of the last block to the next value
+    of the iterator ends, until column S.  Takes no value of ends past
+    the end of column S."""
     w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
-    for j in range(0, len(states), SNAPSHOT_BLOCK):
-        yield np.stack([st.field if st.formulation == "psi" else st.field / w
-                        for st in states[j : j + SNAPSHOT_BLOCK]], axis=1)
+    start = 0
+    while start < fields.shape[1]:
+        end = next(ends)
+        block = fields[:, start:end]
+        yield block if formulation == "psi" else block / w[:, None]
+        start = end
 
 
 def _strichartz_lq(psi: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -267,19 +258,9 @@ def _strichartz_partials(lq: np.ndarray, times: np.ndarray, scenario: Scenario) 
     return _lp_partials(lq, times, float(indices(scenario.n, scenario.k)["p"]))
 
 
-def h_half_norms(states: list, scenario: Scenario) -> np.ndarray:
-    """The H^(1/2) norm of the reduced field w^(-1) phi of each state,
-    under the free operator of R^m."""
-    return np.concatenate([frac_norm(scenario.free_operator, 0.5, psi)
-                           for psi in _reduced_blocks(states, scenario)])
-
-
 class _Run:
     """One velocity-Verlet run of a scenario to time T, with snapshots
-    every snap_every.  `snapshots` steps it; at each snapshot the state
-    is in u and v, the run's own buffers (copy what must outlive the
-    next step), and its time and diagnostics are appended to the lists
-    that `trajectory` returns as arrays."""
+    every snap_every: `snapshots` steps it."""
 
     def __init__(self, scenario: Scenario, formulation: str,
                  initial_state: Optional[WaveState] = None, ceiling: Optional[float] = None):
@@ -301,7 +282,7 @@ class _Run:
         self.ball = disc.grid.R_max / 3.0
         self.times, self.energies, self.sups, self.locals = [], [], [], []
 
-    def _record(self, t: float) -> float:
+    def _record(self, t: float) -> None:
         """Append t and the energy, sup |phi| and local energy of (u, v)."""
         disc = self.disc
         phi, phi_t = disc.to_phi(self.u), disc.to_phi(self.v)
@@ -310,14 +291,19 @@ class _Run:
         self.sups.append(float(np.max(np.abs(phi))))
         self.locals.append(disc.manifold_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2,
                                                 self.ball))
-        return t
 
-    def snapshots(self):
-        """Step to T; yield the time of each snapshot, t0 first.  Raises
-        BlowUp when the field exceeds the ceiling or becomes non-finite,
-        DomainError when it leaves the domain of the target."""
+    def snapshots(self, fields: np.ndarray, velocities: Optional[np.ndarray]):
+        """Step to T.  At snapshot j write the field into column j of the
+        (N, S) array fields, and the velocity into velocities unless it
+        is None, and record the diagnostics; yield j + 1 when column j ends
+        a block of SNAPSHOT_BLOCK columns or the run.  Then yield the
+        trajectory, without fields or velocities and with NaN for its
+        H^(1/2) norms.  Raises BlowUp when the field exceeds the ceiling
+        or becomes non-finite, DomainError when it leaves the domain of
+        the target."""
         disc, u, v, t0, ceiling = self.disc, self.u, self.v, self.t0, self.ceiling
         n_steps, dt, snap_stride = disc.scenario.stepping
+        count = disc.scenario.snapshot_count
         bound = disc.target.domain_bound
         # everything a step touches, bound once: the force at u, the ufuncs,
         # the buffers and the factors dt and dt/2 as 0-d arrays (a Python
@@ -335,17 +321,41 @@ class _Run:
         if not (top < bound and top <= ceiling):
             self._check(t0)
         multiply(half_dt, force(), out=kick)
-        yield self._record(t0)
-        for step in range(1, n_steps + 1):
-            add(v, kick, out=v)
-            add(u, multiply(step_dt, v, out=drift), out=u)
-            top = top_of(measure())
-            if not (top < bound and top <= ceiling):
-                self._check(t0 + step * dt)
-            multiply(half_dt, force(), out=kick)
-            add(v, kick, out=v)
-            if step % snap_stride == 0 or step == n_steps:
-                yield self._record(t0 + step * dt)
+        last = 0  # the step of the last snapshot
+        for j in range(count):
+            # snapshot j is at step j * snap_stride, the last one at n_steps
+            first, last = last + 1, min(j * snap_stride, n_steps)
+            for step in range(first, last + 1):
+                add(v, kick, out=v)
+                add(u, multiply(step_dt, v, out=drift), out=u)
+                top = top_of(measure())
+                if not (top < bound and top <= ceiling):
+                    self._check(t0 + step * dt)
+                multiply(half_dt, force(), out=kick)
+                add(v, kick, out=v)
+            fields[:, j] = u
+            if velocities is not None:
+                velocities[:, j] = v
+            self._record(t0 + last * dt)
+            if (j + 1) % SNAPSHOT_BLOCK == 0 or j + 1 == count:
+                yield j + 1
+        yield Trajectory(
+            times=np.array(self.times),
+            energies=np.array(self.energies),
+            sup_norms=np.array(self.sups),
+            h_half_norms=np.full(count, math.nan),
+            local_energies=np.array(self.locals),
+            fields=None,
+            velocities=None,
+            formulation=disc.formulation,
+            meta={
+                "dt": dt,
+                "cfl_ratio": dt / disc.grid.dr,
+                "n_steps": n_steps,
+                "ceiling": self.ceiling,
+                "ball_radius": self.ball,
+            },
+        )
 
     def _check(self, t: float):
         """Raise for the field last measured, at time t, when it is past
@@ -362,29 +372,6 @@ class _Run:
         if not top < math.inf or top > self.ceiling:
             raise BlowUp(t, nodes[np.argmax(np.where(np.isfinite(a), a, np.inf))])
 
-    def trajectory(self, states: list, h_half_norms: np.ndarray) -> Trajectory:
-        """The run up to its last snapshot, with the given states and norms."""
-        disc = self.disc
-        n_steps, dt, _ = disc.scenario.stepping
-        return Trajectory(
-            times=np.array(self.times),
-            energies=np.array(self.energies),
-            sup_norms=np.array(self.sups),
-            h_half_norms=h_half_norms,
-            local_energies=np.array(self.locals),
-            states=states,
-            formulation=disc.formulation,
-            meta={
-                "dt": dt,
-                "cfl_ratio": dt / disc.grid.dr,
-                "n_steps": n_steps,
-                "ceiling": self.ceiling,
-                "ball_radius": self.ball,
-                "energy_functional": disc.formulation,
-                "scenario": disc.scenario.to_json(),
-            },
-        )
-
 
 def integrate(
     scenario: Scenario,
@@ -394,24 +381,30 @@ def integrate(
     ceiling: Optional[float] = None,
 ) -> Trajectory:
     """Velocity-Verlet integration of the scenario to time T with
-    snapshots every snap_every, each state kept.  Raises BlowUp when the
-    field exceeds BLOWUP_FACTOR times its initial sup or becomes
-    non-finite."""
+    snapshots every snap_every, the field and velocity of each kept.
+    Raises BlowUp when the field exceeds BLOWUP_FACTOR times its initial
+    sup or becomes non-finite."""
     run = _Run(scenario, formulation, initial_state, ceiling)
-    states = [WaveState(t, run.u.copy(), run.v.copy(), formulation)
-              for t in run.snapshots()]
-    halves = (h_half_norms(states, scenario) if spectral_diagnostics
-              else np.full(len(states), math.nan))
-    return run.trajectory(states, halves)
+    shape = (scenario.radial_grid.N, scenario.snapshot_count)
+    fields, velocities = np.empty(shape, order="F"), np.empty(shape, order="F")
+    values = run.snapshots(fields, velocities)
+    # each block is measured as soon as it is written
+    blocks = _reduced_blocks(fields, values, scenario, formulation) if spectral_diagnostics else ()
+    halves = [frac_norm(scenario.free_operator, 0.5, psi) for psi in blocks]
+    *_, trajectory = values
+    if halves:
+        trajectory.h_half_norms = np.concatenate(halves)
+    trajectory.fields, trajectory.velocities = fields, velocities
+    return trajectory
 
 
-def _send_all(conn, generator, args) -> None:
-    """The body of the child of `forked`: send each value of
-    generator(*args), or the exception that stopped it, and close.  An
-    exception that cannot be pickled goes as an EquiwaveError that
-    carries its type name and message."""
+def _send_all(conn, scenario: Scenario, formulation: str, fields: np.ndarray) -> None:
+    """The body of the child of `_forked_run`: send each value of the
+    run's snapshots into fields, or the exception that stopped it, and
+    close.  An exception that cannot be pickled goes as an EquiwaveError
+    that carries its type name and message."""
     try:
-        for value in generator(*args):
+        for value in _Run(scenario, formulation).snapshots(fields, None):
             conn.send(value)
     except Exception as exc:  # raised again by the parent
         try:
@@ -423,9 +416,14 @@ def _send_all(conn, generator, args) -> None:
 
 
 @contextmanager
-def forked(generator, *args):
-    """Run generator(*args) in one forked child process; the block gets
-    an iterator over its values, in order, through a one-way pipe.
+def _forked_run(scenario: Scenario, formulation: str):
+    """Run the formulation in one forked child process.  The block gets
+    (fields, values): fields a zeroed (N, S) F-ordered array on an
+    anonymous shared mapping, made before the fork, into whose column j
+    the child writes the field of snapshot j; values an iterator over
+    the values of the child's _Run.snapshots, in order, through a
+    one-way pipe: the end of each block of columns as soon as it is
+    written, then the trajectory, where it stops.
 
     An exception of the child arrives as its next value and is raised
     there; one that cannot be pickled arrives as an EquiwaveError
@@ -434,16 +432,21 @@ def forked(generator, *args):
     exit code.  When the block ends, by an exception or not, the child
     is terminated (a no-op once it has sent everything), joined, and the
     pipe closed, so the child never outlives the block."""
+    import mmap
     import multiprocessing
 
+    rows, cols = scenario.radial_grid.N, scenario.snapshot_count
+    fields = np.ndarray((rows, cols), dtype=float, buffer=mmap.mmap(-1, 8 * rows * cols),
+                        order="F")
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_all, args=(send, generator, args))
+    child = ctx.Process(target=_send_all, args=(send, scenario, formulation, fields))
     child.start()
     send.close()
 
     def values():
-        while True:
+        value = None
+        while not isinstance(value, Trajectory):
             try:
                 value = recv.recv()
             except EOFError:
@@ -455,15 +458,11 @@ def forked(generator, *args):
             yield value
 
     try:
-        yield values()
+        yield fields, values()
     finally:
         child.terminate()
         child.join()
         recv.close()
-
-
-def _psi_run(scenario: Scenario):
-    yield integrate(scenario, "psi", spectral_diagnostics=False)
 
 
 def consistency_check(scenario: Scenario) -> dict:
@@ -474,63 +473,18 @@ def consistency_check(scenario: Scenario) -> dict:
     so the two halves take two cores.  An error of the phi run is raised
     first, then one of the psi run, with its type and fields; the child
     never outlives the call."""
-    with forked(_psi_run, scenario) as psi:
-        traj_phi = integrate(scenario, "phi", spectral_diagnostics=False)
-        traj_psi = next(psi)
+    with _forked_run(scenario, "psi") as (psi, values):
+        phi = integrate(scenario, "phi", spectral_diagnostics=False)
+        for _ in values:  # up to the trajectory: every column is written
+            pass
     w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
-    per = []
-    for sp, sq in zip(traj_phi.states, traj_psi.states):
-        per.append(float(np.max(np.abs(sp.field - w * sq.field))))
+    per = np.max(np.abs(phi.fields - w[:, None] * psi), axis=0).tolist()
     return {
-        "mismatch": max(per) if per else 0.0,
+        "mismatch": max(per),
         "per_snapshot": per,
-        "times": traj_phi.times.tolist(),
+        "times": phi.times.tolist(),
         "N": int(scenario.grid["N"]),
     }
-
-
-def _shared_columns(rows: int, cols: int) -> np.ndarray:
-    """A zeroed (rows, cols) F-ordered float64 array on an anonymous
-    shared mapping: what a child forked after this call writes into it,
-    the caller reads, without a copy through a pipe."""
-    import mmap
-
-    return np.ndarray((rows, cols), dtype=float, buffer=mmap.mmap(-1, 8 * rows * cols),
-                      order="F")
-
-
-def _phi_fields(scenario: Scenario, fields: np.ndarray):
-    """The phi run of the CLI's evolve stage, in a child of `forked`.
-    Writes the field of snapshot j into column j of the shared (N, S)
-    array fields, keeps no state, and yields the end of each block of
-    SNAPSHOT_BLOCK columns, and of the last, as soon as it is written;
-    then the trajectory, without states or H^(1/2) norms.  Makes no
-    spectral solve."""
-    run = _Run(scenario, "phi")
-    count = fields.shape[1]
-    for j, _ in enumerate(run.snapshots()):
-        fields[:, j] = run.u
-        if (j + 1) % SNAPSHOT_BLOCK == 0 or j + 1 == count:
-            yield j + 1
-    yield run.trajectory([], np.full(count, math.nan))
-
-
-def _measure_phi_fields(scenario: Scenario, fields: np.ndarray, values):
-    """The trajectory from `values`, those of a forked _phi_fields, with
-    its H^(1/2) norms, and the Strichartz partials of strichartz_trace.
-    Each block of fields is reduced and measured as soon as its end
-    arrives, while the child steps on; every column has the bits of an
-    in-process integrate and strichartz_trace."""
-    w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
-    halves, lq, start = [], [], 0
-    while isinstance(end := next(values), int):
-        psi = fields[:, start:end] / w[:, None]
-        halves.append(frac_norm(scenario.free_operator, 0.5, psi))
-        lq.append(_strichartz_lq(psi, scenario))
-        start = end
-    trajectory = end
-    trajectory.h_half_norms = np.concatenate(halves)
-    return trajectory, _strichartz_partials(np.concatenate(lq), trajectory.times, scenario)
 
 
 def strichartz_trace(
@@ -540,10 +494,10 @@ def strichartz_trace(
     w^(-1) phi is measured with the free-operator fractional calculus on
     R^m, L^q by radial quadrature, then L^p in time by the trapezoid
     rule over the stored snapshots."""
-    if not trajectory.states:
-        raise DomainError("trajectory carries no stored states")
-    lq = np.concatenate([_strichartz_lq(psi, scenario)
-                         for psi in _reduced_blocks(trajectory.states, scenario)])
+    count = trajectory.fields.shape[1]
+    ends = iter([*range(SNAPSHOT_BLOCK, count, SNAPSHOT_BLOCK), count])
+    blocks = _reduced_blocks(trajectory.fields, ends, scenario, trajectory.formulation)
+    lq = np.concatenate([_strichartz_lq(psi, scenario) for psi in blocks])
     partials = _strichartz_partials(lq, trajectory.times, scenario)
     total = float(partials[-1])
     if return_partials:

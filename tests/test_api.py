@@ -10,6 +10,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import equiwave
 import equiwave.cli
 import equiwave.errors
@@ -98,9 +100,9 @@ def test_only_spectral_reads_the_operator_weights():
 
 
 def test_only_the_fork_helper_uses_multiprocessing():
-    # one fork mechanism: solver.forked imports multiprocessing in its
-    # body, so importing the package loads none of it; and one buffer
-    # shared with a child, solver._shared_columns, the one use of mmap
+    # one fork mechanism, solver._forked_run, which imports multiprocessing
+    # in its body, so importing the package loads none of it, and makes
+    # the one buffer shared with a child, the one use of mmap
     uses = {"multiprocessing": set(), "mmap": set()}
     for path in MODULES:
         tree = ast.parse(path.read_text())
@@ -119,20 +121,28 @@ def test_only_the_fork_helper_uses_multiprocessing():
             for module, users in uses.items():
                 if any(name.split(".")[0] == module for name in names):
                     users.add(f"{path.name}:{owner.get(id(node))}")
-    assert uses == {"multiprocessing": {"solver.py:forked"},
-                    "mmap": {"solver.py:_shared_columns"}}
+    assert uses == {"multiprocessing": {"solver.py:_forked_run"},
+                    "mmap": {"solver.py:_forked_run"}}
 
 
 def test_force_and_energy_take_one_path_for_both_formulations():
     # the formulation picks the operator and s = b u once, in __init__: the
-    # force and the energy never read it
+    # force closure of bind, which every step runs, and the energy never
+    # read it, nor a name that bind sets from it (measure may: s = u or w u)
     tree = ast.parse(Path(equiwave.solver.__file__).read_text())
     (cls,) = [node for node in tree.body
               if isinstance(node, ast.ClassDef) and node.name == "_Discretization"]
     methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
-    reads = [f"{name}:{node.lineno}" for name in ("acceleration", "energy")
-             for node in ast.walk(methods[name])
-             if isinstance(node, ast.Attribute) and node.attr == "formulation"]
+    bind = methods["bind"]
+    derived = {target.id for node in ast.walk(bind)
+               if isinstance(node, ast.Assign) and _names_read(node.value)["formulation"]
+               for target in node.targets if isinstance(target, ast.Name)}
+    (force,) = [fn for fn in ast.walk(bind)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "force"]
+    reads = [f"{fn.name}:{node.lineno}" for fn in (force, methods["energy"])
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "formulation"
+             or isinstance(node, ast.Name) and node.id in derived]
     assert reads == []
 
 
@@ -180,7 +190,8 @@ def _names_read(node) -> Counter:
 
 def test_every_module_function_is_used_or_exported():
     # a module-level function that no other code of the package names, and
-    # that is not public, is dead code
+    # that is not public, is dead code; so is a method of a private class
+    # (but a dunder method) that no other code of the package names
     trees = {path.name: ast.parse(path.read_text())
              for path in Path(equiwave.__file__).parent.glob("*.py")}
     reads = sum((_names_read(tree) for tree in trees.values()), Counter())
@@ -188,6 +199,10 @@ def test_every_module_function_is_used_or_exported():
             for fn in tree.body if isinstance(fn, ast.FunctionDef)
             and fn.name not in equiwave.__all__
             and reads[fn.name] == _names_read(fn)[fn.name]]
+    dead += [f"{name}:{fn.lineno} {cls.name}.{fn.name}" for name, tree in trees.items()
+             for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)
+             and not fn.name.startswith("__") and reads[fn.name] == _names_read(fn)[fn.name]]
     assert dead == []
 
 
@@ -216,8 +231,8 @@ TRACED_SCENARIOS = [
 
 def test_every_public_function_is_run_by_a_command_or_has_a_reason(tmp_path):
     # every command under a function-level profiler; the evolve child of
-    # `all` is forked, out of the profiler's sight, so its generator also
-    # runs here
+    # `all` is forked, out of the profiler's sight, so its run also runs
+    # here
     entered = set()
 
     def profile(frame, event, arg):
@@ -240,9 +255,8 @@ def test_every_public_function_is_run_by_a_command_or_has_a_reason(tmp_path):
         codes.append(equiwave.cli.main(["closed-forms", "--out", str(tmp_path)]))
         for path in paths:
             scenario = load_scenario(path)
-            fields = equiwave.solver._shared_columns(scenario.radial_grid.N,
-                                                     scenario.snapshot_count)
-            for _ in equiwave.solver._phi_fields(scenario, fields):
+            fields = np.empty((scenario.radial_grid.N, scenario.snapshot_count))
+            for _ in equiwave.solver._Run(scenario, "phi").snapshots(fields, None):
                 pass
     finally:
         sys.setprofile(previous)

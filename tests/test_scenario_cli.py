@@ -390,15 +390,15 @@ def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path, monkeypatch):
                "time": {"T": 4.0, "dt_factor": 0.1, "snap_every": 0.5}}
     path = write_scenario(tmp_path, payload)
     child_peak = tmp_path / "child_peak"
-    phi_fields = equiwave.cli._phi_fields
+    snapshots = equiwave.solver._Run.snapshots
 
-    def logging_peak(*args):
-        for value in phi_fields(*args):
+    def logging_peak(run, *args):
+        for value in snapshots(run, *args):
             if isinstance(value, Trajectory):
                 child_peak.write_text(str(tracemalloc.get_traced_memory()[1]))
             yield value
 
-    monkeypatch.setattr(equiwave.cli, "_phi_fields", logging_peak)
+    monkeypatch.setattr(equiwave.solver._Run, "snapshots", logging_peak)
     tracemalloc.start()
     try:
         assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -432,7 +432,8 @@ def test_cli_evolve_matches_an_in_process_run(tmp_path):
     tr = integrate(scenario, "phi")
     total, partials = strichartz_trace(tr, scenario, return_partials=True)
     header = ["t", "energy", "sup", "h_half_norm", "strichartz_partial"]
-    want = _csv_text(header, tr.csv_rows(partials.tolist()))
+    want = _csv_text(header, zip(tr.times, tr.energies, tr.sup_norms, tr.h_half_norms,
+                                 partials.tolist()))
     assert (out / "trajectory.csv").read_bytes().decode() == want
     report = json.loads((out / "report.json").read_text())
     assert report["snapshots"] == len(tr.times) == 33
@@ -482,9 +483,9 @@ def test_cli_all_raises_a_parent_stage_error_first(tmp_path, monkeypatch, capsys
                          ids=["config-error", "interrupt"])
 def test_cli_all_terminates_the_evolve_child_on_a_parent_error(tmp_path, monkeypatch,
                                                                exc):
-    def slow_snapshots(run):
+    def slow_snapshots(run, fields, velocities):
         time.sleep(60.0)
-        yield run.t0
+        yield 1
 
     monkeypatch.setattr(equiwave.solver._Run, "snapshots", slow_snapshots)
     monkeypatch.setitem(equiwave.cli.PIPELINES, "estimates", _failing_estimates(exc))
@@ -532,10 +533,10 @@ def test_cli_evolve_child_never_waits_on_the_parent(tmp_path, monkeypatch):
                "time": {"T": 4.0, "dt_factor": 0.1, "snap_every": 0.08}}
     assert Scenario(**payload).snapshot_count == 52
     log = tmp_path / "times.log"
-    phi_fields, run_estimates = equiwave.cli._phi_fields, equiwave.cli.run_estimates
+    snapshots, run_estimates = equiwave.solver._Run.snapshots, equiwave.cli.run_estimates
 
-    def logging_blocks(*args):
-        for value in phi_fields(*args):
+    def logging_blocks(run, *args):
+        for value in snapshots(run, *args):
             if not isinstance(value, Trajectory):  # a block was just written
                 with open(log, "a") as fh:
                     fh.write(f"child {time.monotonic()!r}\n")
@@ -548,7 +549,7 @@ def test_cli_evolve_child_never_waits_on_the_parent(tmp_path, monkeypatch):
             fh.write(f"estimates {time.monotonic()!r}\n")
         return report
 
-    monkeypatch.setattr(equiwave.cli, "_phi_fields", logging_blocks)
+    monkeypatch.setattr(equiwave.solver._Run, "snapshots", logging_blocks)
     monkeypatch.setitem(equiwave.cli.PIPELINES, "estimates", slow_estimates)
     path = write_scenario(tmp_path, payload)
     assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -695,11 +696,11 @@ def test_solver_without_spectral_diagnostics_never_loads_lapack():
     # them about 0.3 s and 27 MB
     code = ("import json, sys\n"
             "from equiwave.scenario import Scenario\n"
-            "from equiwave.solver import _phi_fields, _shared_columns, consistency_check,"
-            " integrate\n"
+            "from equiwave.solver import _Run, consistency_check, integrate\n"
+            "import numpy as np\n"
             "s = Scenario(**json.loads(sys.argv[1]))\n"
             "consistency_check(s)\n"
-            "list(_phi_fields(s, _shared_columns(s.radial_grid.N, s.snapshot_count)))\n"
+            "list(_Run(s, 'phi').snapshots(np.empty((s.radial_grid.N, s.snapshot_count)), None))\n"
             "for form in ('phi', 'psi'):\n"
             "    integrate(s, form, spectral_diagnostics=False)\n"
             "print('scipy.linalg' in sys.modules)\n")

@@ -77,6 +77,8 @@ def workdir(tmp_path_factory):
 
 
 @hypothesis.given(text=st.one_of(malformed_scenario(), st.text(max_size=40)))
+# an integer that no float holds, which math.isfinite cannot take
+@hypothesis.example(text=json.dumps({**VALID, "grid": {"R_max": 10**400, "N": 300}}))
 def test_malformed_scenario_exits_2(workdir, text):
     path = workdir / "scenario.json"
     path.write_text(text)
@@ -89,6 +91,8 @@ def test_unreadable_scenario_exits_2(workdir, blob):
     path.write_bytes(blob)
     assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2
 
+
+NAN, INF = float("nan"), float("inf")
 
 # operators with the operand counts they must not take
 _WRONG_OPERANDS = {"+": [0], "*": [0], "/": [0, 1, 3], "pow": [0, 1, 3],
@@ -121,6 +125,13 @@ def malformed_expression(draw):
 @hypothesis.example(expr=["sin", ["*", True, "r"]], where="target")
 @hypothesis.example(expr=["pow", ["sin", "r"], True], where="target")
 @hypothesis.example(expr=["*", "r", ["+", 1.0, ["sqrt_cutoff", True]]], where="manifold")
+# Python's json reads NaN and Infinity: neither is a constant, exponent or eps
+@hypothesis.example(expr=["*", NAN, ["sin", "r"]], where="manifold")
+@hypothesis.example(expr=["*", NAN, ["sin", "r"]], where="target")
+@hypothesis.example(expr=["+", ["sin", "r"], ["*", INF, ["pow", "r", 3]]], where="manifold")
+@hypothesis.example(expr=["+", ["sin", "r"], ["*", INF, ["pow", "r", 3]]], where="target")
+@hypothesis.example(expr=["pow", ["sin", "r"], NAN], where="target")
+@hypothesis.example(expr=["*", "r", ["+", 1.0, ["sqrt_cutoff", INF]]], where="manifold")
 def test_malformed_expression_exits_2(workdir, expr, where):
     payload = json.loads(json.dumps(VALID))
     payload[where] = {"kind": "custom", "expr": expr}

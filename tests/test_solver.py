@@ -20,11 +20,9 @@ from equiwave.errors import BlowUp, CFLViolation, DomainError, EquiwaveError
 from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.scenario import Scenario
 from equiwave.solver import (
-    Trajectory,
     WaveState,
     _Discretization,
-    _phi_fields,
-    _shared_columns,
+    _Run,
     consistency_check,
     integrate,
     strichartz_trace,
@@ -110,8 +108,8 @@ def test_energy_of_psi_state_agrees():
     # the two discrete functionals agree to quadrature order, O(dr^2)
     assert math.isclose(tp.energies[0], tq.energies[0], rel_tol=1e-3)
     phi = _Discretization(s, "phi")
-    st = tq.states[0]
-    assert math.isclose(phi.energy(phi.w_nodes * st.field, phi.w_nodes * st.velocity),
+    u, v = tq.fields[:, 0], tq.velocities[:, 0]
+    assert math.isclose(phi.energy(phi.w_nodes * u, phi.w_nodes * v),
                         tp.energies[0], rel_tol=1e-12)
 
 
@@ -132,8 +130,7 @@ def test_consistency_check_equals_two_direct_runs():
     phi = integrate(s, "phi", spectral_diagnostics=False)
     psi = integrate(s, "psi", spectral_diagnostics=False)
     w = weight_w(s.profile(), s.n, s.k, s.radial_grid.nodes)
-    per = [float(np.max(np.abs(a.field - w * b.field)))
-           for a, b in zip(phi.states, psi.states)]
+    per = [float(np.max(np.abs(a - w * b))) for a, b in zip(phi.fields.T, psi.fields.T)]
     want = {"mismatch": max(per), "per_snapshot": per, "times": phi.times.tolist(),
             "N": 400}
     assert consistency_check(s) == want
@@ -148,16 +145,16 @@ FAILURES = {"blowup": BlowUp(1.5, 2.25), "domain": DomainError("left the domain"
 @pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_consistency_check_raises_either_half(monkeypatch, kind, failing):
     # the forked psi half inherits the patch; the phi half's error comes first
-    real = equiwave.solver.integrate
+    real = _Run.snapshots
 
-    def integrate_or_fail(scenario, formulation, **kwargs):
-        if formulation in failing:
+    def snapshots_or_fail(run, *args):
+        if run.disc.formulation in failing:
             raise FAILURES[kind]
-        if formulation == "psi":  # a psi half that outlasts the phi error
+        if run.disc.formulation == "psi":  # a psi half that outlasts the phi error
             time.sleep(60.0)
-        return real(scenario, formulation, **kwargs)
+        return (yield from real(run, *args))
 
-    monkeypatch.setattr(equiwave.solver, "integrate", integrate_or_fail)
+    monkeypatch.setattr(_Run, "snapshots", snapshots_or_fail)
     t0 = time.monotonic()
     with pytest.raises(type(FAILURES[kind])) as exc:
         consistency_check(make_scenario(N=300, T=3.0))
@@ -218,6 +215,14 @@ def test_no_form_builds_a_gamma_series_during_integrate(monkeypatch):
     assert calls == []
 
 
+def _force(disc, u):
+    """The force of disc at the field u, in disc's buffer: u measured,
+    then the force of bind(u)."""
+    measure, force = disc.bind(u)
+    measure()
+    return force()
+
+
 def _gamma_split_phi_force(disc, u):
     """The phi-form force as first written: the linear part lbar*u/h^2 on
     a diagonal balanced against the stencil below r = 1, plus the cubic
@@ -243,7 +248,7 @@ def test_phi_force_matches_gamma_split(manifold, target):
         disc = _Discretization(make_scenario(manifold, target, N=500, data=data), "phi")
         u = disc.initial_state().field
         want, linear = _gamma_split_phi_force(disc, u)
-        err = np.max(np.abs(disc.acceleration(u) - want))
+        err = np.max(np.abs(_force(disc, u) - want))
         assert err <= 1e-14 * np.max(np.abs(linear))
 
 
@@ -262,7 +267,7 @@ def test_psi_force_matches_gamma_split(manifold, target):
         linear = disc.op.apply(u)
         gam = gamma_reference(disc.target, disc.lbar, disc.w_nodes * u)
         want = -linear - r ** (disc.m - 1) / disc.h_nodes ** (disc.n + 1) * u**3 * gam
-        err = np.max(np.abs(disc.acceleration(u) - want))
+        err = np.max(np.abs(_force(disc, u) - want))
         assert err <= 1e-13 * np.max(np.abs(linear))
         if target == "flat":  # g g'(s) - s and Gamma are exactly 0
             assert err == 0.0
@@ -306,11 +311,11 @@ def test_trajectory_diagnostics_shape():
     s = make_scenario(N=400, T=4.0, snap=1.0)
     tr = integrate(s, "phi")
     assert np.all(np.diff(tr.times) > 0)
-    assert len(tr.energies) == len(tr.times) == len(tr.states)
+    count = len(tr.times)
+    assert len(tr.energies) == len(tr.h_half_norms) == count
+    assert tr.fields.shape == tr.velocities.shape == (400, count)
     assert np.all(np.isfinite(tr.h_half_norms))
     assert np.all(tr.local_energies >= 0)
-    rows = tr.csv_rows()
-    assert len(rows) == len(tr.times)
 
 
 def test_strichartz_trace_baseline_and_monotonicity():
@@ -319,10 +324,7 @@ def test_strichartz_trace_baseline_and_monotonicity():
     total, partials = strichartz_trace(tr, s, return_partials=True)
     assert total == pytest.approx(SOLVER_TRACE, rel=REGRESSION_WINDOW)
     assert np.all(np.diff(partials) >= -1e-15)
-    half = Trajectory(
-        tr.times[:10], tr.energies[:10], tr.sup_norms[:10],
-        tr.h_half_norms[:10], tr.local_energies[:10], tr.states[:10], "phi",
-    )
+    half = dataclasses.replace(tr, times=tr.times[:10], fields=tr.fields[:, :10])
     assert strichartz_trace(half, s) <= total
 
 
@@ -338,7 +340,7 @@ def test_strichartz_trace_matches_dense_reference(n):
     p, q = float(idx["p"]), float(idx["q"])
     op = s.free_operator
     w = weight_w(s.profile(), s.n, s.k, op.grid.nodes)
-    psi = np.stack([st.field / w for st in tr.states], axis=1)
+    psi = tr.fields / w[:, None]
     mult = powered(op, (s.n - 1) / 4, "inhomogeneous")[:, None]
     g = from_coefficients(op, mult * coefficients(op, psi))
     lq = np.sum(op.grid.volume_weights(idx["m"])[:, None] * np.abs(g) ** q,
@@ -379,10 +381,9 @@ def test_psi_local_energy_is_that_of_the_phi_discretization():
     s = make_scenario(manifold="sinh-perturbed", N=600, T=2.0, snap=0.5)
     tr = integrate(s, "psi", spectral_diagnostics=False)
     phi = _Discretization(s, "phi")
-    want = [phi.op.energy(phi.w_nodes * st.field, phi.w_nodes * st.velocity,
-                          phi.c * phi.target(phi.w_nodes * st.field) ** 2,
-                          tr.meta["ball_radius"])
-            for st in tr.states]
+    want = [phi.op.energy(phi.w_nodes * u, phi.w_nodes * v,
+                          phi.c * phi.target(phi.w_nodes * u) ** 2, tr.meta["ball_radius"])
+            for u, v in zip(tr.fields.T, tr.velocities.T)]
     assert np.array_equal(tr.local_energies, want)
 
 
@@ -396,7 +397,7 @@ def test_snapshot_blocking_moves_no_bit(monkeypatch, form, n):
     for block in (1, 16, 33):
         monkeypatch.setattr(equiwave.solver, "SNAPSHOT_BLOCK", block)
         tr = integrate(s, form)
-        assert len(tr.states) == 33
+        assert tr.fields.shape[1] == 33
         runs.append((tr.h_half_norms, strichartz_trace(tr, s, return_partials=True)[1]))
     for halves, partials in runs[1:]:
         assert np.array_equal(halves, runs[0][0])
@@ -413,14 +414,15 @@ def test_snapshot_count_is_that_of_a_run(T, snap, count):
     s = make_scenario(N=300, T=T, snap=snap)
     tr = integrate(s, "phi", spectral_diagnostics=False)
     assert s.snapshot_count == len(tr.times) == count
-    # the evolve child's generator, in this process: each field in its
-    # column, the end of every block and of the last sent, then the
-    # trajectory without states
-    fields = _shared_columns(300, count)
-    *ends, last = _phi_fields(s, fields)
+    # the run of a forked child, in this process, without velocities:
+    # each field in its column, the end of every block and of the last
+    # yielded, then the trajectory without fields
+    fields = np.zeros((300, count), order="F")
+    *ends, last = _Run(s, "phi").snapshots(fields, None)
     assert ends == [*range(16, count, 16), count]
-    assert np.array_equal(fields, np.stack([st.field for st in tr.states], axis=1))
-    assert last.states == [] and np.all(np.isnan(last.h_half_norms))
+    assert np.array_equal(fields, tr.fields)
+    assert last.fields is None and last.velocities is None
+    assert np.all(np.isnan(last.h_half_norms))
     for name in ("times", "energies", "sup_norms", "local_energies"):
         assert np.array_equal(getattr(last, name), getattr(tr, name))
     assert last.meta == tr.meta
@@ -428,8 +430,8 @@ def test_snapshot_count_is_that_of_a_run(T, snap, count):
 
 def test_snapshot_diagnostics_transient_does_not_grow_with_snapshots():
     # the H^(1/2) norms work on blocks of SNAPSHOT_BLOCK snapshots, so the
-    # traced peak beyond the stored states (16 N bytes each) is the same
-    # for 42 and 163 snapshots
+    # traced peak beyond the stored fields and velocities (16 N bytes a
+    # snapshot) is the same for 42 and 163 snapshots
     _linalg()  # its import is not the diagnostics' memory
     N = 2000
     for snap, count in ((0.1, 42), (0.025, 163)):
@@ -440,7 +442,7 @@ def test_snapshot_diagnostics_transient_does_not_grow_with_snapshots():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(tr.states) == count
+        assert len(tr.times) == count
         assert peak - 16 * N * count <= 4 * 2**20
 
 
@@ -497,13 +499,13 @@ def test_integrate_is_the_textbook_verlet_loop_bit_for_bit(target, form, window)
     tr = integrate(s, form, initial_state=st, spectral_diagnostics=False)
     assert tr.meta["n_steps"] == 300
     if target in ("sphere", "hyperbolic"):
-        disc.measure(st.field)
+        disc.bind(st.field)[0]()
         i0, i1 = disc._measured[2:]
         assert {"empty": i1 == i0, "partial": 0 < i1 - i0 < 300,
                 "full": (i0, i1) == (0, 300)}[window]
-    assert len(tr.states) == len(rows)
-    for state, (u, v, _, _, _) in zip(tr.states, rows):
-        assert np.array_equal(state.field, u) and np.array_equal(state.velocity, v)
+    assert len(tr.times) == len(rows)
+    for j, (u, v, _, _, _) in enumerate(rows):
+        assert np.array_equal(tr.fields[:, j], u) and np.array_equal(tr.velocities[:, j], v)
     for i, name in enumerate(("energies", "sup_norms", "local_energies"), start=2):
         assert np.array_equal(getattr(tr, name), [row[i] for row in rows])
 
@@ -522,29 +524,31 @@ def test_force_is_the_textbook_force_bit_for_bit(target, form, window):
     u = amp * r * np.exp(-((r / width) ** 2)) / disc.b
     s = disc.to_phi(u)
     want = -disc.op.apply(u) - disc.a * (disc.target.gg_prime(s) - s)
-    assert np.array_equal(disc.acceleration(u.copy()), want)
+    assert np.array_equal(_force(disc, u.copy()), want)
 
 
 @pytest.mark.parametrize("form", ["phi", "psi"])
 def test_steps_allocate_no_grid_array(form):
-    # 500 steps at N = 2000, traced from the first snapshot to the entry
-    # of the last one: every buffer of a step is made before the first
+    # 500 steps at N = 2000, traced from the end of the first snapshot to
+    # the entry of the last one: every buffer of a step is made before the
+    # first
     N = 2000
     s = make_scenario("hyperbolic", N=N, T=0.75, snap=10.0)
     assert s.stepping[0] == 500
-    run = equiwave.solver._Run(s, form)
+    run = _Run(s, form)
     peaks, record = [], run._record
 
     def traced_record(t):
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        return record(t)
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        record(t)
+        tracemalloc.start()
 
-    steps = run.snapshots()
-    next(steps)
     run._record = traced_record
-    tracemalloc.start()
+    fields, velocities = np.empty((N, 2), order="F"), np.empty((N, 2), order="F")
     try:
-        assert list(steps) == [0.75]
+        *ends, _ = run.snapshots(fields, velocities)
     finally:
         tracemalloc.stop()
+    assert ends == [2] and run.times == [0.0, 0.75]
     assert peaks[0] < 8 * N
