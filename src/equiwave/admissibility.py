@@ -109,19 +109,12 @@ def estimate_h_infinity(profile: MetricProfile, n: int) -> tuple[float, float]:
     return float(est), sups[-1]
 
 
-def compute_P(
-    profile: MetricProfile,
-    n: int,
-    delta0: float,
-    r,
-    h_infinity: Optional[float] = None,
-):
+def compute_P(profile: MetricProfile, n: int, delta0: float, r, h_infinity: float):
     """P(r) = r*H(r) - r*h_inf + (1-delta0)/(4r) and its derivative,
-    both from jets, at a radius or at every radius of an array."""
+    both from jets, at a radius or at every radius of an array, for the
+    caller's h_inf (which estimate_h_infinity fits)."""
     if not 0 < delta0 < 1:
         raise DomainError("delta0 must lie in (0,1)")
-    if h_infinity is None:
-        h_infinity, _ = estimate_h_infinity(profile, n)
     Hj = H_jet(profile, n, r, order=1)
     return _P_and_slope(r, Hj.value, Hj.derivative(1), h_infinity, delta0)
 

@@ -93,7 +93,7 @@ class TestFunction:
     dfn: Callable
 
 
-def gaussian_family(count: int, seed: int, r_power: int = 1) -> list[TestFunction]:
+def gaussian_family(count: int, seed: int, r_power: int) -> list[TestFunction]:
     """Seeded bumps amp * r^p * exp(-(r-c)^2 / sig^2), c in [0, 8)."""
     rng = np.random.default_rng(seed)
     fam = []
@@ -232,8 +232,8 @@ def smoothing_check(
     lambda_grid: Sequence[complex],
     family: Sequence[TestFunction],
     h_infinity: float,
-    R_max: float = 60.0,
-    N: int = 4000,
+    R_max: float,
+    N: int,
 ) -> RatioReport:
     """Resolvent smoothing ratio || u/r || / || r f || against 4/delta0,
     for the reduced radial Helmholtz equation on R^m at each frequency

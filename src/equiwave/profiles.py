@@ -247,16 +247,10 @@ class TargetProfile:
 
     @property
     def gg_prime_fn(self):
-        """g g' as a function f(s, out) of a float64 array s, written into
-        out (an array of s's shape, or None): the closed form of a
-        built-in kind, else one jet of the expression over all of s.  A
-        loop takes it once and calls it without gg_prime's conversion."""
+        """g(s) g'(s), the wave-map nonlinearity, as the one function f(s, out)
+        that evaluates it on a float64 array s, into out (an array of s's shape,
+        or None): a built-in kind's closed form, else one jet over all of s."""
         return _GG_PRIME.get(self.kind) or functools.partial(_gg_jet, self.expr)
-
-    def gg_prime(self, s, out=None):
-        """g(s) g'(s) evaluated on arrays (the wave-map nonlinearity),
-        written into out, an array of s's shape, when given."""
-        return self.gg_prime_fn(np.asarray(s, dtype=float), out)
 
 
 def _gg_circular(fn):

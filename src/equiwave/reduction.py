@@ -41,7 +41,7 @@ def weight_w(profile: MetricProfile, n: int, k: int, r):
     return float(out[0]) if scalar else out
 
 
-def _origin_jets(profile: MetricProfile, n: int):
+def _origin_jets(profile: MetricProfile):
     """Jets at 0 of the three smooth brackets entering V, built from
     h(r) = r + r^3 h1(r):
 
@@ -100,7 +100,7 @@ def compute_V(profile: MetricProfile, n: int, k: int, r):
             h2v / h + (n - 3) / 2 * (d1 - 1.0 / rb**2)
         ) + lbar * (d0 - 1.0 / rb**2)
     if np.any(small):
-        A, B, C = _origin_jets(profile, n)
+        A, B, C = _origin_jets(profile)
         rs = r[small]
         out[small] = (n - 1) / 2 * (_poly(A, rs) + (n - 3) / 2 * _poly(B, rs)) \
             + lbar * _poly(C, rs)

@@ -193,12 +193,12 @@ class Scenario:
 
     @property
     def support_radius(self) -> float:
-        """Radius beyond which the initial data is negligible."""
+        """Radius beyond which the initial data is negligible on r >= 0."""
         if self.data.get("shape", "gaussian") == "zero":
             return 0.0
         width = float(self.data.get("width", 1.0))
         center = float(self.data.get("center", 0.0))
-        return center + 6.0 * width
+        return max(center, 0.0) + 6.0 * width
 
     def profile(self) -> MetricProfile:
         spec = dict(self.manifold)

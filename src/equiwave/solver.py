@@ -375,7 +375,7 @@ class _Run:
 
 def integrate(
     scenario: Scenario,
-    formulation: str = "phi",
+    formulation: str,
     initial_state: Optional[WaveState] = None,
     spectral_diagnostics: bool = True,
     ceiling: Optional[float] = None,

@@ -126,18 +126,19 @@ class DiscreteRadialOperator:
         W = np.zeros(N) if self.W_samples is None else np.asarray(self.W_samples, float)
         if W.shape != (N,):
             raise DomainError("W sample length does not match the grid")
-        bad = np.flatnonzero(~np.isfinite(W))
-        if bad.size:
-            raise DomainError(f"potential W is not finite at r = {self.grid.nodes[bad[0]]:.6g}")
+        _require_finite("potential W", W, self.grid.nodes)
         self.W_samples = W
         F, dr2 = self.F, self.grid.dr**2
         scale = 1.0 / (dr2 * self.rho)
         self.bands = ((F[:-1] + F[1:]) / (dr2 * self.rho) + W,
                       -F[1:-1] * scale[:-1], -F[1:-1] * scale[1:])
+        # upper_j is in row j and lower_j in row j + 1
+        _require_finite("operator band", np.concatenate(self.bands),
+                        self.grid.nodes[np.r_[0:N, 0:N - 1, 1:N]])
 
     @classmethod
-    def flat(cls, grid: RadialGrid, m: int, W=None) -> "DiscreteRadialOperator":
-        """-Delta + W on R^m: F = r^(m-1) with exact cell averages of r^(m-1)."""
+    def flat(cls, grid: RadialGrid, m: int, W) -> "DiscreteRadialOperator":
+        """-Delta + W on R^m (W None for 0): F = r^(m-1), exact cell averages."""
         f = grid.faces
         return cls(grid, m, W, f ** (m - 1), (f[1:] ** m - f[:-1] ** m) / (m * grid.dr))
 
@@ -172,7 +173,11 @@ class DiscreteRadialOperator:
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of H conjugated by rho^(1/2)."""
-        off = -self.F[1:-1] / (self.grid.dr**2 * np.sqrt(self.rho[:-1] * self.rho[1:]))
+        with np.errstate(divide="ignore", over="ignore"):  # checked below
+            rho2 = self.rho[:-1] * self.rho[1:]
+            off = -self.F[1:-1] / (self.grid.dr**2 * np.sqrt(rho2))
+        _require_finite("symmetrized stencil", np.concatenate([off, rho2]),
+                        np.tile(self.grid.faces[1:-1], 2))
         return self.bands[0], off
 
     @cached_property
@@ -223,6 +228,15 @@ class DiscreteRadialOperator:
         bands = [_down_rows(b, v) for b in self.bands]
         out, tmp = (np.empty_like(v, dtype=np.result_type(bands[0], v)) for _ in range(2))
         return _band_product(*bands, v, out, tmp)()
+
+
+def _require_finite(what: str, values: np.ndarray, radii: np.ndarray) -> None:
+    """Raise DomainError at the least of radii where values is not finite,
+    as where the weights r^(m-1) or h^(n-1) overflow (the bands are NaN),
+    or rho_j rho_(j+1) underflows or overflows (the off-diagonal is -inf or -0)."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"{what} is not finite at r = {radii[bad].min():.6g}")
 
 
 def _band_product(diag, upper, lower, u, out, tmp):
@@ -449,9 +463,7 @@ def _contour_power(diag, off, alpha: float, x: np.ndarray, lo: float, hi: float)
     return out
 
 
-def _fractional_power(
-    op: DiscreteRadialOperator, s: float, v, shift: str = "homogeneous"
-) -> np.ndarray:
+def _fractional_power(op: DiscreteRadialOperator, s: float, v, shift: str) -> np.ndarray:
     """The power of _power_base applied to v, (N,) or an (N, k) stack,
     without an eigenbasis.  A power s = j + beta, j an integer and
     -1 < beta <= 0, is beta first, then j products with the operator (or

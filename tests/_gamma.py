@@ -24,6 +24,6 @@ def gamma_reference(target, lbar, s):
     out = np.empty_like(s)
     small = np.abs(s) < SEAM
     sb = s[~small]
-    out[~small] = (lbar * target.gg_prime(sb) - lbar * sb) / (sb * sb * sb)
+    out[~small] = (lbar * target.gg_prime_fn(sb, None) - lbar * sb) / (sb * sb * sb)
     out[small] = np.polyval(coeffs[::-1], s[small])
     return out

@@ -188,10 +188,24 @@ def _names_read(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _attributes_read(node) -> Counter:
+    """How often each attribute is read (not assigned) below node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+# the methods that no other code of the package reads, each with the
+# reason it stays
+METHODS_NOT_READ_BY_THE_PACKAGE = {
+    "Trajectory.final_state": "the in-process solver API: demo 05 reverses a run from it",
+}
+
+
 def test_every_module_function_is_used_or_exported():
     # a module-level function that no other code of the package names, and
-    # that is not public, is dead code; so is a method of a private class
-    # (but a dunder method) that no other code of the package names
+    # that is not public, is dead code; so is a method of any class (but a
+    # dunder method) that no other code of the package reads as an
+    # attribute, whatever local variable or nested function shares its name
     trees = {path.name: ast.parse(path.read_text())
              for path in Path(equiwave.__file__).parent.glob("*.py")}
     reads = sum((_names_read(tree) for tree in trees.values()), Counter())
@@ -199,11 +213,40 @@ def test_every_module_function_is_used_or_exported():
             for fn in tree.body if isinstance(fn, ast.FunctionDef)
             and fn.name not in equiwave.__all__
             and reads[fn.name] == _names_read(fn)[fn.name]]
-    dead += [f"{name}:{fn.lineno} {cls.name}.{fn.name}" for name, tree in trees.items()
-             for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
-             for fn in cls.body if isinstance(fn, ast.FunctionDef)
-             and not fn.name.startswith("__") and reads[fn.name] == _names_read(fn)[fn.name]]
     assert dead == []
+    attributes = sum((_attributes_read(tree) for tree in trees.values()), Counter())
+    unread = {f"{cls.name}.{fn.name}" for tree in trees.values()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("__")
+              and attributes[fn.name] == _attributes_read(fn)[fn.name]}
+    assert unread == set(METHODS_NOT_READ_BY_THE_PACKAGE)
+
+
+# the parameters that their function never reads, each with the reason
+# it stays
+PARAMETERS_NOT_READ = {
+    "cli.run_verify.out": "main calls every stage of PIPELINES as (scenario, out)",
+}
+
+
+def test_every_parameter_is_read_or_has_a_reason():
+    # a parameter of a function, a method, a closure or a lambda that its
+    # body never reads (but the self or cls of a method) is no input
+    unread = set()
+    for path in Path(equiwave.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread |= {f"{path.stem}.{getattr(fn, 'name', '<lambda>')}.{a.arg}" for a in params
+                       if a.arg not in read and a.arg not in ("self", "cls")}
+    assert unread == set(PARAMETERS_NOT_READ)
 
 
 # the public functions that no command runs, each with the reason it stays
@@ -325,19 +368,48 @@ def _calls(tree):
                     yield node.name, len(ret.value.elts[1].elts), set(), False
 
 
-def test_every_option_is_set_by_a_caller_or_has_a_reason():
-    # an option that every caller leaves at its default is a constant; a
-    # call reaches every function of its name
+def _options_and_calls():
+    """The (name, callee, offset, params) of _default_parameters of every
+    module, and the calls of every function name in src/, demos/ and
+    bench/ as (positional count, keywords, whether *args is given)."""
     root = Path(__file__).resolve().parents[1]
     calls = {}
     for path in (p for d in ("src", "demos", "bench") for p in sorted((root / d).rglob("*.py"))):
         for callee, *call in _calls(ast.parse(path.read_text())):
             calls.setdefault(callee, []).append(call)
-    unset = set()
-    for path in MODULES:
-        for name, callee, offset, params in _default_parameters(ast.parse(path.read_text())):
-            unset |= {f"{name}.{param}" for param, position in params.items()
-                      if not any(param in keywords or None in keywords
-                                 or position is not None and (starred or position - offset < count)
-                                 for count, keywords, starred in calls.get(callee, []))}
+    options = [option for path in MODULES
+               for option in _default_parameters(ast.parse(path.read_text()))]
+    return options, calls
+
+
+def test_every_option_is_set_by_a_caller_or_has_a_reason():
+    # an option that every caller leaves at its default is a constant; a
+    # call reaches every function of its name
+    options, calls = _options_and_calls()
+    unset = {f"{name}.{param}" for name, callee, offset, params in options
+             for param, position in params.items()
+             if not any(param in keywords or None in keywords
+                        or position is not None and (starred or position - offset < count)
+                        for count, keywords, starred in calls.get(callee, []))}
     assert unset == set(OPTIONS_WITHOUT_A_CALLER)
+
+
+# the defaults that every call in src/, demos/ and bench/ overrides, each
+# with the reason it stays a default
+DEFAULTS_EVERY_CALL_OVERRIDES = {
+    "integrate.spectral_diagnostics": "the README quick start and the tests that compare "
+                                      "the CLI's h_half_norm column with an in-process "
+                                      "run take the norms by default",
+}
+
+
+def test_every_default_is_left_in_place_by_a_caller_or_has_a_reason():
+    # a default that every call reaching it overrides is no default: the
+    # parameter is required; a call with *args or **kwargs may leave it
+    options, calls = _options_and_calls()
+    overridden = {f"{name}.{param}" for name, callee, offset, params in options
+                  if calls.get(callee) for param, position in params.items()
+                  if all(not starred and None not in keywords
+                         and (param in keywords or position is not None and position - offset < count)
+                         for count, keywords, starred in calls[callee])}
+    assert overridden == set(DEFAULTS_EVERY_CALL_OVERRIDES)

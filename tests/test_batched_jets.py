@@ -173,7 +173,8 @@ def test_custom_gg_prime_is_one_jet(monkeypatch):
 
     monkeypatch.setattr(target.expr, "jet", counted)
     s = np.linspace(-1.0, 1.0, 2000)
-    got = target.gg_prime(s)
+    got = target.gg_prime_fn(s, None)
     assert len(calls) == 1
     np.testing.assert_allclose(got, 0.5 * np.sin(2.0 * s), rtol=1e-13, atol=1e-16)
-    assert math.isclose(target.gg_prime(0.3), 0.5 * math.sin(0.6), rel_tol=1e-13)
+    assert math.isclose(target.gg_prime_fn(np.array(0.3), None), 0.5 * math.sin(0.6),
+                        rel_tol=1e-13)

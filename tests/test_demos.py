@@ -1,4 +1,4 @@
-"""Each demo script runs to completion."""
+"""Each demo script, and the README's quick start, runs to completion."""
 
 import os
 import subprocess
@@ -9,7 +9,8 @@ import pytest
 
 import equiwave
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -20,3 +21,12 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    # the python block under "## Quick start", so the README cannot drift
+    # from the API
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")  # the hyperbolic base is admissible

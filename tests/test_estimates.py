@@ -83,12 +83,12 @@ def test_hardy_probes_approach_one_from_below():
 
 def test_hardy_beta_divergence_guard():
     with pytest.raises(BetaDiverges):
-        hardy_check(lambda r: np.ones_like(r), 3, gaussian_family(2, 0))
+        hardy_check(lambda r: np.ones_like(r), 3, gaussian_family(2, 0, r_power=1))
 
 
 def test_hardy_rejects_a_short_quadrature_grid():
     # the beta slope reads the 100th quadrature point
-    fam = gaussian_family(2, 0)
+    fam = gaussian_family(2, 0, r_power=1)
     with pytest.raises(DomainError):
         hardy_check(lambda r: r ** (1.0 - 3), 3, fam, Nq=80)
     with pytest.raises(DomainError):
@@ -110,7 +110,7 @@ def test_hardy2_matches_hardy_in_limit():
 def test_hardy2_hypothesis_guard():
     bad = _JetWeight([lambda r: -r, lambda r: -1.0, lambda r: 0.0])
     with pytest.raises(HypothesisFail):
-        hardy2_check(bad, 0.1, 3, gaussian_family(2, 0))
+        hardy2_check(bad, 0.1, 3, gaussian_family(2, 0, r_power=1))
 
 
 def test_hardy2_weight_takes_zeta_prime_from_the_jet():
@@ -155,7 +155,7 @@ def test_smoothing_hyperbolic():
 def test_smoothing_rejects_bad_delta0():
     flat = metric_profile("flat")
     with pytest.raises(DomainError):
-        smoothing_check(flat, 3, 1, 1.5, LAMBDA_GRID, gaussian_family(1, 0),
+        smoothing_check(flat, 3, 1, 1.5, LAMBDA_GRID, gaussian_family(1, 0, r_power=1),
                         h_infinity=0.0, R_max=60.0, N=500)
 
 
@@ -356,7 +356,7 @@ def test_dimshift_s1_bracket():
 
 def test_dimshift_rejects_other_s():
     with pytest.raises(DomainError):
-        dimshift_check(3, 1, 0.5, gaussian_family(1, 0))
+        dimshift_check(3, 1, 0.5, gaussian_family(1, 0, r_power=1))
 
 
 def test_report_json_and_csv():

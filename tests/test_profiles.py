@@ -188,9 +188,9 @@ def test_values_evaluate_no_derivative_factor(monkeypatch):
 
 def test_target_gg_prime():
     s = np.linspace(-1.0, 1.0, 9)
-    assert np.allclose(target_profile("flat").gg_prime(s), s)
-    assert np.allclose(target_profile("sphere").gg_prime(s), 0.5 * np.sin(2 * s))
-    assert np.allclose(target_profile("hyperbolic").gg_prime(s), 0.5 * np.sinh(2 * s))
+    assert np.allclose(target_profile("flat").gg_prime_fn(s, None), s)
+    assert np.allclose(target_profile("sphere").gg_prime_fn(s, None), 0.5 * np.sin(2 * s))
+    assert np.allclose(target_profile("hyperbolic").gg_prime_fn(s, None), 0.5 * np.sinh(2 * s))
 
 
 def _below(radius, count=500_000, seed=0):
@@ -215,7 +215,7 @@ def test_gg_prime_is_s_below_the_linear_radius(kind, fn):
     target = target_profile(kind)
     assert target.linear_radius == 2.0**-27
     s = _below(target.linear_radius)
-    for got in (0.5 * fn(2.0 * s), target.gg_prime(s)):
+    for got in (0.5 * fn(2.0 * s), target.gg_prime_fn(s, None)):
         bits_differ = got.view(np.int64) != s.view(np.int64)  # tells -0 from +0
         assert not bits_differ.any(), f"g g'(s) != s at s = {s[bits_differ][:5]}"
 
@@ -235,14 +235,14 @@ def test_linear_radius_of_each_target_is_derived():
 def test_gg_prime_into_a_buffer_has_the_same_bits(target):
     s = np.linspace(-1.0, 1.0, 101)
     out = np.empty_like(s)
-    assert target.gg_prime(s, out=out) is out
-    assert np.array_equal(out, target.gg_prime(s))
+    assert target.gg_prime_fn(s, out) is out
+    assert np.array_equal(out, target.gg_prime_fn(s, None))
 
 
 def test_custom_target_gg_prime_jet_fallback():
     tgt = target_profile("custom", expr=["sin", "r"])
     s = np.array([0.3, 0.8])
-    assert np.allclose(tgt.gg_prime(s), 0.5 * np.sin(2 * s), rtol=1e-12)
+    assert np.allclose(tgt.gg_prime_fn(s, None), 0.5 * np.sin(2 * s), rtol=1e-12)
 
 
 def test_sphere_domain_bound():

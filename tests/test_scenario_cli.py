@@ -288,6 +288,13 @@ def test_cli_config_error_exit_2(tmp_path):
     g2s = write_scenario(tmp_path, {**GOOD, "target": {"kind": "custom",
                                                        "expr": ["*", 2, "r"]}})
     assert main(["evolve", "--scenario", str(g2s), "--out", str(tmp_path / "o")]) == 2
+    # a bump centred at r = -10 is negligible on r >= 0 from 6 widths past
+    # 0, not past -4: T = 33 breaks the budget of R_max = 30
+    negative = write_scenario(tmp_path, {
+        **GOOD, "grid": {"R_max": 30.0, "N": 300},
+        "time": {"T": 33.0, "dt_factor": 0.1, "snap_every": 1.0},
+        "data": {"shape": "gaussian", "amplitude": 0.05, "width": 1.0, "center": -10.0}})
+    assert main(["verify", "--scenario", str(negative), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_numerical_error_exit_3(tmp_path):
@@ -330,6 +337,19 @@ def test_cli_non_finite_potential_exits_3(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert "DomainError" in err and "not finite at r = 710.667" in err
+
+
+def test_cli_underflowing_operator_weights_exit_3(tmp_path, capsys):
+    # at m = 123 the product rho_j rho_(j+1) of the weights r^(m-1)
+    # underflows near r = 0, and the symmetrized off-diagonal is -inf there
+    payload = {**GOOD, "k": 60, "grid": {"R_max": 6.0, "N": 600},
+               "time": {"T": 2.0, "dt_factor": 0.1, "snap_every": 0.5},
+               "data": {"shape": "zero"}, "checks": ["strichartz"]}
+    path = write_scenario(tmp_path, payload)
+    for cmd in ("reduce", "estimates", "evolve", "all"):
+        assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / cmd)]) == 3
+        assert capsys.readouterr().err == ("numerical error (DomainError): symmetrized "
+                                           "stencil is not finite at r = 0.01\n")
 
 
 def test_cli_all_artifacts_and_determinism(tmp_path):

@@ -254,6 +254,21 @@ def test_non_finite_potential_is_a_domain_error():
         DiscreteRadialOperator.flat(grid, 3, W)
 
 
+def test_non_finite_weights_are_a_domain_error():
+    # r^(m-1) overflows near R_max = 30 at m = 211, and the bands are NaN
+    # there; the bands are finite at m = 123 on R_max = 6 and at m = 93 on
+    # R_max = 60, but rho_j rho_(j+1) underflows near 0 in the first (the
+    # symmetrized off-diagonal is -inf there) and overflows far out in the
+    # second (it was -0 there, an operator of the wrong spectrum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="operator band is not finite at r = 29.05"):
+            DiscreteRadialOperator.flat(RadialGrid(30.0, 300), 211, None)
+    for grid, m, r in ((RadialGrid(6.0, 600), 123, 0.01), (RadialGrid(60.0, 400), 93, 47.4)):
+        op = DiscreteRadialOperator.flat(grid, m, None)
+        with pytest.raises(DomainError, match=f"symmetrized stencil is not finite at r = {r}$"):
+            op.tridiagonal
+
+
 def test_reduced_operator_positive_spectrum():
     # hyperbolic reduction has W = V - 1 and the operator stays positive
     hyp = metric_profile("hyperbolic")
