@@ -85,7 +85,6 @@ from .solver import (
     WaveState,
     consistency_check,
     integrate,
-    strichartz_trace,
 )
 from .spectral import (
     DiscreteRadialOperator,
@@ -147,7 +146,6 @@ __all__ = [
     "resolve",
     "smoothing_check",
     "strichartz_monitor",
-    "strichartz_trace",
     "target_profile",
     "validate_wave_pair",
     "weight_w",

@@ -8,9 +8,10 @@ Exit codes: 0 all PASS, 1 a verdict FAILed, 2 configuration error,
 `evolve` and `all` run the evolve stage on two processes: its phi run
 is forked (solver._forked_run) before any other stage runs, so the
 child carries none of their operators or spectra.  Meanwhile this
-process runs verify, reduce and estimates; then it takes the H^(1/2)
-norms and the Strichartz trace of each block of the child's fields, as
-soon as the child has written it, and it alone writes the artifacts.
+process runs verify, reduce and estimates; then it measures each block
+of the child's fields as soon as the child has written it, by the
+solver's one measurement of a run (solver._measured, as `integrate`
+does), and it alone writes the artifacts.
 An error of a stage of this process is raised first; one of the child
 after them.
 """
@@ -37,8 +38,8 @@ from .estimates import (
 )
 from .profiles import metric_profile
 from .scenario import Scenario, load_scenario
-from .solver import _forked_run, _reduced_blocks, _strichartz_lq, _strichartz_partials
-from .spectral import EIG_TOL, frac_norm
+from .solver import _forked_run, _measured
+from .spectral import EIG_TOL
 
 
 def _write_json(path: Path, payload: dict):
@@ -134,22 +135,14 @@ def run_estimates(scenario: Scenario, out: Path) -> dict:
 
 def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
     """The evolve stage from `evolve`, the (fields, values) of a
-    solver._forked_run of the phi form: each block of fields is measured
-    here as soon as the child has written it, with the code of integrate
-    and strichartz_trace."""
-    fields, values = evolve
-    halves, lq = [], []
-    for psi in _reduced_blocks(fields, values, scenario, "phi"):
-        halves.append(frac_norm(scenario.free_operator, 0.5, psi))
-        lq.append(_strichartz_lq(psi, scenario))
-    trajectory = next(values)
-    partials = _strichartz_partials(np.concatenate(lq), trajectory.times, scenario)
-    total = float(partials[-1])
+    solver._forked_run of the phi form, measured by solver._measured as
+    the child writes each block, as integrate measures an in-process run."""
+    trajectory = _measured(*evolve, scenario, "phi")
     _write_csv(
         out / "trajectory.csv",
         ["t", "energy", "sup", "h_half_norm", "strichartz_partial"],
         zip(trajectory.times, trajectory.energies, trajectory.sup_norms,
-            np.concatenate(halves), partials.tolist()),
+            trajectory.h_half_norms, trajectory.strichartz_partials),
     )
     # division by E(0) > 0 is monotone, so this max is max(|E - E0|) / E0
     drift = float(trajectory.energy_drift.max())
@@ -164,7 +157,7 @@ def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
         "energy_initial": float(trajectory.energies[0]),
         "energy_drift": drift,
         "sup_ratio": sup_ratio,
-        "strichartz_trace": total,
+        "strichartz_trace": float(trajectory.strichartz_partials[-1]),
         "ball_radius": trajectory.meta["ball_radius"],
         "local_energy_final": float(trajectory.local_energies[-1]),
         "verdict": "FAIL" if failed else "PASS",

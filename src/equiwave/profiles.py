@@ -85,6 +85,10 @@ _OPERATORS = {
 }
 # the operators whose last operand is a number, and what it is
 _NUMBERS = {"pow": "exponent", "cutoff": "eps", "sqrt_cutoff": "eps"}
+# the most levels of an expression tree: Expr.jet recurses once a level
+# (a 500-deep tree ran out of Python's stack), and the built-in trees are
+# at most 6 deep
+MAX_EXPR_DEPTH = 100
 
 
 def _is_number(x) -> bool:
@@ -98,29 +102,35 @@ def parse_expr(spec) -> Expr:
 
     Examples: "r", 2.5, ["+", a, b], ["*", a, b], ["/", a, b],
     ["pow", a, p], ["exp", a], ["cutoff", eps], ["sqrt_cutoff", eps].
-    A number is finite, and a JSON boolean is none.
+    A number is finite, and a JSON boolean is none.  A tree is at most
+    MAX_EXPR_DEPTH levels deep.
     """
-    if isinstance(spec, str):
-        if spec == "r":
-            return Expr(Jet.variable)
-        raise DomainError(f"unknown expression symbol {spec!r}")
-    if _is_number(spec):
-        return Expr(functools.partial(Jet.constant, float(spec)))
-    if not isinstance(spec, (list, tuple)) or not spec:
-        raise DomainError(f"bad expression node {spec!r}")
-    op, *args = spec
-    if not isinstance(op, str) or op not in _OPERATORS:
-        raise DomainError(f"unknown expression operator {op!r}")
-    least, most, fn = _OPERATORS[op]
-    if not least <= len(args) <= most:
-        count = least if least == most else f"at least {least}"
-        raise DomainError(f"operator {op!r} takes {count} operand(s), got {len(args)}")
-    if op in _NUMBERS:
-        *args, x = args
-        if not _is_number(x):
-            raise DomainError(f"{op} {_NUMBERS[op]} must be a finite number, got {x!r}")
-        fn = functools.partial(fn, x)
-    return Expr(fn, *map(parse_expr, args))
+    def parse(spec, depth: int) -> Expr:
+        if depth > MAX_EXPR_DEPTH:
+            raise DomainError(f"expression is deeper than {MAX_EXPR_DEPTH} levels")
+        if isinstance(spec, str):
+            if spec == "r":
+                return Expr(Jet.variable)
+            raise DomainError(f"unknown expression symbol {spec!r}")
+        if _is_number(spec):
+            return Expr(functools.partial(Jet.constant, float(spec)))
+        if not isinstance(spec, (list, tuple)) or not spec:
+            raise DomainError(f"bad expression node {spec!r}")
+        op, *args = spec
+        if not isinstance(op, str) or op not in _OPERATORS:
+            raise DomainError(f"unknown expression operator {op!r}")
+        least, most, fn = _OPERATORS[op]
+        if not least <= len(args) <= most:
+            count = least if least == most else f"at least {least}"
+            raise DomainError(f"operator {op!r} takes {count} operand(s), got {len(args)}")
+        if op in _NUMBERS:
+            *args, x = args
+            if not _is_number(x):
+                raise DomainError(f"{op} {_NUMBERS[op]} must be a finite number, got {x!r}")
+            fn = functools.partial(fn, x)
+        return Expr(fn, *(parse(arg, depth + 1) for arg in args))
+
+    return parse(spec, 1)
 
 
 def _built_in(table: dict, what: str, kind, params: dict):

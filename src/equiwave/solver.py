@@ -45,10 +45,11 @@ into it, and hands the caller the array and, through a one-way pipe,
 the block ends and the trajectory.  The child keeps no velocities and
 makes no spectral solve.  consistency_check runs the psi form so while
 it runs the phi form; the CLI's evolve stage runs the phi form so while
-it runs the other stages.  `_reduced_blocks` turns the fields into
-reduced fields a block at a time, as the ends arrive, for the H^(1/2)
-norms of `integrate` and of the CLI and for `strichartz_trace`, so the
-CLI's artifacts have every bit of an in-process run.
+it runs the other stages.  `_measured` is the one measurement of a
+run's snapshots: it reduces and measures the fields a block at a time,
+as the ends arrive, into the H^(1/2) norms and the Strichartz partials
+of the trajectory, for `integrate` and for the CLI alike, so the CLI's
+artifacts have every bit of an in-process run.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ from .spectral import DiscreteRadialOperator, _band_product, _lp_partials, _lq_n
 
 BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 # snapshots per block of a run's fields, each reduced and measured as a
-# stack (_reduced_blocks).  Every column is solved and summed on its
-# own, so the width moves no bit; the transient of frac_norm is about
-# 34 N bytes per column (2.2 MB for 16 columns at N = 4000).  At N = 4000 the H^(1/2) norm and the Strichartz
-# L^q norm of a column cost about 2.2 ms together in stacks of 8, 16 or
-# 32 and 2.4 ms at 101: 16 stays, as fast as 32 in half its working set
-# (one BLAS thread, 2-core VM)
+# stack (_measured).  Every column is solved and summed on its own, so
+# the width moves no bit; the transient of frac_norm is about 34 N bytes
+# per column (2.2 MB for 16 columns at N = 4000).  At N = 4000 the
+# H^(1/2) norm and the Strichartz L^q norm of a column cost about 2.2 ms
+# together in stacks of 8, 16 or 32 and 2.4 ms at 101: 16 stays, as fast
+# as 32 in half its working set (one BLAS thread, 2-core VM)
 SNAPSHOT_BLOCK = 16
 
 
@@ -92,12 +93,15 @@ class WaveState:
 class Trajectory:
     """A run's diagnostics at its S snapshots, and its fields and
     velocities as (N, S) arrays whose column j is the state at times[j]
-    (None in the trajectory that _Run.snapshots yields)."""
+    (None in the trajectory that _Run.snapshots yields).  h_half_norms
+    and strichartz_partials are NaN in a run that is not measured
+    (_measured)."""
 
     times: np.ndarray
     energies: np.ndarray
     sup_norms: np.ndarray
     h_half_norms: np.ndarray
+    strichartz_partials: np.ndarray
     local_energies: np.ndarray
     fields: Optional[np.ndarray]
     velocities: Optional[np.ndarray]
@@ -134,9 +138,12 @@ class _Discretization:
         self.h_nodes = self.profile(r)
         self.w_nodes = weight_w(self.profile, n, k, r)
         V = compute_V(self.profile, n, k, r)
-        self.c = self.lbar / self.h_nodes**2
         # -Delta_h, whose weights also give the local energy
         self.manifold_op = DiscreteRadialOperator.manifold(self.grid, self.profile, n)
+        # h^2 overflows only where h^(n-1) does (n >= 3), and the operator
+        # has raised where its weights are not finite
+        with np.errstate(over="ignore"):
+            self.c = self.lbar / self.h_nodes**2
         # the operator H, s = b u, and the weight a of g g'(s) - s
         if formulation == "phi":
             # P = c, but below r = 1 the singular c u must cancel the FV
@@ -229,35 +236,6 @@ class _Discretization:
         return WaveState(0.0, phi0 / self.b, phi1 / self.b, self.formulation)
 
 
-def _reduced_blocks(fields: np.ndarray, ends, scenario: Scenario, formulation: str):
-    """The reduced fields w^(-1) phi of the (N, S) fields of a run of the
-    formulation (in the psi form, the fields themselves), a block of
-    columns at a time: from the end of the last block to the next value
-    of the iterator ends, until column S.  Takes no value of ends past
-    the end of column S."""
-    w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
-    start = 0
-    while start < fields.shape[1]:
-        end = next(ends)
-        block = fields[:, start:end]
-        yield block if formulation == "psi" else block / w[:, None]
-        start = end
-
-
-def _strichartz_lq(psi: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """The L^q norm of <H>^((n-1)/4) psi of each column of a block of
-    reduced fields, H the free operator of R^m: the integrand in time
-    of the Strichartz trace."""
-    q = float(indices(scenario.n, scenario.k)["q"])
-    return _lq_norms(scenario.free_operator, (scenario.n - 1) / 4, psi, "inhomogeneous", q)
-
-
-def _strichartz_partials(lq: np.ndarray, times: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """The L^p norm in time of the _strichartz_lq of every snapshot, up
-    to each snapshot."""
-    return _lp_partials(lq, times, float(indices(scenario.n, scenario.k)["p"]))
-
-
 class _Run:
     """One velocity-Verlet run of a scenario to time T, with snapshots
     every snap_every: `snapshots` steps it."""
@@ -298,9 +276,9 @@ class _Run:
         is None, and record the diagnostics; yield j + 1 when column j ends
         a block of SNAPSHOT_BLOCK columns or the run.  Then yield the
         trajectory, without fields or velocities and with NaN for its
-        H^(1/2) norms.  Raises BlowUp when the field exceeds the ceiling
-        or becomes non-finite, DomainError when it leaves the domain of
-        the target."""
+        H^(1/2) norms and Strichartz partials.  Raises BlowUp when the
+        field exceeds the ceiling or becomes non-finite, DomainError when
+        it leaves the domain of the target."""
         disc, u, v, t0, ceiling = self.disc, self.u, self.v, self.t0, self.ceiling
         n_steps, dt, snap_stride = disc.scenario.stepping
         count = disc.scenario.snapshot_count
@@ -344,6 +322,7 @@ class _Run:
             energies=np.array(self.energies),
             sup_norms=np.array(self.sups),
             h_half_norms=np.full(count, math.nan),
+            strichartz_partials=np.full(count, math.nan),
             local_energies=np.array(self.locals),
             fields=None,
             velocities=None,
@@ -373,6 +352,33 @@ class _Run:
             raise BlowUp(t, nodes[np.argmax(np.where(np.isfinite(a), a, np.inf))])
 
 
+def _measured(fields: np.ndarray, values, scenario: Scenario, formulation: str) -> Trajectory:
+    """The trajectory of a run of the formulation, from the (N, S) fields
+    and the values of its _Run.snapshots, with its H^(1/2) norms and its
+    Strichartz partials, the L^p_t H^((n-1)/2)_q norm up to each
+    snapshot.  As each block ends, its reduced fields w^(-1) phi (in the
+    psi form, the fields themselves) are measured with the free operator
+    of R^m: the H^(1/2) norm, and the L^q norm of <H>^((n-1)/4) by radial
+    quadrature, whose L^p norm in time is the trapezoid rule over the
+    snapshots."""
+    n, k = scenario.n, scenario.k
+    idx = indices(n, k)
+    w = weight_w(scenario.profile(), n, k, scenario.radial_grid.nodes)
+    halves, lq, start = [], [], 0
+    while start < fields.shape[1]:
+        end = next(values)  # an error of the run comes before one of the free operator
+        psi = fields[:, start:end] if formulation == "psi" else fields[:, start:end] / w[:, None]
+        free = scenario.free_operator
+        halves.append(frac_norm(free, 0.5, psi))
+        lq.append(_lq_norms(free, (n - 1) / 4, psi, "inhomogeneous", float(idx["q"])))
+        start = end
+    trajectory = next(values)
+    trajectory.h_half_norms = np.concatenate(halves)
+    trajectory.strichartz_partials = _lp_partials(np.concatenate(lq), trajectory.times,
+                                                  float(idx["p"]))
+    return trajectory
+
+
 def integrate(
     scenario: Scenario,
     formulation: str,
@@ -381,19 +387,18 @@ def integrate(
     ceiling: Optional[float] = None,
 ) -> Trajectory:
     """Velocity-Verlet integration of the scenario to time T with
-    snapshots every snap_every, the field and velocity of each kept.
-    Raises BlowUp when the field exceeds BLOWUP_FACTOR times its initial
-    sup or becomes non-finite."""
+    snapshots every snap_every, the field and velocity of each kept,
+    measured (_measured) when spectral_diagnostics is set.  Raises
+    BlowUp when the field exceeds BLOWUP_FACTOR times its initial sup or
+    becomes non-finite."""
     run = _Run(scenario, formulation, initial_state, ceiling)
     shape = (scenario.radial_grid.N, scenario.snapshot_count)
     fields, velocities = np.empty(shape, order="F"), np.empty(shape, order="F")
     values = run.snapshots(fields, velocities)
-    # each block is measured as soon as it is written
-    blocks = _reduced_blocks(fields, values, scenario, formulation) if spectral_diagnostics else ()
-    halves = [frac_norm(scenario.free_operator, 0.5, psi) for psi in blocks]
-    *_, trajectory = values
-    if halves:
-        trajectory.h_half_norms = np.concatenate(halves)
+    if spectral_diagnostics:
+        trajectory = _measured(fields, values, scenario, formulation)
+    else:
+        *_, trajectory = values
     trajectory.fields, trajectory.velocities = fields, velocities
     return trajectory
 
@@ -486,20 +491,3 @@ def consistency_check(scenario: Scenario) -> dict:
         "N": int(scenario.grid["N"]),
     }
 
-
-def strichartz_trace(
-    trajectory: Trajectory, scenario: Scenario, return_partials: bool = False
-):
-    """Discrete L^p_t H^((n-1)/2)_q norm of the run: the reduced field
-    w^(-1) phi is measured with the free-operator fractional calculus on
-    R^m, L^q by radial quadrature, then L^p in time by the trapezoid
-    rule over the stored snapshots."""
-    count = trajectory.fields.shape[1]
-    ends = iter([*range(SNAPSHOT_BLOCK, count, SNAPSHOT_BLOCK), count])
-    blocks = _reduced_blocks(trajectory.fields, ends, scenario, trajectory.formulation)
-    lq = np.concatenate([_strichartz_lq(psi, scenario) for psi in blocks])
-    partials = _strichartz_partials(lq, trajectory.times, scenario)
-    total = float(partials[-1])
-    if return_partials:
-        return total, partials
-    return total

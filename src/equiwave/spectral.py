@@ -129,18 +129,22 @@ class DiscreteRadialOperator:
         _require_finite("potential W", W, self.grid.nodes)
         self.W_samples = W
         F, dr2 = self.F, self.grid.dr**2
-        scale = 1.0 / (dr2 * self.rho)
-        self.bands = ((F[:-1] + F[1:]) / (dr2 * self.rho) + W,
-                      -F[1:-1] * scale[:-1], -F[1:-1] * scale[1:])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+            scale = 1.0 / (dr2 * self.rho)
+            self.bands = ((F[:-1] + F[1:]) / (dr2 * self.rho) + W,
+                          -F[1:-1] * scale[:-1], -F[1:-1] * scale[1:])
         # upper_j is in row j and lower_j in row j + 1
         _require_finite("operator band", np.concatenate(self.bands),
                         self.grid.nodes[np.r_[0:N, 0:N - 1, 1:N]])
+        # an infinite rho leaves its row's bands finite (0 or W)
+        _require_finite("cell weight", self.rho, self.grid.nodes)
 
     @classmethod
     def flat(cls, grid: RadialGrid, m: int, W) -> "DiscreteRadialOperator":
         """-Delta + W on R^m (W None for 0): F = r^(m-1), exact cell averages."""
         f = grid.faces
-        return cls(grid, m, W, f ** (m - 1), (f[1:] ** m - f[:-1] ** m) / (m * grid.dr))
+        with np.errstate(over="ignore", invalid="ignore"):  # the bands and rho are checked
+            return cls(grid, m, W, f ** (m - 1), (f[1:] ** m - f[:-1] ** m) / (m * grid.dr))
 
     @classmethod
     def manifold(cls, grid: RadialGrid, profile, n: int) -> "DiscreteRadialOperator":
@@ -151,8 +155,9 @@ class DiscreteRadialOperator:
         F[0] = 0 is the zero flux through r=0 that h(0) = 0 gives; h is
         not evaluated there, where a profile may have no jet."""
         F = np.zeros(grid.N + 1)
-        F[1:] = profile(grid.faces[1:]) ** (n - 1)
-        rho = (F[:-1] + 4.0 * profile(grid.nodes) ** (n - 1) + F[1:]) / 6.0
+        with np.errstate(over="ignore"):  # the bands and rho are checked
+            F[1:] = profile(grid.faces[1:]) ** (n - 1)
+            rho = (F[:-1] + 4.0 * profile(grid.nodes) ** (n - 1) + F[1:]) / 6.0
         return cls(grid, n, None, F, rho)
 
     def energy(self, u, u_t, pot, radius: float = math.inf) -> float:

@@ -27,7 +27,7 @@ from equiwave.estimates import (
 from equiwave.profiles import metric_profile
 from equiwave.reduction import indices, reduce_problem
 from equiwave.scenario import Scenario
-from equiwave.solver import WaveState, consistency_check, integrate, strichartz_trace
+from equiwave.solver import WaveState, consistency_check, integrate
 from _dense import evolve_linear
 from equiwave.spectral import RadialGrid, build_operator, resolve
 
@@ -271,7 +271,7 @@ def test_small_data_scaling_oracle():
             {"T": 15.0, "dt_factor": 0.1, "snap_every": 0.5},
             {"shape": "gaussian", "amplitude": eps, "width": 1.0, "center": 0.0},
         )
-        return strichartz_trace(integrate(s, "phi", spectral_diagnostics=False), s)
+        return integrate(s, "phi").strichartz_partials[-1]
 
     details = []
     ok = True

@@ -252,7 +252,6 @@ def test_every_parameter_is_read_or_has_a_reason():
 # the public functions that no command runs, each with the reason it stays
 NOT_RUN_BY_A_COMMAND = {
     "integrate": "the in-process solver API (README quick start, demo 05, bench)",
-    "strichartz_trace": "the in-process solver API (demo 05, bench)",
     "consistency_check": "the in-process solver API (demo 05, bench)",
     "check_perturbation": "certifies perturbations of a base; no command yet "
                           "(ROADMAP item 11)",
@@ -319,7 +318,6 @@ OPTIONS_WITHOUT_A_CALLER = {
                              "trips every closed form with it",
     "strichartz_monitor.T": "validation tests; ROADMAP item 8 measures growth in T",
     "strichartz_monitor.n_t": "validation tests; ROADMAP item 8 measures growth in T",
-    "strichartz_trace.return_partials": "tests compare the CLI's partials against it",
 }
 
 
@@ -396,11 +394,7 @@ def test_every_option_is_set_by_a_caller_or_has_a_reason():
 
 # the defaults that every call in src/, demos/ and bench/ overrides, each
 # with the reason it stays a default
-DEFAULTS_EVERY_CALL_OVERRIDES = {
-    "integrate.spectral_diagnostics": "the README quick start and the tests that compare "
-                                      "the CLI's h_half_norm column with an in-process "
-                                      "run take the norms by default",
-}
+DEFAULTS_EVERY_CALL_OVERRIDES = {}
 
 
 def test_every_default_is_left_in_place_by_a_caller_or_has_a_reason():

@@ -9,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from equiwave.cli import main  # noqa: E402
+from equiwave.profiles import MAX_EXPR_DEPTH  # noqa: E402
 
 VALID = {
     "name": "fuzz",
@@ -138,3 +139,19 @@ def test_malformed_expression_exits_2(workdir, expr, where):
     path = workdir / "scenario.json"
     path.write_text(json.dumps(payload))
     assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2
+
+
+@pytest.mark.parametrize("where", ["manifold", "target"])
+def test_too_deep_expression_exits_2(workdir, capsys, where):
+    # ["+", ["+", ... "r"]] 500 deep, h = r or g = s, ran Expr.jet out of
+    # Python's stack (exit 1, a RecursionError traceback; 450 deep passed)
+    tree = "r"
+    for _ in range(499):
+        tree = ["+", tree]
+    payload = json.loads(json.dumps(VALID))
+    payload[where] = {"kind": "custom", "expr": tree}
+    path = workdir / "scenario.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: bad {where} spec: "
+                                       f"expression is deeper than {MAX_EXPR_DEPTH} levels\n")

@@ -25,7 +25,6 @@ from equiwave.solver import (
     _Run,
     consistency_check,
     integrate,
-    strichartz_trace,
 )
 from equiwave.spectral import DiscreteRadialOperator, RadialGrid, _linalg, build_operator
 
@@ -320,12 +319,12 @@ def test_trajectory_diagnostics_shape():
 
 def test_strichartz_trace_baseline_and_monotonicity():
     s = make_scenario(N=1000, T=15.0, snap=0.5)
-    tr = integrate(s, "phi", spectral_diagnostics=False)
-    total, partials = strichartz_trace(tr, s, return_partials=True)
+    partials = integrate(s, "phi").strichartz_partials
+    total = partials[-1]
     assert total == pytest.approx(SOLVER_TRACE, rel=REGRESSION_WINDOW)
     assert np.all(np.diff(partials) >= -1e-15)
-    half = dataclasses.replace(tr, times=tr.times[:10], fields=tr.fields[:, :10])
-    assert strichartz_trace(half, s) <= total
+    # the trace of the run to its tenth snapshot, t = 4.5
+    assert partials[9] <= total
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -334,8 +333,8 @@ def test_strichartz_trace_matches_dense_reference(n):
     # eigenbasis: n = 3 takes the real poles of the square root, n = 4 the
     # contour (beta = -1/4), n = 5 one product with H
     s = make_scenario(manifold="hyperbolic", n=n, N=400, T=6.0, snap=0.5)
-    tr = integrate(s, "phi", spectral_diagnostics=False)
-    _, partials = strichartz_trace(tr, s, return_partials=True)
+    tr = integrate(s, "phi")
+    partials = tr.strichartz_partials
     idx = indices(s.n, s.k)
     p, q = float(idx["p"]), float(idx["q"])
     op = s.free_operator
@@ -352,8 +351,7 @@ def test_strichartz_trace_matches_dense_reference(n):
 
 def test_strichartz_trace_zero_trajectory():
     s = make_scenario(N=300, T=3.0, data={"shape": "zero"})
-    tr = integrate(s, "phi", spectral_diagnostics=False)
-    assert strichartz_trace(tr, s) == 0.0
+    assert integrate(s, "phi").strichartz_partials[-1] == 0.0
 
 
 def test_spectral_operator_and_solver_share_one_stencil():
@@ -398,7 +396,7 @@ def test_snapshot_blocking_moves_no_bit(monkeypatch, form, n):
         monkeypatch.setattr(equiwave.solver, "SNAPSHOT_BLOCK", block)
         tr = integrate(s, form)
         assert tr.fields.shape[1] == 33
-        runs.append((tr.h_half_norms, strichartz_trace(tr, s, return_partials=True)[1]))
+        runs.append((tr.h_half_norms, tr.strichartz_partials))
     for halves, partials in runs[1:]:
         assert np.array_equal(halves, runs[0][0])
         assert np.array_equal(partials, runs[0][1])
@@ -423,6 +421,7 @@ def test_snapshot_count_is_that_of_a_run(T, snap, count):
     assert np.array_equal(fields, tr.fields)
     assert last.fields is None and last.velocities is None
     assert np.all(np.isnan(last.h_half_norms))
+    assert np.all(np.isnan(last.strichartz_partials))
     for name in ("times", "energies", "sup_norms", "local_energies"):
         assert np.array_equal(getattr(last, name), getattr(tr, name))
     assert last.meta == tr.meta

@@ -267,6 +267,11 @@ def test_non_finite_weights_are_a_domain_error():
         op = DiscreteRadialOperator.flat(grid, m, None)
         with pytest.raises(DomainError, match=f"symmetrized stencil is not finite at r = {r}$"):
             op.tridiagonal
+    # R_max^209 overflows and 29.8^209 does not: rho of the last cell is
+    # inf while every band is finite (its row's diagonal was 0), and the
+    # overflow is no warning
+    with pytest.raises(DomainError, match="cell weight is not finite at r = 29.85$"):
+        DiscreteRadialOperator.flat(RadialGrid(29.9, 299), 209, None)
 
 
 def test_reduced_operator_positive_spectrum():
