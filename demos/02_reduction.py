@@ -8,7 +8,6 @@ from equiwave import (
     compute_V,
     indices,
     metric_profile,
-    reduce_problem,
     weight_w,
 )
 
@@ -35,9 +34,8 @@ print("(a, a) always sits on the wave admissibility line 2/a + (m-1)/a")
 print("= (m-1)/2, while (p, q) satisfies the extended range inequality")
 print("1/q <= 1/2 - 2/((m-1) p), with equality only at m = 5.\n")
 
-problem = reduce_problem(hyp, n, k, h_infinity=1.0)
-print(f"reduced problem: m = {problem.m}, "
-      f"W(10) = {float(problem.W(np.array([10.0]))[0]):.2e}")
+W = compute_V(hyp, n, k, np.array([10.0])) - 1.0
+print(f"reduced problem: m = {n + 2 * k}, W(10) = {float(W[0]):.2e}")
 
 # round trip phi -> psi -> phi
 rr = np.linspace(0.05, 20.0, 400)

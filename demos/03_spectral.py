@@ -12,10 +12,10 @@ from equiwave import (
     DiscreteRadialOperator,
     RadialGrid,
     build_operator,
+    compute_V,
     frac_norm,
     gaussian_family,
     metric_profile,
-    reduce_problem,
     resolve,
     strichartz_monitor,
 )
@@ -70,8 +70,7 @@ for s in (-0.5, 0.0, 0.5, 1.0):
 
 # the reduced hyperbolic operator stays positive; the Strichartz monitor
 # steps its Klein-Gordon flow cos(t sqrt(1+H)) by a Chebyshev series
-problem = reduce_problem(hyp, 3, 1, h_infinity=1.0)
-op_red = build_operator(grid, m, problem.W(grid.nodes))
+op_red = build_operator(grid, m, compute_V(hyp, 3, 1, grid.nodes) - 1.0)
 print(f"\nreduced hyperbolic operator: lowest eigenvalue {op_red.eigenvalues[0]:.4f}")
 fam = [tf.fn(grid.nodes) for tf in gaussian_family(4, 0, r_power=2)]
 rep = strichartz_monitor(op_red, 1.0, (3, 3), fam, free_op=op)

@@ -72,13 +72,7 @@ from .profiles import (
     parse_expr,
     target_profile,
 )
-from .reduction import (
-    ReducedProblem,
-    compute_V,
-    indices,
-    reduce_problem,
-    weight_w,
-)
+from .reduction import compute_V, indices, weight_w
 from .scenario import Scenario, load_scenario
 from .solver import (
     Trajectory,
@@ -115,7 +109,6 @@ __all__ = [
     "NoLimit",
     "NotAdmissible",
     "RadialGrid",
-    "ReducedProblem",
     "Scenario",
     "ScenarioError",
     "TargetProfile",
@@ -142,7 +135,6 @@ __all__ = [
     "load_scenario",
     "metric_profile",
     "parse_expr",
-    "reduce_problem",
     "resolve",
     "smoothing_check",
     "strichartz_monitor",

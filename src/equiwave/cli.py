@@ -23,12 +23,13 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .admissibility import compute_H, compute_P, estimate_h_infinity
-from .errors import CFLViolation, ClosedFormMismatch, EquiwaveError, ScenarioError
+from .errors import CFLViolation, ClosedFormMismatch, EquiwaveError, NoLimit, ScenarioError
 from .estimates import (
     dimshift_check,
     gaussian_family,
@@ -37,6 +38,7 @@ from .estimates import (
     strichartz_monitor,
 )
 from .profiles import metric_profile
+from .reduction import indices
 from .scenario import Scenario, load_scenario
 from .solver import _forked_run, _measured
 from .spectral import EIG_TOL
@@ -63,18 +65,40 @@ def run_verify(scenario: Scenario, out: Path) -> dict:
     return payload
 
 
+def _no_limit(scenario: Scenario):
+    """Why the reduction cannot run on the scenario's base (it has no
+    curvature limit h_inf), or None when it can."""
+    try:
+        scenario.h_infinity
+    except NoLimit as exc:
+        return f"no curvature limit h_inf: {exc}"
+    return None
+
+
 def run_reduce(scenario: Scenario, out: Path) -> dict:
+    reason = _no_limit(scenario)
+    if reason is not None:
+        return {"verdict": "FAIL", "not_run": reason}
     lam = scenario.reduced_operator.eigenvalues
     _write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
                enumerate(lam.tolist()))
-    summary = scenario.reduced_problem.summary()
-    summary["spectrum"] = {
-        "min_eigenvalue": float(lam[0]),
-        "max_eigenvalue": float(lam[-1]),
-        "count": int(len(lam)),
+    n, k = scenario.n, scenario.k
+    idx = {key: [v.numerator, v.denominator] if isinstance(v, Fraction) else v
+           for key, v in indices(n, k).items()}
+    return {
+        "profile": scenario.profile().spec(),
+        "n": n,
+        "k": k,
+        "m": n + 2 * k,
+        "h_infinity": scenario.h_infinity,
+        "indices": idx,
+        "spectrum": {
+            "min_eigenvalue": float(lam[0]),
+            "max_eigenvalue": float(lam[-1]),
+            "count": int(len(lam)),
+        },
+        "verdict": "PASS" if lam[0] > -EIG_TOL else "FAIL",
     }
-    summary["verdict"] = "PASS" if lam[0] > -EIG_TOL else "FAIL"
-    return summary
 
 
 def _default_lambda_grid():
@@ -98,28 +122,31 @@ def run_estimates(scenario: Scenario, out: Path) -> dict:
             delta0 = scenario.delta0
             if delta0 == "search":
                 delta0 = scenario.admissibility.delta0
-            if delta0 is None:
-                # the search of verify's condition iii found none: the check
-                # cannot run, and the base fails it
-                results[name] = {"verdict": "FAIL",
-                                 "not_run": "no delta0 found for smoothing check"}
+            # the search of verify's condition iii found no delta0, or the
+            # base has no h_inf: the check cannot run, and the base fails it
+            reason = ("no delta0 found for smoothing check" if delta0 is None
+                      else _no_limit(scenario))
+            if reason is not None:
+                results[name] = {"verdict": "FAIL", "not_run": reason}
                 continue
             fam = gaussian_family(10, seed, r_power=k)
             rep = smoothing_check(
                 profile, n, k, float(delta0), _default_lambda_grid(), fam,
-                h_infinity=scenario.reduced_problem.h_infinity,
+                h_infinity=scenario.h_infinity,
                 R_max=float(scenario.grid["R_max"]), N=int(scenario.grid["N"]),
             )
         elif name == "strichartz":
-            problem = scenario.reduced_problem
+            reason = _no_limit(scenario)
+            if reason is not None:
+                results[name] = {"verdict": "FAIL", "not_run": reason}
+                continue
             fams = gaussian_family(10, seed, r_power=2)
             fam = [tf.fn(scenario.radial_grid.nodes) for tf in fams]
-            idx = problem.indices
-            nu = problem.h_infinity if problem.h_infinity > 0 else 0.0
+            nu = scenario.h_infinity if scenario.h_infinity > 0 else 0.0
             # the diagonal pair (a, a) sits on the admissibility line for
             # every m; the monitor validates the pair exactly
-            rep = strichartz_monitor(scenario.reduced_operator, nu,
-                                     (idx["a"], idx["a"]), fam,
+            a = indices(n, k)["a"]
+            rep = strichartz_monitor(scenario.reduced_operator, nu, (a, a), fam,
                                      free_op=scenario.free_operator)
         elif name == "dimshift":
             fam = gaussian_family(30, seed, r_power=k)

@@ -5,19 +5,17 @@ The angular mode phi(t,r) of equivariance degree k on an n-dimensional
 rotationally symmetric base is written phi = w(r) psi with
 w = r^(k+(n-1)/2) / h^((n-1)/2).  The function psi then solves a radial
 semilinear wave equation on R^m, m = n+2k, with potential V(r) that is
-smooth at the origin.  This module provides w, V, W = V - h_inf and
-the exact rational Strichartz indices.
+smooth at the origin.  This module provides w, V and the exact rational
+Strichartz indices; the limit h_inf of V is fitted by
+admissibility.estimate_h_infinity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .admissibility import estimate_h_infinity
 from .errors import DomainError
 from .jets import Jet
 from .profiles import SERIES_RADIUS, MetricProfile
@@ -125,44 +123,3 @@ def indices(n: int, k: int) -> dict:
     assert 2 * a_prime == p and b == q
     assert 2 < p and 2 <= q < Fraction(2 * (m - 1), m - 3)
     return {"m": m, "p": p, "q": q, "a": a, "a_prime": a_prime, "b": b}
-
-
-@dataclass
-class ReducedProblem:
-    """Data of the reduced radial equation on R^m."""
-
-    profile: MetricProfile
-    n: int
-    k: int
-    h_infinity: float
-    indices: dict
-
-    @property
-    def m(self) -> int:
-        return self.n + 2 * self.k
-
-    def V(self, r):
-        return compute_V(self.profile, self.n, self.k, r)
-
-    def W(self, r):
-        return self.V(r) - self.h_infinity
-
-    def summary(self) -> dict:
-        idx = {key: [v.numerator, v.denominator] if isinstance(v, Fraction) else v
-               for key, v in self.indices.items()}
-        return {
-            "profile": self.profile.spec(),
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "h_infinity": self.h_infinity,
-            "indices": idx,
-        }
-
-
-def reduce_problem(
-    profile: MetricProfile, n: int, k: int, h_infinity: Optional[float] = None
-) -> ReducedProblem:
-    if h_infinity is None:
-        h_infinity, _ = estimate_h_infinity(profile, n)
-    return ReducedProblem(profile, n, k, h_infinity, indices(n, k))

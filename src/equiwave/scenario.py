@@ -14,9 +14,10 @@ from typing import Union
 
 import numpy as np
 
-from .admissibility import AdmissibilityReport, check_admissibility
+from .admissibility import AdmissibilityReport, check_admissibility, estimate_h_infinity
 from .errors import CFLViolation, DomainError, ScenarioError
 from .profiles import (
+    MAX_EXPR_DEPTH,
     MetricProfile,
     TargetProfile,
     _gamma_series,
@@ -25,7 +26,7 @@ from .profiles import (
     metric_profile,
     target_profile,
 )
-from .reduction import ReducedProblem, reduce_problem
+from .reduction import compute_V
 from .spectral import DiscreteRadialOperator, RadialGrid, build_operator
 
 # the errors a malformed manifold or target spec raises
@@ -214,9 +215,10 @@ class Scenario:
         except _SPEC_ERRORS as exc:
             raise ScenarioError(f"bad target spec: {exc}") from exc
 
-    # -- discrete objects, built once and shared by every pipeline.  They
-    # depend only on manifold, n, k and grid, never on the seed (which the
-    # CLI may set after loading); change none of those after a first read.
+    # -- h_infinity and the discrete objects, built once and shared by every
+    # pipeline.  They depend only on manifold, n, k and grid, never on the
+    # seed (which the CLI may set after loading); change none of those
+    # after a first read.
 
     @cached_property
     def radial_grid(self) -> RadialGrid:
@@ -227,13 +229,16 @@ class Scenario:
         return check_admissibility(self.profile(), self.n)
 
     @cached_property
-    def reduced_problem(self) -> ReducedProblem:
-        return reduce_problem(self.profile(), self.n, self.k)
+    def h_infinity(self) -> float:
+        """The limit of the reduced potential V; raises NoLimit on a base
+        without one.  Fitted on its own: it needs no admissibility verdict."""
+        return estimate_h_infinity(self.profile(), self.n)[0]
 
     @cached_property
     def reduced_operator(self) -> DiscreteRadialOperator:
-        problem, grid = self.reduced_problem, self.radial_grid
-        return build_operator(grid, problem.m, problem.W(grid.nodes))
+        nodes = self.radial_grid.nodes
+        W = compute_V(self.profile(), self.n, self.k, nodes) - self.h_infinity
+        return build_operator(self.radial_grid, self.n + 2 * self.k, W)
 
     @cached_property
     def free_operator(self) -> DiscreteRadialOperator:
@@ -263,8 +268,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(
+            "scenario file nests too deeply to decode; an expression may be "
+            f"at most {MAX_EXPR_DEPTH} levels deep") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(Scenario)}

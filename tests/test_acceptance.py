@@ -25,7 +25,7 @@ from equiwave.estimates import (
     strichartz_monitor,
 )
 from equiwave.profiles import metric_profile
-from equiwave.reduction import indices, reduce_problem
+from equiwave.reduction import compute_V, indices
 from equiwave.scenario import Scenario
 from equiwave.solver import WaveState, consistency_check, integrate
 from _dense import evolve_linear
@@ -148,11 +148,9 @@ def test_criterion_7_strichartz_regression_and_indices():
     free = build_operator(grid, 5)
     fam = [tf.fn(grid.nodes) for tf in gaussian_family(10, 0, r_power=2)]
     sup_free = strichartz_monitor(free, 0.0, (3, 3), fam, free_op=free).sup_ratio
-    flat_problem = reduce_problem(metric_profile("flat"), 3, 1, h_infinity=0.0)
-    op_flat = build_operator(grid, 5, flat_problem.W(grid.nodes))
+    op_flat = build_operator(grid, 5, compute_V(metric_profile("flat"), 3, 1, grid.nodes) - 0.0)
     sup_flat = strichartz_monitor(op_flat, 0.0, (3, 3), fam, free_op=free).sup_ratio
-    hyp_problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
-    op_hyp = build_operator(grid, 5, hyp_problem.W(grid.nodes))
+    op_hyp = build_operator(grid, 5, compute_V(metric_profile("hyperbolic"), 3, 1, grid.nodes) - 1.0)
     sup_hyp = strichartz_monitor(op_hyp, 1.0, (3, 3), fam, free_op=free).sup_ratio
     within = all(
         math.isfinite(s) and abs(s - b) <= REGRESSION_WINDOW * b

@@ -28,7 +28,7 @@ from equiwave.estimates import (
     validate_wave_pair,
 )
 from equiwave.profiles import MetricProfile, metric_profile, parse_expr
-from equiwave.reduction import reduce_problem
+from equiwave.reduction import compute_V
 from equiwave.spectral import RadialGrid, build_operator, frac_norm
 
 
@@ -239,16 +239,14 @@ def test_strichartz_free_baseline(strichartz_setup):
 
 def test_strichartz_flat_reduced_baseline(strichartz_setup):
     grid, free, fam = strichartz_setup
-    problem = reduce_problem(metric_profile("flat"), 3, 1, h_infinity=0.0)
-    op = build_operator(grid, 5, problem.W(grid.nodes))
+    op = build_operator(grid, 5, compute_V(metric_profile("flat"), 3, 1, grid.nodes) - 0.0)
     rep = strichartz_monitor(op, 0.0, (3, 3), fam, free_op=free)
     assert rep.sup_ratio == pytest.approx(STRICHARTZ_FLAT, rel=REGRESSION_WINDOW)
 
 
 def test_strichartz_hyperbolic_kg_baseline(strichartz_setup):
     grid, free, fam = strichartz_setup
-    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
-    op = build_operator(grid, 5, problem.W(grid.nodes))
+    op = build_operator(grid, 5, compute_V(metric_profile("hyperbolic"), 3, 1, grid.nodes) - 1.0)
     rep = strichartz_monitor(op, 1.0, (3, 3), fam, free_op=free)
     assert rep.sup_ratio == pytest.approx(
         STRICHARTZ_HYPERBOLIC_KG, rel=REGRESSION_WINDOW
@@ -287,8 +285,7 @@ def test_strichartz_matches_per_time_reference(pq):
     # (4, 8/3) has s0 = 1/8 and takes the free-operator branch
     grid = RadialGrid(40.0, 400)
     free = build_operator(grid, 5)
-    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
-    op = build_operator(grid, 5, problem.W(grid.nodes))
+    op = build_operator(grid, 5, compute_V(metric_profile("hyperbolic"), 3, 1, grid.nodes) - 1.0)
     fam = [tf.fn(grid.nodes) for tf in gaussian_family(3, 0, r_power=2)]
     fam.insert(1, np.zeros(grid.N))
     rep = strichartz_monitor(op, 1.0, pq, fam, free_op=free)
@@ -302,8 +299,7 @@ def test_strichartz_holds_negative_modes_like_the_reference(nu, pq):
     # W shifted below -nu for the two lowest modes: they stay at frequency 0
     grid = RadialGrid(40.0, 400)
     free = build_operator(grid, 5)
-    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
-    W = problem.W(grid.nodes)
+    W = compute_V(metric_profile("hyperbolic"), 3, 1, grid.nodes) - 1.0
     lam = build_operator(grid, 5, W).eigenvalues
     op = build_operator(grid, 5, W - (nu + 0.5 * (lam[1] + lam[2])))
     assert np.sum(op.eigenvalues + nu < 0) == 2
@@ -324,8 +320,7 @@ def test_equivalent_norms_bracket(strichartz_setup):
     # fractional norms of the reduced operator against the free one stay
     # within the frozen bracket over s in {-1, -1/2, 0, 1/2, 1}
     grid, free, fam = strichartz_setup
-    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
-    op = build_operator(grid, 5, problem.W(grid.nodes))
+    op = build_operator(grid, 5, compute_V(metric_profile("hyperbolic"), 3, 1, grid.nodes) - 1.0)
     for s, (lo, hi) in EQUIVNORM_BRACKETS.items():
         rats = []
         for v in fam:

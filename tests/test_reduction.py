@@ -12,12 +12,7 @@ from scipy.optimize import brentq
 
 from equiwave.errors import DomainError
 from equiwave.profiles import SERIES_RADIUS, metric_profile
-from equiwave.reduction import (
-    compute_V,
-    indices,
-    reduce_problem,
-    weight_w,
-)
+from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.scenario import Scenario
 
 
@@ -128,18 +123,7 @@ def test_indices_extended_range():
         assert lhs <= rhs
 
 
-def test_reduce_problem_summary():
-    hyp = metric_profile("hyperbolic")
-    problem = reduce_problem(hyp, 3, 1)
-    assert problem.m == 5
-    assert math.isclose(problem.h_infinity, 1.0, rel_tol=1e-8)
-    rs = np.array([0.5, 1.0])
-    assert np.allclose(problem.W(rs), problem.V(rs) - problem.h_infinity)
-    summary = problem.summary()
-    assert summary["indices"]["p"] == [3, 1]
-
-
-def test_reduce_problem_rejects_bad_inputs():
+def test_reduction_rejects_bad_inputs():
     hyp = metric_profile("hyperbolic")
     with pytest.raises(DomainError):
         indices(3, 0)

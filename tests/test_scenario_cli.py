@@ -22,14 +22,17 @@ import scipy.linalg
 import equiwave
 import equiwave.admissibility
 import equiwave.cli
-import equiwave.reduction
 import equiwave.scenario
 import equiwave.solver
 import equiwave.spectral
 from equiwave.cli import emit_closed_forms, main
-from equiwave.errors import BlowUp, CFLViolation, ClosedFormMismatch, ScenarioError
+from equiwave.admissibility import estimate_h_infinity
+from equiwave.errors import BlowUp, CFLViolation, ClosedFormMismatch, NoLimit, ScenarioError
+from equiwave.profiles import metric_profile
+from equiwave.reduction import compute_V
 from equiwave.scenario import Scenario, load_scenario
 from equiwave.solver import Trajectory, integrate
+from equiwave.spectral import RadialGrid, build_operator
 
 GOOD = {
     "name": "good",
@@ -271,6 +274,53 @@ def test_cli_smoothing_without_delta0_fails_with_a_report(tmp_path, capsys):
         "FAIL", "PASS", "FAIL", "PASS"]
 
 
+def test_cli_base_without_a_curvature_limit_fails_with_a_report(tmp_path, capsys):
+    # on the sin base the fit of h_inf reads a negative limit: the reduction
+    # and the smoothing and Strichartz checks cannot run, so each fails as
+    # not run, and reduce and estimates exit 1 with their report
+    sin = metric_profile("sin")
+    with pytest.raises(NoLimit) as exc:
+        estimate_h_infinity(sin, 3)
+    not_run = {"verdict": "FAIL", "not_run": f"no curvature limit h_inf: {exc.value}"}
+    payload = {**GOOD, "manifold": {"kind": "sin"}, "delta0": 0.5,
+               "grid": {"R_max": 30.0, "N": 400},
+               "time": {"T": 2.0, "dt_factor": 0.1, "snap_every": 0.5},
+               "checks": ["smoothing", "strichartz"]}
+    path = write_scenario(tmp_path, payload)
+    for cmd in ("reduce", "estimates"):
+        out = tmp_path / cmd
+        assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        err = capsys.readouterr().err
+        assert f"reason: {not_run['not_run']}" in err
+        del report["scenario"]
+        assert report == (not_run if cmd == "reduce" else
+                          {"smoothing": not_run, "strichartz": not_run, "verdict": "FAIL"})
+
+
+def test_cli_reduce_report_and_spectrum(tmp_path):
+    # the reduced problem of the hyperbolic base at n = 3, k = 1 lives on
+    # R^5 with h_inf = 1; spectrum.csv holds the eigenvalues of its operator
+    # W = V - h_inf, bit for bit
+    path = write_scenario(tmp_path, GOOD)
+    out = tmp_path / "out"
+    assert main(["reduce", "--scenario", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    hyp = metric_profile("hyperbolic")
+    assert report["m"] == 5
+    assert abs(report["h_infinity"] - 1.0) <= 1e-8
+    assert report["indices"]["p"] == [3, 1]
+    assert report["profile"] == hyp.spec()
+    grid = RadialGrid(GOOD["grid"]["R_max"], GOOD["grid"]["N"])
+    W = compute_V(hyp, 3, 1, grid.nodes) - estimate_h_infinity(hyp, 3)[0]
+    with (out / "spectrum.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "eigenvalue"]
+    lam = build_operator(grid, 5, W).eigenvalues
+    assert [float(value) for _, value in rows[1:]] == lam.tolist()
+
+
 def test_cli_config_error_exit_2(tmp_path):
     assert main(["verify", "--scenario", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
@@ -401,7 +451,9 @@ def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
     eig, h_inf = tmp_path / "eig.log", tmp_path / "h_inf.log"
     for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
         _counting(monkeypatch, scipy.linalg, name, eig)
-    for module in (equiwave.admissibility, equiwave.reduction, equiwave.cli):
+    # one fit of h_inf for verify's report and one for the scenario's
+    # reduction, wherever a stage looks the fit up
+    for module in (equiwave.admissibility, equiwave.scenario, equiwave.cli):
         _counting(monkeypatch, module, "estimate_h_infinity", h_inf)
     path = write_scenario(tmp_path, ALL_CHECKS)
     assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -411,7 +463,10 @@ def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
     full_spectra = [call for call in eig_calls if call[2] == "a"]
     assert vectors == []
     assert len(full_spectra) == 1
-    assert len(h_inf.read_text().splitlines()) <= 2
+    assert len(h_inf.read_text().splitlines()) == 2
+    h_inf.unlink()
+    assert main(["reduce", "--scenario", str(path), "--out", str(tmp_path / "r")]) == 0
+    assert len(h_inf.read_text().splitlines()) == 1
 
 
 def test_cli_all_memory_stays_below_one_dense_matrix(tmp_path, monkeypatch):

@@ -141,17 +141,21 @@ def test_malformed_expression_exits_2(workdir, expr, where):
     assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2
 
 
-@pytest.mark.parametrize("where", ["manifold", "target"])
-def test_too_deep_expression_exits_2(workdir, capsys, where):
+@pytest.mark.parametrize("where, depth", [("manifold", 500), ("target", 500), ("manifold", 3000)],
+                         ids=["manifold", "target", "json"])
+def test_too_deep_expression_exits_2(workdir, capsys, where, depth):
     # ["+", ["+", ... "r"]] 500 deep, h = r or g = s, ran Expr.jet out of
-    # Python's stack (exit 1, a RecursionError traceback; 450 deep passed)
-    tree = "r"
-    for _ in range(499):
-        tree = ["+", tree]
+    # Python's stack (exit 1, a RecursionError traceback; 450 deep passed).
+    # 3,000 deep, it runs json's decoder out of the stack first, in a file
+    # that is valid JSON; its text is built as a string, because json.dumps
+    # of the tree runs out of the stack too
     payload = json.loads(json.dumps(VALID))
-    payload[where] = {"kind": "custom", "expr": tree}
+    payload[where] = {"kind": "custom", "expr": "TREE"}
+    tree = '["+", ' * (depth - 1) + '"r"' + "]" * (depth - 1)
     path = workdir / "scenario.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload).replace('"TREE"', tree))
     assert main(["verify", "--scenario", str(path), "--out", str(workdir)]) == 2
-    assert capsys.readouterr().err == (f"configuration error: bad {where} spec: "
-                                       f"expression is deeper than {MAX_EXPR_DEPTH} levels\n")
+    reason = (f"bad {where} spec: expression is deeper than {MAX_EXPR_DEPTH} levels"
+              if depth == 500 else "scenario file nests too deeply to decode; an "
+              f"expression may be at most {MAX_EXPR_DEPTH} levels deep")
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"

@@ -21,7 +21,7 @@ from equiwave.errors import (
 )
 from equiwave.estimates import gaussian_family, strichartz_monitor
 from equiwave.profiles import metric_profile
-from equiwave.reduction import compute_V, reduce_problem, weight_w
+from equiwave.reduction import compute_V, weight_w
 from equiwave.spectral import (
     DiscreteRadialOperator,
     RadialGrid,
@@ -277,9 +277,8 @@ def test_non_finite_weights_are_a_domain_error():
 def test_reduced_operator_positive_spectrum():
     # hyperbolic reduction has W = V - 1 and the operator stays positive
     hyp = metric_profile("hyperbolic")
-    problem = reduce_problem(hyp, 3, 1, h_infinity=1.0)
     grid = RadialGrid(40.0, 800)
-    op = build_operator(grid, 5, problem.W(grid.nodes))
+    op = build_operator(grid, 5, compute_V(hyp, 3, 1, grid.nodes) - 1.0)
     assert op.eigenvalues[0] > 0.0
 
 
@@ -338,8 +337,8 @@ def test_a_column_has_the_bits_of_its_1d_call(op600):
 @pytest.fixture(scope="module")
 def free_and_reduced():
     grid = RadialGrid(40.0, 800)
-    problem = reduce_problem(metric_profile("hyperbolic"), 3, 1, h_infinity=1.0)
-    return build_operator(grid, 5), build_operator(grid, 5, problem.W(grid.nodes))
+    W = compute_V(metric_profile("hyperbolic"), 3, 1, grid.nodes) - 1.0
+    return build_operator(grid, 5), build_operator(grid, 5, W)
 
 
 def _samples(grid):
