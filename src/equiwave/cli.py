@@ -29,7 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .admissibility import compute_H, compute_P, estimate_h_infinity
-from .errors import CFLViolation, ClosedFormMismatch, EquiwaveError, NoLimit, ScenarioError
+from .errors import (
+    CFLViolation,
+    ClosedFormMismatch,
+    EquiwaveError,
+    NoLimit,
+    ScenarioError,
+    TruncationTooSmall,
+)
 from .estimates import (
     dimshift_check,
     gaussian_family,
@@ -130,11 +137,16 @@ def run_estimates(scenario: Scenario, out: Path) -> dict:
                 results[name] = {"verdict": "FAIL", "not_run": reason}
                 continue
             fam = gaussian_family(10, seed, r_power=k)
-            rep = smoothing_check(
-                profile, n, k, float(delta0), _default_lambda_grid(), fam,
-                h_infinity=scenario.h_infinity,
-                R_max=float(scenario.grid["R_max"]), N=int(scenario.grid["N"]),
-            )
+            try:
+                rep = smoothing_check(
+                    profile, n, k, float(delta0), _default_lambda_grid(), fam,
+                    h_infinity=scenario.h_infinity,
+                    R_max=float(scenario.grid["R_max"]), N=int(scenario.grid["N"]),
+                )
+            except TruncationTooSmall as exc:  # R_max is too short for a frequency
+                reason = f"grid too short for the smoothing frequencies: {exc}"
+                results[name] = {"verdict": "FAIL", "not_run": reason}
+                continue
         elif name == "strichartz":
             reason = _no_limit(scenario)
             if reason is not None:
@@ -303,16 +315,16 @@ PIPELINES = {
 
 def _summary_lines(report: dict, prefix=""):
     """A line per verdict and per failing condition, with witness and reason."""
-    lines = []
+    lines, title = [], prefix.rstrip(".") or "result"
     for key, val in sorted(report.items()):
         if key == "verdict":
-            lines.append(f"{prefix or 'result':<28} {val}")
+            lines.append(f"{title:<28} {val}")
         elif isinstance(val, dict) and "verdict" in val:
             lines.extend(_summary_lines(val, prefix=f"{prefix}{key}."))
     if "not_run" in report:
         lines.append(f"{prefix + 'not run':<28} reason: {report['not_run']}")
     if "reason" in report:
-        lines.append(f"{prefix or 'result':<28} reason: {report['reason']}")
+        lines.append(f"{title:<28} reason: {report['reason']}")
     for cond in report.get("conditions", []):
         if cond["verdict"] == "FAIL":
             label = f"{prefix}condition {cond['name']}"

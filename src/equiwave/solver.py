@@ -31,7 +31,7 @@ field once, checks its max, and only then the force, which evaluates
 g g' in the window of cells from the first to the last with
 |s| >= TargetProfile.linear_radius: outside it g g'(s) rounds to s, so
 the remainder is 0.  Everything a step touches is bound once per run:
-its arrays, the force at the run's field (`_Discretization.bind`, whose
+its arrays, the force at the run's field (`_Run.bind`, whose
 band product has its neighbour views made once), the ufuncs, dt and dt/2
 as 0-d arrays and the target's g g' function (`gg_prime_fn`).  A step
 makes its numpy calls and slices only the g g' window, and the half kick
@@ -121,29 +121,31 @@ class Trajectory:
         return dev / e0 if e0 > 0 else np.zeros_like(dev)
 
 
-class _Discretization:
-    """Everything precomputable for one scenario and formulation."""
+class _Run:
+    """One velocity-Verlet run of a scenario and formulation to time T,
+    with snapshots every snap_every: the operator H, the weights a, b and
+    c, the buffers of a step, the state and the recorded diagnostics.
+    `snapshots` steps it."""
 
-    def __init__(self, scenario: Scenario, formulation: str):
+    def __init__(self, scenario: Scenario, formulation: str,
+                 initial_state: Optional[WaveState], ceiling: Optional[float]):
         self.scenario = scenario
         self.formulation = formulation
         self.grid = scenario.radial_grid
-        self.profile = scenario.profile()
+        profile = scenario.profile()
         self.target = scenario.target_profile()
         n, k = scenario.n, scenario.k
-        self.n, self.k = n, k
-        self.m = n + 2 * k
-        self.lbar = k * (k + n - 2)
+        lbar = k * (k + n - 2)
         r = self.grid.nodes
-        self.h_nodes = self.profile(r)
-        self.w_nodes = weight_w(self.profile, n, k, r)
-        V = compute_V(self.profile, n, k, r)
+        h_nodes = profile(r)
+        self.w_nodes = weight_w(profile, n, k, r)
+        V = compute_V(profile, n, k, r)
         # -Delta_h, whose weights also give the local energy
-        self.manifold_op = DiscreteRadialOperator.manifold(self.grid, self.profile, n)
+        self.manifold_op = DiscreteRadialOperator.manifold(self.grid, profile, n)
         # h^2 overflows only where h^(n-1) does (n >= 3), and the operator
         # has raised where its weights are not finite
         with np.errstate(over="ignore"):
-            self.c = self.lbar / self.h_nodes**2
+            self.c = lbar / h_nodes**2
         # the operator H, s = b u, and the weight a of g g'(s) - s
         if formulation == "phi":
             # P = c, but below r = 1 the singular c u must cancel the FV
@@ -154,7 +156,7 @@ class _Discretization:
             self.op = replace(self.manifold_op, W_samples=P)
             self.a, self.b = self.c, 1.0
         elif formulation == "psi":
-            self.op = DiscreteRadialOperator.flat(self.grid, self.m, V)
+            self.op = DiscreteRadialOperator.flat(self.grid, n + 2 * k, V)
             self.a, self.b = self.c / self.w_nodes, self.w_nodes
         else:
             raise DomainError(f"unknown formulation {formulation!r}")
@@ -174,18 +176,34 @@ class _Discretization:
         N = self.grid.N
         self._force, self._row, self._s, self._abs, self._nl = np.empty((5, N))
         self._flags = bytearray(N)
-        self._measured = None  # [u, s, i0, i1] of the last measure of a bound field
         # -H u from the negated bands: negation is exact, so the bits of -(H u)
         self._neg_bands = tuple(-b for b in self.op.bands)
+
+        dt_factor = float(scenario.time["dt_factor"])
+        if dt_factor > 0.5:
+            raise CFLViolation(f"dt_factor {dt_factor} exceeds 0.5")
+        if initial_state is None:
+            phi0, phi1 = scenario.initial_data(r)
+            initial_state = WaveState(0.0, phi0 / self.b, phi1 / self.b, formulation)
+        if initial_state.formulation != formulation:
+            raise DomainError("initial state formulation does not match")
+        self.t0 = initial_state.t
+        self.u = np.array(initial_state.field, dtype=float)
+        self.v = np.array(initial_state.velocity, dtype=float)
+        sup0 = float(np.max(np.abs(self.b * self.u)))
+        if ceiling is None:
+            ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
+        self.ceiling = ceiling
+        self.ball = self.grid.R_max / 3.0
+        self.times, self.energies, self.sups, self.locals = [], [], [], []
 
     def bind(self, u: np.ndarray):
         """The force at the field buffer u, bound to it once for a loop
         that steps u in place: (measure, force), two functions of no
         arguments.  measure() writes |s| of what u holds (s = u in the
-        phi form, w u in the psi form) into a buffer of this
-        discretization, returns it, and keeps the window [i0, i1) from
-        the first to the last cell with |s| >= the linear radius, (0, 0)
-        when there is none, in self._measured = [u, s, i0, i1].  force()
+        phi form, w u in the psi form) into a buffer of this run, returns
+        it, and keeps the window [i0, i1) from the first to the last cell
+        with |s| >= the linear radius, (0, 0) when there is none.  force()
         writes -H u - a (g g'(s) - s) into a buffer that the next call
         overwrites and returns it; the remainder is taken in the window of
         the last measure(), outside which it is exactly 0."""
@@ -194,7 +212,7 @@ class _Discretization:
         s, w, mag, nl, a = u if phi_form else self._s, self.w_nodes, self._abs, self._nl, self.a
         radius, find, rfind = np.array(self.linear_radius), self._flags.find, self._flags.rfind
         flags = np.frombuffer(self._flags, dtype=bool)
-        measured = self._measured = [u, s, 0, 0]
+        window = [0, 0]  # [i0, i1] of the last measure()
         product = _band_product(*self._neg_bands, u, self._force, self._row)
         gg_prime = self.target.gg_prime_fn
 
@@ -203,13 +221,13 @@ class _Discretization:
                 multiply(w, u, out=s)
             absolute(s, out=mag)
             at_least(mag, radius, out=flags)
-            measured[2] = max(find(1), 0)
-            measured[3] = rfind(1) + 1
+            window[0] = max(find(1), 0)
+            window[1] = rfind(1) + 1
             return mag
 
         def force():
             out = product()
-            _, _, i0, i1 = measured
+            i0, i1 = window
             s_in, nl_in, out_in = s[i0:i1], nl[i0:i1], out[i0:i1]
             gg_prime(s_in, nl_in)
             subtract(nl_in, s_in, out=nl_in)
@@ -224,51 +242,18 @@ class _Discretization:
         the potential term the exact antiderivative of the discrete force
         (so the leapfrog drift is pure O(dt^2)); the psi-form energy
         agrees with the phi-form one in the continuum limit."""
-        s = self.to_phi(u)
+        s = self.b * u
         pot = self.op.W_samples * u**2 + self.a / self.b * (self.target(s) ** 2 - s**2)
         return self.op.energy(u, u_t, pot)
 
-    def to_phi(self, u: np.ndarray) -> np.ndarray:
-        return self.b * u
-
-    def initial_state(self) -> WaveState:
-        phi0, phi1 = self.scenario.initial_data(self.grid.nodes)
-        return WaveState(0.0, phi0 / self.b, phi1 / self.b, self.formulation)
-
-
-class _Run:
-    """One velocity-Verlet run of a scenario to time T, with snapshots
-    every snap_every: `snapshots` steps it."""
-
-    def __init__(self, scenario: Scenario, formulation: str,
-                 initial_state: Optional[WaveState] = None, ceiling: Optional[float] = None):
-        disc = _Discretization(scenario, formulation)
-        dt_factor = float(scenario.time["dt_factor"])
-        if dt_factor > 0.5:
-            raise CFLViolation(f"dt_factor {dt_factor} exceeds 0.5")
-        state = initial_state or disc.initial_state()
-        if state.formulation != formulation:
-            raise DomainError("initial state formulation does not match")
-        self.disc = disc
-        self.t0 = state.t
-        self.u = np.array(state.field, dtype=float)
-        self.v = np.array(state.velocity, dtype=float)
-        sup0 = float(np.max(np.abs(disc.to_phi(self.u))))
-        if ceiling is None:
-            ceiling = BLOWUP_FACTOR * sup0 if sup0 > 0 else 1.0
-        self.ceiling = ceiling
-        self.ball = disc.grid.R_max / 3.0
-        self.times, self.energies, self.sups, self.locals = [], [], [], []
-
     def _record(self, t: float) -> None:
         """Append t and the energy, sup |phi| and local energy of (u, v)."""
-        disc = self.disc
-        phi, phi_t = disc.to_phi(self.u), disc.to_phi(self.v)
+        phi, phi_t = self.b * self.u, self.b * self.v
         self.times.append(t)
-        self.energies.append(disc.energy(self.u, self.v))
+        self.energies.append(self.energy(self.u, self.v))
         self.sups.append(float(np.max(np.abs(phi))))
-        self.locals.append(disc.manifold_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2,
-                                                self.ball))
+        self.locals.append(self.manifold_op.energy(phi, phi_t, self.c * self.target(phi) ** 2,
+                                                   self.ball))
 
     def snapshots(self, fields: np.ndarray, velocities: Optional[np.ndarray]):
         """Step to T.  At snapshot j write the field into column j of the
@@ -279,15 +264,15 @@ class _Run:
         H^(1/2) norms and Strichartz partials.  Raises BlowUp when the
         field exceeds the ceiling or becomes non-finite, DomainError when
         it leaves the domain of the target."""
-        disc, u, v, t0, ceiling = self.disc, self.u, self.v, self.t0, self.ceiling
-        n_steps, dt, snap_stride = disc.scenario.stepping
-        count = disc.scenario.snapshot_count
-        bound = disc.target.domain_bound
+        u, v, t0, ceiling = self.u, self.v, self.t0, self.ceiling
+        n_steps, dt, snap_stride = self.scenario.stepping
+        count = self.scenario.snapshot_count
+        bound = self.target.domain_bound
         # everything a step touches, bound once: the force at u, the ufuncs,
         # the buffers and the factors dt and dt/2 as 0-d arrays (a Python
         # float is converted on every call); the half kick ending a step is
         # the one starting the next: one product, added twice
-        measure, force = disc.bind(u)
+        measure, force = self.bind(u)
         add, multiply, top_of = np.add, np.multiply, np.maximum.reduce
         kick, drift = np.empty_like(u), np.empty_like(u)
         step_dt, half_dt = np.array(dt), np.array(0.5 * dt)
@@ -326,10 +311,10 @@ class _Run:
             local_energies=np.array(self.locals),
             fields=None,
             velocities=None,
-            formulation=disc.formulation,
+            formulation=self.formulation,
             meta={
                 "dt": dt,
-                "cfl_ratio": dt / disc.grid.dr,
+                "cfl_ratio": dt / self.grid.dr,
                 "n_steps": n_steps,
                 "ceiling": self.ceiling,
                 "ball_radius": self.ball,
@@ -342,10 +327,9 @@ class _Run:
         target's domain bound, BlowUp when it is not finite or exceeds the
         ceiling.  snapshots calls it only when its own test of the max
         fails."""
-        disc = self.disc
-        a, nodes = disc._abs, disc.grid.nodes
+        a, nodes = self._abs, self.grid.nodes
         top = a.max()
-        if disc.target.domain_bound <= top < math.inf:
+        if self.target.domain_bound <= top < math.inf:
             raise DomainError(f"field {top:.6g} left the target domain at t={t:.6g}, "
                               f"r={nodes[np.argmax(a)]:.6g}")
         if not top < math.inf or top > self.ceiling:
@@ -409,7 +393,7 @@ def _send_all(conn, scenario: Scenario, formulation: str, fields: np.ndarray) ->
     close.  An exception that cannot be pickled goes as an EquiwaveError
     that carries its type name and message."""
     try:
-        for value in _Run(scenario, formulation).snapshots(fields, None):
+        for value in _Run(scenario, formulation, None, None).snapshots(fields, None):
             conn.send(value)
     except Exception as exc:  # raised again by the parent
         try:

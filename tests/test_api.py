@@ -131,7 +131,7 @@ def test_force_and_energy_take_one_path_for_both_formulations():
     # read it, nor a name that bind sets from it (measure may: s = u or w u)
     tree = ast.parse(Path(equiwave.solver.__file__).read_text())
     (cls,) = [node for node in tree.body
-              if isinstance(node, ast.ClassDef) and node.name == "_Discretization"]
+              if isinstance(node, ast.ClassDef) and node.name == "_Run"]
     methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
     bind = methods["bind"]
     derived = {target.id for node in ast.walk(bind)
@@ -223,6 +223,28 @@ def test_every_module_function_is_used_or_exported():
     assert unread == set(METHODS_NOT_READ_BY_THE_PACKAGE)
 
 
+# the attributes set on self that no other code of the package reads,
+# each with the reason it stays
+ATTRIBUTES_NOT_READ_BY_THE_PACKAGE = {}
+
+
+def test_every_instance_attribute_is_read_or_has_a_reason():
+    # an attribute that a method stores on self, and whose name no code of
+    # the package loads as an attribute of any object, is state that
+    # nothing reads
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(equiwave.__file__).parent.glob("*.py")}
+    attributes = sum((_attributes_read(tree) for tree in trees.values()), Counter())
+    unread = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and not attributes[node.attr]):
+                unread.setdefault(f"{name}.{node.attr}", []).append(node.lineno)
+    assert set(unread) == set(ATTRIBUTES_NOT_READ_BY_THE_PACKAGE), unread
+
+
 # the parameters that their function never reads, each with the reason
 # it stays
 PARAMETERS_NOT_READ = {
@@ -298,7 +320,7 @@ def test_every_public_function_is_run_by_a_command_or_has_a_reason(tmp_path):
         for path in paths:
             scenario = load_scenario(path)
             fields = np.empty((scenario.radial_grid.N, scenario.snapshot_count))
-            for _ in equiwave.solver._Run(scenario, "phi").snapshots(fields, None):
+            for _ in equiwave.solver._Run(scenario, "phi", None, None).snapshots(fields, None):
                 pass
     finally:
         sys.setprofile(previous)

@@ -299,6 +299,49 @@ def test_cli_base_without_a_curvature_limit_fails_with_a_report(tmp_path, capsys
                           {"smoothing": not_run, "strichartz": not_run, "verdict": "FAIL"})
 
 
+def test_cli_grid_too_short_for_smoothing_fails_with_a_report(tmp_path, capsys):
+    # on the flat base the lowest smoothing frequency, kappa = 0.2i, decays
+    # at 0.2 per unit radius, and R_max = 20 gives 4 < 5: the check cannot
+    # run and fails as not run, the others run, and both commands exit 1
+    # with their report
+    payload = {**GOOD, "manifold": {"kind": "flat"}, "delta0": 0.5,
+               "grid": {"R_max": 20.0, "N": 300},
+               "time": {"T": 2.0, "dt_factor": 0.1, "snap_every": 0.5},
+               "checks": ["hardy", "smoothing"]}
+    not_run = {"verdict": "FAIL", "not_run": "grid too short for the smoothing frequencies: "
+                                             "Im sqrt(kappa^2 - h_inf) * R_max = 4.000 < 5"}
+    path = write_scenario(tmp_path, payload)
+    for cmd in ("estimates", "all"):
+        out = tmp_path / cmd
+        assert main([cmd, "--scenario", str(path), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        estimates = report["estimates"] if cmd == "all" else report
+        assert estimates["smoothing"] == not_run
+        assert estimates["hardy"]["verdict"] == "PASS"
+        assert (out / "ratios_hardy.csv").exists()
+        assert not (out / "ratios_smoothing.csv").exists()
+        prefix = "estimates." if cmd == "all" else ""
+        assert f"{prefix}smoothing.not run" in capsys.readouterr().err
+    assert [report[stage]["verdict"] for stage in equiwave.cli.PIPELINES] == [
+        "PASS", "PASS", "FAIL", "PASS"]
+
+
+def test_cli_all_labels_each_verdict_by_its_path(tmp_path, capsys):
+    # a nested verdict is labelled by the keys that lead to it, without a
+    # trailing dot
+    payload = {**GOOD, "time": {"T": 2.0, "dt_factor": 0.1, "snap_every": 0.5}}
+    path = write_scenario(tmp_path, payload)
+    assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "estimates.dimshift           PASS\n"
+        "estimates.hardy              PASS\n"
+        "estimates                    PASS\n"
+        "evolve                       PASS\n"
+        "reduce                       PASS\n"
+        "result                       PASS\n"
+        "verify                       PASS\n")
+
+
 def test_cli_reduce_report_and_spectrum(tmp_path):
     # the reduced problem of the hyperbolic base at n = 3, k = 1 lives on
     # R^5 with h_inf = 1; spectrum.csv holds the eigenvalues of its operator
@@ -651,11 +694,11 @@ def test_cli_evolve_child_never_waits_on_the_parent(tmp_path, monkeypatch):
 def test_cli_evolve_child_failing_mid_run_exits_3(tmp_path, monkeypatch, capsys):
     # the force turns NaN after 600 of the 961 calls, between the first
     # and the second block of snapshots (one per 30 steps)
-    bind = equiwave.solver._Discretization.bind
+    bind = equiwave.solver._Run.bind
     calls = []
 
-    def failing(disc, u):
-        measure, force = bind(disc, u)
+    def failing(run, u):
+        measure, force = bind(run, u)
 
         def failing_force():
             calls.append(None)
@@ -664,7 +707,7 @@ def test_cli_evolve_child_failing_mid_run_exits_3(tmp_path, monkeypatch, capsys)
 
         return measure, failing_force
 
-    monkeypatch.setattr(equiwave.solver._Discretization, "bind", failing)
+    monkeypatch.setattr(equiwave.solver._Run, "bind", failing)
     path = write_scenario(tmp_path, EVOLVE)
     with pytest.raises(BlowUp) as exc:
         integrate(load_scenario(path), "phi", spectral_diagnostics=False)
@@ -787,7 +830,8 @@ def test_solver_without_spectral_diagnostics_never_loads_lapack():
             "import numpy as np\n"
             "s = Scenario(**json.loads(sys.argv[1]))\n"
             "consistency_check(s)\n"
-            "list(_Run(s, 'phi').snapshots(np.empty((s.radial_grid.N, s.snapshot_count)), None))\n"
+            "fields = np.empty((s.radial_grid.N, s.snapshot_count))\n"
+            "list(_Run(s, 'phi', None, None).snapshots(fields, None))\n"
             "for form in ('phi', 'psi'):\n"
             "    integrate(s, form, spectral_diagnostics=False)\n"
             "print('scipy.linalg' in sys.modules)\n")

@@ -21,7 +21,6 @@ from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.scenario import Scenario
 from equiwave.solver import (
     WaveState,
-    _Discretization,
     _Run,
     consistency_check,
     integrate,
@@ -106,7 +105,7 @@ def test_energy_of_psi_state_agrees():
     tq = integrate(s, "psi", spectral_diagnostics=False)
     # the two discrete functionals agree to quadrature order, O(dr^2)
     assert math.isclose(tp.energies[0], tq.energies[0], rel_tol=1e-3)
-    phi = _Discretization(s, "phi")
+    phi = _Run(s, "phi", None, None)
     u, v = tq.fields[:, 0], tq.velocities[:, 0]
     assert math.isclose(phi.energy(phi.w_nodes * u, phi.w_nodes * v),
                         tp.energies[0], rel_tol=1e-12)
@@ -147,9 +146,9 @@ def test_consistency_check_raises_either_half(monkeypatch, kind, failing):
     real = _Run.snapshots
 
     def snapshots_or_fail(run, *args):
-        if run.disc.formulation in failing:
+        if run.formulation in failing:
             raise FAILURES[kind]
-        if run.disc.formulation == "psi":  # a psi half that outlasts the phi error
+        if run.formulation == "psi":  # a psi half that outlasts the phi error
             time.sleep(60.0)
         return (yield from real(run, *args))
 
@@ -186,14 +185,14 @@ def test_blowup_detection():
 def test_blowup_on_nonfinite_field_with_infinite_ceiling(form, bad):
     # inf <= inf holds, so the check must catch inf apart from the ceiling
     s = make_scenario(N=300, T=2.0)
-    disc = _Discretization(s, form)
-    st = disc.initial_state()
+    run = _Run(s, form, None, None)
+    st = WaveState(0.0, run.u.copy(), run.v.copy(), form)
     st.field[17] = bad
     with pytest.raises(BlowUp) as exc:
         integrate(s, form, initial_state=st, spectral_diagnostics=False,
                   ceiling=math.inf)
     assert exc.value.t == 0.0
-    assert exc.value.r == disc.grid.nodes[17]
+    assert exc.value.r == run.grid.nodes[17]
 
 
 def test_no_form_builds_a_gamma_series_during_integrate(monkeypatch):
@@ -214,26 +213,28 @@ def test_no_form_builds_a_gamma_series_during_integrate(monkeypatch):
     assert calls == []
 
 
-def _force(disc, u):
-    """The force of disc at the field u, in disc's buffer: u measured,
+def _force(run, u):
+    """The force of run at the field u, in run's buffer: u measured,
     then the force of bind(u)."""
-    measure, force = disc.bind(u)
+    measure, force = run.bind(u)
     measure()
     return force()
 
 
-def _gamma_split_phi_force(disc, u):
-    """The phi-form force as first written: the linear part lbar*u/h^2 on
-    a diagonal balanced against the stencil below r = 1, plus the cubic
-    remainder Gamma(u) u^3 / h^2.  Returns the force and its linear term."""
-    r = disc.grid.nodes
-    V = compute_V(disc.profile, disc.n, disc.k, r)
+def _gamma_split_phi_force(s, run, u):
+    """The phi-form force of the scenario s as first written: the linear
+    part lbar*u/h^2 on a diagonal balanced against the stencil below
+    r = 1, plus the cubic remainder Gamma(u) u^3 / h^2.  Returns the force
+    and its linear term."""
+    r, profile, lbar = run.grid.nodes, s.profile(), s.k * (s.k + s.n - 2)
+    h = profile(r)
+    V = compute_V(profile, s.n, s.k, r)
     # the bare stencil, -Delta_h without a potential
-    bare = DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n)
-    balanced = -bare.apply(disc.w_nodes) / disc.w_nodes + V
-    lin_diag = np.where(r < 1.0, balanced, disc.lbar / disc.h_nodes**2)
-    gam = gamma_reference(disc.target, disc.lbar, u)
-    cubic = gam * u * (u / disc.h_nodes) ** 2
+    bare = DiscreteRadialOperator.manifold(run.grid, profile, s.n)
+    balanced = -bare.apply(run.w_nodes) / run.w_nodes + V
+    lin_diag = np.where(r < 1.0, balanced, lbar / h**2)
+    gam = gamma_reference(run.target, lbar, u)
+    cubic = gam * u * (u / h) ** 2
     return -bare.apply(u) - lin_diag * u - cubic, lin_diag * u
 
 
@@ -244,10 +245,11 @@ def _gamma_split_phi_force(disc, u):
 def test_phi_force_matches_gamma_split(manifold, target):
     for amp in (1e-4, 0.05, 0.5):
         data = {"shape": "gaussian", "amplitude": amp, "width": 1.0, "center": 0.0}
-        disc = _Discretization(make_scenario(manifold, target, N=500, data=data), "phi")
-        u = disc.initial_state().field
-        want, linear = _gamma_split_phi_force(disc, u)
-        err = np.max(np.abs(_force(disc, u) - want))
+        s = make_scenario(manifold, target, N=500, data=data)
+        run = _Run(s, "phi", None, None)
+        u = run.u.copy()
+        want, linear = _gamma_split_phi_force(s, run, u)
+        err = np.max(np.abs(_force(run, u) - want))
         assert err <= 1e-14 * np.max(np.abs(linear))
 
 
@@ -260,13 +262,14 @@ def test_psi_force_matches_gamma_split(manifold, target):
     # (r^(m-1)/h^(n+1)) u^3 Gamma(w u), Gamma with its Taylor series near 0
     for amp in (1e-4, 0.05, 0.5):
         data = {"shape": "gaussian", "amplitude": amp, "width": 1.0, "center": 0.0}
-        disc = _Discretization(make_scenario(manifold, target, N=500, data=data), "psi")
-        u = disc.initial_state().field
-        r = disc.grid.nodes
-        linear = disc.op.apply(u)
-        gam = gamma_reference(disc.target, disc.lbar, disc.w_nodes * u)
-        want = -linear - r ** (disc.m - 1) / disc.h_nodes ** (disc.n + 1) * u**3 * gam
-        err = np.max(np.abs(_force(disc, u) - want))
+        s = make_scenario(manifold, target, N=500, data=data)
+        run = _Run(s, "psi", None, None)
+        u = run.u.copy()
+        r = run.grid.nodes
+        linear = run.op.apply(u)
+        gam = gamma_reference(run.target, s.k * (s.k + s.n - 2), run.w_nodes * u)
+        want = -linear - r ** (s.n + 2 * s.k - 1) / s.profile()(r) ** (s.n + 1) * u**3 * gam
+        err = np.max(np.abs(_force(run, u) - want))
         assert err <= 1e-13 * np.max(np.abs(linear))
         if target == "flat":  # g g'(s) - s and Gamma are exactly 0
             assert err == 0.0
@@ -359,16 +362,16 @@ def test_spectral_operator_and_solver_share_one_stencil():
     # -Delta_m + V in the psi form, -Delta_h + P in the phi form, with P
     # the lbar/h^2 of the phi force from r = 1 on
     s = make_scenario(manifold="hyperbolic")
-    psi = _Discretization(s, "psi")
-    phi = _Discretization(s, "phi")
+    psi = _Run(s, "psi", None, None)
+    phi = _Run(s, "phi", None, None)
     r = psi.grid.nodes
     v = r * np.exp(-((r - 2.0) ** 2))
     V = psi.op.W_samples
-    assert np.array_equal(V, compute_V(psi.profile, psi.n, psi.k, r))
-    assert np.array_equal(psi.op.apply(v), build_operator(psi.grid, psi.m, V).apply(v))
+    assert np.array_equal(V, compute_V(s.profile(), s.n, s.k, r))
+    assert np.array_equal(psi.op.apply(v), build_operator(psi.grid, s.n + 2 * s.k, V).apply(v))
     P = phi.op.W_samples
     assert np.array_equal(P[r >= 1.0], phi.c[r >= 1.0])
-    bare = DiscreteRadialOperator.manifold(phi.grid, phi.profile, phi.n)
+    bare = DiscreteRadialOperator.manifold(phi.grid, s.profile(), s.n)
     want = dataclasses.replace(bare, W_samples=P).apply(v)
     assert np.array_equal(phi.op.apply(v), want)
 
@@ -378,7 +381,7 @@ def test_psi_local_energy_is_that_of_the_phi_discretization():
     # a phi-form discretization: the energies keep their bits
     s = make_scenario(manifold="sinh-perturbed", N=600, T=2.0, snap=0.5)
     tr = integrate(s, "psi", spectral_diagnostics=False)
-    phi = _Discretization(s, "phi")
+    phi = _Run(s, "phi", None, None)
     want = [phi.op.energy(phi.w_nodes * u, phi.w_nodes * v,
                           phi.c * phi.target(phi.w_nodes * u) ** 2, tr.meta["ball_radius"])
             for u, v in zip(tr.fields.T, tr.velocities.T)]
@@ -416,7 +419,7 @@ def test_snapshot_count_is_that_of_a_run(T, snap, count):
     # each field in its column, the end of every block and of the last
     # yielded, then the trajectory without fields
     fields = np.zeros((300, count), order="F")
-    *ends, last = _Run(s, "phi").snapshots(fields, None)
+    *ends, last = _Run(s, "phi", None, None).snapshots(fields, None)
     assert ends == [*range(16, count, 16), count]
     assert np.array_equal(fields, tr.fields)
     assert last.fields is None and last.velocities is None
@@ -450,18 +453,18 @@ def _textbook_verlet(s, form, st):
     no window: -H u minus a (g g'(s) - s), s = u in the phi form and w u in
     the psi form.  Returns the states, energies, sups and local energies at
     the snapshots."""
-    disc = _Discretization(s, form)
+    run = _Run(s, form, None, None)
     n_steps, dt, stride = s.stepping
-    local_op = DiscreteRadialOperator.manifold(disc.grid, disc.profile, disc.n)
+    local_op = DiscreteRadialOperator.manifold(run.grid, s.profile(), s.n)
 
     def force(u):
-        s = disc.to_phi(u)
-        return -disc.op.apply(u) - disc.a * (disc.target.gg_prime_fn(s, None) - s)
+        s = run.b * u
+        return -run.op.apply(u) - run.a * (run.target.gg_prime_fn(s, None) - s)
 
     def record(u, v):
-        phi, phi_t = disc.to_phi(u), disc.to_phi(v)
-        return (u, v, disc.energy(u, v), float(np.max(np.abs(phi))),
-                local_op.energy(phi, phi_t, disc.c * disc.target(phi) ** 2, s.grid["R_max"] / 3))
+        phi, phi_t = run.b * u, run.b * v
+        return (u, v, run.energy(u, v), float(np.max(np.abs(phi))),
+                local_op.energy(phi, phi_t, run.c * run.target(phi) ** 2, s.grid["R_max"] / 3))
 
     u, v = st.field, st.velocity
     a = force(u)
@@ -490,16 +493,17 @@ WINDOWS = {"empty": (1e-9, 1.0), "partial": (0.05, 1.0), "full": (0.2, 10.0)}
 def test_integrate_is_the_textbook_verlet_loop_bit_for_bit(target, form, window):
     amp, width = WINDOWS[window]
     s = make_scenario("hyperbolic", target, N=300, T=3.0, snap=0.5)
-    disc = _Discretization(s, form)
-    r = disc.grid.nodes
+    run = _Run(s, form, None, None)
+    r = run.grid.nodes
     u0 = amp * r * np.exp(-((r / width) ** 2))
-    st = WaveState(0.0, u0 if form == "phi" else u0 / disc.w_nodes, np.zeros_like(r), form)
+    st = WaveState(0.0, u0 if form == "phi" else u0 / run.w_nodes, np.zeros_like(r), form)
     rows = _textbook_verlet(s, form, st)
     tr = integrate(s, form, initial_state=st, spectral_diagnostics=False)
     assert tr.meta["n_steps"] == 300
     if target in ("sphere", "hyperbolic"):
-        disc.bind(st.field)[0]()
-        i0, i1 = disc._measured[2:]
+        # the cells of the data with |s| >= the linear radius
+        (cells,) = np.nonzero(np.abs(run.b * st.field) >= run.target.linear_radius)
+        i0, i1 = (cells[0], cells[-1] + 1) if len(cells) else (0, 0)
         assert {"empty": i1 == i0, "partial": 0 < i1 - i0 < 300,
                 "full": (i0, i1) == (0, 300)}[window]
     assert len(tr.times) == len(rows)
@@ -518,12 +522,12 @@ def test_force_is_the_textbook_force_bit_for_bit(target, form, window):
     # the force as written, g g' on every cell: the window, the negated
     # bands and the bound buffers move no bit
     amp, width = WINDOWS[window]
-    disc = _Discretization(make_scenario("hyperbolic", target, N=300), form)
-    r = disc.grid.nodes
-    u = amp * r * np.exp(-((r / width) ** 2)) / disc.b
-    s = disc.to_phi(u)
-    want = -disc.op.apply(u) - disc.a * (disc.target.gg_prime_fn(s, None) - s)
-    assert np.array_equal(_force(disc, u.copy()), want)
+    run = _Run(make_scenario("hyperbolic", target, N=300), form, None, None)
+    r = run.grid.nodes
+    u = amp * r * np.exp(-((r / width) ** 2)) / run.b
+    s = run.b * u
+    want = -run.op.apply(u) - run.a * (run.target.gg_prime_fn(s, None) - s)
+    assert np.array_equal(_force(run, u.copy()), want)
 
 
 @pytest.mark.parametrize("form", ["phi", "psi"])
@@ -534,7 +538,7 @@ def test_steps_allocate_no_grid_array(form):
     N = 2000
     s = make_scenario("hyperbolic", N=N, T=0.75, snap=10.0)
     assert s.stepping[0] == 500
-    run = _Run(s, form)
+    run = _Run(s, form, None, None)
     peaks, record = [], run._record
 
     def traced_record(t):
