@@ -71,9 +71,10 @@ def estimate_h_infinity(profile: MetricProfile, n: int) -> tuple[float, float]:
     Raises NoLimit when the fitted residual does not decay like r^-2.
     """
     fits = []
-    for R1 in H_INFINITY_WINDOWS:
-        rs = np.linspace(R1, 4 * R1, 60)
-        H = H_jet(profile, n, rs).value  # NaN where h = 0 or it overflows
+    # one batched jet over every window, split back: each radius keeps its bits
+    windows = [np.linspace(R1, 4 * R1, 60) for R1 in H_INFINITY_WINDOWS]
+    H_all = H_jet(profile, n, np.concatenate(windows)).value  # NaN where h = 0 or it overflows
+    for R1, rs, H in zip(H_INFINITY_WINDOWS, windows, np.split(H_all, len(windows))):
         ok = np.isfinite(H)
         if ok.sum() < 10:
             continue

@@ -36,16 +36,29 @@ UNDERFLOW = 700.0
 
 class Expr:
     """A node of the grammar: fn applied to the jets of its operands, or
-    fn(r0, order) for a leaf, which has none."""
+    fn(r0, order) for a leaf, which has none; and rule, its order-1 rule
+    (Expr.bind)."""
 
-    def __init__(self, fn, *operands):
-        self.fn, self.operands = fn, operands
+    def __init__(self, fn, rule, *operands):
+        self.fn, self.rule, self.operands = fn, rule, operands
 
     def jet(self, r0, order: int) -> Jet:
         """Jet at r0, a number or an array of centres (a batched jet)."""
         if not self.operands:
             return self.fn(r0, order)
         return self.fn(*(a.jet(r0, order) for a in self.operands))
+
+    def bind(self, x: np.ndarray, steps: list):
+        """The node's order-1 pair (value, slope) at the centres that the
+        array x holds, in buffers of x's shape: the steps of its operands,
+        then its own, are appended to steps, and running them in order,
+        under np.errstate(all="ignore"), fills the pair with the bits of
+        the rows of the batched jet self.jet(x, 1) (NaN at a 0-d x where
+        the scalar jet raises)."""
+        pair, step = self.rule(x, *(a.bind(x, steps) for a in self.operands))
+        if step is not None:
+            steps.append(step)
+        return pair
 
 
 def _cutoff(sqrt: bool, eps, r0, order) -> Jet:
@@ -67,21 +80,190 @@ def _fold(op):
     return lambda *jets: functools.reduce(op, jets)
 
 
-# each operator: the least and the most operands, and its node's jet
-# function.  pow's exponent and the cutoffs' eps are numbers, bound into
-# the function first, so a cutoff is a leaf.
+# -- order-1 rules ----------------------------------------------------------------
+#
+# A node's rule takes the buffer x of the centres and its operands' pairs
+# and returns its own pair and the step (None for none) that fills it
+# (Expr.bind).  A pair is a tuple of arrays of x's shape, (value, slope),
+# and a node's own has a third, its scratch.  Each step repeats the
+# arithmetic of the node's order-1 jet in jets.py, in its order, so
+# every bit of the pair is the jet's.
+
+
+def _triple(x):
+    """A node's own buffers: value, slope and scratch."""
+    return tuple(np.empty_like(x) for _ in range(3))
+
+
+def _variable_rule(x):
+    return (x, np.ones_like(x)), None  # Jet.variable
+
+
+def _constant_rule(c, x):
+    return (np.full_like(x, c), np.zeros_like(x)), None  # Jet.constant
+
+
+def _add(a, b, out):
+    np.add(a[0], b[0], out=out[0])
+    np.add(a[1], b[1], out=out[1])
+
+
+def _mul(a, b, out):
+    """(a0 b0, a0 b1 + a1 b0), as _mul_trunc; out may be a or b."""
+    np.multiply(a[1], b[0], out=out[2])
+    np.multiply(a[0], b[1], out=out[1])
+    np.add(out[1], out[2], out=out[1])
+    np.multiply(a[0], b[0], out=out[0])
+
+
+def _reciprocal(b, out):
+    """(1/b0', -(0 + b1 (1/b0')) / b0'), b0' = b0 but NaN where b0 == 0, as
+    Jet.reciprocal (whose np.sum over one row adds it to +0)."""
+    np.copyto(out[2], b[0])
+    np.copyto(out[2], np.nan, where=b[0] == 0.0)
+    np.divide(1.0, out[2], out=out[0])
+    np.multiply(b[1], out[0], out=out[1])
+    np.add(0.0, out[1], out=out[1])
+    np.negative(out[1], out=out[1])
+    np.divide(out[1], out[2], out=out[1])
+
+
+def _compose(series, a, out, ok):
+    """Compose a into the function whose order-1 series at a0, written by
+    series(a0, out) into out[0] and out[1] (with out[2] as scratch), is
+    (o0, o1): both NaN where o0 is not finite (Jet.apply), then the one
+    Horner step of compose_outer, (o1 0 + o0, o1 a1 + 0 0)."""
+    series(a[0], out)
+    if not np.isfinite(out[0], out=ok).all():
+        np.invert(ok, out=ok)
+        np.copyto(out[0], np.nan, where=ok)
+        np.copyto(out[1], np.nan, where=ok)
+    np.multiply(out[1], 0.0, out=out[2])
+    np.add(out[2], out[0], out=out[0])
+    np.multiply(out[1], a[1], out=out[1])
+    np.add(out[1], 0.0, out=out[1])
+
+
+def _cyclic_outer(f0, f1):
+    """The order-1 series (f0(v), f1(v)) of _cyclic, whose factors
+    sign^0 / 0! and sign^0 / 1! (exp: sign^1 = 1) are exact."""
+    def series(v, out):
+        f0(v, out=out[0])
+        f1(v, out=out[1])
+
+    return series
+
+
+def _power_outer(p):
+    """The order-1 series of _power_series(p): v' = v where v > 0, else
+    NaN, and (v'^p, v'^p p / v'), v'^p by the dispatch of v' ** p."""
+    def series(v, out):
+        np.copyto(out[2], v)
+        np.copyto(out[2], np.nan, where=v <= 0)
+        np.copyto(out[0], out[2])
+        operator.ipow(out[0], p)
+        np.multiply(out[0], p, out=out[1])
+        np.divide(out[1], out[2], out=out[1])
+
+    return series
+
+
+_EXP, _SQRT = _cyclic_outer(np.exp, np.exp), _power_outer(0.5)
+
+
+def _fold_rule(step):
+    """The rule of a left fold by step(a, b, out), which may write into a."""
+    def rule(x, first, *rest):
+        if not rest:  # functools.reduce returns the one operand itself
+            return first, None
+        out = _triple(x)
+
+        def fold():
+            step(first, rest[0], out)
+            for b in rest[1:]:
+                step(out, b, out)
+
+        return out, fold
+
+    return rule
+
+
+def _compose_rule(series):
+    """The rule of composing the operand into an elementary function."""
+    def rule(x, a):
+        out, ok = _triple(x), np.empty(x.shape, dtype=bool)
+        return out, lambda: _compose(series, a, out, ok)
+
+    return rule
+
+
+def _pow_rule(p, x, a):
+    """j**p: p products from the constant (1, 0) for a natural p, else the
+    composition with v^p (Jet.__pow__)."""
+    if not (isinstance(p, int) and p >= 0):
+        return _compose_rule(_power_outer(p))(x, a)
+    out = _triple(x)
+
+    def power():
+        out[0].fill(1.0)
+        out[1].fill(0.0)
+        for _ in range(p):
+            _mul(out, a, out)
+
+    return out, power
+
+
+def _quotient_rule(x, a, b):
+    out, recip = _triple(x), _triple(x)
+
+    def quotient():
+        _reciprocal(b, recip)
+        _mul(a, recip, out)
+
+    return out, quotient
+
+
+def _cutoff_rule(sqrt: bool, eps, x):
+    """_cutoff step by step: the variable at y = 1 where masked, else x,
+    its reciprocal times -eps (Jet.__mul__ by a number), exp of that,
+    times sqrt(y) if sqrt, and 0 where masked."""
+    zero, ok = np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool)
+    y = (np.empty_like(x), np.ones_like(x))
+    recip, scaled, t, root = _triple(x), _triple(x), _triple(x), _triple(x)
+
+    def cutoff():
+        np.logical_or(x <= 0, eps / x > UNDERFLOW, out=zero)
+        np.copyto(y[0], x)
+        np.copyto(y[0], 1.0, where=zero)
+        _reciprocal(y, recip)
+        np.multiply(recip[0], -eps, out=scaled[0])
+        np.multiply(recip[1], -eps, out=scaled[1])
+        _compose(_EXP, scaled, t, ok)
+        if sqrt:
+            _compose(_SQRT, y, root, ok)
+            _mul(root, t, t)
+        np.copyto(t[0], 0.0, where=zero)
+        np.copyto(t[1], 0.0, where=zero)
+
+    return t, cutoff
+
+
+# each operator: the least and the most operands, its node's jet function
+# and its order-1 rule (Expr.bind).  pow's exponent and the cutoffs' eps
+# are numbers, bound into both first, so a cutoff is a leaf.
 _OPERATORS = {
-    "+": (1, math.inf, _fold(operator.add)),
-    "*": (1, math.inf, _fold(operator.mul)),
-    "/": (2, 2, operator.truediv),
-    "pow": (2, 2, lambda p, j: j**p),
-    "exp": (1, 1, jet_exp),
-    "sin": (1, 1, jet_sin),
-    "sinh": (1, 1, jet_sinh),
-    "cosh": (1, 1, jet_cosh),
-    "sqrt": (1, 1, jet_sqrt),
-    "cutoff": (1, 1, functools.partial(_cutoff, False)),
-    "sqrt_cutoff": (1, 1, functools.partial(_cutoff, True)),
+    "+": (1, math.inf, _fold(operator.add), _fold_rule(_add)),
+    "*": (1, math.inf, _fold(operator.mul), _fold_rule(_mul)),
+    "/": (2, 2, operator.truediv, _quotient_rule),
+    "pow": (2, 2, lambda p, j: j**p, _pow_rule),
+    "exp": (1, 1, jet_exp, _compose_rule(_EXP)),
+    "sin": (1, 1, jet_sin, _compose_rule(_cyclic_outer(np.sin, np.cos))),
+    "sinh": (1, 1, jet_sinh, _compose_rule(_cyclic_outer(np.sinh, np.cosh))),
+    "cosh": (1, 1, jet_cosh, _compose_rule(_cyclic_outer(np.cosh, np.sinh))),
+    "sqrt": (1, 1, jet_sqrt, _compose_rule(_SQRT)),
+    "cutoff": (1, 1, functools.partial(_cutoff, False), functools.partial(_cutoff_rule, False)),
+    "sqrt_cutoff": (1, 1, functools.partial(_cutoff, True),
+                    functools.partial(_cutoff_rule, True)),
 }
 # the operators whose last operand is a number, and what it is
 _NUMBERS = {"pow": "exponent", "cutoff": "eps", "sqrt_cutoff": "eps"}
@@ -110,16 +292,17 @@ def parse_expr(spec) -> Expr:
             raise DomainError(f"expression is deeper than {MAX_EXPR_DEPTH} levels")
         if isinstance(spec, str):
             if spec == "r":
-                return Expr(Jet.variable)
+                return Expr(Jet.variable, _variable_rule)
             raise DomainError(f"unknown expression symbol {spec!r}")
         if _is_number(spec):
-            return Expr(functools.partial(Jet.constant, float(spec)))
+            return Expr(functools.partial(Jet.constant, float(spec)),
+                        functools.partial(_constant_rule, float(spec)))
         if not isinstance(spec, (list, tuple)) or not spec:
             raise DomainError(f"bad expression node {spec!r}")
         op, *args = spec
         if not isinstance(op, str) or op not in _OPERATORS:
             raise DomainError(f"unknown expression operator {op!r}")
-        least, most, fn = _OPERATORS[op]
+        least, most, fn, rule = _OPERATORS[op]
         if not least <= len(args) <= most:
             count = least if least == most else f"at least {least}"
             raise DomainError(f"operator {op!r} takes {count} operand(s), got {len(args)}")
@@ -127,8 +310,8 @@ def parse_expr(spec) -> Expr:
             *args, x = args
             if not _is_number(x):
                 raise DomainError(f"{op} {_NUMBERS[op]} must be a finite number, got {x!r}")
-            fn = functools.partial(fn, x)
-        return Expr(fn, *(parse(arg, depth + 1) for arg in args))
+            fn, rule = functools.partial(fn, x), functools.partial(rule, x)
+        return Expr(fn, rule, *(parse(arg, depth + 1) for arg in args))
 
     return parse(spec, 1)
 
@@ -252,15 +435,16 @@ class TargetProfile:
         0.5 sinh(2s) are s bit for bit when |s| < 2^-27, where their cubic
         term 2 s^3 / 3 is below half an ulp of s (the first inexact s is
         near 1.07e-8); flat g g' is s itself; a custom target gets 0, so
-        its jet runs on every s."""
+        its g g' runs on every s."""
         return _LINEAR_RADIUS.get(self.kind, 0.0)
 
     @property
     def gg_prime_fn(self):
         """g(s) g'(s), the wave-map nonlinearity, as the one function f(s, out)
         that evaluates it on a float64 array s, into out (an array of s's shape,
-        or None): a built-in kind's closed form, else one jet over all of s."""
-        return _GG_PRIME.get(self.kind) or functools.partial(_gg_jet, self.expr)
+        or None): a built-in kind's closed form, else a new function bound to
+        the custom tree (_bound_gg_prime)."""
+        return _GG_PRIME.get(self.kind) or _bound_gg_prime(self.expr)
 
 
 def _gg_circular(fn):
@@ -273,9 +457,29 @@ def _gg_circular(fn):
     return gg_prime
 
 
-def _gg_jet(expr: Expr, s, out):
-    j = expr.jet(s, 1)
-    return np.multiply(j.value, j.derivative(1), out=out)
+def _bound_gg_prime(expr: Expr):
+    """g g' of the tree expr, as f(s, out) of gg_prime_fn.  The first call
+    with s of a shape walks the tree once (Expr.bind) into buffers of that
+    shape, which f keeps until a call with s of another shape; each call
+    then copies s into them, runs the steps and writes value * slope into
+    out, with the bits of expr.jet(s, 1).value * expr.jet(s, 1).derivative(1)
+    on an array s, NaN where the tree has no jet, under one
+    np.errstate(all="ignore")."""
+    shape, x, steps, pair = None, None, [], None
+
+    def gg_prime(s, out):
+        nonlocal shape, x, steps, pair
+        if np.shape(s) != shape:
+            shape, steps = np.shape(s), []
+            x = np.empty(shape)
+            pair = expr.bind(x, steps)
+        with np.errstate(all="ignore"):
+            np.copyto(x, s)
+            for step in steps:
+                step()
+            return np.multiply(pair[0], pair[1], out=out)
+
+    return gg_prime
 
 
 # TargetProfile.gg_prime_fn of the built-in targets, by kind

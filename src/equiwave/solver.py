@@ -33,10 +33,14 @@ g g' in the window of cells from the first to the last with
 the remainder is 0.  Everything a step touches is bound once per run:
 its arrays, the force at the run's field (`_Run.bind`, whose
 band product has its neighbour views made once), the ufuncs, dt and dt/2
-as 0-d arrays and the target's g g' function (`gg_prime_fn`).  A step
-makes its numpy calls and slices only the g g' window, and the half kick
-that ends a step is the product that starts the next, so a run has the
-bits of the textbook velocity-Verlet loop with g g' on every cell.
+as 0-d arrays and the target's g g' function (`gg_prime_fn`: a built-in
+target's closed form, or a custom tree's order-1 rules bound to buffers
+of their own, with the bits of its order-1 jet).  A step makes its numpy
+calls and slices only the g g' window, and the half kick that ends a
+step is the product that starts the next, so a run has the bits of the
+textbook velocity-Verlet loop with g g' on every cell.  A custom tree is
+NaN where it has no jet: a g g' that is not finite at the field raises
+DomainError, at the one cost of a finiteness test of the window.
 
 `integrate` runs it on arrays of its own.  `_forked_run` is the one way
 the package uses a second core: it makes the (N, S) array on an
@@ -75,6 +79,12 @@ BLOWUP_FACTOR = 1e3  # ceiling = BLOWUP_FACTOR * sup of the initial field
 # together in stacks of 8, 16 or 32 and 2.4 ms at 101: 16 stays, as fast
 # as 32 in half its working set (one BLAS thread, 2-core VM)
 SNAPSHOT_BLOCK = 16
+
+
+class _NotFinite(Exception):
+    """g g' of a custom target is not finite at the field value s, at the
+    radius r: args (s, r).  _Run.snapshots raises it as a DomainError
+    that names the time."""
 
 
 @dataclass
@@ -206,7 +216,8 @@ class _Run:
         with |s| >= the linear radius, (0, 0) when there is none.  force()
         writes -H u - a (g g'(s) - s) into a buffer that the next call
         overwrites and returns it; the remainder is taken in the window of
-        the last measure(), outside which it is exactly 0."""
+        the last measure(), outside which it is exactly 0.  For a custom
+        target, force() raises _NotFinite where g g' is not finite."""
         multiply, subtract, absolute, at_least = np.multiply, np.subtract, np.abs, np.greater_equal
         phi_form = self.formulation == "phi"
         s, w, mag, nl, a = u if phi_form else self._s, self.w_nodes, self._abs, self._nl, self.a
@@ -215,6 +226,15 @@ class _Run:
         window = [0, 0]  # [i0, i1] of the last measure()
         product = _band_product(*self._neg_bands, u, self._force, self._row)
         gg_prime = self.target.gg_prime_fn
+        if self.target.kind == "custom":  # its tree is NaN outside its domain
+            tree_gg, finite, nodes = gg_prime, np.isfinite, self.grid.nodes
+
+            def gg_prime(s_in, nl_in):
+                tree_gg(s_in, nl_in)
+                ok = finite(nl_in)
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    raise _NotFinite(float(s_in[i]), float(nodes[window[0] + i]))
 
         def measure():
             if not phi_form:
@@ -263,7 +283,8 @@ class _Run:
         trajectory, without fields or velocities and with NaN for its
         H^(1/2) norms and Strichartz partials.  Raises BlowUp when the
         field exceeds the ceiling or becomes non-finite, DomainError when
-        it leaves the domain of the target."""
+        it leaves the domain of the target, or when g g' of a custom
+        target is not finite at it."""
         u, v, t0, ceiling = self.u, self.v, self.t0, self.ceiling
         n_steps, dt, snap_stride = self.scenario.stepping
         count = self.scenario.snapshot_count
@@ -280,28 +301,35 @@ class _Run:
         # |s|, which the force to come reuses, and its max, before any force
         # of it: a max that is NaN, inf or past a bound fails the test (top
         # < bound keeps top < inf when the bound is inf), and _check raises
-        top = top_of(measure())
-        if not (top < bound and top <= ceiling):
-            self._check(t0)
-        multiply(half_dt, force(), out=kick)
-        last = 0  # the step of the last snapshot
-        for j in range(count):
-            # snapshot j is at step j * snap_stride, the last one at n_steps
-            first, last = last + 1, min(j * snap_stride, n_steps)
-            for step in range(first, last + 1):
-                add(v, kick, out=v)
-                add(u, multiply(step_dt, v, out=drift), out=u)
-                top = top_of(measure())
-                if not (top < bound and top <= ceiling):
-                    self._check(t0 + step * dt)
-                multiply(half_dt, force(), out=kick)
-                add(v, kick, out=v)
-            fields[:, j] = u
-            if velocities is not None:
-                velocities[:, j] = v
-            self._record(t0 + last * dt)
-            if (j + 1) % SNAPSHOT_BLOCK == 0 or j + 1 == count:
-                yield j + 1
+        step = 0  # the field that the force takes is at t0 + step * dt
+        try:
+            top = top_of(measure())
+            if not (top < bound and top <= ceiling):
+                self._check(t0)
+            multiply(half_dt, force(), out=kick)
+            last = 0  # the step of the last snapshot
+            for j in range(count):
+                # snapshot j is at step j * snap_stride, the last one at n_steps
+                first, last = last + 1, min(j * snap_stride, n_steps)
+                for step in range(first, last + 1):
+                    add(v, kick, out=v)
+                    add(u, multiply(step_dt, v, out=drift), out=u)
+                    top = top_of(measure())
+                    if not (top < bound and top <= ceiling):
+                        self._check(t0 + step * dt)
+                    multiply(half_dt, force(), out=kick)
+                    add(v, kick, out=v)
+                fields[:, j] = u
+                if velocities is not None:
+                    velocities[:, j] = v
+                self._record(t0 + last * dt)
+                if (j + 1) % SNAPSHOT_BLOCK == 0 or j + 1 == count:
+                    yield j + 1
+        except _NotFinite as exc:
+            s, r = exc.args
+            raise DomainError(f"field {s:.6g} left the domain of the custom target at "
+                              f"t={t0 + step * dt:.6g}, r={r:.6g}: g g' is not finite "
+                              f"there") from None
         yield Trajectory(
             times=np.array(self.times),
             energies=np.array(self.energies),

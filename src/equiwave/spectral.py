@@ -531,11 +531,15 @@ def _lq_norms(op: DiscreteRadialOperator, s: float, v, shift: str, q: float) -> 
     """|| A^s v ||_{L^q(R^m)} of v, (N,), or of each column of an (N, k)
     stack, A the base of _power_base (H or 1+H), by the volume weights
     of R^m."""
-    g = _fractional_power(op, s, v, shift)
+    g = np.abs(_fractional_power(op, s, v, shift))
     vol = _down_rows(op.grid.volume_weights(op.m), g)
+    # |g|^q is exactly +0 below 2^(-1080/q), where it is under half the
+    # least subnormal: pow, slow on such entries, is skipped there (a NaN
+    # fails g < 2^(-1080/q) and keeps its pow)
+    powered = np.power(g, q, out=np.zeros_like(g), where=~(g < 2.0 ** (-1080.0 / q)))
     # np.power, not **, which takes libm's pow for the numpy scalar of a
     # 1-D call where numpy's vector pow takes every column of a stack
-    return np.power(_column_sums(vol * np.abs(g) ** q), 1.0 / q)
+    return np.power(_column_sums(vol * powered), 1.0 / q)
 
 
 def _lp_partials(y: np.ndarray, times: np.ndarray, p: float) -> np.ndarray:

@@ -283,9 +283,9 @@ NOT_RUN_BY_A_COMMAND = {
 
 # a small `all` run with every estimate check, once with a built-in target
 # and once at even n with a custom target: even n takes the contour of the
-# fractional powers, and the custom target is parsed and evaluated by jets
-# (dt_factor 0.05 keeps the energy drift of the n = 4 run within the
-# evolve bound at N = 300)
+# fractional powers, and the custom target is parsed, evaluated by jets
+# and stepped by the order-1 rules of its tree (dt_factor 0.05 keeps the
+# energy drift of the n = 4 run within the evolve bound at N = 300)
 TRACED_SCENARIOS = [
     {"manifold": {"kind": "hyperbolic"}, "target": {"kind": "sphere"}, "n": 3},
     {"manifold": {"kind": "hyperbolic"}, "target": {"kind": "custom", "expr": ["sin", "r"]},

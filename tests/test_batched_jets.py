@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 
 import equiwave.admissibility
-from equiwave.admissibility import H_jet, check_admissibility
-from equiwave.errors import DomainError
+from equiwave.admissibility import (
+    H_INFINITY_WINDOWS,
+    H_jet,
+    check_admissibility,
+    estimate_h_infinity,
+)
+from equiwave.errors import DomainError, NoLimit
 from equiwave.jets import Jet, jet_exp
-from equiwave.profiles import SERIES_RADIUS, MetricProfile, metric_profile, target_profile
+from equiwave.profiles import SERIES_RADIUS, Expr, MetricProfile, metric_profile, target_profile
 from equiwave.reduction import compute_V
 
 ALL_KINDS = [
@@ -162,19 +167,46 @@ def test_check_admissibility_jet_count_is_grid_free(monkeypatch, n, points):
     assert 0 < len(calls) <= 40
 
 
-def test_custom_gg_prime_is_one_jet(monkeypatch):
+def test_custom_gg_prime_walks_no_jet(monkeypatch):
+    # a custom target's g g' is bound to its tree once, and no call walks
+    # a jet of any node of it
     target = target_profile("custom", expr=["sin", "r"])
     calls = []
-    jet = target.expr.jet
+    jet = Expr.jet
 
-    def counted(s0, order):
+    def counted(self, r0, order):
         calls.append(order)
-        return jet(s0, order)
+        return jet(self, r0, order)
 
-    monkeypatch.setattr(target.expr, "jet", counted)
+    monkeypatch.setattr(Expr, "jet", counted)
+    gg_prime = target.gg_prime_fn
     s = np.linspace(-1.0, 1.0, 2000)
-    got = target.gg_prime_fn(s, None)
-    assert len(calls) == 1
+    for _ in range(3):
+        got = gg_prime(s, None)
+    assert calls == []
     np.testing.assert_allclose(got, 0.5 * np.sin(2.0 * s), rtol=1e-13, atol=1e-16)
     assert math.isclose(target.gg_prime_fn(np.array(0.3), None), 0.5 * math.sin(0.6),
                         rel_tol=1e-13)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_h_infinity_fit_is_one_jet_with_the_bits_of_each_window(monkeypatch, kind):
+    # the fit takes H on all its windows in one batched jet; split back,
+    # each window has the bits of its own jet, NaN where it has none
+    profile = metric_profile(kind)
+    windows = [np.linspace(R1, 4 * R1, 60) for R1 in H_INFINITY_WINDOWS]
+    calls = _count_profile_jets(monkeypatch)
+    for n in range(3, 8):
+        together = H_jet(profile, n, np.concatenate(windows)).value
+        for rs, part in zip(windows, np.split(together, len(windows))):
+            alone = H_jet(profile, n, rs).value
+            assert np.array_equal(np.isnan(part), np.isnan(alone))
+            assert np.array_equal(part.view(np.int64)[~np.isnan(part)],
+                                  alone.view(np.int64)[~np.isnan(alone)])
+        calls.clear()
+        try:
+            estimate_h_infinity(profile, n)
+        except NoLimit:  # the jet count holds for a base without a limit too
+            pass
+        assert calls == [2]

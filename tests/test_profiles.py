@@ -223,7 +223,7 @@ def test_gg_prime_is_s_below_the_linear_radius(kind, fn):
 def test_linear_radius_of_each_target_is_derived():
     assert target_profile("flat").linear_radius == math.inf
     custom = target_profile("custom", expr=["sin", "r"])
-    assert custom.linear_radius == 0.0  # its jet runs on every s
+    assert custom.linear_radius == 0.0  # its g g' runs on every s
     with pytest.raises(AttributeError):
         custom.linear_radius = 1.0
 

@@ -2,6 +2,7 @@
 formulation consistency, and blow-up detection."""
 
 import dataclasses
+import json
 import math
 import multiprocessing
 import signal
@@ -16,6 +17,7 @@ import equiwave.solver
 from _baselines import REGRESSION_WINDOW, SOLVER_TRACE
 from _dense import coefficients, evolve_linear, from_coefficients, powered
 from _gamma import gamma_reference
+from equiwave.cli import main
 from equiwave.errors import BlowUp, CFLViolation, DomainError, EquiwaveError
 from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.scenario import Scenario
@@ -307,6 +309,26 @@ def test_sphere_domain_exit_raises():
         for ceiling in (math.inf, 1.0):
             with pytest.raises(DomainError):
                 integrate(s, form, spectral_diagnostics=False, ceiling=ceiling)
+
+
+def test_custom_target_outside_its_tree_domain_raises(tmp_path, capsys):
+    # g = s sqrt(1 - s^2) has no jet where |s| > 1, so g g' is NaN there
+    # from t = 0: a field outside the target's domain, not a blow-up
+    target = {"kind": "custom",
+              "expr": ["*", "r", ["sqrt", ["+", 1, ["*", -1, ["pow", "r", 2]]]]]}
+    data = {"shape": "gaussian", "amplitude": 3.0, "width": 1.0, "center": 0.0}
+    s = make_scenario("hyperbolic", target, R=25.0, N=300, T=2.0, data=data)
+    for form in ("phi", "psi"):
+        with pytest.raises(DomainError, match=r"field 1\.\d+ left the domain of the custom "
+                                              r"target at t=0, r=0\.\d+"):
+            integrate(s, form, spectral_diagnostics=False, ceiling=math.inf)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"manifold": {"kind": "hyperbolic"}, "target": target,
+                                "n": 3, "k": 1, "grid": {"R_max": 25.0, "N": 300},
+                                "time": {"T": 2.0, "dt_factor": 0.1, "snap_every": 0.5},
+                                "data": data}))
+    assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "numerical error (DomainError): field 1." in capsys.readouterr().err
 
 
 def test_trajectory_diagnostics_shape():

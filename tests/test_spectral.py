@@ -21,7 +21,7 @@ from equiwave.errors import (
 )
 from equiwave.estimates import gaussian_family, strichartz_monitor
 from equiwave.profiles import metric_profile
-from equiwave.reduction import compute_V, weight_w
+from equiwave.reduction import compute_V, indices, weight_w
 from equiwave.spectral import (
     DiscreteRadialOperator,
     RadialGrid,
@@ -329,6 +329,42 @@ def test_a_column_has_the_bits_of_its_1d_call(op600):
             assert np.array_equal(got, want), (name, split)
         for layout in (np.ascontiguousarray, np.asfortranarray):
             assert np.array_equal(norm(layout(stack)), want), (name, layout)
+
+
+# every exponent of an L^q norm that the package takes: the Strichartz q
+# of the solver's snapshots and the diagonal a of the Strichartz monitor,
+# for m = n + 2k up to 40
+LQ_EXPONENTS = sorted({float(indices(m - 2, 1)[key]) for m in range(5, 41) for key in ("q", "a")})
+
+
+def test_power_is_zero_below_the_lq_threshold():
+    # _lq_norms takes |g|^q as +0 below 2^(-1080/q), where it is under half
+    # the least subnormal: on a libm that rounds such a power off +0, this
+    # must fail
+    tiny = np.finfo(float).smallest_subnormal
+    rng = np.random.default_rng(0)
+    for q in LQ_EXPONENTS:
+        threshold = 2.0 ** (-1080.0 / q)
+        g = np.concatenate([np.exp(rng.uniform(np.log(tiny), np.log(threshold), 2000)),
+                            [0.0, tiny, np.nextafter(threshold, 0.0)]])
+        g = g[g < threshold]
+        for powered in (np.power(g, q), g**q):
+            assert not powered.view(np.int64).any(), q  # +0, bit for bit
+
+
+def test_lq_norms_have_the_bits_of_pow_on_every_entry(op600):
+    # data whose tails underflow, at s = 0 (the Strichartz monitor's
+    # diagonal pair): skipping pow below the threshold moves no bit of a
+    # norm, on a stack or a column
+    r = op600.grid.nodes
+    stack = np.stack([np.exp(-((r - c) ** 2) / 4.0) for c in (0.0, 5.0, 20.0)], axis=1)
+    volume = op600.grid.volume_weights(op600.m)[:, None]
+    for q in (3.0, 8.0 / 3.0, 168.0 / 61.0):
+        g = np.abs(_fractional_power(op600, 0.0, stack, "inhomogeneous"))
+        assert np.any(g < 2.0 ** (-1080.0 / q))
+        want = np.power(np.sum(np.asfortranarray(volume * g**q), axis=0), 1.0 / q)
+        assert np.array_equal(_lq_norms(op600, 0.0, stack, "inhomogeneous", q), want)
+        assert np.array_equal(_lq_norms(op600, 0.0, stack[:, 1], "inhomogeneous", q), want[1])
 
 
 # -- functions of the operator without an eigenbasis, against the dense
