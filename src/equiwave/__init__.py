@@ -19,10 +19,9 @@ import os
 
 def _apply_thread_cap():
     cap = os.environ.get("EQUIWAVE_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
 
 
 _apply_thread_cap()

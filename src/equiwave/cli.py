@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -314,7 +315,9 @@ PIPELINES = {
 
 
 def _summary_lines(report: dict, prefix=""):
-    """A line per verdict and per failing condition, with witness and reason."""
+    """A line per verdict and per failing condition, with witness and
+    reason, and for a failing ratio report its worst sample (a ratio that
+    is not finite, else the largest) with the bound x (1 + tol) it broke."""
     lines, title = [], prefix.rstrip(".") or "result"
     for key, val in sorted(report.items()):
         if key == "verdict":
@@ -325,6 +328,12 @@ def _summary_lines(report: dict, prefix=""):
         lines.append(f"{prefix + 'not run':<28} reason: {report['not_run']}")
     if "reason" in report:
         lines.append(f"{title:<28} reason: {report['reason']}")
+    if report.get("verdict") == "FAIL" and report.get("samples"):
+        worst = max(report["samples"], key=lambda sample: (
+            sample["ratio"] if math.isfinite(sample["ratio"]) else math.inf))
+        broken = ("" if report["bound"] is None else
+                  f" > {report['bound'] * (1.0 + report['tol'])} = bound x (1 + tol)")
+        lines.append(f"{prefix + 'worst sample':<28} {worst['id']} ratio={worst['ratio']}{broken}")
     for cond in report.get("conditions", []):
         if cond["verdict"] == "FAIL":
             label = f"{prefix}condition {cond['name']}"

@@ -275,8 +275,11 @@ MAX_EXPR_DEPTH = 100
 
 def _is_number(x) -> bool:
     """A real number in the range of a float: no JSON boolean, NaN,
-    Infinity, or integer that no float holds."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    Infinity, or integer that no float holds.  A rational is compared
+    exactly, any other real (a numpy float32, say) as a float64."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return abs(x if isinstance(x, numbers.Rational) else float(x)) <= sys.float_info.max
 
 
 def parse_expr(spec) -> Expr:
@@ -304,8 +307,8 @@ def parse_expr(spec) -> Expr:
             raise DomainError(f"unknown expression operator {op!r}")
         least, most, fn, rule = _OPERATORS[op]
         if not least <= len(args) <= most:
-            count = least if least == most else f"at least {least}"
-            raise DomainError(f"operator {op!r} takes {count} operand(s), got {len(args)}")
+            raise DomainError(f"operator {op!r} takes {'' if least == most else 'at least '}"
+                              f"{least} operand(s), got {len(args)}")
         if op in _NUMBERS:
             *args, x = args
             if not _is_number(x):

@@ -14,13 +14,15 @@ contour quadratures of the resolvent behind the fractional powers, one
 solve per node.  The real positive definite solve, (H + p) y = x,
 serves the square roots H^(1/2) and (1+H)^(1/2) of the snapshot norms
 and the Strichartz norms: Zolotarev's rational approximation of
-lambda^(-1/2), one solve per real pole.  The wave propagator
+lambda^(-1/2), one solve per real pole.  The powers (b + H)^s take
+real grid functions and need b + lambda_min > 0; every rule is sized
+on the spectrum itself, so no mode is split off.  The wave propagator
 cos(t sqrt(nu+H)) is a Chebyshev series in H.  No full
 eigendecomposition is made: the spectrum (eigenvalues only), the lowest
-eigenvalue by bisection and the few eigenpairs below a cut are the only
-eigensolves.  LAPACK (scipy.linalg) is imported on the first solve, not
-with the module, so a process that never solves does not pay for its
-import.
+eigenvalue by bisection and the few eigenpairs that the propagator
+holds at frequency 0 are the only eigensolves.  LAPACK (scipy.linalg)
+is imported on the first solve, not with the module, so a process that
+never solves does not pay for its import.
 
 One class, DiscreteRadialOperator, holds the stencil: face weights and
 cell averages of the volume weight, and the three row bands of H built
@@ -36,6 +38,7 @@ in time) is written here, and a column of a stack has the bits of its
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
@@ -71,8 +74,10 @@ class RadialGrid:
     N: int
 
     def __post_init__(self):
-        if self.R_max <= 0 or self.N < 2:
-            raise DomainError("need R_max > 0 and N >= 2")
+        if not (math.isfinite(self.R_max) and self.R_max > 0):
+            raise DomainError(f"need a finite R_max > 0, got {self.R_max!r}")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 2):
+            raise DomainError(f"need an integer N >= 2, got {self.N!r}")
 
     @property
     def dr(self) -> float:
@@ -211,11 +216,6 @@ class DiscreteRadialOperator:
         return _linalg().eigh_tridiagonal(*self.tridiagonal, select="v",
                                           select_range=(lo - 1.0 - abs(lo), cut))
 
-    @property
-    def lambda_floor(self) -> float:
-        # infrared cutoff imposed by truncation to [0, R_max]
-        return (math.pi / (2.0 * self.grid.R_max)) ** 2
-
     # The maps below take one grid function, shape (N,), or a stack of
     # them as the columns of an (N, k) array.
 
@@ -287,18 +287,17 @@ def build_operator(
     return DiscreteRadialOperator.flat(grid, m, W)
 
 
-def _power_base(op: DiscreteRadialOperator, s: float, shift: str) -> tuple[float, float]:
-    """(b, c) such that the calculus raises b + max(lambda, c) to the
-    power s: H^s ("homogeneous", floored at the infrared cutoff when
-    s < 0) or (1+H)^s ("inhomogeneous")."""
+def _power_base(op: DiscreteRadialOperator, shift: str) -> float:
+    """b such that the calculus raises b + H to a power: H
+    ("homogeneous", b = 0) or 1 + H ("inhomogeneous", b = 1).  Raises
+    NegativeEigenvalue unless b + lambda_min > 0."""
+    b = {"homogeneous": 0.0, "inhomogeneous": 1.0}.get(shift)
+    if b is None:
+        raise DomainError(f"unknown shift {shift!r}")
     lam_min = op.spectral_bounds[0]
-    if lam_min < -EIG_TOL:
-        raise NegativeEigenvalue(f"eigenvalue {lam_min} below -{EIG_TOL}")
-    if shift == "inhomogeneous":
-        return 1.0, 0.0
-    if shift == "homogeneous":
-        return 0.0, (op.lambda_floor if s < 0 else 0.0)
-    raise DomainError(f"unknown shift {shift!r}")
+    if not b + lam_min > 0:
+        raise NegativeEigenvalue(f"b + lambda_min = {b + lam_min} is not positive (b = {b})")
+    return b
 
 
 # relative accuracy each contour quadrature and pole rule is sized for
@@ -436,11 +435,8 @@ def _spd_solve(diag, off, p: float, x: np.ndarray) -> np.ndarray:
 
 def _inverse_sqrt(diag, off, x: np.ndarray, lo: float, hi: float):
     """A^(-1/2) x for the symmetric tridiagonal A = (diag, off), positive
-    definite with spectrum in [lo, hi], and x of shape (N, k): one real
-    positive definite solve per pole of _zolotarev_rule."""
-    if np.iscomplexobj(x):
-        return (_inverse_sqrt(diag, off, x.real, lo, hi)
-                + 1j * _inverse_sqrt(diag, off, x.imag, lo, hi))
+    definite with spectrum in [lo, hi], and real x of shape (N, k): one
+    real positive definite solve per pole of _zolotarev_rule."""
     p, a, d = _zolotarev_rule(lo, hi)
     x = np.asfortranarray(x)  # LAPACK's layout, kept by every array below
     out = np.multiply(d, x)
@@ -452,11 +448,8 @@ def _inverse_sqrt(diag, off, x: np.ndarray, lo: float, hi: float):
 
 def _contour_power(diag, off, alpha: float, x: np.ndarray, lo: float, hi: float):
     """A^alpha x for the symmetric tridiagonal A = (diag, off), spectrum
-    in [lo, hi], -1 <= alpha < 0, and x of shape (N, k): one complex
-    tridiagonal solve per node of _contour_rule."""
-    if np.iscomplexobj(x):
-        return (_contour_power(diag, off, alpha, x.real, lo, hi)
-                + 1j * _contour_power(diag, off, alpha, x.imag, lo, hi))
+    in [lo, hi], 0 < lo, -1 <= alpha < 0, and real x of shape (N, k): one
+    complex tridiagonal solve per node of _contour_rule."""
     z, c = _contour_rule(alpha, lo, hi)
     x = np.asfortranarray(x)  # LAPACK's layout, kept by every array below
     out = np.zeros_like(x)
@@ -469,60 +462,46 @@ def _contour_power(diag, off, alpha: float, x: np.ndarray, lo: float, hi: float)
 
 
 def _fractional_power(op: DiscreteRadialOperator, s: float, v, shift: str) -> np.ndarray:
-    """The power of _power_base applied to v, (N,) or an (N, k) stack,
-    without an eigenbasis.  A power s = j + beta, j an integer and
-    -1 < beta <= 0, is beta first, then j products with the operator (or
-    -j contours of power -1).  beta = -1/2 takes the real poles of
-    _zolotarev_rule, whose shifted operators are positive definite when
-    the operator is (it may not be only under the homogeneous shift,
-    with its lowest eigenvalue within EIG_TOL below 0); every other beta,
-    and that case, takes the contour.  Eigenpairs below the clip (at
-    most a few, none on an operator without a negative potential) are
-    taken out and powered exactly."""
-    b, c = _power_base(op, s, shift)
+    """(b + H)^s v, b of _power_base, for real v, (N,) or an (N, k)
+    stack, and any real s, without an eigenbasis.  Every rule is sized on
+    [b + lambda_min, b + lambda_max].  A power s = j + beta, j an integer
+    and -1 < beta <= 0, is the power beta, then -j powers -1 when j < 0,
+    each by a rule, then j products with the operator when j > 0.  The
+    power -1/2 takes the real poles of _zolotarev_rule, every other the
+    contour.  Raises DomainError for complex v."""
+    b = _power_base(op, shift)
     v = np.asarray(v)
+    if np.iscomplexobj(v):
+        raise DomainError("the functional calculus takes real grid functions")
     if s == 0:
         return v.astype(np.result_type(v, 0.0))
-    cut = op.lambda_floor if shift == "homogeneous" else 0.0
-    mu, Q = op._modes_below(cut)
-    x = op.symmetrize(v)
-    if x.ndim == 1:
-        x = x[:, None]
-    if len(mu):
-        below = Q.T @ x
-        x = x - Q @ below
+    x = op.symmetrize(v).reshape(len(v), -1)  # a column stack, (N, 1) for (N,)
     diag, off = op.tridiagonal
     diag = diag + b
-    lam_lo, lam_hi = op.spectral_bounds
-    lo, hi = b + max(lam_lo, cut), b + lam_hi
+    lo, hi = (b + lam for lam in op.spectral_bounds)
     j = math.ceil(s)
-    if s - j == -0.5 and b + lam_lo > 0:
-        x = _inverse_sqrt(diag, off, x, lo, hi)
-    elif s != j:
-        x = _contour_power(diag, off, s - j, x, lo, hi)
-    for _ in range(-j):
-        x = _contour_power(diag, off, -1.0, x, lo, hi)
+    for alpha in [s - j] + [-1.0] * -j:
+        if alpha == -0.5:
+            x = _inverse_sqrt(diag, off, x, lo, hi)
+        elif alpha != 0:
+            x = _contour_power(diag, off, alpha, x, lo, hi)
     u = op.unsymmetrize(x)
     for _ in range(j):
         u = op.apply(u) + b * u
-    if len(mu):
-        y = op.symmetrize(u)
-        y += Q @ (_down_rows((b + np.maximum(mu, c)) ** s, below) * below - Q.T @ y)
-        u = op.unsymmetrize(y)
     return u if v.ndim > 1 else u[:, 0]
 
 
 def frac_norm(
     op: DiscreteRadialOperator, s: float, v, shift: str = "homogeneous"
 ) -> Union[float, np.ndarray]:
-    """|| H^(s/2) v ||_{L^2(R^m)} (or <H>^(s/2)), as the square root of
-    the quadratic form of _fractional_power(op, s): a float for v of
-    shape (N,), one norm per column for an (N, k) stack, each with the
-    bits of its 1-D call."""
+    """|| H^(s/2) v ||_{L^2(R^m)} (or <H>^(s/2)) of real v, as the square
+    root of the quadratic form of _fractional_power(op, s): a float for v
+    of shape (N,), one norm per column for an (N, k) stack, each with the
+    bits of its 1-D call.  Needs b + lambda_min > 0 (_power_base)."""
     v = np.asarray(v)
     u = _fractional_power(op, s, v, shift)
     scale = op.grid.surface_constant(op.m) * op.grid.dr
-    form = _column_sums(_down_rows(op.rho, v) * np.conj(v) * u).real
+    form = _column_sums(_down_rows(op.rho, v) * v * u)
     norms = np.sqrt(scale * np.maximum(form, 0.0))
     return float(norms) if v.ndim == 1 else norms
 
@@ -551,17 +530,15 @@ def _lp_partials(y: np.ndarray, times: np.ndarray, p: float) -> np.ndarray:
 
 
 def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
-    """Yield cos(j dt sqrt(nu+H)) f for j = 0, ..., n_t - 1, one array of
-    the shape of f, (N,) or (N, k), at a time.  Modes with nu + lambda < 0
-    are held at frequency 0: they keep their share of f.
+    """Yield cos(j dt sqrt(nu+H)) f for j = 0, ..., n_t - 1, n_t >= 2,
+    one array of the shape of f, (N,) or (N, k), at a time.  Modes with
+    nu + lambda < 0 are held at frequency 0: they keep their share of f.
 
     One step C = cos(dt sqrt(nu+H)) is a Chebyshev series in H (Tal-Ezer &
     Kosloff, J. Chem. Phys. 81, 1984), applied by Clenshaw's recurrence
     with the three bands of H; the times follow from u_(j+1) = 2 C u_j -
     u_(j-1), exact for the cosine.  Memory is a few arrays of the shape
     of f."""
-    if n_t < 1:
-        return
     f = np.asfortranarray(f, dtype=float)
     mu, Q = op._modes_below(-nu)
     held = np.zeros_like(f)
@@ -606,15 +583,14 @@ def _cosine_flow(op: DiscreteRadialOperator, nu: float, f, dt: float, n_t: int):
 
     prev = project(f - held)
     yield prev + held
-    if n_t > 1:
-        cur = step(prev)
+    cur = step(prev)
+    yield cur + held
+    for _ in range(n_t - 2):
+        nxt = step(cur)
+        nxt *= 2.0
+        nxt -= prev
+        prev, cur = cur, nxt
         yield cur + held
-        for _ in range(n_t - 2):
-            nxt = step(cur)
-            nxt *= 2.0
-            nxt -= prev
-            prev, cur = cur, nxt
-            yield cur + held
 
 
 def _chebyshev_coefficients(g, a: float, b: float, tol: float) -> np.ndarray:

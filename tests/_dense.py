@@ -38,10 +38,9 @@ def from_coefficients(op, c) -> np.ndarray:
 
 
 def powered(op, s: float, shift: str) -> np.ndarray:
-    """Eigenvalue multiplier of the power that spectral._power_base
-    defines, H^s or (1+H)^s."""
-    b, c = _power_base(op, s, shift)
-    return (b + np.maximum(op.eigenvalues, c)) ** s
+    """Eigenvalue multiplier (b + lambda)^s of the power H^s or (1+H)^s,
+    b of spectral._power_base."""
+    return (_power_base(op, shift) + op.eigenvalues) ** s
 
 
 def evolve_linear(op, f, g, nu: float, t: float, return_velocity: bool = False):

@@ -5,19 +5,20 @@ import ast
 import dataclasses
 import inspect
 import json
+import os
 import pickle
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+import pytest
 
 import equiwave
 import equiwave.cli
 import equiwave.errors
 import equiwave.solver
 import equiwave.spectral
-from equiwave.scenario import load_scenario
 from equiwave.spectral import DiscreteRadialOperator
 
 
@@ -281,54 +282,178 @@ NOT_RUN_BY_A_COMMAND = {
     "hardy_probe_family": "the Hardy probes of demo 04; no command yet (ROADMAP item 8)",
 }
 
-# a small `all` run with every estimate check, once with a built-in target
-# and once at even n with a custom target: even n takes the contour of the
-# fractional powers, and the custom target is parsed, evaluated by jets
-# and stepped by the order-1 rules of its tree (dt_factor 0.05 keeps the
-# energy drift of the n = 4 run within the evolve bound at N = 300)
+# a custom target that uses every operator of the grammar, with a
+# one-operand fold, a natural and a real power and both cutoffs, as
+# g(s) = s + s^3 X(s) / 1000, so g(0) = 0, g'(0) = 1 and g''(0) = 0
+EVERY_OPERATOR = ["+", "r", ["*", 0.001, ["pow", "r", 3], ["+", [
+    "*", ["exp", "r"]], ["sin", "r"], ["sinh", "r"], ["cosh", "r"], ["sqrt", ["+", 1, "r"]],
+    ["/", 1, ["+", 2, "r"]], ["pow", ["+", 2, "r"], 0.5], ["cutoff", 0.1],
+    ["sqrt_cutoff", 0.1]]]]
+
+# the scenarios that the guards below run `all` over, small (N = 300,
+# T = 2, every estimate check) unless they say otherwise, with the exit
+# code of each: a built-in target; at even n a custom target, which takes
+# the contour of the fractional powers and is stepped by the order-1
+# rules of its tree (dt_factor 0.05 keeps the energy drift of the n = 4
+# run within the evolve bound); the failing verdicts of
+# tests/test_scenario_cli.py (the sin base, whose field leaves the target
+# domain where h = sin r vanishes, exit 3; BULGE, which has no delta0,
+# here with zero data; the flat base on a grid too short for the
+# smoothing frequencies, whose coarse time step also takes the energy
+# drift past its bound); and every operator of the grammar in a target,
+# with a domain bound of its own
 TRACED_SCENARIOS = [
-    {"manifold": {"kind": "hyperbolic"}, "target": {"kind": "sphere"}, "n": 3},
-    {"manifold": {"kind": "hyperbolic"}, "target": {"kind": "custom", "expr": ["sin", "r"]},
-     "n": 4},
+    ({"manifold": {"kind": "hyperbolic"}, "target": {"kind": "sphere"}, "n": 3}, 0),
+    ({"manifold": {"kind": "hyperbolic"}, "target": {"kind": "custom", "expr": ["sin", "r"]},
+      "n": 4}, 0),
+    ({"manifold": {"kind": "sin"}, "target": {"kind": "sphere"}, "n": 3}, 3),
+    ({"manifold": {"kind": "custom", "expr": [
+        "+", "r", ["*", 0.3, ["pow", "r", 3], ["pow", ["+", 1, ["*", "r", "r"]], -2]]]},
+      "target": {"kind": "sphere"}, "n": 3, "grid": {"R_max": 60.0, "N": 1000},
+      "data": {"shape": "zero"}}, 1),
+    ({"manifold": {"kind": "flat"}, "target": {"kind": "sphere"}, "n": 3, "delta0": 0.5,
+      "grid": {"R_max": 20.0, "N": 300}, "data": {"amplitude": 0.5},
+      "time": {"T": 2.0, "dt_factor": 0.4, "snap_every": 0.5}}, 1),
+    ({"manifold": {"kind": "hyperbolic"},
+      "target": {"kind": "custom", "expr": EVERY_OPERATOR, "domain_bound": 3.0}, "n": 3}, 0),
 ]
 
 
-def test_every_public_function_is_run_by_a_command_or_has_a_reason(tmp_path):
-    # every command under a function-level profiler; the evolve child of
-    # `all` is forked, out of the profiler's sight, so its run also runs
-    # here
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
+@pytest.fixture(scope="module")
+def command_trace(tmp_path_factory):
+    """The codes, lines and calls of tests/_command_trace.py over `all` on
+    every scenario of TRACED_SCENARIOS, `closed-forms`, and `verify` with
+    --seed (a command but `all`, and the seed option), with the bodies of
+    their forked evolve children; lines and calls are sets of (file name,
+    line) of the package's files."""
+    tmp = tmp_path_factory.mktemp("trace")
     paths = []
-    for i, spec in enumerate(TRACED_SCENARIOS):
-        paths.append(tmp_path / f"s{i}.json")
-        paths[-1].write_text(json.dumps({
-            **spec, "k": 1, "grid": {"R_max": 25.0, "N": 300},
+    for i, (spec, _) in enumerate(TRACED_SCENARIOS):
+        paths.append(str(tmp / f"s{i}.json"))
+        Path(paths[-1]).write_text(json.dumps({
+            "k": 1, "grid": {"R_max": 25.0, "N": 300},
             "time": {"T": 2.0, "dt_factor": 0.05, "snap_every": 0.5},
-            "checks": ["hardy", "smoothing", "strichartz", "dimshift"]}))
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        codes = [equiwave.cli.main(["all", "--scenario", str(path),
-                                    "--out", str(tmp_path / path.stem)])
-                 for path in paths]
-        codes.append(equiwave.cli.main(["closed-forms", "--out", str(tmp_path)]))
-        for path in paths:
-            scenario = load_scenario(path)
-            fields = np.empty((scenario.radial_grid.N, scenario.snapshot_count))
-            for _ in equiwave.solver._Run(scenario, "phi", None, None).snapshots(fields, None):
-                pass
-    finally:
-        sys.setprofile(previous)
-    assert codes == [0, 0, 0]
+            "checks": ["hardy", "smoothing", "strichartz", "dimshift"], **spec}))
+    commands = [["all", "--scenario", path, "--out", str(tmp / f"out{i}")]
+                for i, path in enumerate(paths)]
+    commands += [["closed-forms", "--out", str(tmp / "closed")],
+                 ["verify", "--scenario", paths[0], "--out", str(tmp / "seed"), "--seed", "3"]]
+    src = str(Path(equiwave.__file__).resolve().parents[1])
+    env = {**os.environ, "EQUIWAVE_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = Path(__file__).with_name("_command_trace.py")
+    plan = json.dumps({"commands": commands, "children": paths})
+    out = subprocess.run([sys.executable, str(script), plan], env=env, capture_output=True,
+                         text=True, check=True)
+    trace = json.loads(out.stdout)
+    return {"codes": trace["codes"],
+            "lines": {(Path(f).name, n) for f, n in trace["lines"]},
+            "calls": {(Path(f).name, n) for f, n in trace["calls"]}}
+
+
+def test_every_public_function_is_run_by_a_command_or_has_a_reason(command_trace):
+    assert command_trace["codes"] == [code for _, code in TRACED_SCENARIOS] + [0, 0]
     public = {name: getattr(equiwave, name) for name in equiwave.__all__}
-    not_run = {name for name, obj in public.items()
-               if inspect.isfunction(obj) and obj.__code__ not in entered}
+    not_run = {name for name, obj in public.items() if inspect.isfunction(obj)
+               and (Path(obj.__code__.co_filename).name, obj.__code__.co_firstlineno)
+               not in command_trace["calls"]}
     assert not_run == set(NOT_RUN_BY_A_COMMAND)
+
+
+# the functions, besides those of NOT_RUN_BY_A_COMMAND, with a statement
+# that no traced command reaches, each with the reason it stays
+ORIGIN_SERIES = ("the origin series of compute_V, for nodes r < SERIES_RADIUS: a grid "
+                 "with R_max < 2e-3 N has one, no traced grid does")
+JET_API = "the exported Jet arithmetic: the origin series of compute_V and tests"
+PSI_FORM = "the psi form, which only consistency_check runs"
+BLOW_UP = "a field past its ceiling: no traced run blows up (tests/test_solver.py)"
+LINES_NOT_RUN_BY_A_COMMAND = {
+    "admissibility.estimate_h_infinity": "a window with under 10 finite samples of H: a custom "
+                                         "base that overflows at large r; no built-in base",
+    "admissibility._check_cond_ii": "the failing verdicts of condition ii: no traced base "
+                                    "fails it (tests/test_admissibility.py)",
+    "admissibility.PerturbationReport.to_json": "the report of check_perturbation",
+    "cli._summary_lines": "the worst sample of a failing ratio report: no traced check "
+                          "fails a ratio",
+    "errors.BlowUp.__init__": BLOW_UP,
+    "errors.BlowUp.__reduce__": BLOW_UP,
+    "estimates.dimshift_check": "s = 0, the identity of measures (demo 04, the acceptance "
+                                "gate); the command takes s = 1",
+    "estimates.RatioReport.passed": "a ratio that is not finite: no traced check has one",
+    "jets.Jet.__repr__": "printing a jet",
+    "jets.Jet._coerce": JET_API,
+    "jets.Jet.__neg__": JET_API,
+    "jets.Jet.__sub__": JET_API,
+    "jets.Jet.__rsub__": JET_API,
+    "jets.Jet.__truediv__": JET_API,
+    "jets.Jet.apply": "a scalar jet of an elementary function that overflows",
+    "profiles._compose": "a custom tree that is not finite at the field "
+                         "(tests/test_order1_rules.py)",
+    "profiles.check_normalization": "a base that is not smooth at the origin: no traced "
+                                    "scenario has one",
+    "reduction._origin_jets": ORIGIN_SERIES,
+    "reduction._poly": ORIGIN_SERIES,
+    "reduction.compute_V": ORIGIN_SERIES,
+    "solver.Trajectory.final_state": "the in-process solver API: demo 05 reverses a run from it",
+    "solver._Run.__init__": PSI_FORM + ", and its weight a = c / w, which may be negative",
+    "solver._Run.bind": PSI_FORM + ", and a custom g g' that is not finite at the field",
+    "solver._Run.snapshots": "the velocities that integrate keeps, and initial data past a bound",
+    "solver._Run._check": BLOW_UP,
+    "spectral._cosine_flow": "modes with nu + lambda < 0, held at frequency 0: no traced "
+                             "base has one (tests/test_estimates.py)",
+    "spectral.DiscreteRadialOperator._modes_below": "the held modes of _cosine_flow",
+    "spectral._chebyshev_coefficients": "a series past 32 terms: the README scenario's grid "
+                                        "(N = 4000) takes one, no traced grid does",
+}
+
+
+def _statements(tree):
+    """(holder, first, last) of every statement that a call of a function
+    of the module runs, but docstrings, raise statements, the bodies of
+    except handlers and global or nonlocal declarations.  holder is "f"
+    or "Class.f" of the module-level function or method that holds it (a
+    nested function belongs to its holder); a line event of the statement
+    falls on one of the lines first..last: its own, up to the first line
+    of its body for a compound statement, from its first decorator for a
+    nested function."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    holders = [(fn.name, fn) for fn in tree.body if isinstance(fn, functions)]
+    holders += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for fn in cls.body if isinstance(fn, functions)]
+
+    def walk(holder, body):
+        for i, stmt in enumerate(body):
+            docstring = (i == 0 and isinstance(stmt, ast.Expr)
+                         and isinstance(stmt.value, ast.Constant)
+                         and isinstance(stmt.value.value, str))
+            if docstring or isinstance(stmt, (ast.Raise, ast.Global, ast.Nonlocal)):
+                continue
+            blocks = [getattr(stmt, key, []) for key in ("body", "orelse", "finalbody")]
+            inner = [s.lineno for block in blocks for s in block]
+            inner += [h.lineno for h in getattr(stmt, "handlers", [])]
+            first = min([d.lineno for d in getattr(stmt, "decorator_list", [])] + [stmt.lineno])
+            yield holder, first, min(inner, default=stmt.end_lineno + 1) - 1
+            for block in blocks:
+                yield from walk(holder, block)
+
+    for holder, fn in holders:
+        yield from walk(holder, fn.body)
+
+
+def test_every_statement_is_run_by_a_command_or_has_a_reason(command_trace):
+    # a statement of src/equiwave that no traced command reaches is code
+    # that only tests or the in-process API run; a raise, or an except
+    # handler, is a failure a command may meet on other input
+    listed = {f"{getattr(equiwave, name).__module__.rsplit('.', 1)[1]}.{name}"
+              for name in NOT_RUN_BY_A_COMMAND} | set(LINES_NOT_RUN_BY_A_COMMAND)
+    unreached = {}
+    for path in sorted(Path(equiwave.__file__).parent.glob("*.py")):
+        for holder, first, last in _statements(ast.parse(path.read_text())):
+            if not any((path.name, line) in command_trace["lines"]
+                       for line in range(first, last + 1)):
+                unreached.setdefault(f"{path.stem}.{holder}", []).append(first)
+    assert {name: lines for name, lines in unreached.items() if name not in listed} == {}
+    assert listed - set(unreached) == set()
 
 
 # the default-valued parameters that no call in src/, demos/ or bench/

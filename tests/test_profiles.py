@@ -4,6 +4,7 @@ cubic decomposition of the wave-map nonlinearity."""
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,20 @@ def test_parse_expr_round_trip():
 def test_parse_expr_rejects_garbage():
     with pytest.raises(DomainError):
         parse_expr(["nosuch", "r"])
+
+
+def test_parse_expr_takes_numpy_float32_without_a_warning():
+    # a float32 is compared with the float range as a float64: casting the
+    # float max to float32 warns of an overflow, and took inf for a number
+    for bad in (np.float32(np.inf), np.float32(-np.inf), np.float32(np.nan)):
+        with pytest.raises(DomainError):
+            parse_expr(["*", bad, "r"])
+        with pytest.raises(DomainError):
+            parse_expr(["pow", "r", bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expr = parse_expr(["*", np.float32(0.5), "r"])
+    assert expr.jet(2.0, 0).value == 1.0
 
 
 def _readme_trees(heading):

@@ -27,6 +27,7 @@ import equiwave.solver
 import equiwave.spectral
 from equiwave.cli import emit_closed_forms, main
 from equiwave.admissibility import estimate_h_infinity
+from equiwave.estimates import RatioReport
 from equiwave.errors import BlowUp, CFLViolation, ClosedFormMismatch, NoLimit, ScenarioError
 from equiwave.profiles import metric_profile
 from equiwave.reduction import compute_V
@@ -340,6 +341,23 @@ def test_cli_all_labels_each_verdict_by_its_path(tmp_path, capsys):
         "reduce                       PASS\n"
         "result                       PASS\n"
         "verify                       PASS\n")
+
+
+def test_a_failing_ratio_report_names_its_worst_sample():
+    # the worst sample, its ratio and the bound x (1 + tol) it broke, all
+    # read from the report; a report without a bound fails on a ratio that
+    # is not finite
+    hardy = RatioReport("hardy", "3 bumps", ["a", "b", "c"], [1.0, 5.0, 4.5], bound=4.0).to_json()
+    dimshift = RatioReport("dimension-shift", "2 bumps", ["d", "e"], [1.0, math.nan],
+                           bound=None).to_json()
+    assert (hardy["verdict"], dimshift["verdict"]) == ("FAIL", "FAIL")
+    report = {"estimates": {"hardy": hardy, "dimshift": dimshift, "verdict": "FAIL"},
+              "verdict": "FAIL"}
+    lines = equiwave.cli._summary_lines(report)
+    assert "estimates.hardy.worst sample b ratio=5.0 > 4.4 = bound x (1 + tol)" in lines
+    assert "estimates.dimshift.worst sample e ratio=nan" in lines
+    passing = RatioReport("hardy", "1 bump", ["a"], [1.0], bound=4.0).to_json()
+    assert equiwave.cli._summary_lines(passing) == ["result                       PASS"]
 
 
 def test_cli_reduce_report_and_spectrum(tmp_path):

@@ -53,6 +53,16 @@ def test_grid_basics():
         RadialGrid(-1.0, 100)
 
 
+@pytest.mark.parametrize("R_max, N", [(10.0, 2.5), (10.0, 100.0), (10.0, True),
+                                      (math.nan, 10), (math.inf, 10), (-math.inf, 10)])
+def test_grid_rejects_a_non_integer_N_and_a_non_finite_R_max(R_max, N):
+    # RadialGrid(10.0, 2.5) had nodes [2, 6, 10], no cell centres in
+    # [0, 10]; RadialGrid(nan, 10) failed only when an operator was built
+    with pytest.raises(DomainError):
+        RadialGrid(R_max, N)
+    assert RadialGrid(10.0, np.int64(4)).nodes.tolist() == [1.25, 3.75, 6.25, 8.75]
+
+
 def test_dimension_guard():
     with pytest.raises(DimensionError):
         build_operator(RadialGrid(10.0, 50), 4)
@@ -444,7 +454,7 @@ def test_square_roots_make_no_complex_solve(free_and_reduced, monkeypatch):
 
 
 @pytest.mark.parametrize("shift", ["homogeneous", "inhomogeneous"])
-@pytest.mark.parametrize("s", [-1.0, -0.5, 1.0 / 16, 0.5, 1.0])
+@pytest.mark.parametrize("s", [-1.5, -1.0, -0.5, 1.0 / 16, 0.5, 1.0])
 def test_frac_norm_matches_dense(free_and_reduced, s, shift):
     for op in free_and_reduced:
         v = _samples(op.grid)
@@ -452,39 +462,58 @@ def test_frac_norm_matches_dense(free_and_reduced, s, shift):
         want = np.sqrt(scale * np.sum(_down_rows(powered(op, s, shift), v)
                                       * coefficients(op, v) ** 2, axis=0))
         assert frac_norm(op, s, v, shift) == pytest.approx(want, rel=1e-10)
-        # a complex stack: real and imaginary parts add in the square
-        got = frac_norm(op, s, (1.0 + 2.0j) * v, shift)
-        assert got == pytest.approx(math.sqrt(5.0) * want, rel=1e-10)
 
 
-@pytest.mark.parametrize("s", [-1.5, -0.5, 0.25, 0.75])
-def test_fractional_power_matches_dense_with_modes_below_the_floor(free_and_reduced, s):
-    # shift W so that the lowest eigenvalue sits between 0 and the infrared
-    # floor: negative homogeneous powers floor it, positive ones do not
+def test_complex_input_is_a_domain_error(op600):
+    # the calculus takes real grid functions only
+    v = np.exp(-op600.grid.nodes) * (1.0 + 2.0j)
+    for s in (0.0, 0.5, -1.0):
+        with pytest.raises(DomainError, match="real"):
+            frac_norm(op600, s, v)
+        with pytest.raises(DomainError, match="real"):
+            _lq_norms(op600, s, v[:, None], "inhomogeneous", 3.0)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.25, 0.75])
+def test_fractional_power_matches_dense_with_modes_below_the_floor(free_and_reduced, s,
+                                                                   monkeypatch):
+    # shift W so that the lowest eigenvalue sits at half the infrared floor
+    # (pi / 2 R_max)^2 of the truncation: the calculus clips no mode, and
+    # every rule is sized on the spectrum itself, so the power is the exact
+    # (b + lambda)^s, without an eigensolve.  The reference takes lambda
+    # from the eigendecomposition of its basis: op.eigenvalues, computed
+    # without vectors, is 3e-10 off in relative terms at this lambda_min,
+    # more than the bound
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve")
+
     free, _ = free_and_reduced
-    floor = free.lambda_floor
-    shift_W = np.full(free.grid.N, 0.5 * floor - free.eigenvalues[0])
-    op = build_operator(free.grid, 5, shift_W)
-    assert 0.0 < op.eigenvalues[0] < floor
+    low = 0.5 * (math.pi / (2.0 * free.grid.R_max)) ** 2
+    op = build_operator(free.grid, 5, np.full(free.grid.N, low - free.eigenvalues[0]))
+    assert op.spectral_bounds[0] == pytest.approx(low, rel=1e-6)
     v = _samples(op.grid)
-    for shift in ("homogeneous", "inhomogeneous"):
+    lam = scipy.linalg.eigh_tridiagonal(*op.tridiagonal)[0]
+    want = {shift: from_coefficients(op, ((b + lam) ** s)[:, None] * coefficients(op, v))
+            for shift, b in (("homogeneous", 0.0), ("inhomogeneous", 1.0))}
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
+    for shift, dense in want.items():
         got = _fractional_power(op, s, v, shift)
-        assert _l2_error(op, got, _dense_power(op, s, v, shift)) < 1e-10
+        assert _l2_error(op, got, dense) < 1e-10
 
 
 def test_square_root_with_an_eigenvalue_just_below_zero():
-    # the lowest eigenvalue, -5e-9, is within EIG_TOL; on this wide grid
-    # the first real pole is smaller, so H + p is indefinite and H^(1/2)
-    # takes the contour
+    # H^s needs a positive spectrum: a lowest eigenvalue of -5e-9, within
+    # EIG_TOL of 0, is a NegativeEigenvalue; 1 + H is positive
     grid = RadialGrid(4000.0, 800)
     free = build_operator(grid, 5)
     op = build_operator(grid, 5, np.full(grid.N, -5e-9 - free.eigenvalues[0]))
-    assert -1e-8 < op.spectral_bounds[0] < -_zolotarev_rule(
-        op.lambda_floor, op.spectral_bounds[1])[0][0]
+    assert -1e-8 < op.spectral_bounds[0] < 0.0
     r = grid.nodes
     v = np.stack([r**2 * np.exp(-(((r - c) / 100.0) ** 2)) for c in (0.0, 600.0)], axis=1)
-    got = _fractional_power(op, 0.5, v, "homogeneous")
-    assert _l2_error(op, got, _dense_power(op, 0.5, v, "homogeneous")) < 1e-10
+    with pytest.raises(NegativeEigenvalue):
+        _fractional_power(op, 0.5, v, "homogeneous")
+    got = _fractional_power(op, 0.5, v, "inhomogeneous")
+    assert _l2_error(op, got, _dense_power(op, 0.5, v, "inhomogeneous")) < 1e-10
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0])
@@ -527,12 +556,10 @@ def test_functional_calculus_makes_no_full_eigensolve(free_and_reduced, monkeypa
     rep = strichartz_monitor(op, nu, (3, 3), fam, free_op=free)
     assert np.all(np.isfinite(rep.ratios))
     assert np.all(np.isfinite(resolve(1.0 + 1.0j, v, op)))
-    # frac_norm needs a nonnegative spectrum: one mode below the infrared
-    # floor is taken out under the homogeneous shift
-    floor = build_operator(grid, 5, np.full(grid.N, 0.5 * free.lambda_floor
-                                            - free.eigenvalues[0]))
+    # frac_norm needs a positive spectrum, and powers it without an
+    # eigensolve however close to 0 its lowest eigenvalue is
+    low = build_operator(grid, 5, np.full(grid.N, 1e-6 - free.eigenvalues[0]))
     for shift in ("homogeneous", "inhomogeneous"):
-        assert np.all(frac_norm(floor, 0.5, v, shift) > 0.0)
-    # the flow and the monitor each solve for the two held modes, and the
-    # homogeneous frac_norm for the one below the floor
-    assert selected == ["v", "v", "v"]
+        assert np.all(frac_norm(low, 0.5, v, shift) > 0.0)
+    # the flow and the monitor each solve for the two held modes
+    assert selected == ["v", "v"]
