@@ -47,13 +47,18 @@ the package uses a second core: it makes the (N, S) array on an
 anonymous shared mapping, forks one child that runs the formulation
 into it, and hands the caller the array and, through a one-way pipe,
 the block ends and the trajectory.  The child keeps no velocities and
-makes no spectral solve.  consistency_check runs the psi form so while
-it runs the phi form; the CLI's evolve stage runs the phi form so while
-it runs the other stages.  `_measured` is the one measurement of a
-run's snapshots: it reduces and measures the fields a block at a time,
-as the ends arrive, into the H^(1/2) norms and the Strichartz partials
-of the trajectory, for `integrate` and for the CLI alike, so the CLI's
-artifacts have every bit of an in-process run.
+makes no spectral solve.  A block's columns are valid until the caller
+takes the next value: then the whole pages below the block's end are
+freed, so the caller holds the blocks the child has written and it has
+not yet measured, not all S columns.  consistency_check runs the psi
+form so while it runs the phi form, and takes the mismatch of each block
+as it arrives; the CLI's evolve stage runs the phi form so while it runs
+the other stages.  `_measured` is the one measurement of a run's
+snapshots: it reduces and measures the fields a block at a time, as the
+ends arrive, into the H^(1/2) norms and the Strichartz partials of the
+trajectory, for `integrate` and for the CLI alike, so the CLI's
+artifacts have every bit of an in-process run.  `integrate`'s own
+arrays are never freed.
 """
 
 from __future__ import annotations
@@ -372,7 +377,8 @@ def _measured(fields: np.ndarray, values, scenario: Scenario, formulation: str) 
     psi form, the fields themselves) are measured with the free operator
     of R^m: the H^(1/2) norm, and the L^q norm of <H>^((n-1)/4) by radial
     quadrature, whose L^p norm in time is the trapezoid rule over the
-    snapshots."""
+    snapshots.  A block is read only before the next value is taken, so
+    the values of a _forked_run may free it then."""
     n, k = scenario.n, scenario.k
     idx = indices(n, k)
     w = weight_w(scenario.profile(), n, k, scenario.radial_grid.nodes)
@@ -440,7 +446,11 @@ def _forked_run(scenario: Scenario, formulation: str):
     the child writes the field of snapshot j; values an iterator over
     the values of the child's _Run.snapshots, in order, through a
     one-way pipe: the end of each block of columns as soon as it is
-    written, then the trajectory, where it stops.
+    written, then the trajectory, where it stops.  The columns of a block
+    are valid until the caller takes the next value: taking it frees the
+    whole pages of the mapping below the block's end (madvise
+    MADV_REMOVE, where mmap has it), which then read 0.0, so the mapping
+    holds only the blocks not yet measured.
 
     An exception of the child arrives as its next value and is raised
     there; one that cannot be pickled arrives as an EquiwaveError
@@ -453,8 +463,10 @@ def _forked_run(scenario: Scenario, formulation: str):
     import multiprocessing
 
     rows, cols = scenario.radial_grid.N, scenario.snapshot_count
-    fields = np.ndarray((rows, cols), dtype=float, buffer=mmap.mmap(-1, 8 * rows * cols),
-                        order="F")
+    shared = mmap.mmap(-1, 8 * rows * cols)
+    fields = np.ndarray((rows, cols), dtype=float, buffer=shared, order="F")
+    # bound here, so that no other function names mmap or madvise
+    free, remove, page = shared.madvise, getattr(mmap, "MADV_REMOVE", None), mmap.PAGESIZE
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_all, args=(send, scenario, formulation, fields))
@@ -462,8 +474,15 @@ def _forked_run(scenario: Scenario, formulation: str):
     send.close()
 
     def values():
-        value = None
+        value, freed = None, 0  # the pages below byte `freed` are freed
         while not isinstance(value, Trajectory):
+            if isinstance(value, int) and remove is not None:
+                # the consumer took the next value, so the block that ended
+                # at `value` is measured: free its whole pages
+                top = 8 * rows * value // page * page
+                if top > freed:
+                    free(remove, freed, top - freed)
+                    freed = top
             try:
                 value = recv.recv()
             except EOFError:
@@ -487,15 +506,20 @@ def consistency_check(scenario: Scenario) -> dict:
     over snapshots of || w psi - phi ||_inf.
 
     The psi run goes to a forked child process while this one runs phi,
-    so the two halves take two cores.  An error of the phi run is raised
-    first, then one of the psi run, with its type and fields; the child
-    never outlives the call."""
+    so the two halves take two cores; the mismatch of each psi block is
+    taken as its end arrives, before the block is freed.  An error of the
+    phi run is raised first, then one of the psi run, with its type and
+    fields; the child never outlives the call."""
     with _forked_run(scenario, "psi") as (psi, values):
         phi = integrate(scenario, "phi", spectral_diagnostics=False)
-        for _ in values:  # up to the trajectory: every column is written
-            pass
-    w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
-    per = np.max(np.abs(phi.fields - w[:, None] * psi), axis=0).tolist()
+        w = weight_w(scenario.profile(), scenario.n, scenario.k, scenario.radial_grid.nodes)
+        per, start = [], 0
+        while start < psi.shape[1]:
+            end = next(values)
+            per += np.max(np.abs(phi.fields[:, start:end] - w[:, None] * psi[:, start:end]),
+                          axis=0).tolist()
+            start = end
+        next(values)  # the trajectory, which frees the last block
     return {
         "mismatch": max(per),
         "per_snapshot": per,

@@ -103,8 +103,9 @@ def test_only_spectral_reads_the_operator_weights():
 def test_only_the_fork_helper_uses_multiprocessing():
     # one fork mechanism, solver._forked_run, which imports multiprocessing
     # in its body, so importing the package loads none of it, and makes
-    # the one buffer shared with a child, the one use of mmap
-    uses = {"multiprocessing": set(), "mmap": set()}
+    # the one buffer shared with a child, the one use of mmap; it alone
+    # takes the buffer's madvise, so no other code can free a block
+    uses = {"multiprocessing": set(), "mmap": set(), "madvise": set()}
     for path in MODULES:
         tree = ast.parse(path.read_text())
         owner = {}  # node -> innermost enclosing function; ast.walk goes outside in
@@ -119,11 +120,14 @@ def test_only_the_fork_helper_uses_multiprocessing():
                 names = [node.module or ""]
             elif isinstance(node, ast.Name):
                 names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
             for module, users in uses.items():
                 if any(name.split(".")[0] == module for name in names):
                     users.add(f"{path.name}:{owner.get(id(node))}")
     assert uses == {"multiprocessing": {"solver.py:_forked_run"},
-                    "mmap": {"solver.py:_forked_run"}}
+                    "mmap": {"solver.py:_forked_run"},
+                    "madvise": {"solver.py:_forked_run"}}
 
 
 def test_force_and_energy_take_one_path_for_both_formulations():

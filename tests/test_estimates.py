@@ -15,7 +15,7 @@ from _baselines import (
     STRICHARTZ_FREE,
     STRICHARTZ_HYPERBOLIC_KG,
 )
-from _dense import coefficients, from_coefficients, powered
+from _dense import coefficients, eigenvalues, from_coefficients, powered
 from equiwave.errors import BetaDiverges, DomainError, HypothesisFail, NotAdmissible
 from equiwave.estimates import (
     dimshift_check,
@@ -258,7 +258,7 @@ def _strichartz_per_time(op, nu, pq, family, free_op, T=20.0, n_t=80):
     p, q = Fraction(pq[0]), Fraction(pq[1])
     s0 = float(1 / q - 1 / p)
     shift = "inhomogeneous" if nu > 0 else "homogeneous"
-    om = np.sqrt(np.maximum(op.eigenvalues + nu, 0.0))
+    om = np.sqrt(np.maximum(eigenvalues(op) + nu, 0.0))
     mult = powered(free_op, s0 / 2.0, shift)
     times = np.linspace(0.0, T, n_t)
     vol = op.grid.volume_weights(op.m)

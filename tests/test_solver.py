@@ -4,6 +4,7 @@ formulation consistency, and blow-up detection."""
 import dataclasses
 import json
 import math
+import mmap
 import multiprocessing
 import signal
 import time
@@ -24,6 +25,8 @@ from equiwave.scenario import Scenario
 from equiwave.solver import (
     WaveState,
     _Run,
+    _forked_run,
+    _measured,
     consistency_check,
     integrate,
 )
@@ -126,7 +129,8 @@ def test_consistency_zero_data_exact():
 
 
 def test_consistency_check_equals_two_direct_runs():
-    s = make_scenario(manifold="hyperbolic", N=400, T=4.0)
+    # 43 snapshots: three blocks, each compared as it arrives
+    s = make_scenario(manifold="hyperbolic", N=400, T=4.0, snap=0.1)
     phi = integrate(s, "phi", spectral_diagnostics=False)
     psi = integrate(s, "psi", spectral_diagnostics=False)
     w = weight_w(s.profile(), s.n, s.k, s.radial_grid.nodes)
@@ -450,6 +454,21 @@ def test_snapshot_count_is_that_of_a_run(T, snap, count):
     for name in ("times", "energies", "sup_norms", "local_energies"):
         assert np.array_equal(getattr(last, name), getattr(tr, name))
     assert last.meta == tr.meta
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_REMOVE"), reason="mmap has no MADV_REMOVE")
+def test_a_forked_run_frees_each_block_once_it_is_measured():
+    # 34 snapshots of N = 300: three blocks whose ends fall mid-page, so a
+    # page that straddles an end is freed only after the next block
+    s = make_scenario(manifold="hyperbolic", N=300, T=3.3, snap=0.1)
+    with _forked_run(s, "phi") as (fields, values):
+        tr = _measured(fields, values, s, "phi")
+        whole = (fields.nbytes - 1) // mmap.PAGESIZE * mmap.PAGESIZE // 8
+        assert whole > 0 and np.all(fields.ravel(order="F")[:whole] == 0.0)
+    want = integrate(s, "phi")
+    assert np.array_equal(tr.h_half_norms, want.h_half_norms)
+    assert np.array_equal(tr.strichartz_partials, want.strichartz_partials)
+    assert multiprocessing.active_children() == []
 
 
 def test_snapshot_diagnostics_transient_does_not_grow_with_snapshots():

@@ -12,7 +12,8 @@ import pytest
 import scipy.linalg
 
 import equiwave.spectral
-from _dense import coefficients, eigenvectors, evolve_linear, from_coefficients, powered
+from _dense import (coefficients, eigenvalues, eigenvectors, evolve_linear,
+                    from_coefficients, powered)
 from equiwave.errors import (
     DimensionError,
     DomainError,
@@ -166,7 +167,7 @@ def test_evolve_modewise_energy_conserved(op600):
     f = r * np.exp(-((r - 3.0) ** 2))
     cf0 = coefficients(op600, f)
     u, ut = evolve_linear(op600, f, np.zeros_like(f), 0.5, 7.0, return_velocity=True)
-    om2 = op600.eigenvalues + 0.5
+    om2 = eigenvalues(op600) + 0.5
     cu = coefficients(op600, u)
     cut = coefficients(op600, ut)
     e = om2 * cu**2 + cut**2
@@ -480,10 +481,7 @@ def test_fractional_power_matches_dense_with_modes_below_the_floor(free_and_redu
     # shift W so that the lowest eigenvalue sits at half the infrared floor
     # (pi / 2 R_max)^2 of the truncation: the calculus clips no mode, and
     # every rule is sized on the spectrum itself, so the power is the exact
-    # (b + lambda)^s, without an eigensolve.  The reference takes lambda
-    # from the eigendecomposition of its basis: op.eigenvalues, computed
-    # without vectors, is 3e-10 off in relative terms at this lambda_min,
-    # more than the bound
+    # (b + lambda)^s, without an eigensolve
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve")
 
@@ -492,9 +490,7 @@ def test_fractional_power_matches_dense_with_modes_below_the_floor(free_and_redu
     op = build_operator(free.grid, 5, np.full(free.grid.N, low - free.eigenvalues[0]))
     assert op.spectral_bounds[0] == pytest.approx(low, rel=1e-6)
     v = _samples(op.grid)
-    lam = scipy.linalg.eigh_tridiagonal(*op.tridiagonal)[0]
-    want = {shift: from_coefficients(op, ((b + lam) ** s)[:, None] * coefficients(op, v))
-            for shift, b in (("homogeneous", 0.0), ("inhomogeneous", 1.0))}
+    want = {shift: _dense_power(op, s, v, shift) for shift in ("homogeneous", "inhomogeneous")}
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
     for shift, dense in want.items():
         got = _fractional_power(op, s, v, shift)
