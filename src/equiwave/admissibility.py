@@ -174,6 +174,7 @@ class AdmissibilityReport:
             "h_infinity_residual": self.h_infinity_residual,
             "delta0": self.delta0,
             "admissible": self.admissible,
+            "verdict": "PASS" if self.admissible else "FAIL",
             "conditions": [
                 self.cond_i.to_json(),
                 self.cond_ii.to_json(),
@@ -318,20 +319,9 @@ def _check_cond_ii(profile, n, rs):
 
 @dataclass
 class PerturbationReport:
-    mode: str
     epsilon: float  # smallest epsilon making the small-epsilon items hold
     passed: bool
     items: list
-    eps_max: float
-
-    def to_json(self):
-        return {
-            "mode": self.mode,
-            "epsilon": self.epsilon,
-            "verdict": "PASS" if self.passed else "FAIL",
-            "eps_max": self.eps_max,
-            "items": self.items,
-        }
 
 
 def check_perturbation(
@@ -358,7 +348,7 @@ def check_perturbation(
     mu_sup = float(np.max(np.abs(he - h)))
     if mu_sup == 0.0:
         # identical profiles: trivially admissible together
-        return PerturbationReport(mode, 0.0, True, [{"name": "identical", "sup": 0.0}], EPS_MAX)
+        return PerturbationReport(0.0, True, [{"name": "identical", "sup": 0.0}])
 
     if mode == "exponential":
         # requires super-polynomial growth of the base: h / (r + r^n)
@@ -444,4 +434,4 @@ def check_perturbation(
 
     bounded_ok = all(it.get("bounded", True) for it in items)
     passed = bounded_ok and eps <= EPS_MAX
-    return PerturbationReport(mode, eps, passed, items, EPS_MAX)
+    return PerturbationReport(eps, passed, items)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -65,48 +66,66 @@ def _write_csv(path: Path, header, rows):
 
 # -- pipelines ---------------------------------------------------------------------
 
+# the errors that mean the scenario's base is outside what a stage or a
+# check takes, each with the reason that its not-run record gives
+_NOT_RUN = {
+    NoLimit: "no curvature limit h_inf",
+    TruncationTooSmall: "grid too short for the smoothing frequencies",
+}
+
+
+def _not_run(reason: str) -> dict:
+    """The record of a stage or check that cannot run: it fails, and says why."""
+    return {"verdict": "FAIL", "not_run": reason}
+
+
+def _or_not_run(body):
+    """body, returning the not-run record of an error of _NOT_RUN.  A body
+    reads h_inf before its other work, so no error of that work hides a
+    missing limit."""
+    @functools.wraps(body)
+    def run(*args):
+        try:
+            return body(*args)
+        except tuple(_NOT_RUN) as exc:
+            return _not_run(f"{_NOT_RUN[type(exc)]}: {exc}")
+    return run
+
+
+def _all_pass(records) -> str:
+    return "PASS" if all(r["verdict"] == "PASS" for r in records) else "FAIL"
+
+
+def _graded(report: dict, bounds) -> dict:
+    """report with its verdict: PASS if each of its bounds (name, value,
+    held, relation, bound) held, else FAIL with a reason that names each
+    broken one by the relation it broke, as "energy_drift 0.000135 > 0.0001"."""
+    failed = [f"{name} {value:.3g} {relation} {bound:g}"
+              for name, value, held, relation, bound in bounds if not held]
+    report["verdict"] = "FAIL" if failed else "PASS"
+    if failed:
+        report["reason"] = "; ".join(failed)
+    return report
+
 
 def run_verify(scenario: Scenario, out: Path) -> dict:
-    report = scenario.admissibility
-    payload = report.to_json()
-    payload["verdict"] = "PASS" if report.admissible else "FAIL"
-    return payload
+    return scenario.admissibility.to_json()
 
 
-def _no_limit(scenario: Scenario):
-    """Why the reduction cannot run on the scenario's base (it has no
-    curvature limit h_inf), or None when it can."""
-    try:
-        scenario.h_infinity
-    except NoLimit as exc:
-        return f"no curvature limit h_inf: {exc}"
-    return None
-
-
+@_or_not_run
 def run_reduce(scenario: Scenario, out: Path) -> dict:
-    reason = _no_limit(scenario)
-    if reason is not None:
-        return {"verdict": "FAIL", "not_run": reason}
+    h_inf = scenario.h_infinity
     lam = scenario.reduced_operator.eigenvalues
     _write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
                enumerate(lam.tolist()))
     n, k = scenario.n, scenario.k
     idx = {key: [v.numerator, v.denominator] if isinstance(v, Fraction) else v
            for key, v in indices(n, k).items()}
-    return {
-        "profile": scenario.profile().spec(),
-        "n": n,
-        "k": k,
-        "m": n + 2 * k,
-        "h_infinity": scenario.h_infinity,
-        "indices": idx,
-        "spectrum": {
-            "min_eigenvalue": float(lam[0]),
-            "max_eigenvalue": float(lam[-1]),
-            "count": int(len(lam)),
-        },
-        "verdict": "PASS" if lam[0] > -EIG_TOL else "FAIL",
-    }
+    low = float(lam[0])
+    spectrum = {"min_eigenvalue": low, "max_eigenvalue": float(lam[-1]), "count": len(lam)}
+    return _graded({"profile": scenario.profile().spec(), "n": n, "k": k, "m": n + 2 * k,
+                    "h_infinity": h_inf, "indices": idx, "spectrum": spectrum},
+                   [("min_eigenvalue", low, low > -EIG_TOL, "<", -EIG_TOL)])
 
 
 def _default_lambda_grid():
@@ -117,59 +136,48 @@ def _default_lambda_grid():
     return grid
 
 
-def run_estimates(scenario: Scenario, out: Path) -> dict:
-    profile = scenario.profile()
+@_or_not_run
+def _estimate(scenario: Scenario, out: Path, name: str) -> dict:
+    """The record of the check `name`, with its ratios in ratios_<name>.csv."""
     n, k, seed = scenario.n, scenario.k, scenario.seed
-    results = {}
-    checks = scenario.checks or ["hardy", "dimshift"]
-    for name in checks:
-        if name == "hardy":
-            fam = gaussian_family(30, seed, r_power=1)
-            rep = hardy_check(lambda r: r ** (1.0 - n), n, fam)
-        elif name == "smoothing":
-            delta0 = scenario.delta0
-            if delta0 == "search":
-                delta0 = scenario.admissibility.delta0
-            # the search of verify's condition iii found no delta0, or the
-            # base has no h_inf: the check cannot run, and the base fails it
-            reason = ("no delta0 found for smoothing check" if delta0 is None
-                      else _no_limit(scenario))
-            if reason is not None:
-                results[name] = {"verdict": "FAIL", "not_run": reason}
-                continue
-            fam = gaussian_family(10, seed, r_power=k)
-            try:
-                rep = smoothing_check(
-                    profile, n, k, float(delta0), _default_lambda_grid(), fam,
-                    h_infinity=scenario.h_infinity,
-                    R_max=float(scenario.grid["R_max"]), N=int(scenario.grid["N"]),
-                )
-            except TruncationTooSmall as exc:  # R_max is too short for a frequency
-                reason = f"grid too short for the smoothing frequencies: {exc}"
-                results[name] = {"verdict": "FAIL", "not_run": reason}
-                continue
-        elif name == "strichartz":
-            reason = _no_limit(scenario)
-            if reason is not None:
-                results[name] = {"verdict": "FAIL", "not_run": reason}
-                continue
-            fams = gaussian_family(10, seed, r_power=2)
-            fam = [tf.fn(scenario.radial_grid.nodes) for tf in fams]
-            nu = scenario.h_infinity if scenario.h_infinity > 0 else 0.0
-            # the diagonal pair (a, a) sits on the admissibility line for
-            # every m; the monitor validates the pair exactly
-            a = indices(n, k)["a"]
-            rep = strichartz_monitor(scenario.reduced_operator, nu, (a, a), fam,
-                                     free_op=scenario.free_operator)
-        elif name == "dimshift":
-            fam = gaussian_family(30, seed, r_power=k)
-            rep = dimshift_check(n, k, 1.0, fam)
-        else:
-            raise ScenarioError(f"unknown check {name!r}")
-        _write_csv(out / f"ratios_{name}.csv", ["sample_id", "ratio"],
-                   rep.csv_rows())
-        results[name] = rep.to_json()
-    results["verdict"] = "PASS" if all(r["verdict"] == "PASS" for r in results.values()) else "FAIL"
+    if name == "hardy":
+        fam = gaussian_family(30, seed, r_power=1)
+        rep = hardy_check(lambda r: r ** (1.0 - n), n, fam)
+    elif name == "smoothing":
+        delta0 = scenario.delta0
+        if delta0 == "search":
+            delta0 = scenario.admissibility.delta0
+        if delta0 is None:  # the search of verify's condition iii found none
+            return _not_run("no delta0 found for smoothing check")
+        h_inf = scenario.h_infinity
+        fam = gaussian_family(10, seed, r_power=k)
+        rep = smoothing_check(
+            scenario.profile(), n, k, float(delta0), _default_lambda_grid(), fam,
+            h_infinity=h_inf, R_max=float(scenario.grid["R_max"]), N=int(scenario.grid["N"]),
+        )
+    elif name == "strichartz":
+        h_inf = scenario.h_infinity
+        fams = gaussian_family(10, seed, r_power=2)
+        fam = [tf.fn(scenario.radial_grid.nodes) for tf in fams]
+        nu = h_inf if h_inf > 0 else 0.0
+        # the diagonal pair (a, a) sits on the admissibility line for
+        # every m; the monitor validates the pair exactly
+        a = indices(n, k)["a"]
+        rep = strichartz_monitor(scenario.reduced_operator, nu, (a, a), fam,
+                                 free_op=scenario.free_operator)
+    elif name == "dimshift":
+        fam = gaussian_family(30, seed, r_power=k)
+        rep = dimshift_check(n, k, 1.0, fam)
+    else:
+        raise ScenarioError(f"unknown check {name!r}")
+    _write_csv(out / f"ratios_{name}.csv", ["sample_id", "ratio"], rep.csv_rows())
+    return rep.to_json()
+
+
+def run_estimates(scenario: Scenario, out: Path) -> dict:
+    results = {name: _estimate(scenario, out, name)
+               for name in scenario.checks or ["hardy", "dimshift"]}
+    results["verdict"] = _all_pass(results.values())
     return results
 
 
@@ -188,10 +196,7 @@ def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
     drift = float(trajectory.energy_drift.max())
     sup0 = trajectory.sup_norms[0]
     sup_ratio = float(trajectory.sup_norms.max() / sup0) if sup0 > 0 else 0.0
-    bounds = (("sup_ratio", sup_ratio, 2.0, sup0 == 0 or sup_ratio <= 2.0),
-              ("energy_drift", drift, 1e-4, drift <= 1e-4))
-    failed = [f"{name} {value:.3g} > {bound:g}" for name, value, bound, ok in bounds if not ok]
-    report = {
+    return _graded({
         "T": trajectory.times[-1],
         "snapshots": int(len(trajectory.times)),
         "energy_initial": float(trajectory.energies[0]),
@@ -200,11 +205,8 @@ def run_evolve(scenario: Scenario, out: Path, evolve) -> dict:
         "strichartz_trace": float(trajectory.strichartz_partials[-1]),
         "ball_radius": trajectory.meta["ball_radius"],
         "local_energy_final": float(trajectory.local_energies[-1]),
-        "verdict": "FAIL" if failed else "PASS",
-    }
-    if failed:
-        report["reason"] = "; ".join(failed)
-    return report
+    }, [("sup_ratio", sup_ratio, sup_ratio <= 2.0, ">", 2.0),
+        ("energy_drift", drift, drift <= 1e-4, ">", 1e-4)])
 
 
 # -- closed-form reference values ----------------------------------------------------
@@ -389,13 +391,9 @@ def main(argv=None) -> int:
                 for name in names:
                     extra = (child,) if name == "evolve" else ()
                     stages[name] = PIPELINES[name](scenario, out, *extra)
-            if args.command == "all":
-                report = {"scenario": scenario.to_json(), **stages}
-                verdicts = [report[name].get("verdict") for name in PIPELINES]
-                report["verdict"] = "PASS" if all(v == "PASS" for v in verdicts) else "FAIL"
-            else:
-                report = stages[args.command]
-                report["scenario"] = scenario.to_json()
+            report = (stages[args.command] if args.command != "all" else
+                      {**stages, "verdict": _all_pass(stages.values())})
+            report["scenario"] = scenario.to_json()
     except (ScenarioError, CFLViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

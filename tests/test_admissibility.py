@@ -163,7 +163,7 @@ def test_perturbation_sinh_example_passes():
                ["pow", ["+", 1.0, "r"], -3.0]]],
     )
     rep = check_perturbation(base, pert, "exponential", 3)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep.items
     assert rep.epsilon < 0.05
 
 

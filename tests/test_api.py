@@ -100,6 +100,34 @@ def test_only_spectral_reads_the_operator_weights():
     assert reads == []
 
 
+def test_one_constructor_builds_every_not_run_record():
+    # a stage or check that cannot run gets its record from cli._not_run,
+    # the one function that writes the key not_run; _summary_lines only
+    # reads it, and no helper of its own decides a missing h_inf
+    writers, readers, no_limit = set(), set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function; ast.walk goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(node): f"{path.stem}.{fn.name}" for node in ast.walk(fn)})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys = [key.value for key in node.keys if isinstance(key, ast.Constant)]
+                if "not_run" in keys:
+                    writers.add(owner.get(id(node)))
+            elif isinstance(node, ast.keyword) and node.arg == "not_run":
+                writers.add(owner.get(id(node)))
+            elif isinstance(node, ast.Constant) and node.value == "not_run":
+                readers.add(owner.get(id(node)))
+            names = {getattr(node, key, None) for key in ("id", "name", "attr")}
+            if "_no_limit" in names:
+                no_limit.append(f"{path.name}:{node.lineno}")
+    assert writers == {"cli._not_run"}
+    assert readers <= {"cli._not_run", "cli._summary_lines"}
+    assert no_limit == []
+
+
 def test_only_the_fork_helper_uses_multiprocessing():
     # one fork mechanism, solver._forked_run, which imports multiprocessing
     # in its body, so importing the package loads none of it, and makes
@@ -376,7 +404,6 @@ LINES_NOT_RUN_BY_A_COMMAND = {
                                          "base that overflows at large r; no built-in base",
     "admissibility._check_cond_ii": "the failing verdicts of condition ii: no traced base "
                                     "fails it (tests/test_admissibility.py)",
-    "admissibility.PerturbationReport.to_json": "the report of check_perturbation",
     "cli._summary_lines": "the worst sample of a failing ratio report: no traced check "
                           "fails a ratio",
     "errors.BlowUp.__init__": BLOW_UP,

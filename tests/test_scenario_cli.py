@@ -380,6 +380,31 @@ def test_cli_reduce_report_and_spectrum(tmp_path):
     assert rows[0] == ["index", "eigenvalue"]
     lam = build_operator(grid, 5, W).eigenvalues
     assert [float(value) for _, value in rows[1:]] == lam.tolist()
+    assert report["verdict"] == "PASS" and "reason" not in report
+
+
+# h = sinh r + 2 r^3 e^-(r-3)^2, hyperbolic with a bulge at r = 3 that
+# traps: its reduced operator has an eigenvalue below 0, and verify
+# rejects the base
+TRAPPING = {**GOOD, "grid": {"R_max": 30.0, "N": 400},
+            "manifold": {"kind": "custom", "expr": [
+                "+", ["sinh", "r"],
+                ["*", 2, ["pow", "r", 3], ["exp", ["*", -1, ["pow", ["+", "r", -3], 2]]]]]}}
+
+
+def test_cli_reduce_fail_names_the_bound_it_broke(tmp_path, capsys):
+    # the reason of a failing reduce is built as evolve's: the value and
+    # the bound it broke
+    path = write_scenario(tmp_path, TRAPPING)
+    out = tmp_path / "out"
+    assert main(["reduce", "--scenario", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert round(report["spectrum"]["min_eigenvalue"], 4) == -0.7088
+    assert report["verdict"] == "FAIL"
+    assert report["reason"] == "min_eigenvalue -0.709 < -1e-08"
+    assert capsys.readouterr().err == (
+        "result                       FAIL\n"
+        "result                       reason: min_eigenvalue -0.709 < -1e-08\n")
 
 
 def test_cli_config_error_exit_2(tmp_path):
@@ -783,11 +808,13 @@ def test_cli_evolve_child_error_that_cannot_be_pickled_exits_3(tmp_path, capfd, 
     assert multiprocessing.active_children() == []
 
 
+# amplitude 0.5 on a coarse grid: the energy drifts past its bound
+DRIFT = {**GOOD, "manifold": {"kind": "flat"}, "grid": {"R_max": 25.0, "N": 200},
+         "data": {**GOOD["data"], "amplitude": 0.5}}
+
+
 def test_cli_evolve_fail_prints_its_reason(tmp_path, capsys):
-    # amplitude 0.5 on a coarse grid: the energy drifts past its bound
-    payload = {**GOOD, "manifold": {"kind": "flat"}, "grid": {"R_max": 25.0, "N": 200},
-               "data": {**GOOD["data"], "amplitude": 0.5}}
-    path = write_scenario(tmp_path, payload)
+    path = write_scenario(tmp_path, DRIFT)
     assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["verdict"] == "FAIL"
@@ -795,6 +822,25 @@ def test_cli_evolve_fail_prints_its_reason(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "result                       FAIL\n"
         "result                       reason: energy_drift 0.000135 > 0.0001\n")
+
+
+def test_cli_every_failing_stage_explains_itself(tmp_path, capsys):
+    # a stage that fails prints, besides its FAIL line, a line that gives
+    # the witness or the reason: verify the witness of the condition it
+    # fails, a check that cannot run why, reduce and evolve the bound
+    cases = [("verify", BULGE, "result", "condition iii"),
+             ("reduce", TRAPPING, "result", "result"),
+             ("estimates", BULGE, "smoothing", "smoothing.not run"),
+             ("evolve", DRIFT, "result", "result")]
+    for cmd, payload, label, why in cases:
+        path = write_scenario(tmp_path, payload, name=f"{cmd}.json")
+        assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / cmd)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert f"{label:<28} FAIL" in lines, cmd
+        explained = [line for line in lines
+                     if line.startswith(f"{why:<28} ") and "reason: " in line]
+        assert len(explained) == 1, (cmd, lines)
+        assert ("witness_r=" in explained[0]) == (cmd == "verify")
 
 
 def _python(code: str, *args: str, env_vars=None) -> str:
