@@ -317,9 +317,10 @@ PIPELINES = {
 
 
 def _summary_lines(report: dict, prefix=""):
-    """A line per verdict and per failing condition, with witness and
-    reason, and for a failing ratio report its worst sample (a ratio that
-    is not finite, else the largest) with the bound x (1 + tol) it broke."""
+    """A line per verdict and per failing condition, with its witness if
+    it has one and its reason, and for a failing ratio report its worst
+    sample (a ratio that is not finite, else the largest) with the bound
+    x (1 + tol) it broke."""
     lines, title = [], prefix.rstrip(".") or "result"
     for key, val in sorted(report.items()):
         if key == "verdict":
@@ -339,8 +340,13 @@ def _summary_lines(report: dict, prefix=""):
     for cond in report.get("conditions", []):
         if cond["verdict"] == "FAIL":
             label = f"{prefix}condition {cond['name']}"
-            lines.append(f"{label:<28} FAIL witness_r={cond['witness_r']} "
-                         f"reason: {cond['detail'].get('reason')}")
+            reason = str(cond["detail"].get("reason"))
+            # a condition that verify could not check fails with the
+            # reason "skipped: ..." and no witness
+            state = "not checked" if reason.startswith("skipped: ") else "FAIL"
+            witness = "" if cond["witness_r"] is None else f" witness_r={cond['witness_r']}"
+            lines.append(f"{label:<28} {state}{witness} "
+                         f"reason: {reason.removeprefix('skipped: ')}")
     return lines
 
 

@@ -41,6 +41,10 @@ class SingularSystem(EquiwaveError):
     """Linear system factorization failed."""
 
 
+class EigensolveFailed(EquiwaveError):
+    """A LAPACK eigensolve did not converge or rejected its input."""
+
+
 class BetaDiverges(EquiwaveError):
     """The weighted Hardy beta-integral does not converge near the origin."""
 

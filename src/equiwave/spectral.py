@@ -20,9 +20,12 @@ on the spectrum itself, so no mode is split off.  The wave propagator
 cos(t sqrt(nu+H)) is a Chebyshev series in H.  No full
 eigendecomposition is made: the spectrum (eigenvalues only), the lowest
 eigenvalue by bisection and the few eigenpairs that the propagator
-holds at frequency 0 are the only eigensolves.  LAPACK (scipy.linalg)
-is imported on the first solve, not with the module, so a process that
-never solves does not pay for its import.
+holds at frequency 0 are the only eigensolves.  Five tridiagonal LAPACK
+routines make every solve: dsterf (the spectrum), dstebz and dstein
+(the lowest eigenvalue and the held eigenpairs), zgtsv and dptsv (the
+two solves).  They are bound from scipy's LAPACK extension on the first
+solve (_linalg), not with the module, and scipy.linalg is never
+imported.
 
 One class, DiscreteRadialOperator, holds the stencil: face weights and
 cell averages of the volume weight, and the three row bands of H built
@@ -37,10 +40,13 @@ in time) is written here, and a column of a stack has the bits of its
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -48,6 +54,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     DomainError,
+    EigensolveFailed,
     NegativeEigenvalue,
     SingularSystem,
     TruncationTooSmall,
@@ -56,14 +63,34 @@ from .errors import (
 EIG_TOL = 1e-8  # below -EIG_TOL an eigenvalue is treated as a real failure
 
 
+@cache
 def _linalg():
-    """scipy.linalg, imported on the first solve: the import takes about
-    0.4 s on a 2-core VM, and admissibility, the closed forms and the
-    nonlinear flow never solve.  Callers look each routine up on the
-    module at call time."""
-    import scipy.linalg
+    """scipy's LAPACK extension module, scipy/linalg/_flapack, loaded from
+    its file on the first solve (admissibility, the closed forms and the
+    nonlinear flow never solve).  On a 2-core VM loading it takes about
+    3 ms and 2.5 MB; importing scipy.linalg would take 0.14-0.2 s and
+    26 MB more, mostly for numpy.testing, numpy.f2py and numpy.ma, which
+    no solve uses.  Callers look each routine up on the module at call
+    time."""
+    scipy = importlib.util.find_spec("scipy")  # its package is not run
+    if scipy is None:
+        raise ImportError("the spectral solves need scipy, which is not installed")
+    folder = os.path.join(os.path.dirname(scipy.origin), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy {importlib.import_module('scipy').__version__} has no "
+                      f"LAPACK extension _flapack in {folder}")
 
-    return scipy.linalg
+
+def _converged(routine: str, info: int) -> None:
+    """Raise EigensolveFailed for a nonzero info of an eigensolve routine."""
+    if info != 0:
+        raise EigensolveFailed(f"LAPACK {routine} failed (info {info})")
 
 
 @dataclass(frozen=True)
@@ -193,15 +220,19 @@ class DiscreteRadialOperator:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All N eigenvalues, ascending, without eigenvectors."""
-        return _linalg().eigvalsh_tridiagonal(*self.tridiagonal)
+        vals, info = _linalg().dsterf(*self.tridiagonal)
+        _converged("dsterf", info)
+        return vals
 
     @cached_property
     def spectral_bounds(self) -> tuple[float, float]:
         """(lowest eigenvalue, upper bound of the spectrum): the first by
         bisection, the second by Gershgorin's theorem."""
         diag, off = self.tridiagonal
-        lo = _linalg().eigvalsh_tridiagonal(diag, off, select="i",
-                                            select_range=(0, 0))[0]
+        # the first eigenvalue (il = iu = 1), to the default tolerance
+        _, w, _, _, info = _linalg().dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+        _converged("dstebz", info)
+        lo = w[0]
         radius = np.zeros_like(diag)
         radius[:-1] += np.abs(off)
         radius[1:] += np.abs(off)
@@ -213,8 +244,16 @@ class DiscreteRadialOperator:
         lo = self.spectral_bounds[0]
         if lo > cut:
             return np.empty(0), np.empty((self.grid.N, 0))
-        return _linalg().eigh_tridiagonal(*self.tridiagonal, select="v",
-                                          select_range=(lo - 1.0 - abs(lo), cut))
+        diag, off = self.tridiagonal
+        # the eigenvalues in (lo - 1 - |lo|, cut] in block order, as dstein takes them
+        p, w, block, split, info = _linalg().dstebz(
+            diag, off, 1, lo - 1.0 - abs(lo), cut, 1, 1, 0.0, "B")
+        _converged("dstebz", info)
+        w = w[:p]
+        Q, info = _linalg().dstein(diag, off, w, block, split)
+        _converged("dstein", info)
+        order = np.argsort(w)
+        return w[order], Q[:, order]
 
     # The maps below take one grid function, shape (N,), or a stack of
     # them as the columns of an (N, k) array.
@@ -415,8 +454,7 @@ def _shifted_solve(diag, off, z: complex, x: np.ndarray) -> np.ndarray:
     """y with (z - A) y = x for the symmetric tridiagonal A = (diag, off), x
     of shape (N,) or (N, k): one zgtsv, for the resolvent and each contour node."""
     sub = -off.astype(complex)
-    *_, y, info = _linalg().lapack.zgtsv(sub, z - diag, sub, x.astype(complex),
-                                         overwrite_b=1)
+    *_, y, info = _linalg().zgtsv(sub, z - diag, sub, x.astype(complex), overwrite_b=1)
     if info != 0:
         raise SingularSystem(f"shift {z} hit the spectrum (info {info})")
     return y
@@ -426,7 +464,7 @@ def _spd_solve(diag, off, p: float, x: np.ndarray) -> np.ndarray:
     """y with (A + p) y = x for the symmetric tridiagonal A = (diag, off),
     A + p positive definite, and real x of shape (N, k): one dptsv, for
     each pole of _zolotarev_rule."""
-    *_, y, info = _linalg().lapack.dptsv(diag + p, off, x)
+    *_, y, info = _linalg().dptsv(diag + p, off, x)
     if info != 0:
         raise SingularSystem(f"shift {p} leaves the operator not positive definite "
                              f"(info {info})")

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import equiwave
 import equiwave.admissibility
@@ -239,6 +238,33 @@ def test_cli_verify_fail_exit_1(tmp_path, capsys):
     line = next(ln for ln in err.splitlines() if ln.startswith("condition iii"))
     assert f"witness_r={iii['witness_r']}" in line
     assert iii["detail"]["reason"] in line
+
+
+def test_cli_verify_prints_no_missing_witness(tmp_path, capsys):
+    # on the sin base, condition i fails without a witness and condition
+    # ii is not checked (h <= 0): stderr prints no witness_r for either
+    # and says that ii was not checked; report.json keeps both as they are
+    path = write_scenario(tmp_path, {**GOOD, "manifold": {"kind": "sin"}})
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 1
+    conditions = {c["name"]: c for c in json.loads((out / "report.json").read_text())["conditions"]}
+    assert conditions["i"]["witness_r"] is None and conditions["ii"]["witness_r"] is None
+    assert conditions["ii"]["detail"] == {"reason": "skipped: h <= 0"}
+    err = capsys.readouterr().err
+    assert "witness_r=None" not in err
+    lines = err.splitlines()
+    assert f"{'condition i':<28} FAIL reason: {conditions['i']['detail']['reason']}" in lines
+    assert f"{'condition ii':<28} not checked reason: h <= 0" in lines
+
+
+def test_cli_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a nonzero info of an eigensolve routine is a numerical error: exit 3
+    # with one line on stderr, not a traceback
+    monkeypatch.setattr(equiwave.spectral._linalg(), "dsterf", lambda d, e: (d.copy(), 1))
+    path = write_scenario(tmp_path, GOOD)
+    assert main(["reduce", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error (EigensolveFailed): LAPACK dsterf failed (info 1)\n")
 
 
 # h = r + 0.3 r^3 (1 + r^2)^-2, asymptotically flat: verify finds no delta0
@@ -522,8 +548,7 @@ def _counting(monkeypatch, module, name, log):
 
     def counted(*args, **kwargs):
         with open(log, "a") as fh:
-            fh.write(json.dumps([name, kwargs.get("eigvals_only", False),
-                                 kwargs.get("select", "a")]) + "\n")
+            fh.write(name + "\n")
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -531,24 +556,22 @@ def _counting(monkeypatch, module, name, log):
 
 def test_cli_all_builds_each_operator_once(tmp_path, monkeypatch):
     # the reduced and the free operator are shared by every pipeline; no
-    # pipeline computes an eigenvector, and `reduce` takes the one full
-    # spectrum (the other solves of this process find the lowest eigenvalue
-    # by bisection; the evolve child makes no eigensolve at all)
+    # pipeline computes an eigenvector (dstein), and `reduce` takes the
+    # one full spectrum (dsterf; the other solves of this process find the
+    # lowest eigenvalue by bisection, dstebz; the evolve child makes no
+    # eigensolve at all)
     eig, h_inf = tmp_path / "eig.log", tmp_path / "h_inf.log"
-    for name in ("eigh_tridiagonal", "eigvalsh_tridiagonal"):
-        _counting(monkeypatch, scipy.linalg, name, eig)
+    for name in ("dsterf", "dstebz", "dstein"):
+        _counting(monkeypatch, equiwave.spectral._linalg(), name, eig)
     # one fit of h_inf for verify's report and one for the scenario's
     # reduction, wherever a stage looks the fit up
     for module in (equiwave.admissibility, equiwave.scenario, equiwave.cli):
         _counting(monkeypatch, module, "estimate_h_infinity", h_inf)
     path = write_scenario(tmp_path, ALL_CHECKS)
     assert main(["all", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
-    eig_calls = [json.loads(line) for line in eig.read_text().splitlines()]
-    vectors = [call for call in eig_calls
-               if call[0] == "eigh_tridiagonal" and not call[1]]
-    full_spectra = [call for call in eig_calls if call[2] == "a"]
-    assert vectors == []
-    assert len(full_spectra) == 1
+    eig_calls = eig.read_text().splitlines()
+    assert "dstein" not in eig_calls
+    assert eig_calls.count("dsterf") == 1
     assert len(h_inf.read_text().splitlines()) == 2
     h_inf.unlink()
     assert main(["reduce", "--scenario", str(path), "--out", str(tmp_path / "r")]) == 0
@@ -868,27 +891,42 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert _python(code) == "[]"
 
 
+# whether this process has loaded LAPACK (spectral._linalg), and whether
+# it has imported scipy.linalg, which no command does
+_LOADED = ("print(equiwave.spectral._linalg.cache_info().currsize,"
+           " 'scipy.linalg' in sys.modules)\n")
+
+
 def test_cli_loads_lapack_only_to_solve(tmp_path):
     # verify, closed-forms and the hardy and dimshift estimates make no
-    # solve, so they never import scipy.linalg; reduce does
-    path = write_scenario(tmp_path, {**GOOD, "checks": ["hardy", "dimshift"]})
-    scenario, out = ["--scenario", str(path)], ["--out", str(tmp_path / "o")]
-    runs = [["verify", *scenario, *out], ["closed-forms", *out],
-            ["estimates", *scenario, *out], ["reduce", *scenario, *out]]
+    # solve, so they never load LAPACK; reduce, the smoothing and
+    # Strichartz estimates and all do.  Each run starts unloaded
+    light = write_scenario(tmp_path, {**GOOD, "checks": ["hardy", "dimshift"]}, "light.json")
+    heavy = write_scenario(tmp_path, {**GOOD, "checks": ["smoothing", "strichartz"]},
+                           "heavy.json")
+    out = ["--out", str(tmp_path / "o")]
+    runs = [["verify", "--scenario", str(light), *out], ["closed-forms", *out],
+            ["estimates", "--scenario", str(light), *out],
+            ["reduce", "--scenario", str(light), *out],
+            ["estimates", "--scenario", str(heavy), *out],
+            ["all", "--scenario", str(heavy), *out]]
     code = ("import json, sys\n"
+            "import equiwave.spectral\n"
             "from equiwave.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
-            "    code = main(argv)\n"
-            "    print(argv[0], code, 'scipy.linalg' in sys.modules)\n")
+            "    equiwave.spectral._linalg.cache_clear()\n"
+            "    print(argv[0], main(argv), end=' ')\n"
+            "    " + _LOADED)
     assert _python(code, json.dumps(runs)).splitlines() == [
-        "verify 0 False", "closed-forms 0 False", "estimates 0 False", "reduce 0 True"]
+        "verify 0 0 False", "closed-forms 0 0 False", "estimates 0 0 False",
+        "reduce 0 1 False", "estimates 0 1 False", "all 0 1 False"]
 
 
 def test_solver_without_spectral_diagnostics_never_loads_lapack():
     # the phi/psi consistency check, the evolve child and a run without
-    # diagnostics make no solve; importing scipy.linalg would cost each of
-    # them about 0.3 s and 27 MB
+    # diagnostics make no solve, so none of them loads LAPACK
     code = ("import json, sys\n"
+            "import equiwave.spectral\n"
             "from equiwave.scenario import Scenario\n"
             "from equiwave.solver import _Run, consistency_check, integrate\n"
             "import numpy as np\n"
@@ -897,9 +935,8 @@ def test_solver_without_spectral_diagnostics_never_loads_lapack():
             "fields = np.empty((s.radial_grid.N, s.snapshot_count))\n"
             "list(_Run(s, 'phi', None, None).snapshots(fields, None))\n"
             "for form in ('phi', 'psi'):\n"
-            "    integrate(s, form, spectral_diagnostics=False)\n"
-            "print('scipy.linalg' in sys.modules)\n")
-    assert _python(code, json.dumps(GOOD)) == "False"
+            "    integrate(s, form, spectral_diagnostics=False)\n" + _LOADED)
+    assert _python(code, json.dumps(GOOD)) == "0 False"
 
 
 _THREADS = ("status = open('/proc/self/status').read().splitlines()\n"
@@ -919,12 +956,12 @@ def test_equiwave_threads_caps_blas():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="thread count is read from /proc/self/status")
 def test_equiwave_threads_caps_lapack_loaded_on_first_solve():
-    # scipy's own BLAS loads with scipy.linalg, after equiwave set the cap
+    # scipy's own BLAS loads with its LAPACK module, after equiwave set the cap
     code = ("import sys, equiwave\n"
             "from equiwave.spectral import RadialGrid, build_operator\n"
-            "print('scipy.linalg' in sys.modules)\n"
-            "build_operator(RadialGrid(10.0, 50), 5).eigenvalues\n" + _THREADS)
-    assert _python(code, env_vars=_CAPPED).splitlines() == ["False", "1"]
+            + _LOADED +
+            "build_operator(RadialGrid(10.0, 50), 5).eigenvalues\n" + _LOADED + _THREADS)
+    assert _python(code, env_vars=_CAPPED).splitlines() == ["0 False", "1 False", "1"]
 
 
 def test_python_m_equiwave(tmp_path):

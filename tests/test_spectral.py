@@ -4,6 +4,7 @@ fractional powers (contour quadrature, and real poles for the square
 roots) and the Chebyshev propagator are checked against the dense
 eigen-calculus of the tests (_dense)."""
 
+import importlib.machinery
 import math
 
 import mpmath
@@ -491,7 +492,8 @@ def test_fractional_power_matches_dense_with_modes_below_the_floor(free_and_redu
     assert op.spectral_bounds[0] == pytest.approx(low, rel=1e-6)
     v = _samples(op.grid)
     want = {shift: _dense_power(op, s, v, shift) for shift in ("homogeneous", "inhomogeneous")}
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
+    for routine in ("dsterf", "dstebz", "dstein"):
+        monkeypatch.setattr(equiwave.spectral._linalg(), routine, no_eigensolve)
     for shift, dense in want.items():
         got = _fractional_power(op, s, v, shift)
         assert _l2_error(op, got, dense) < 1e-10
@@ -525,17 +527,18 @@ def test_cosine_flow_matches_evolve_linear(free_and_reduced, nu):
 
 
 def test_functional_calculus_makes_no_full_eigensolve(free_and_reduced, monkeypatch):
-    # every function of the operator reaches eigh_tridiagonal only for the
-    # few eigenpairs below a cut (select=), never for the whole basis
+    # every function of the operator computes eigenvectors (dstein) only
+    # for the few eigenpairs below a cut, never for the whole basis
     selected = []
-    eigh = scipy.linalg.eigh_tridiagonal
+    lapack = equiwave.spectral._linalg()
+    stein = lapack.dstein
 
-    def select_only(*args, **kwargs):
-        assert "select" in kwargs, "full eigendecomposition"
-        selected.append(kwargs["select"])
-        return eigh(*args, **kwargs)
+    def select_only(diag, off, w, *args):
+        assert len(w) < len(diag), "full eigendecomposition"
+        selected.append(len(w))
+        return stein(diag, off, w, *args)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", select_only)
+    monkeypatch.setattr(lapack, "dstein", select_only)
     free, reduced = free_and_reduced
     grid = free.grid
     # built as in test_strichartz_holds_negative_modes_like_the_reference
@@ -558,4 +561,46 @@ def test_functional_calculus_makes_no_full_eigensolve(free_and_reduced, monkeypa
     for shift in ("homogeneous", "inhomogeneous"):
         assert np.all(frac_norm(low, 0.5, v, shift) > 0.0)
     # the flow and the monitor each solve for the two held modes
-    assert selected == ["v", "v"]
+    assert selected == [2, 2]
+
+
+@pytest.mark.parametrize("seed,N", [(0, 2), (1, 17), (2, 200), (3, 801)])
+def test_bound_lapack_routines_match_scipy_bit_for_bit(seed, N):
+    # spectral binds its routines from scipy's LAPACK module, not through
+    # scipy.linalg: each call site keeps the bits of scipy's public wrapper
+    # on the tridiagonal of a seeded random potential, so a scipy release
+    # that moves or changes that module fails here
+    rng = np.random.default_rng(seed)
+    op = build_operator(RadialGrid(10.0, N), 5, rng.normal(scale=5.0, size=N))
+    diag, off = op.tridiagonal
+    full = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    np.testing.assert_array_equal(op.eigenvalues, full)
+    lowest = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    assert op.spectral_bounds[0] == lowest[0]
+    lo = lowest[0]
+    cut = full[min(2, N - 1)]  # up to three modes
+    want = scipy.linalg.eigh_tridiagonal(diag, off, select="v",
+                                         select_range=(lo - 1.0 - abs(lo), cut))
+    for got, ref in zip(op._modes_below(cut), want):
+        np.testing.assert_array_equal(got, ref)
+    x = rng.standard_normal((N, 3))
+    p = 1.0 - lo  # diag + p is positive definite
+    np.testing.assert_array_equal(equiwave.spectral._spd_solve(diag, off, p, x),
+                                  scipy.linalg.lapack.dptsv(diag + p, off, x)[2])
+    z = complex(lo, 1.0)
+    sub = -off.astype(complex)
+    np.testing.assert_array_equal(equiwave.spectral._shifted_solve(diag, off, z, x),
+                                  scipy.linalg.lapack.zgtsv(sub, z - diag, sub, x)[3])
+
+
+def test_missing_lapack_module_is_one_import_error(monkeypatch):
+    # no fallback to scipy.linalg: a scipy without its LAPACK extension
+    # is an ImportError that names the scipy version
+    loader = equiwave.spectral._linalg
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    loader.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no LAPACK"):
+            loader()
+    finally:
+        loader.cache_clear()
