@@ -130,21 +130,40 @@ def _P_and_slope(r, H, H1, h_infinity, delta0):
 # -- report types -------------------------------------------------------------
 
 
+def _verdict(reason: Optional[str]) -> dict:
+    """The record of a verdict that was checked: PASS if reason is None,
+    else FAIL with the reason, what broke and its witness.  A record has
+    at most one of "reason" and "not_run" (_not_run), and only if it fails."""
+    return {"verdict": "PASS"} if reason is None else {"verdict": "FAIL", "reason": reason}
+
+
+def _not_run(why: str) -> dict:
+    """The record of a verdict that could not be checked: it fails, and says why."""
+    return {"verdict": "FAIL", "not_run": why}
+
+
 @dataclass
 class ConditionVerdict:
+    """One admissibility condition: it passes unless it has a reason or not_run."""
+
     name: str
-    passed: bool
     witness_r: Optional[float] = None
     margin: Optional[float] = None
     detail: dict = field(default_factory=dict)
+    reason: Optional[str] = None
+    not_run: Optional[str] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.reason is None and self.not_run is None
 
     def to_json(self):
         return {
             "name": self.name,
-            "verdict": "PASS" if self.passed else "FAIL",
             "witness_r": self.witness_r,
             "margin": self.margin,
             "detail": self.detail,
+            **(_verdict(self.reason) if self.not_run is None else _not_run(self.not_run)),
         }
 
 
@@ -208,11 +227,10 @@ def check_admissibility(profile: MetricProfile, n: int) -> AdmissibilityReport:
         bad = np.where(finite_h & (ratio <= 0))[0]
     if bad.size:
         i = bad[0]
-        cond_iii = ConditionVerdict(
-            "iii", False, float(rs[i]), float(ratio[i]), {"reason": "h(r) >= c r fails"}
-        )
+        cond_iii = ConditionVerdict("iii", float(rs[i]), float(ratio[i]),
+                                    reason="h(r) >= c r fails")
         cond_i, h_inf, resid = _check_cond_i(profile, n)
-        cond_ii = ConditionVerdict("ii", False, detail={"reason": "skipped: h <= 0"})
+        cond_ii = ConditionVerdict("ii", not_run="h <= 0")
         return AdmissibilityReport(
             profile.kind, n, h_inf, resid, None, cond_i, cond_ii, cond_iii,
             float(np.nanmin(np.where(finite_h, ratio, np.nan))), None, grid_spec,
@@ -242,20 +260,12 @@ def check_admissibility(profile: MetricProfile, n: int) -> AdmissibilityReport:
             i = int(np.argmin(P)) if np.min(P) < 0 else int(np.argmax(P1))
             witness = (float(r_ok[i]), float(min(np.min(P), -np.max(P1))))
     if delta0 is not None:
-        cond_iii = ConditionVerdict(
-            "iii", True, None, c_lower,
-            {
-                "delta0": delta0,
-                "P_nonneg_Pprime_nonpos": True,
-                "rP_bounded": True,
-                "rP_bound": rP_bound,
-            },
-        )
+        cond_iii = ConditionVerdict("iii", None, c_lower, {
+            "delta0": delta0, "P_nonneg_Pprime_nonpos": True, "rP_bounded": True,
+            "rP_bound": rP_bound})
     else:
         wr, wm = witness if witness else (None, None)
-        cond_iii = ConditionVerdict(
-            "iii", False, wr, wm, {"reason": "no delta0 in the search grid works"}
-        )
+        cond_iii = ConditionVerdict("iii", wr, wm, reason="no delta0 in the search grid works")
 
     return AdmissibilityReport(
         profile.kind, n, h_inf, resid, delta0, cond_i, cond_ii, cond_iii,
@@ -266,13 +276,9 @@ def check_admissibility(profile: MetricProfile, n: int) -> AdmissibilityReport:
 def _check_cond_i(profile, n):
     try:
         h_inf, resid = estimate_h_infinity(profile, n)
-        return (
-            ConditionVerdict("i", True, None, resid, {"h_infinity": h_inf}),
-            h_inf,
-            resid,
-        )
+        return ConditionVerdict("i", None, resid, {"h_infinity": h_inf}), h_inf, resid
     except NoLimit as exc:
-        return ConditionVerdict("i", False, detail={"reason": str(exc)}), None, None
+        return ConditionVerdict("i", reason=str(exc)), None, None
 
 
 def _check_cond_ii(profile, n, rs):
@@ -293,9 +299,7 @@ def _check_cond_ii(profile, n, rs):
         q = np.where(hj.value <= 0, np.nan, np.where(b > a, b, a))
         ok = np.isfinite(q)
         if ok.sum() < 8:
-            return ConditionVerdict(
-                "ii", False, detail={"reason": f"too few finite samples at j={j}"}
-            )
+            return ConditionVerdict("ii", reason=f"too few finite samples at j={j}")
         r_ok, q_ok = large[ok], q[ok]
         # dyadic block sups
         edges = 10.0 * 2.0 ** np.arange(0, 14)
@@ -307,11 +311,11 @@ def _check_cond_ii(profile, n, rs):
         for b in range(1, len(sups)):
             if sups[b] > 1.1 * sups[b - 1] + 1e-9:
                 return ConditionVerdict(
-                    "ii", False, float(edges[b]), sups[b],
-                    {"reason": f"block sup increases at j={j}", "sups": sups},
+                    "ii", float(edges[b]), sups[b], {"sups": sups},
+                    reason=f"block sup increases at j={j}",
                 )
         worst = max(worst or 0.0, sups[0] if sups else 0.0)
-    return ConditionVerdict("ii", True, None, worst, {"jmax": jmax})
+    return ConditionVerdict("ii", None, worst, {"jmax": jmax})
 
 
 # -- perturbation criteria -----------------------------------------------------

@@ -22,7 +22,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -30,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admissibility import compute_H, compute_P, estimate_h_infinity
+from .admissibility import _not_run, _verdict, compute_H, compute_P, estimate_h_infinity
 from .errors import (
     CFLViolation,
     ClosedFormMismatch,
@@ -74,11 +73,6 @@ _NOT_RUN = {
 }
 
 
-def _not_run(reason: str) -> dict:
-    """The record of a stage or check that cannot run: it fails, and says why."""
-    return {"verdict": "FAIL", "not_run": reason}
-
-
 def _or_not_run(body):
     """body, returning the not-run record of an error of _NOT_RUN.  A body
     reads h_inf before its other work, so no error of that work hides a
@@ -102,10 +96,7 @@ def _graded(report: dict, bounds) -> dict:
     broken one by the relation it broke, as "energy_drift 0.000135 > 0.0001"."""
     failed = [f"{name} {value:.3g} {relation} {bound:g}"
               for name, value, held, relation, bound in bounds if not held]
-    report["verdict"] = "FAIL" if failed else "PASS"
-    if failed:
-        report["reason"] = "; ".join(failed)
-    return report
+    return {**report, **_verdict("; ".join(failed) if failed else None)}
 
 
 def run_verify(scenario: Scenario, out: Path) -> dict:
@@ -128,12 +119,9 @@ def run_reduce(scenario: Scenario, out: Path) -> dict:
                    [("min_eigenvalue", low, low > -EIG_TOL, "<", -EIG_TOL)])
 
 
-def _default_lambda_grid():
-    grid = []
-    for re in (0.0, 1.25, 2.5, 3.75, 5.0):
-        for im in (0.2, 1.8, 3.4, 5.0):
-            grid.append(complex(re, im))
-    return grid
+# the frequencies of the smoothing check
+_LAMBDA_GRID = [complex(re, im) for re in (0.0, 1.25, 2.5, 3.75, 5.0)
+               for im in (0.2, 1.8, 3.4, 5.0)]
 
 
 @_or_not_run
@@ -152,7 +140,7 @@ def _estimate(scenario: Scenario, out: Path, name: str) -> dict:
         h_inf = scenario.h_infinity
         fam = gaussian_family(10, seed, r_power=k)
         rep = smoothing_check(
-            scenario.profile(), n, k, float(delta0), _default_lambda_grid(), fam,
+            scenario.profile(), n, k, float(delta0), _LAMBDA_GRID, fam,
             h_infinity=h_inf, R_max=float(scenario.grid["R_max"]), N=int(scenario.grid["N"]),
         )
     elif name == "strichartz":
@@ -168,8 +156,6 @@ def _estimate(scenario: Scenario, out: Path, name: str) -> dict:
     elif name == "dimshift":
         fam = gaussian_family(30, seed, r_power=k)
         rep = dimshift_check(n, k, 1.0, fam)
-    else:
-        raise ScenarioError(f"unknown check {name!r}")
     _write_csv(out / f"ratios_{name}.csv", ["sample_id", "ratio"], rep.csv_rows())
     return rep.to_json()
 
@@ -316,38 +302,25 @@ PIPELINES = {
 }
 
 
-def _summary_lines(report: dict, prefix=""):
-    """A line per verdict and per failing condition, with its witness if
-    it has one and its reason, and for a failing ratio report its worst
-    sample (a ratio that is not finite, else the largest) with the bound
-    x (1 + tol) it broke."""
-    lines, title = [], prefix.rstrip(".") or "result"
+def _summary_lines(report: dict, label: str, prefix: str):
+    """A line with the verdict of report, labelled label, and of each
+    record that it holds by key, labelled by the keys that lead to it
+    after prefix; and for each failing record, held by key or in a list
+    (where its name labels it), a line with its reason or its not_run."""
+    def explained(record, title):
+        return [f"{title:<28} {key}: {record[key]}" for key in ("reason", "not_run")
+                if key in record]
+
+    lines, listed = [], []
     for key, val in sorted(report.items()):
         if key == "verdict":
-            lines.append(f"{title:<28} {val}")
+            lines += [f"{label:<28} {val}", *explained(report, label)]
         elif isinstance(val, dict) and "verdict" in val:
-            lines.extend(_summary_lines(val, prefix=f"{prefix}{key}."))
-    if "not_run" in report:
-        lines.append(f"{prefix + 'not run':<28} reason: {report['not_run']}")
-    if "reason" in report:
-        lines.append(f"{title:<28} reason: {report['reason']}")
-    if report.get("verdict") == "FAIL" and report.get("samples"):
-        worst = max(report["samples"], key=lambda sample: (
-            sample["ratio"] if math.isfinite(sample["ratio"]) else math.inf))
-        broken = ("" if report["bound"] is None else
-                  f" > {report['bound'] * (1.0 + report['tol'])} = bound x (1 + tol)")
-        lines.append(f"{prefix + 'worst sample':<28} {worst['id']} ratio={worst['ratio']}{broken}")
-    for cond in report.get("conditions", []):
-        if cond["verdict"] == "FAIL":
-            label = f"{prefix}condition {cond['name']}"
-            reason = str(cond["detail"].get("reason"))
-            # a condition that verify could not check fails with the
-            # reason "skipped: ..." and no witness
-            state = "not checked" if reason.startswith("skipped: ") else "FAIL"
-            witness = "" if cond["witness_r"] is None else f" witness_r={cond['witness_r']}"
-            lines.append(f"{label:<28} {state}{witness} "
-                         f"reason: {reason.removeprefix('skipped: ')}")
-    return lines
+            lines += _summary_lines(val, f"{prefix}{key}", f"{prefix}{key}.")
+        elif isinstance(val, list):
+            listed += [line for record in val if isinstance(record, dict) and "verdict" in record
+                       for line in explained(record, f"{prefix}{key}.{record['name']}")]
+    return lines + listed
 
 
 def _seed(text: str) -> int:
@@ -396,7 +369,16 @@ def main(argv=None) -> int:
             with evolve as child:
                 for name in names:
                     extra = (child,) if name == "evolve" else ()
-                    stages[name] = PIPELINES[name](scenario, out, *extra)
+                    try:
+                        stages[name] = PIPELINES[name](scenario, out, *extra)
+                    except (ScenarioError, CFLViolation):
+                        raise
+                    except EquiwaveError as exc:
+                        # past a verify that rejects the base, a numerical
+                        # error of a stage is the base's: the stage is not run
+                        if stages.get("verify", {}).get("verdict") != "FAIL":
+                            raise
+                        stages[name] = _not_run(f"verify failed: {type(exc).__name__}: {exc}")
             report = (stages[args.command] if args.command != "all" else
                       {**stages, "verdict": _all_pass(stages.values())})
             report["scenario"] = scenario.to_json()
@@ -408,7 +390,7 @@ def main(argv=None) -> int:
         return 3
 
     _write_json(out / "report.json", report)
-    for line in _summary_lines(report):
+    for line in _summary_lines(report, "result", ""):
         print(line, file=sys.stderr)
     return 0 if report.get("verdict") == "PASS" else 1
 

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .admissibility import _verdict
 from .errors import (
     BetaDiverges,
     DomainError,
@@ -55,12 +56,21 @@ class RatioReport:
         return max(finite) if finite else math.inf if self.ratios else 0.0
 
     @property
+    def reason(self) -> Optional[str]:
+        """None if the report passes, else its worst sample: the first
+        ratio that is not finite, else the largest, past bound x (1 + tol)."""
+        for sid, r in zip(self.sample_ids, self.ratios):
+            if not math.isfinite(r):
+                return f"sample {sid} ratio={r}"
+        limit = math.inf if self.bound is None else self.bound * (1.0 + self.tol)
+        if self.sup_ratio <= limit:
+            return None
+        worst = self.sample_ids[self.ratios.index(self.sup_ratio)]
+        return f"sample {worst} ratio={self.sup_ratio} > {limit} = bound x (1 + tol)"
+
+    @property
     def passed(self) -> bool:
-        if not all(math.isfinite(x) for x in self.ratios):
-            return False
-        if self.bound is None:
-            return True
-        return self.sup_ratio <= self.bound * (1.0 + self.tol)
+        return self.reason is None
 
     def to_json(self):
         return {
@@ -73,8 +83,8 @@ class RatioReport:
             "sup_ratio": self.sup_ratio,
             "bound": self.bound,
             "tol": self.tol,
-            "verdict": "PASS" if self.passed else "FAIL",
             "detail": self.detail,
+            **_verdict(self.reason),
         }
 
     def csv_rows(self):

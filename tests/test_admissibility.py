@@ -134,7 +134,8 @@ def test_growing_profile_fails_cond_ii_with_witness(n):
     h = MetricProfile("r e^(r^2/100)", parse_expr(["*", "r", ["exp", ["*", 0.01, "r", "r"]]]))
     verdict = check_admissibility(h, n).cond_ii
     assert not verdict.passed and verdict.witness_r == 20.0
-    assert verdict.detail["reason"] == "block sup increases at j=1"
+    assert verdict.reason == "block sup increases at j=1"
+    assert verdict.to_json()["reason"] == verdict.reason and "reason" not in verdict.detail
 
 
 def test_report_json_round_trip():

@@ -101,31 +101,47 @@ def test_only_spectral_reads_the_operator_weights():
 
 
 def test_one_constructor_builds_every_not_run_record():
-    # a stage or check that cannot run gets its record from cli._not_run,
-    # the one function that writes the key not_run; _summary_lines only
-    # reads it, and no helper of its own decides a missing h_inf
+    # a stage, check or condition that cannot run gets its record from
+    # admissibility._not_run, the one function that writes the key not_run
+    # (a ConditionVerdict keeps it as a field, and its to_json calls
+    # _not_run); _summary_lines only reads it, and no helper of its own
+    # decides a missing h_inf
     writers, readers, no_limit = set(), set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text())
-        owner = {}  # node -> innermost enclosing function; ast.walk goes outside in
+        # node -> outermost enclosing function, which holds a nested one;
+        # ast.walk goes outside in
+        owner = {}
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update({id(node): f"{path.stem}.{fn.name}" for node in ast.walk(fn)})
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), f"{path.stem}.{fn.name}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Dict):
                 keys = [key.value for key in node.keys if isinstance(key, ast.Constant)]
                 if "not_run" in keys:
                     writers.add(owner.get(id(node)))
-            elif isinstance(node, ast.keyword) and node.arg == "not_run":
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+                  and any(kw.arg == "not_run" for kw in node.keywords)):
                 writers.add(owner.get(id(node)))
             elif isinstance(node, ast.Constant) and node.value == "not_run":
                 readers.add(owner.get(id(node)))
             names = {getattr(node, key, None) for key in ("id", "name", "attr")}
             if "_no_limit" in names:
                 no_limit.append(f"{path.name}:{node.lineno}")
-    assert writers == {"cli._not_run"}
-    assert readers <= {"cli._not_run", "cli._summary_lines"}
+    assert writers == {"admissibility._not_run"}
+    assert readers <= {"admissibility._not_run", "cli._summary_lines"}
     assert no_limit == []
+    # each producer writes its own reason, so the printer of stderr knows
+    # no record shape: the only words among the string constants of
+    # _summary_lines, past its docstring, are the keys of the verdict
+    # record and the name that labels a record in a list (a condition)
+    summary = next(node for node in ast.parse(Path(equiwave.cli.__file__).read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_summary_lines")
+    words = {node.value for stmt in summary.body[1:] for node in ast.walk(stmt)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(c.isalpha() for c in node.value)}
+    assert words <= {"verdict", "reason", "not_run", "name"}
 
 
 def test_only_the_fork_helper_uses_multiprocessing():
@@ -327,8 +343,9 @@ EVERY_OPERATOR = ["+", "r", ["*", 0.001, ["pow", "r", 3], ["+", [
 # the contour of the fractional powers and is stepped by the order-1
 # rules of its tree (dt_factor 0.05 keeps the energy drift of the n = 4
 # run within the evolve bound); the failing verdicts of
-# tests/test_scenario_cli.py (the sin base, whose field leaves the target
-# domain where h = sin r vanishes, exit 3; BULGE, which has no delta0,
+# tests/test_scenario_cli.py (the sin base, which verify rejects, so the
+# evolve stage, whose field leaves the target domain where h = sin r
+# vanishes, is not run; BULGE, which has no delta0,
 # here with zero data; the flat base on a grid too short for the
 # smoothing frequencies, whose coarse time step also takes the energy
 # drift past its bound); and every operator of the grammar in a target,
@@ -337,7 +354,7 @@ TRACED_SCENARIOS = [
     ({"manifold": {"kind": "hyperbolic"}, "target": {"kind": "sphere"}, "n": 3}, 0),
     ({"manifold": {"kind": "hyperbolic"}, "target": {"kind": "custom", "expr": ["sin", "r"]},
       "n": 4}, 0),
-    ({"manifold": {"kind": "sin"}, "target": {"kind": "sphere"}, "n": 3}, 3),
+    ({"manifold": {"kind": "sin"}, "target": {"kind": "sphere"}, "n": 3}, 1),
     ({"manifold": {"kind": "custom", "expr": [
         "+", "r", ["*", 0.3, ["pow", "r", 3], ["pow", ["+", 1, ["*", "r", "r"]], -2]]]},
       "target": {"kind": "sphere"}, "n": 3, "grid": {"R_max": 60.0, "N": 1000},
@@ -403,13 +420,14 @@ LINES_NOT_RUN_BY_A_COMMAND = {
                                          "base that overflows at large r; no built-in base",
     "admissibility._check_cond_ii": "the failing verdicts of condition ii: no traced base "
                                     "fails it (tests/test_admissibility.py)",
-    "cli._summary_lines": "the worst sample of a failing ratio report: no traced check "
-                          "fails a ratio",
     "errors.BlowUp.__init__": BLOW_UP,
     "errors.BlowUp.__reduce__": BLOW_UP,
     "estimates.dimshift_check": "s = 0, the identity of measures (demo 04, the acceptance "
                                 "gate); the command takes s = 1",
-    "estimates.RatioReport.passed": "a ratio that is not finite: no traced check has one",
+    "estimates.RatioReport.passed": "the in-process API (demo 04, the acceptance gate); a "
+                                    "command writes the report's reason",
+    "estimates.RatioReport.reason": "the worst sample of a failing ratio report: no traced "
+                                    "check fails a ratio",
     "jets.Jet.__repr__": "printing a jet",
     "jets.Jet._coerce": JET_API,
     "jets.Jet.__neg__": JET_API,

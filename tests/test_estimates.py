@@ -162,7 +162,7 @@ def test_smoothing_rejects_bad_delta0():
 def test_smoothing_solves_once_per_frequency(monkeypatch):
     # the whole family goes through the resolvent in one stacked solve
     import equiwave.estimates as estimates
-    from equiwave.cli import _default_lambda_grid
+    from equiwave.cli import _LAMBDA_GRID as lam_grid
 
     calls = []
     resolve = estimates.resolve
@@ -172,7 +172,6 @@ def test_smoothing_solves_once_per_frequency(monkeypatch):
         return resolve(*args, **kwargs)
 
     monkeypatch.setattr(estimates, "resolve", counted)
-    lam_grid = _default_lambda_grid()
     rep = smoothing_check(metric_profile("hyperbolic"), 3, 1, 0.95, lam_grid,
                           gaussian_family(10, 0, r_power=1), h_infinity=1.0,
                           R_max=60.0, N=500)

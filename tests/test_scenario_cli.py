@@ -231,30 +231,30 @@ def test_cli_verify_fail_exit_1(tmp_path, capsys):
     assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "FAIL"
-    # stderr names each failing condition with its witness and reason
+    # a failing condition keeps its witness in report.json, and stderr
+    # names it with its reason
     err = capsys.readouterr().err
     iii = next(c for c in report["conditions"] if c["name"] == "iii")
     assert iii["verdict"] == "FAIL" and iii["witness_r"] is not None
-    line = next(ln for ln in err.splitlines() if ln.startswith("condition iii"))
-    assert f"witness_r={iii['witness_r']}" in line
-    assert iii["detail"]["reason"] in line
+    assert f"{'conditions.iii':<28} reason: {iii['reason']}" in err.splitlines()
 
 
 def test_cli_verify_prints_no_missing_witness(tmp_path, capsys):
     # on the sin base, condition i fails without a witness and condition
-    # ii is not checked (h <= 0): stderr prints no witness_r for either
-    # and says that ii was not checked; report.json keeps both as they are
+    # ii is not run (h <= 0): its record says why, with no reason, and
+    # stderr prints no witness_r for either and what their records hold
     path = write_scenario(tmp_path, {**GOOD, "manifold": {"kind": "sin"}})
     out = tmp_path / "out"
     assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 1
     conditions = {c["name"]: c for c in json.loads((out / "report.json").read_text())["conditions"]}
     assert conditions["i"]["witness_r"] is None and conditions["ii"]["witness_r"] is None
-    assert conditions["ii"]["detail"] == {"reason": "skipped: h <= 0"}
+    assert conditions["ii"]["not_run"] == "h <= 0" and conditions["ii"]["detail"] == {}
+    assert "reason" not in conditions["ii"]
     err = capsys.readouterr().err
-    assert "witness_r=None" not in err
+    assert "witness_r" not in err
     lines = err.splitlines()
-    assert f"{'condition i':<28} FAIL reason: {conditions['i']['detail']['reason']}" in lines
-    assert f"{'condition ii':<28} not checked reason: h <= 0" in lines
+    assert f"{'conditions.i':<28} reason: {conditions['i']['reason']}" in lines
+    assert f"{'conditions.ii':<28} not_run: h <= 0" in lines
 
 
 def test_cli_lapack_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -289,8 +289,7 @@ def test_cli_smoothing_without_delta0_fails_with_a_report(tmp_path, capsys):
             assert not (out / "ratios_smoothing.csv").exists()
             assert (out / "ratios_strichartz.csv").exists()
             prefix = "estimates." if cmd == "all" else ""
-            assert f"{prefix}smoothing.not run" in err
-            assert "reason: no delta0 found for smoothing check" in err
+            assert f"{prefix + 'smoothing':<28} not_run: {not_run['not_run']}" in err.splitlines()
     iii = next(c for c in reports["verify"]["conditions"] if c["name"] == "iii")
     assert iii["verdict"] == "FAIL" and round(iii["witness_r"], 3) == 1.497
     for estimates in (reports["estimates"], reports["all"]["estimates"]):
@@ -320,7 +319,7 @@ def test_cli_base_without_a_curvature_limit_fails_with_a_report(tmp_path, capsys
         report = json.loads((out / "report.json").read_text())
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
         err = capsys.readouterr().err
-        assert f"reason: {not_run['not_run']}" in err
+        assert f"not_run: {not_run['not_run']}" in err
         del report["scenario"]
         assert report == (not_run if cmd == "reduce" else
                           {"smoothing": not_run, "strichartz": not_run, "verdict": "FAIL"})
@@ -348,7 +347,8 @@ def test_cli_grid_too_short_for_smoothing_fails_with_a_report(tmp_path, capsys):
         assert (out / "ratios_hardy.csv").exists()
         assert not (out / "ratios_smoothing.csv").exists()
         prefix = "estimates." if cmd == "all" else ""
-        assert f"{prefix}smoothing.not run" in capsys.readouterr().err
+        assert (f"{prefix + 'smoothing':<28} not_run: {not_run['not_run']}"
+                in capsys.readouterr().err.splitlines())
     assert [report[stage]["verdict"] for stage in equiwave.cli.PIPELINES] == [
         "PASS", "PASS", "FAIL", "PASS"]
 
@@ -370,20 +370,23 @@ def test_cli_all_labels_each_verdict_by_its_path(tmp_path, capsys):
 
 
 def test_a_failing_ratio_report_names_its_worst_sample():
-    # the worst sample, its ratio and the bound x (1 + tol) it broke, all
-    # read from the report; a report without a bound fails on a ratio that
-    # is not finite
+    # the reason of a failing report is its worst sample, with its ratio
+    # and the bound x (1 + tol) it broke; a report without a bound fails
+    # on a ratio that is not finite; stderr prints the reason as it is
     hardy = RatioReport("hardy", "3 bumps", ["a", "b", "c"], [1.0, 5.0, 4.5], bound=4.0).to_json()
     dimshift = RatioReport("dimension-shift", "2 bumps", ["d", "e"], [1.0, math.nan],
                            bound=None).to_json()
     assert (hardy["verdict"], dimshift["verdict"]) == ("FAIL", "FAIL")
+    assert hardy["reason"] == "sample b ratio=5.0 > 4.4 = bound x (1 + tol)"
+    assert dimshift["reason"] == "sample e ratio=nan"
     report = {"estimates": {"hardy": hardy, "dimshift": dimshift, "verdict": "FAIL"},
               "verdict": "FAIL"}
-    lines = equiwave.cli._summary_lines(report)
-    assert "estimates.hardy.worst sample b ratio=5.0 > 4.4 = bound x (1 + tol)" in lines
-    assert "estimates.dimshift.worst sample e ratio=nan" in lines
+    lines = equiwave.cli._summary_lines(report, "result", "")
+    assert f"{'estimates.hardy':<28} reason: {hardy['reason']}" in lines
+    assert f"{'estimates.dimshift':<28} reason: {dimshift['reason']}" in lines
     passing = RatioReport("hardy", "1 bump", ["a"], [1.0], bound=4.0).to_json()
-    assert equiwave.cli._summary_lines(passing) == ["result                       PASS"]
+    assert "reason" not in passing
+    assert equiwave.cli._summary_lines(passing, "result", "") == ["result                       PASS"]
 
 
 def test_cli_reduce_report_and_spectrum(tmp_path):
@@ -848,22 +851,38 @@ def test_cli_evolve_fail_prints_its_reason(tmp_path, capsys):
 
 
 def test_cli_every_failing_stage_explains_itself(tmp_path, capsys):
-    # a stage that fails prints, besides its FAIL line, a line that gives
-    # the witness or the reason: verify the witness of the condition it
-    # fails, a check that cannot run why, reduce and evolve the bound
-    cases = [("verify", BULGE, "result", "condition iii"),
-             ("reduce", TRAPPING, "result", "result"),
-             ("estimates", BULGE, "smoothing", "smoothing.not run"),
-             ("evolve", DRIFT, "result", "result")]
-    for cmd, payload, label, why in cases:
-        path = write_scenario(tmp_path, payload, name=f"{cmd}.json")
-        assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / cmd)]) == 1
+    # each kind of failing record holds exactly one of its reason (what
+    # broke) and its not_run (why it was not checked) in report.json, and
+    # stderr prints that same string on the record's line: a failing
+    # condition, a condition not run, a check not run, reduce and evolve
+    # past a bound, and a stage of `all` past a verify that rejects the base
+    sin = {**GOOD, "manifold": {"kind": "sin"}, "grid": {"R_max": 25.0, "N": 300},
+           "time": {"T": 2.0, "dt_factor": 0.05, "snap_every": 0.5}}
+
+    def condition(name):
+        return lambda report: next(c for c in report["conditions"] if c["name"] == name)
+
+    cases = [("verify", BULGE, condition("iii"), "conditions.iii", "reason"),
+             ("verify", sin, condition("ii"), "conditions.ii", "not_run"),
+             ("estimates", BULGE, lambda report: report["smoothing"], "smoothing", "not_run"),
+             ("reduce", TRAPPING, lambda report: report, "result", "reason"),
+             ("evolve", DRIFT, lambda report: report, "result", "reason"),
+             ("all", sin, lambda report: report["evolve"], "evolve", "not_run")]
+    for i, (cmd, payload, record_of, label, key) in enumerate(cases):
+        path = write_scenario(tmp_path, payload, name=f"{i}.json")
+        assert main([cmd, "--scenario", str(path), "--out", str(tmp_path / str(i))]) == 1
+        record = record_of(json.loads((tmp_path / str(i) / "report.json").read_text()))
+        assert record["verdict"] == "FAIL" and {"reason", "not_run"} & set(record) == {key}
         lines = capsys.readouterr().err.splitlines()
-        assert f"{label:<28} FAIL" in lines, cmd
-        explained = [line for line in lines
-                     if line.startswith(f"{why:<28} ") and "reason: " in line]
-        assert len(explained) == 1, (cmd, lines)
-        assert ("witness_r=" in explained[0]) == (cmd == "verify")
+        assert f"{label:<28} {key}: {record[key]}" in lines
+        # a keyed record has a verdict line; a condition, in a list, only its reason
+        assert (f"{label:<28} FAIL" in lines) != label.startswith("conditions.")
+    assert record["not_run"].startswith("verify failed: DomainError: field ")
+    # a failing ratio report, in process: no command's check fails a ratio
+    hardy = RatioReport("hardy", "1 bump", ["a"], [5.0], bound=4.0).to_json()
+    assert {"reason", "not_run"} & set(hardy) == {"reason"}
+    lines = equiwave.cli._summary_lines({"hardy": hardy, "verdict": "FAIL"}, "result", "")
+    assert f"{'hardy':<28} reason: {hardy['reason']}" in lines
 
 
 def _python(code: str, *args: str, env_vars=None) -> str:
