@@ -31,6 +31,9 @@ H_INFINITY_WINDOWS = (20.0, 40.0, 80.0)
 # the largest perturbation size that check_perturbation certifies
 EPS_MAX = 0.1
 
+# why a record that needs h_inf is not run when h has no curvature limit
+_NO_LIMIT = "no curvature limit h_inf"
+
 
 def H_jet(profile: MetricProfile, n: int, r, order: int = 0) -> Jet:
     """Jet of H(r) = (n-1)/2 * h''/h + (n-1)(n-3)/4 * (h'/h)^2 at r > 0,
@@ -92,7 +95,7 @@ def estimate_h_infinity(profile: MetricProfile, n: int) -> tuple[float, float]:
         est = est + (fits[-1][1] - fits[-2][1]) / 3.0
     # estimates across windows must agree, and the deviation from the
     # limit must be O(r^-2): check sup |H - h_inf| r^2 stays bounded.
-    spreads = [abs(f[1] - est) for f in fits]
+    spreads = [float(abs(f[1] - est)) for f in fits]
     if max(spreads) > max(1e-6, 1e-3 * max(abs(est), 1.0)):
         raise NoLimit(f"window estimates of h_inf do not converge: {spreads}")
     sups = []
@@ -259,7 +262,9 @@ def check_admissibility(profile: MetricProfile, n: int) -> AdmissibilityReport:
             # remember the most promising failure as witness
             i = int(np.argmin(P)) if np.min(P) < 0 else int(np.argmax(P1))
             witness = (float(r_ok[i]), float(min(np.min(P), -np.max(P1))))
-    if delta0 is not None:
+    if h_inf is None:
+        cond_iii = ConditionVerdict("iii", not_run=_NO_LIMIT)
+    elif delta0 is not None:
         cond_iii = ConditionVerdict("iii", None, c_lower, {
             "delta0": delta0, "P_nonneg_Pprime_nonpos": True, "rP_bounded": True,
             "rP_bound": rP_bound})

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admissibility import _not_run, _verdict, compute_H, compute_P, estimate_h_infinity
+from .admissibility import _NO_LIMIT, _not_run, _verdict, compute_H, compute_P, estimate_h_infinity
 from .errors import (
     CFLViolation,
     ClosedFormMismatch,
@@ -68,7 +68,7 @@ def _write_csv(path: Path, header, rows):
 # the errors that mean the scenario's base is outside what a stage or a
 # check takes, each with the reason that its not-run record gives
 _NOT_RUN = {
-    NoLimit: "no curvature limit h_inf",
+    NoLimit: _NO_LIMIT,
     TruncationTooSmall: "grid too short for the smoothing frequencies",
 }
 

@@ -11,10 +11,24 @@ shape (order+1, *batch), every operation acts along axis 0, and one pass
 evaluates a radius grid (Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., SIAM 2008, ch. 13).  Where a function has no value a scalar jet
 raises and a batched jet is NaN at that point only, without warnings.
+
+The arithmetic is written once, as kernels that fill the Taylor rows,
+shape (order+1, *shape), of a buffer ``out``, their last argument:
+``np.add`` (the sum is row by row), ``mul_into``, ``reciprocal_into``
+and ``apply_into``, the Horner composition with an outer series
+(``EXP``, ``SIN``, ``SINH``, ``COSH``, ``SQRT``, ``power(p)``) in
+``work``, three scratch buffers of out's shape.  A kernel reads its
+operands and writes only ``out`` and ``work``, which share no memory
+with an operand; rows of shape () are a scalar jet.  Jet's operators
+run the kernels on fresh buffers, and profiles.Expr.bind binds them
+once to the buffers of a whole tree.  The kernels set no floating-point
+error state: Jet's operators and the runs of a bound tree ignore every
+error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,13 +44,113 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _mul_trunc(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Cauchy product along axis 0, truncated after degree ``order``."""
-    a, b = a[: order + 1], b[: order + 1]
-    out = a[0] * b
-    for i in range(1, order + 1):
-        out[i:] += a[i] * b[: order + 1 - i]
-    return out
+# -- kernels -------------------------------------------------------------------
+
+
+def mul_into(a, b, out):
+    """The Cauchy product of a and b, each of out's shape, truncated: row
+    k is a0 bk + a1 b(k-1) + ... + ak b0, added left to right."""
+    n = len(out) - 1
+    np.multiply(a[0], b, out=out)
+    for i in range(1, n + 1):
+        rows = out[i:]
+        np.add(rows, a[i] * b[: n + 1 - i], out=rows)
+
+
+def reciprocal_into(a, out):
+    """1 / a: where a's value is 0 a scalar jet raises and a batch is NaN."""
+    zero = a[0] == 0.0
+    if a.ndim == 1 and zero:
+        raise ZeroDivisionError("jet value is zero")
+    a0 = np.where(zero, np.nan, a[0])
+    out[0] = 1.0 / a0
+    for j in range(1, len(out)):
+        out[j] = -np.sum(a[1 : j + 1] * out[j - 1 :: -1], axis=0) / a0
+
+
+def _compose_into(outer, a, out, du, acc):
+    """a composed into the outer series whose Taylor rows at a's value are
+    outer: Horner evaluation in the fluctuation du = a - a0, truncated,
+    with acc as scratch."""
+    n = len(out) - 1
+    np.copyto(du, a)
+    du[0] = 0.0
+    bufs = (out, acc)  # alternate, so that the last product lands in out
+    cur = bufs[n % 2]
+    cur.fill(0.0)
+    cur[0] = outer[n]
+    for j in range(n - 1, -1, -1):
+        nxt = bufs[j % 2]
+        mul_into(cur, du, nxt)
+        value = nxt[0, ...]
+        np.add(value, outer[j], out=value)
+        cur = nxt
+
+
+def apply_into(series, work, a, out):
+    """a composed with the function whose Taylor rows at v the call
+    series(v, rows) writes.  Where the function value is not finite a
+    batch is NaN; a scalar jet raises OverflowError if v is finite."""
+    v, (outer, du, acc) = a[0], work
+    series(v, outer)
+    if not np.isfinite(outer[0]).all():
+        bad = ~np.isfinite(outer[0])
+        if outer.ndim > 1:
+            outer[:, bad] = np.nan
+        elif np.isfinite(v):
+            raise OverflowError(f"elementary function overflows at {v}")
+    _compose_into(outer, a, out, du, acc)
+
+
+# -- outer series of the elementary functions ---------------------------------
+#
+# series(v, rows) writes the Taylor coefficients of the function at v (a
+# number or an array) into rows, shape (order+1, *v.shape).
+
+
+def _positive(v, what: str):
+    """v where v > 0; elsewhere a scalar raises and an array is NaN."""
+    bad = v <= 0
+    if np.ndim(v) == 0:
+        if bad:
+            raise DomainError(f"{what} of non-positive value {v}")
+        return v
+    return np.where(bad, np.nan, v)
+
+
+def _cyclic(names, sign: float = 1.0):
+    """The series whose derivatives at v cycle through the numpy functions
+    names: the j-th is that of names[j % p], p = len(names) <= 2, times
+    sign once per completed cycle.  A function is evaluated only if the
+    order reaches it."""
+    p = len(names)
+
+    def series(v, rows):
+        for j in range(len(rows)):
+            if j < p:  # sign^0 / j! = 1: the row is the value
+                getattr(np, names[j])(v, out=rows[j, ...])
+            else:
+                np.multiply(rows[j % p], sign ** (j // p), out=rows[j, ...])
+                np.divide(rows[j, ...], math.factorial(j), out=rows[j, ...])
+
+    return series
+
+
+def power(p):
+    """The series of v^p: where v <= 0 a scalar raises, a batch is NaN."""
+    def series(v, rows):
+        v = _positive(v, "real power")
+        c = v**p
+        rows[0] = c
+        for j in range(len(rows) - 1):
+            c = c * (p - j) / v
+            rows[j + 1] = c / math.factorial(j + 1)
+
+    return series
+
+
+EXP, SIN, SQRT = _cyclic(("exp",)), _cyclic(("sin", "cos"), -1.0), power(0.5)
+SINH, COSH = _cyclic(("sinh", "cosh")), _cyclic(("cosh", "sinh"))
 
 
 class Jet:
@@ -107,11 +221,18 @@ class Jet:
             return other
         return Jet.constant(other, self.center, self.order)
 
+    def _run(self, kernel, *operands) -> "Jet":
+        """The jet that kernel(*operands, out) writes into a fresh buffer,
+        the operands cut to the lowest order among them."""
+        n = min(len(a) for a in operands) - 1
+        operands = [a[: n + 1] for a in operands]
+        out = np.empty_like(operands[0])
+        kernel(*operands, out)
+        return Jet(self.center, out)
+
     @np.errstate(all="ignore")
     def __add__(self, other):
-        o = self._coerce(other)
-        n = min(self.order, o.order)
-        return Jet(self.center, self.taylor[: n + 1] + o.taylor[: n + 1])
+        return self._run(np.add, self.taylor, self._coerce(other).taylor)
 
     __radd__ = __add__
 
@@ -128,23 +249,13 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Jet(self.center, self.taylor * other)
-        o = self._coerce(other)
-        return Jet(self.center, _mul_trunc(self.taylor, o.taylor, min(self.order, o.order)))
+        return self._run(mul_into, self.taylor, self._coerce(other).taylor)
 
     __rmul__ = __mul__
 
     @np.errstate(all="ignore")
     def reciprocal(self) -> "Jet":
-        a = self.taylor
-        zero = a[0] == 0.0
-        if a.ndim == 1 and zero:
-            raise ZeroDivisionError("jet value is zero")
-        a0 = np.where(zero, np.nan, a[0])  # a batch is NaN where it is 0
-        out = np.empty_like(a)
-        out[0] = 1.0 / a0
-        for j in range(1, self.order + 1):
-            out[j] = -np.sum(a[1 : j + 1] * out[j - 1 :: -1], axis=0) / a0
-        return Jet(self.center, out)
+        return self._run(reciprocal_into, self.taylor)
 
     @np.errstate(all="ignore")
     def __truediv__(self, other):
@@ -161,40 +272,14 @@ class Jet:
             for _ in range(p):
                 out = out * self
             return out
-        return self.apply(_power_series(p))
-
-    # -- composition with elementary functions ---------------------------
+        return self.apply(power(p))
 
     @np.errstate(all="ignore")
-    def compose_outer(self, outer_taylor: np.ndarray) -> "Jet":
-        """Compose self into an outer series given by Taylor coefficients
-        around ``self.value`` (Horner evaluation, truncated)."""
-        n = self.order
-        du = self.taylor.copy()
-        du[0] = 0.0  # fluctuation part
-        acc = np.zeros_like(du)
-        acc[0] = outer_taylor[-1]
-        for g in outer_taylor[-2::-1]:
-            acc = _mul_trunc(acc, du, n)
-            acc[0] += g
-        return Jet(self.center, acc)
-
-    @np.errstate(all="ignore")
-    def apply(self, series_fn) -> "Jet":
-        """Compose with the function whose Taylor series at v is
-        ``series_fn(v, order)``.  A batch is NaN where the function value
-        is not finite; a scalar jet raises OverflowError if v is finite."""
-        v = self.taylor[0]
-        outer = series_fn(v, self.order)
-        bad = ~np.isfinite(outer[0])
-        if bad.any():
-            if outer.ndim > 1:
-                outer[:, bad] = np.nan
-            elif np.isfinite(v):
-                raise OverflowError(f"elementary function overflows at {v}")
-        if self.order == 0:  # the Horner loop is empty: the outer value is the jet
-            return Jet(self.center, outer)
-        return self.compose_outer(outer)
+    def apply(self, series) -> "Jet":
+        """Compose with the function whose outer series is series
+        (apply_into)."""
+        work = [np.empty_like(self.taylor) for _ in range(3)]
+        return self._run(functools.partial(apply_into, series, work), self.taylor)
 
     def deriv(self) -> "Jet":
         """Jet of f' (order drops by one)."""
@@ -211,60 +296,3 @@ class Jet:
             raise ValueError("leading Taylor coefficients do not vanish")
         return Jet(self.center, self.taylor[k:])
 
-
-# -- elementary functions ----------------------------------------------------
-#
-# ``apply`` takes the Taylor series of the outer function at the values v
-# (a number or an array): coefficients of shape (n+1, *v.shape).
-
-
-def _positive(v, what: str):
-    """v where v > 0; elsewhere a scalar raises and an array is NaN."""
-    bad = v <= 0
-    if np.ndim(v) == 0:
-        if bad:
-            raise DomainError(f"{what} of non-positive value {v}")
-        return v
-    return np.where(bad, np.nan, v)
-
-
-def _cyclic(n: int, v, fns, sign: float = 1.0):
-    """Series whose derivatives at v cycle through fns: the j-th is
-    fns[j % len(fns)](v), times ``sign`` once per completed cycle.  A
-    function is evaluated only if the order reaches it."""
-    p = len(fns)
-    vals = [f(v) for f in fns[: n + 1]]
-    return np.array([sign ** (j // p) * vals[j % p] / math.factorial(j) for j in range(n + 1)])
-
-
-def _power_series(p):
-    def series(v, n):
-        v = _positive(v, "real power")
-        c = v**p
-        out = [c]
-        for j in range(n):
-            c = c * (p - j) / v
-            out.append(c / math.factorial(j + 1))
-        return np.array(out)
-
-    return series
-
-
-def jet_exp(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, v, [np.exp]))
-
-
-def jet_sin(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, v, [np.sin, np.cos], -1.0))
-
-
-def jet_sinh(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, v, [np.sinh, np.cosh]))
-
-
-def jet_cosh(x: Jet) -> Jet:
-    return x.apply(lambda v, n: _cyclic(n, v, [np.cosh, np.sinh]))
-
-
-def jet_sqrt(x: Jet) -> Jet:
-    return x.apply(_power_series(0.5))

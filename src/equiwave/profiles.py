@@ -5,7 +5,10 @@ over a fixed elementary basis (polynomials, sqrt, exp, sinh, cosh,
 rationals, the smooth cutoff exp(-eps/r)), closed under +, *, / and
 composition.  Every profile can be evaluated on arrays and
 differentiated to any requested finite order through jet arithmetic, at
-one radius or on a whole grid in one pass.
+one radius or on a whole grid in one pass.  A tree binds the jet kernels
+of jets.py once to buffers of one shape (Expr.bind): a one-shot jet runs
+them once, and a custom target's g g' binds them at order 1 and runs
+them on every call, so one arithmetic serves every order and both uses.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
@@ -21,7 +23,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import DomainError, OrderUnavailable
-from .jets import Jet, jet_cosh, jet_exp, jet_sin, jet_sinh, jet_sqrt
+from .jets import COSH, EXP, SIN, SINH, SQRT, Jet, apply_into, mul_into, power, reciprocal_into
 
 # Below this radius compute_V, whose brackets have removable
 # singularities at the origin, evaluates them by their series there.
@@ -35,239 +37,150 @@ UNDERFLOW = 700.0
 
 
 class Expr:
-    """A node of the grammar: fn applied to the jets of its operands, or
-    fn(r0, order) for a leaf, which has none; and rule, its order-1 rule
-    (Expr.bind)."""
+    """A node of the grammar: node(tape, *rows), which binds the jet
+    kernels of its operator (jets.py) to the Taylor rows of its operands
+    on the tape (Expr.bind), and its operands; a leaf has none."""
 
-    def __init__(self, fn, rule, *operands):
-        self.fn, self.rule, self.operands = fn, rule, operands
+    def __init__(self, node, *operands):
+        self.node, self.operands = node, operands
 
     def jet(self, r0, order: int) -> Jet:
-        """Jet at r0, a number or an array of centres (a batched jet)."""
-        if not self.operands:
-            return self.fn(r0, order)
-        return self.fn(*(a.jet(r0, order) for a in self.operands))
+        """Jet at r0, a number or an array of centres (a batched jet): the
+        tree bound to buffers of r0's shape on a one-shot tape."""
+        r = Jet.variable(r0, order)
+        with np.errstate(all="ignore"):
+            rows = self.bind(_Tape(r.taylor, keep=False))
+        return Jet(r.center, rows)
 
-    def bind(self, x: np.ndarray, steps: list):
-        """The node's order-1 pair (value, slope) at the centres that the
-        array x holds, in buffers of x's shape: the steps of its operands,
-        then its own, are appended to steps, and running them in order,
-        under np.errstate(all="ignore"), fills the pair with the bits of
-        the rows of the batched jet self.jet(x, 1) (NaN at a 0-d x where
-        the scalar jet raises)."""
-        pair, step = self.rule(x, *(a.bind(x, steps) for a in self.operands))
-        if step is not None:
-            steps.append(step)
-        return pair
+    def bind(self, tape: "_Tape") -> np.ndarray:
+        """The buffer, of the shape of tape.r, of the node's Taylor rows:
+        the steps of its operands, then its own, are recorded on the
+        tape, and they fill the buffer with the rows of the jet at the
+        centres that tape.r[0] holds when they run."""
+        return self.node(tape, *(a.bind(tape) for a in self.operands))
 
 
-def _cutoff(sqrt: bool, eps, r0, order) -> Jet:
-    """The smooth cutoff exp(-eps/r), times sqrt(r) if sqrt (smooth at
-    the origin thanks to the cutoff), extended by 0 at r <= 0: all its
-    derivatives vanish at the origin, and the jet is exactly zero once
-    exp(-eps/r0) underflows."""
-    r0 = np.asarray(r0, dtype=float)
-    with np.errstate(divide="ignore"):
-        zero = (r0 <= 0) | (eps / r0 > UNDERFLOW)
-    x = Jet.variable(np.where(zero, 1.0, r0), order)
-    t = jet_exp(-eps / x)
-    if sqrt:
-        t = jet_sqrt(x) * t
-    return Jet(r0, np.where(zero, 0.0, t.taylor))
+class _Tape:
+    """A tree bound to buffers of one shape: r, the Taylor rows of the
+    variable (Jet.variable), whose value row the caller sets, and the
+    steps that fill every other buffer from it, in order.  A kept tape
+    holds its steps, which run() repeats; a one-shot tape runs each step
+    as it is recorded, so a buffer that no later step reads is freed.  A
+    constant's buffer is filled when it is bound, and a step writes only
+    buffers of its own node.  Steps run under np.errstate(all="ignore")."""
+
+    def __init__(self, r: np.ndarray, keep: bool):
+        self.r, self.steps = r, [] if keep else None
+
+    def add(self, step):
+        if self.steps is None:
+            step()
+        else:
+            self.steps.append(step)
+
+    def buffers(self, k: int) -> list:
+        """k new buffers of r's shape, each its own allocation."""
+        return [np.empty_like(self.r) for _ in range(k)]
+
+    def record(self, kernel, *rows) -> np.ndarray:
+        """A new buffer of r's shape, out, that the step kernel(*rows, out)
+        fills."""
+        out = np.empty_like(self.r)
+        self.add(functools.partial(kernel, *rows, out))
+        return out
+
+    def run(self):
+        for step in self.steps:
+            step()
 
 
-def _fold(op):
-    return lambda *jets: functools.reduce(op, jets)
+def _variable(tape):
+    return tape.r
 
 
-# -- order-1 rules ----------------------------------------------------------------
-#
-# A node's rule takes the buffer x of the centres and its operands' pairs
-# and returns its own pair and the step (None for none) that fills it
-# (Expr.bind).  A pair is a tuple of arrays of x's shape, (value, slope),
-# and a node's own has a third, its scratch.  Each step repeats the
-# arithmetic of the node's order-1 jet in jets.py, in its order, so
-# every bit of the pair is the jet's.
+def _constant(c, tape):
+    rows = np.zeros(tape.r.shape)  # Jet.constant
+    rows[0] = c
+    return rows
 
 
-def _triple(x):
-    """A node's own buffers: value, slope and scratch."""
-    return tuple(np.empty_like(x) for _ in range(3))
+def _fold(kernel):
+    """A left fold of the operands by kernel (functools.reduce: one
+    operand is itself)."""
+    def node(tape, rows, *rest):
+        for b in rest:
+            rows = tape.record(kernel, rows, b)
+        return rows
+
+    return node
 
 
-def _variable_rule(x):
-    return (x, np.ones_like(x)), None  # Jet.variable
+def _quotient(tape, a, b):
+    return tape.record(mul_into, a, tape.record(reciprocal_into, b))
 
 
-def _constant_rule(c, x):
-    return (np.full_like(x, c), np.zeros_like(x)), None  # Jet.constant
+def _apply(series):
+    """The node of the operand composed into the function of series."""
+    return lambda tape, a: tape.record(apply_into, series, tape.buffers(3), a)
 
 
-def _add(a, b, out):
-    np.add(a[0], b[0], out=out[0])
-    np.add(a[1], b[1], out=out[1])
-
-
-def _mul(a, b, out):
-    """(a0 b0, a0 b1 + a1 b0), as _mul_trunc; out may be a or b."""
-    np.multiply(a[1], b[0], out=out[2])
-    np.multiply(a[0], b[1], out=out[1])
-    np.add(out[1], out[2], out=out[1])
-    np.multiply(a[0], b[0], out=out[0])
-
-
-def _reciprocal(b, out):
-    """(1/b0', -(0 + b1 (1/b0')) / b0'), b0' = b0 but NaN where b0 == 0, as
-    Jet.reciprocal (whose np.sum over one row adds it to +0)."""
-    np.copyto(out[2], b[0])
-    np.copyto(out[2], np.nan, where=b[0] == 0.0)
-    np.divide(1.0, out[2], out=out[0])
-    np.multiply(b[1], out[0], out=out[1])
-    np.add(0.0, out[1], out=out[1])
-    np.negative(out[1], out=out[1])
-    np.divide(out[1], out[2], out=out[1])
-
-
-def _compose(series, a, out, ok):
-    """Compose a into the function whose order-1 series at a0, written by
-    series(a0, out) into out[0] and out[1] (with out[2] as scratch), is
-    (o0, o1): both NaN where o0 is not finite (Jet.apply), then the one
-    Horner step of compose_outer, (o1 0 + o0, o1 a1 + 0 0)."""
-    series(a[0], out)
-    if not np.isfinite(out[0], out=ok).all():
-        np.invert(ok, out=ok)
-        np.copyto(out[0], np.nan, where=ok)
-        np.copyto(out[1], np.nan, where=ok)
-    np.multiply(out[1], 0.0, out=out[2])
-    np.add(out[2], out[0], out=out[0])
-    np.multiply(out[1], a[1], out=out[1])
-    np.add(out[1], 0.0, out=out[1])
-
-
-def _cyclic_outer(f0, f1):
-    """The order-1 series (f0(v), f1(v)) of _cyclic, whose factors
-    sign^0 / 0! and sign^0 / 1! (exp: sign^1 = 1) are exact."""
-    def series(v, out):
-        f0(v, out=out[0])
-        f1(v, out=out[1])
-
-    return series
-
-
-def _power_outer(p):
-    """The order-1 series of _power_series(p): v' = v where v > 0, else
-    NaN, and (v'^p, v'^p p / v'), v'^p by the dispatch of v' ** p."""
-    def series(v, out):
-        np.copyto(out[2], v)
-        np.copyto(out[2], np.nan, where=v <= 0)
-        np.copyto(out[0], out[2])
-        operator.ipow(out[0], p)
-        np.multiply(out[0], p, out=out[1])
-        np.divide(out[1], out[2], out=out[1])
-
-    return series
-
-
-_EXP, _SQRT = _cyclic_outer(np.exp, np.exp), _power_outer(0.5)
-
-
-def _fold_rule(step):
-    """The rule of a left fold by step(a, b, out), which may write into a."""
-    def rule(x, first, *rest):
-        if not rest:  # functools.reduce returns the one operand itself
-            return first, None
-        out = _triple(x)
-
-        def fold():
-            step(first, rest[0], out)
-            for b in rest[1:]:
-                step(out, b, out)
-
-        return out, fold
-
-    return rule
-
-
-def _compose_rule(series):
-    """The rule of composing the operand into an elementary function."""
-    def rule(x, a):
-        out, ok = _triple(x), np.empty(x.shape, dtype=bool)
-        return out, lambda: _compose(series, a, out, ok)
-
-    return rule
-
-
-def _pow_rule(p, x, a):
-    """j**p: p products from the constant (1, 0) for a natural p, else the
+def _pow(p, tape, a):
+    """a**p: p products from the constant 1 for a natural p, else the
     composition with v^p (Jet.__pow__)."""
     if not (isinstance(p, int) and p >= 0):
-        return _compose_rule(_power_outer(p))(x, a)
-    out = _triple(x)
+        return _apply(power(p))(tape, a)
+    one, acc = _constant(1.0, tape), tape.buffers(2)
 
-    def power():
-        out[0].fill(1.0)
-        out[1].fill(0.0)
-        for _ in range(p):
-            _mul(out, a, out)
+    def products():
+        rows = one
+        for i in range(p):
+            mul_into(rows, a, acc[i % 2])
+            rows = acc[i % 2]
 
-    return out, power
-
-
-def _quotient_rule(x, a, b):
-    out, recip = _triple(x), _triple(x)
-
-    def quotient():
-        _reciprocal(b, recip)
-        _mul(a, recip, out)
-
-    return out, quotient
+    tape.add(products)
+    return acc[(p - 1) % 2] if p else one
 
 
-def _cutoff_rule(sqrt: bool, eps, x):
-    """_cutoff step by step: the variable at y = 1 where masked, else x,
-    its reciprocal times -eps (Jet.__mul__ by a number), exp of that,
-    times sqrt(y) if sqrt, and 0 where masked."""
-    zero, ok = np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool)
-    y = (np.empty_like(x), np.ones_like(x))
-    recip, scaled, t, root = _triple(x), _triple(x), _triple(x), _triple(x)
+def _cutoff(sqrt: bool, eps, tape):
+    """The smooth cutoff exp(-eps/r), times sqrt(r) if sqrt (smooth at
+    the origin thanks to the cutoff), extended by 0 at r <= 0: all its
+    derivatives vanish at the origin, and the rows are exactly zero once
+    exp(-eps/r) underflows.  Where they are zero the kernels run at the
+    variable y = 1, elsewhere y = r."""
+    r = tape.r
+    y, zero = r.copy(), np.empty(r.shape[1:], dtype=bool)
 
-    def cutoff():
-        np.logical_or(x <= 0, eps / x > UNDERFLOW, out=zero)
-        np.copyto(y[0], x)
-        np.copyto(y[0], 1.0, where=zero)
-        _reciprocal(y, recip)
-        np.multiply(recip[0], -eps, out=scaled[0])
-        np.multiply(recip[1], -eps, out=scaled[1])
-        _compose(_EXP, scaled, t, ok)
-        if sqrt:
-            _compose(_SQRT, y, root, ok)
-            _mul(root, t, t)
-        np.copyto(t[0], 0.0, where=zero)
-        np.copyto(t[1], 0.0, where=zero)
+    def mask():
+        np.logical_or(r[0] <= 0, eps / r[0] > UNDERFLOW, out=zero)
+        y[0] = np.where(zero, 1.0, r[0])
 
-    return t, cutoff
+    tape.add(mask)
+    t = _apply(EXP)(tape, tape.record(np.multiply, tape.record(reciprocal_into, y), -eps))
+    if sqrt:
+        t = tape.record(mul_into, _apply(SQRT)(tape, y), t)
+    return tape.record(lambda t, out: np.copyto(out, np.where(zero, 0.0, t)), t)
 
 
-# each operator: the least and the most operands, its node's jet function
-# and its order-1 rule (Expr.bind).  pow's exponent and the cutoffs' eps
-# are numbers, bound into both first, so a cutoff is a leaf.
+# each operator: the least and the most operands, and its node, the one
+# arithmetic of every order for a one-shot jet and a bound run alike
+# (Expr.bind).  pow's exponent and the cutoffs' eps are numbers, bound
+# into the node first, so a cutoff is a leaf.
 _OPERATORS = {
-    "+": (1, math.inf, _fold(operator.add), _fold_rule(_add)),
-    "*": (1, math.inf, _fold(operator.mul), _fold_rule(_mul)),
-    "/": (2, 2, operator.truediv, _quotient_rule),
-    "pow": (2, 2, lambda p, j: j**p, _pow_rule),
-    "exp": (1, 1, jet_exp, _compose_rule(_EXP)),
-    "sin": (1, 1, jet_sin, _compose_rule(_cyclic_outer(np.sin, np.cos))),
-    "sinh": (1, 1, jet_sinh, _compose_rule(_cyclic_outer(np.sinh, np.cosh))),
-    "cosh": (1, 1, jet_cosh, _compose_rule(_cyclic_outer(np.cosh, np.sinh))),
-    "sqrt": (1, 1, jet_sqrt, _compose_rule(_SQRT)),
-    "cutoff": (1, 1, functools.partial(_cutoff, False), functools.partial(_cutoff_rule, False)),
-    "sqrt_cutoff": (1, 1, functools.partial(_cutoff, True),
-                    functools.partial(_cutoff_rule, True)),
+    "+": (1, math.inf, _fold(np.add)),
+    "*": (1, math.inf, _fold(mul_into)),
+    "/": (2, 2, _quotient),
+    "pow": (2, 2, _pow),
+    "exp": (1, 1, _apply(EXP)),
+    "sin": (1, 1, _apply(SIN)),
+    "sinh": (1, 1, _apply(SINH)),
+    "cosh": (1, 1, _apply(COSH)),
+    "sqrt": (1, 1, _apply(SQRT)),
+    "cutoff": (1, 1, functools.partial(_cutoff, False)),
+    "sqrt_cutoff": (1, 1, functools.partial(_cutoff, True)),
 }
 # the operators whose last operand is a number, and what it is
 _NUMBERS = {"pow": "exponent", "cutoff": "eps", "sqrt_cutoff": "eps"}
-# the most levels of an expression tree: Expr.jet recurses once a level
+# the most levels of an expression tree: Expr.bind recurses once a level
 # (a 500-deep tree ran out of Python's stack), and the built-in trees are
 # at most 6 deep
 MAX_EXPR_DEPTH = 100
@@ -295,17 +208,16 @@ def parse_expr(spec) -> Expr:
             raise DomainError(f"expression is deeper than {MAX_EXPR_DEPTH} levels")
         if isinstance(spec, str):
             if spec == "r":
-                return Expr(Jet.variable, _variable_rule)
+                return Expr(_variable)
             raise DomainError(f"unknown expression symbol {spec!r}")
         if _is_number(spec):
-            return Expr(functools.partial(Jet.constant, float(spec)),
-                        functools.partial(_constant_rule, float(spec)))
+            return Expr(functools.partial(_constant, float(spec)))
         if not isinstance(spec, (list, tuple)) or not spec:
             raise DomainError(f"bad expression node {spec!r}")
         op, *args = spec
         if not isinstance(op, str) or op not in _OPERATORS:
             raise DomainError(f"unknown expression operator {op!r}")
-        least, most, fn, rule = _OPERATORS[op]
+        least, most, node = _OPERATORS[op]
         if not least <= len(args) <= most:
             raise DomainError(f"operator {op!r} takes {'' if least == most else 'at least '}"
                               f"{least} operand(s), got {len(args)}")
@@ -313,8 +225,8 @@ def parse_expr(spec) -> Expr:
             *args, x = args
             if not _is_number(x):
                 raise DomainError(f"{op} {_NUMBERS[op]} must be a finite number, got {x!r}")
-            fn, rule = functools.partial(fn, x), functools.partial(rule, x)
-        return Expr(fn, rule, *(parse(arg, depth + 1) for arg in args))
+            node = functools.partial(node, x)
+        return Expr(node, *(parse(arg, depth + 1) for arg in args))
 
     return parse(spec, 1)
 
@@ -462,25 +374,25 @@ def _gg_circular(fn):
 
 def _bound_gg_prime(expr: Expr):
     """g g' of the tree expr, as f(s, out) of gg_prime_fn.  The first call
-    with s of a shape walks the tree once (Expr.bind) into buffers of that
-    shape, which f keeps until a call with s of another shape; each call
-    then copies s into them, runs the steps and writes value * slope into
-    out, with the bits of expr.jet(s, 1).value * expr.jet(s, 1).derivative(1)
-    on an array s, NaN where the tree has no jet, under one
+    with s of a shape binds the tree at order 1 (Expr.bind) to a tape of
+    buffers of that shape, which f keeps until a call with s of another
+    shape; each call then copies s into the variable's value row, runs
+    the tape and writes value * slope into out, with the bits of
+    expr.jet(s, 1).value * expr.jet(s, 1).derivative(1), NaN where the
+    tree has no jet (a 0-d s raises as a scalar jet does), under one
     np.errstate(all="ignore")."""
-    shape, x, steps, pair = None, None, [], None
+    shape, tape, rows = None, None, None
 
     def gg_prime(s, out):
-        nonlocal shape, x, steps, pair
+        nonlocal shape, tape, rows
         if np.shape(s) != shape:
-            shape, steps = np.shape(s), []
-            x = np.empty(shape)
-            pair = expr.bind(x, steps)
+            shape = np.shape(s)
+            tape = _Tape(Jet.variable(np.zeros(shape), 1).taylor, keep=True)
+            rows = expr.bind(tape)
         with np.errstate(all="ignore"):
-            np.copyto(x, s)
-            for step in steps:
-                step()
-            return np.multiply(pair[0], pair[1], out=out)
+            np.copyto(tape.r[0, ...], s)
+            tape.run()
+            return np.multiply(rows[0], rows[1], out=out)
 
     return gg_prime
 

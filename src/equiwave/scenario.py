@@ -40,15 +40,15 @@ DATA_NUMBERS = ("amplitude", "width", "center", "velocity_amplitude")
 # Every pipeline holds O(N) numbers per vector, so N is bounded for run
 # time, not memory: the solver's step count and the Chebyshev
 # propagator's length both grow like N, their work like N^2.  `all` on
-# the README scenario at N = 8192 takes about 7 s, and its larger process
-# peaks at 69 MB RSS (one BLAS thread, 2-core VM).  The longest run in the
-# tests and the benchmark takes 33,334 steps.  A stored snapshot holds
-# field and velocity, 16 N bytes; the evolve stage of the CLI shares the
-# fields alone, 8 N bytes, and frees each block once it is measured: at
-# N = 8192 with 1001 snapshots (66 MB of fields) the parent of `evolve`
-# peaks at 65 MB.  The budget still counts every snapshot, because the
-# child can fill the whole mapping while the parent runs the other
-# stages: the child of `all` there peaks at 90 MB.
+# the README scenario at N = 8192 takes about 4 s, its two processes
+# peaking at 51 and 32 MB RSS (one BLAS thread, 2-core VM).  The longest
+# run in the tests and the benchmark takes 33,334 steps.  A stored
+# snapshot holds field and velocity, 16 N bytes; the evolve stage of the
+# CLI shares the fields alone, 8 N bytes, and frees each block once it is
+# measured: at N = 8192 with 1001 snapshots (66 MB of fields) the parent
+# of `evolve` peaks at 42 MB.  The budget still counts every snapshot,
+# because the child can fill the whole mapping while the parent runs the
+# other stages: the child of `all` there peaks at 85 to 90 MB.
 MAX_GRID_POINTS = 8192
 MAX_STEPS = 1_000_000
 MAX_SNAPSHOT_BYTES = 2**30

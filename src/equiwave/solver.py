@@ -34,8 +34,8 @@ the remainder is 0.  Everything a step touches is bound once per run:
 its arrays, the force at the run's field (`_Run.bind`, whose
 band product has its neighbour views made once), the ufuncs, dt and dt/2
 as 0-d arrays and the target's g g' function (`gg_prime_fn`: a built-in
-target's closed form, or a custom tree's order-1 rules bound to buffers
-of their own, with the bits of its order-1 jet).  A step makes its numpy
+target's closed form, or a custom tree's jet kernels bound at order 1
+to buffers, with the bits of its order-1 jet).  A step makes its numpy
 calls and slices only the g g' window, and the half kick that ends a
 step is the product that starts the next, so a run has the bits of the
 textbook velocity-Verlet loop with g g' on every cell.  A custom tree is

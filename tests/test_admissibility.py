@@ -1,6 +1,7 @@
 """Admissibility conditions: closed forms, limits, verdicts, and the
 perturbation criteria."""
 
+import json
 import math
 
 import numpy as np
@@ -126,6 +127,20 @@ def test_sin_profile_fails_with_witness():
     bad = [v for v in (report.cond_i, report.cond_ii, report.cond_iii) if not v.passed]
     assert bad
     assert any(v.witness_r is not None for v in bad)
+
+
+def test_cond_iii_is_not_run_without_a_curvature_limit():
+    # h = r e^(sin r) has no curvature limit: no delta0 is tried, so
+    # condition iii is not run, and the reasons print plain numbers
+    base = metric_profile("custom", expr=["*", "r", ["exp", ["sin", "r"]]])
+    report = check_admissibility(base, 3)
+    assert report.h_infinity is None and not report.cond_i.passed
+    assert report.cond_i.reason.startswith("window estimates of h_inf do not converge: [0.")
+    iii = report.to_json()["conditions"][2]
+    assert iii == {"name": "iii", "witness_r": None, "margin": None, "detail": {},
+                   "verdict": "FAIL", "not_run": "no curvature limit h_inf"}
+    assert not report.admissible and report.cond_iii.reason is None
+    assert "np.float64(" not in json.dumps(report.to_json())
 
 
 @pytest.mark.parametrize("n", [3, 5])

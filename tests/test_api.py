@@ -340,16 +340,17 @@ EVERY_OPERATOR = ["+", "r", ["*", 0.001, ["pow", "r", 3], ["+", [
 # the scenarios that the guards below run `all` over, small (N = 300,
 # T = 2, every estimate check) unless they say otherwise, with the exit
 # code of each: a built-in target; at even n a custom target, which takes
-# the contour of the fractional powers and is stepped by the order-1
-# rules of its tree (dt_factor 0.05 keeps the energy drift of the n = 4
-# run within the evolve bound); the failing verdicts of
+# the contour of the fractional powers and is stepped by the jet kernels
+# of its tree bound at order 1 (dt_factor 0.05 keeps the energy drift of
+# the n = 4 run within the evolve bound); the failing verdicts of
 # tests/test_scenario_cli.py (the sin base, which verify rejects, so the
 # evolve stage, whose field leaves the target domain where h = sin r
 # vanishes, is not run; BULGE, which has no delta0,
 # here with zero data; the flat base on a grid too short for the
 # smoothing frequencies, whose coarse time step also takes the energy
-# drift past its bound); and every operator of the grammar in a target,
-# with a domain bound of its own
+# drift past its bound); a base h = r e^(sin r) > 0 without a curvature
+# limit, whose condition iii is not run; and every operator of the
+# grammar in a target, with a domain bound of its own
 TRACED_SCENARIOS = [
     ({"manifold": {"kind": "hyperbolic"}, "target": {"kind": "sphere"}, "n": 3}, 0),
     ({"manifold": {"kind": "hyperbolic"}, "target": {"kind": "custom", "expr": ["sin", "r"]},
@@ -362,6 +363,8 @@ TRACED_SCENARIOS = [
     ({"manifold": {"kind": "flat"}, "target": {"kind": "sphere"}, "n": 3, "delta0": 0.5,
       "grid": {"R_max": 20.0, "N": 300}, "data": {"amplitude": 0.5},
       "time": {"T": 2.0, "dt_factor": 0.4, "snap_every": 0.5}}, 1),
+    ({"manifold": {"kind": "custom", "expr": ["*", "r", ["exp", ["sin", "r"]]]},
+      "target": {"kind": "sphere"}, "n": 3}, 1),
     ({"manifold": {"kind": "hyperbolic"},
       "target": {"kind": "custom", "expr": EVERY_OPERATOR, "domain_bound": 3.0}, "n": 3}, 0),
 ]
@@ -434,9 +437,8 @@ LINES_NOT_RUN_BY_A_COMMAND = {
     "jets.Jet.__sub__": JET_API,
     "jets.Jet.__rsub__": JET_API,
     "jets.Jet.__truediv__": JET_API,
-    "jets.Jet.apply": "a scalar jet of an elementary function that overflows",
-    "profiles._compose": "a custom tree that is not finite at the field "
-                         "(tests/test_order1_rules.py)",
+    "jets.Jet.__rtruediv__": JET_API,
+    "jets.apply_into": "a scalar jet of an elementary function that overflows",
     "profiles.check_normalization": "a base that is not smooth at the origin: no traced "
                                     "scenario has one",
     "reduction._origin_jets": ORIGIN_SERIES,

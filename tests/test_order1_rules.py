@@ -1,13 +1,18 @@
-"""The order-1 rules of the expression grammar (profiles.Expr.bind): the
-g g' of a custom target, bound to its tree once, has every bit of the
-product of its order-1 jet, for every tree and every s."""
+"""The jet kernels of the expression grammar bound to buffers of one
+shape (profiles.Expr.bind): a bound tree has every bit of a one-shot
+jet, at every order, when its buffers are reused, and on any shape; and
+the g g' of a custom target, bound to its tree once at order 1, has every
+bit of the product of its order-1 jet, for every tree and every s."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiwave.profiles import _OPERATORS, parse_expr, target_profile
+from equiwave.jets import Jet
+from equiwave.profiles import (_METRICS, _OPERATORS, _TARGETS, _Tape, metric_profile,
+                               parse_expr, target_profile)
+from test_api import EVERY_OPERATOR
 
 TINY = np.finfo(float).smallest_subnormal
 # the values of s where a rule's arithmetic can part from the jet's:
@@ -62,15 +67,25 @@ def _jet_gg_prime(expr, s):
         return np.multiply(j.value, j.derivative(1))
 
 
-def _bound_pair(expr, s):
-    """The tree's order-1 pair by its rules (Expr.bind) at s."""
-    x, steps = np.empty(np.shape(s)), []
-    pair = expr.bind(x, steps)
-    np.copyto(x, s)
+def _bind(expr, shape, order):
+    """The tree bound at order to a tape of buffers of shape (Expr.bind),
+    and the tree's rows on it."""
+    tape = _Tape(Jet.variable(np.zeros(shape), order).taylor, keep=True)
+    return tape, expr.bind(tape)
+
+
+def _run(bound, s):
+    """The rows of a bound tree, run at the centres s."""
+    tape, rows = bound
+    np.copyto(tape.r[0], s)
     with np.errstate(all="ignore"):
-        for step in steps:
-            step()
-    return pair
+        tape.run()
+    return rows
+
+
+def _bound_pair(expr, s):
+    """The tree's order-1 rows, bound to buffers of s's shape, at s."""
+    return _run(_bind(expr, np.shape(s), 1), s)
 
 
 def _assert_same_bits(got, want):
@@ -79,14 +94,42 @@ def _assert_same_bits(got, want):
     assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
-def test_every_operator_and_leaf_has_an_order_1_rule():
-    # an operator added to the grammar needs a rule beside its jet
-    # function, and a tree here (and in the property's strategy)
+def test_every_operator_and_leaf_has_one_node():
+    # an operator added to the grammar needs its one node, for every
+    # order and both a one-shot jet and a bound run, and a tree here (and
+    # in the property's strategy)
     assert set(OPERATOR_TREES) == set(_OPERATORS)
     for op, entry in _OPERATORS.items():
-        assert len(entry) == 4 and callable(entry[3]), op
+        assert len(entry) == 3 and callable(entry[2]), op
     for leaf in ("r", 2.5):
-        assert callable(parse_expr(leaf).rule)
+        assert callable(parse_expr(leaf).node)
+
+
+# every built-in metric and target, and a tree of every operator
+BUILT_IN = {**{f"metric {kind}": metric_profile(kind).expr
+               for kind in _METRICS if kind != "custom"},
+            **{f"target {kind}": target_profile(kind).expr
+               for kind in _TARGETS if kind != "custom"},
+            "EVERY_OPERATOR": parse_expr(EVERY_OPERATOR)}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN))
+def test_bound_kernels_have_the_bits_of_a_one_shot_jet(name):
+    # the kernels bound once and run twice on the same buffers, and bound
+    # to a strided view and to a (k, N) stack, give every bit of the
+    # one-shot jet, NaN where it is NaN, at every order a profile takes
+    expr, again = BUILT_IN[name], np.concatenate([S[::-1], [0.5]])[1:]
+    with np.errstate(all="ignore"):
+        for order in range(13):
+            bound = _bind(expr, S.shape, order)
+            for s in (S, again):
+                for got, want in zip(_run(bound, s), expr.jet(s, order).taylor, strict=True):
+                    _assert_same_bits(got, want)
+            for s in (S[::2], np.stack([S, -S, again])):
+                got = _run(_bind(expr, s.shape, order), s)
+                want = expr.jet(s, order).taylor
+                assert got.shape == want.shape
+                _assert_same_bits(got.ravel(), want.ravel())
 
 
 @pytest.mark.parametrize("op", sorted(OPERATOR_TREES))
