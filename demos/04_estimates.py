@@ -22,8 +22,8 @@ n, k = 3, 1
 # Hardy: sup over a random suite stays below the sharp constant 1, and
 # scaled probes push the ratio toward 1 from below
 fam = gaussian_family(30, seed=0, r_power=1)
-rep = hardy_check(lambda r: r ** (1.0 - n), n, fam)
-probes = hardy_check(lambda r: r ** (1.0 - n), n, hardy_probe_family(10, 1))
+rep = hardy_check(n, fam)
+probes = hardy_check(n, hardy_probe_family(10, 1))
 print(f"Hardy (n={n}): sup ratio {rep.sup_ratio:.4f} over 30 gaussians, "
       f"{probes.sup_ratio:.4f} over sharpness probes (bound 1)")
 

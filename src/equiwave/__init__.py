@@ -36,14 +36,12 @@ from .admissibility import (
     estimate_h_infinity,
 )
 from .errors import (
-    BetaDiverges,
     BlowUp,
     CFLViolation,
     ClosedFormMismatch,
     DimensionError,
     DomainError,
     EquiwaveError,
-    HypothesisFail,
     InconsistentFormulas,
     ModeMismatch,
     NegativeEigenvalue,
@@ -55,7 +53,6 @@ from .errors import (
 from .estimates import (
     dimshift_check,
     gaussian_family,
-    hardy2_check,
     hardy_check,
     hardy_probe_family,
     smoothing_check,
@@ -91,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport",
-    "BetaDiverges",
     "BlowUp",
     "CFLViolation",
     "ClosedFormMismatch",
@@ -99,7 +95,6 @@ __all__ = [
     "DomainError",
     "DiscreteRadialOperator",
     "EquiwaveError",
-    "HypothesisFail",
     "InconsistentFormulas",
     "Jet",
     "MetricProfile",
@@ -126,7 +121,6 @@ __all__ = [
     "estimate_h_infinity",
     "frac_norm",
     "gaussian_family",
-    "hardy2_check",
     "hardy_check",
     "hardy_probe_family",
     "indices",

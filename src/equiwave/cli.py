@@ -130,7 +130,7 @@ def _estimate(scenario: Scenario, out: Path, name: str) -> dict:
     n, k, seed = scenario.n, scenario.k, scenario.seed
     if name == "hardy":
         fam = gaussian_family(30, seed, r_power=1)
-        rep = hardy_check(lambda r: r ** (1.0 - n), n, fam)
+        rep = hardy_check(n, fam)
     elif name == "smoothing":
         delta0 = scenario.delta0
         if delta0 == "search":

@@ -45,14 +45,6 @@ class EigensolveFailed(EquiwaveError):
     """A LAPACK eigensolve did not converge or rejected its input."""
 
 
-class BetaDiverges(EquiwaveError):
-    """The weighted Hardy beta-integral does not converge near the origin."""
-
-
-class HypothesisFail(EquiwaveError):
-    """An inequality hypothesis fails on the sampled grid."""
-
-
 class NotAdmissible(EquiwaveError):
     """Exponent pair violates the wave admissibility relation."""
 

@@ -1,4 +1,4 @@
-"""Numerical verification of the weighted Hardy, resolvent smoothing,
+"""Numerical verification of the Hardy, resolvent smoothing,
 Strichartz, and dimension-shift inequalities at p = 2 desk scale.
 
 Every check evaluates an inequality LHS <= C * RHS over a seeded test
@@ -18,12 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .admissibility import _verdict
-from .errors import (
-    BetaDiverges,
-    DomainError,
-    HypothesisFail,
-    NotAdmissible,
-)
+from .errors import DomainError, NotAdmissible
 from .profiles import MetricProfile
 from .reduction import compute_V
 from .spectral import (
@@ -154,80 +149,48 @@ QUAD_R = 40.0
 QUAD_NQ = 20000
 
 
+def _radial_power(rs, p, n: int) -> np.ndarray:
+    """rs ** p on the quadrature nodes rs in dimension n; DomainError where
+    it over- or underflows, which would make a false sample."""
+    with np.errstate(all="ignore"):
+        w = rs ** p
+    bad = ~(np.isfinite(w) & (w > 0))
+    if bad.any():
+        raise DomainError(f"n = {n}: the quadrature weight r^({p:g}) over- or "
+                          f"underflows, first at r = {rs[bad].min():.6g}")
+    return w
+
+
 def hardy_check(
-    alpha: Callable,
     n: int,
     family: Sequence[TestFunction],
     Nq: int = QUAD_NQ,
 ) -> RatioReport:
-    """Ratio of the two sides of the weighted Hardy inequality
-
-      int |u|^2 beta^-2 alpha dV <= 4 int |u'|^2 alpha dV,
-
-    beta(r) = alpha r^(n-1) int_0^r ds / (alpha s^(n-1))."""
+    """Ratio of the two sides of the Hardy inequality with weight alpha =
+    r^(1-n), whose beta is r: the 1-D inequality int u^2 / r^2 <= 4 int
+    u'^2, which holds on every base, so the check calibrates the midpoint
+    quadrature."""
     i1, i2 = 10, 100  # the beta slope at 0 is read between these points
     if Nq <= i2:
         raise DomainError(f"hardy_check needs Nq > {i2}, got {Nq}")
     rs, dr = RadialGrid(QUAD_R, Nq).nodes, QUAD_R / Nq
-    a = np.asarray(alpha(rs), dtype=float)
-    if np.any(a <= 0):
-        raise DomainError("alpha must be positive")
-    g = 1.0 / (a * rs ** (n - 1))
-    # the beta integral must converge at 0: reject log-slope <= -1 there
+    a, w = _radial_power(rs, 1.0 - n, n), _radial_power(rs, n - 1, n)
+    g = 1.0 / (a * w)
     slope = (math.log(g[i2]) - math.log(g[i1])) / (math.log(rs[i2]) - math.log(rs[i1]))
-    if slope <= -0.99:
-        raise BetaDiverges(
-            f"integrand of beta behaves like r^{slope:.2f} near 0"
-        )
     I = np.cumsum(g) * dr - g * dr / 2.0
-    beta = a * rs ** (n - 1) * I
+    beta = a * w * I
     ids, ratios = [], []
     for tf in family:
         u = tf.fn(rs)
         du = tf.dfn(rs)
-        lhs = np.sum(np.abs(u) ** 2 / beta**2 * a * rs ** (n - 1)) * dr
-        rhs = 4.0 * np.sum(np.abs(du) ** 2 * a * rs ** (n - 1)) * dr
+        lhs = np.sum(np.abs(u) ** 2 / beta**2 * a * w) * dr
+        rhs = 4.0 * np.sum(np.abs(du) ** 2 * a * w) * dr
         ids.append(tf.id)
         ratios.append(0.0 if rhs == 0.0 else float(lhs / rhs))
     return RatioReport(
         "hardy", f"{len(family)} radial test functions", ids, ratios,
         bound=1.0, tol=0.0,
         detail={"n": n, "R": QUAD_R, "Nq": Nq, "beta_slope": slope},
-    )
-
-
-def hardy2_check(
-    zeta,
-    epsilon: float,
-    n: int,
-    family: Sequence[TestFunction],
-) -> RatioReport:
-    """Hardy with the concave-weight choice alpha =
-    (zeta' + 2 eps zeta) e^(-2 eps r) r^(1-n); zeta must satisfy
-    zeta >= 0, zeta' > 0, zeta'' <= 0 (checked by one jet on 80 radii).
-    zeta enters only through its batched jets: zeta and zeta' on the
-    quadrature grid are one first-order jet."""
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
-    j = zeta.jet(np.geomspace(1e-3, QUAD_R, 80), 2)
-    zv, z1, z2 = j.value, j.derivative(1), j.derivative(2)
-    if np.any(zv < -1e-12) or np.any(z1 <= 0) or np.any(z2 > 1e-12):
-        raise HypothesisFail("zeta must satisfy zeta>=0, zeta'>0, zeta''<=0")
-    rs, dr = RadialGrid(QUAD_R, QUAD_NQ).nodes, QUAD_R / QUAD_NQ
-    j = zeta.jet(rs, 1)
-    z, zp = j.value, j.derivative(1)
-    wt = (zp + 2.0 * epsilon * z) * np.exp(-2.0 * epsilon * rs)
-    ids, ratios = [], []
-    for tf in family:
-        u, du = tf.fn(rs), tf.dfn(rs)
-        lhs = np.sum(wt * np.abs(u) ** 2 / rs**2) * dr
-        rhs = 4.0 * np.sum(wt * np.abs(du) ** 2) * dr
-        ids.append(tf.id)
-        ratios.append(0.0 if rhs == 0.0 else float(lhs / rhs))
-    return RatioReport(
-        "hardy-concave", f"{len(family)} radial test functions", ids, ratios,
-        bound=1.0, tol=0.0,
-        detail={"n": n, "epsilon": epsilon, "R": QUAD_R, "Nq": QUAD_NQ},
     )
 
 
@@ -350,17 +313,18 @@ def dimshift_check(
         raise DomainError("only s in {0, 1} supported by quadrature")
     m = n + 2 * k
     rs, dr = RadialGrid(QUAD_R, QUAD_NQ).nodes, QUAD_R / QUAD_NQ
+    wn, wm = _radial_power(rs, n - 1, n), _radial_power(rs, m - 1, n)
     ids, ratios = [], []
     for tf in family:
         v = tf.fn(rs)
         if s == 0:
-            lhs = np.sum(np.abs(rs**k * v) ** 2 * rs ** (n - 1)) * dr
-            rhs = np.sum(np.abs(v) ** 2 * rs ** (m - 1)) * dr
+            lhs = np.sum(np.abs(rs**k * v) ** 2 * wn) * dr
+            rhs = np.sum(np.abs(v) ** 2 * wm) * dr
         else:
             dv = tf.dfn(rs)
             du = k * rs ** (k - 1) * v + rs**k * dv
-            lhs = np.sum(np.abs(du) ** 2 * rs ** (n - 1)) * dr
-            rhs = np.sum(np.abs(dv) ** 2 * rs ** (m - 1)) * dr
+            lhs = np.sum(np.abs(du) ** 2 * wn) * dr
+            rhs = np.sum(np.abs(dv) ** 2 * wm) * dr
         ids.append(tf.id)
         ratios.append(0.0 if rhs == 0.0 else float(np.sqrt(lhs / rhs)))
     finite = [x for x in ratios if x > 0]

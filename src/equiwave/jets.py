@@ -216,7 +216,8 @@ class Jet:
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             # the jets of one expression share the centre array itself
-            if other.center is not self.center and not np.array_equal(other.center, self.center):
+            if other.center is not self.center and not np.array_equal(
+                    other.center, self.center, equal_nan=True):
                 raise ValueError("jet centers differ")
             return other
         return Jet.constant(other, self.center, self.order)
@@ -242,9 +243,6 @@ class Jet:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     @np.errstate(all="ignore")
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -262,9 +260,6 @@ class Jet:
         if isinstance(other, (int, float)):
             return Jet(self.center, self.taylor / other)
         return self * self._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
 
     def __pow__(self, p):
         if isinstance(p, int) and p >= 0:

@@ -101,9 +101,9 @@ def test_criterion_4_hardy_constant():
     sups, errs = [], []
     for n in (3, 5):
         fam = gaussian_family(30, 0, r_power=1)
-        rep = hardy_check(lambda r: r ** (1.0 - n), n, fam)
+        rep = hardy_check(n, fam)
         sups.append(rep.sup_ratio)
-        rep_a = hardy_check(lambda r: r ** (1.0 - n), n, analytic, Nq=40000)
+        rep_a = hardy_check(n, analytic, Nq=40000)
         errs.append(abs(rep_a.ratios[0] - 0.5))
     ok = max(sups) <= 1.0 and max(errs) < 1e-6
     report(4, ok, f"sup ratio {max(sups):.4f} <= 1, analytic sample error "

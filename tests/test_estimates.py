@@ -1,7 +1,6 @@
 """Hardy, smoothing, Strichartz, and dimension-shift checks, with
 regression baselines frozen on the first build."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,35 +15,21 @@ from _baselines import (
     STRICHARTZ_HYPERBOLIC_KG,
 )
 from _dense import coefficients, eigenvalues, from_coefficients, powered
-from equiwave.errors import BetaDiverges, DomainError, HypothesisFail, NotAdmissible
+from equiwave.errors import DomainError, NotAdmissible
 from equiwave.estimates import (
+    QUAD_NQ,
+    QUAD_R,
     dimshift_check,
     gaussian_family,
-    hardy2_check,
     hardy_check,
     hardy_probe_family,
     smoothing_check,
     strichartz_monitor,
     validate_wave_pair,
 )
-from equiwave.profiles import MetricProfile, metric_profile, parse_expr
+from equiwave.profiles import metric_profile
 from equiwave.reduction import compute_V
 from equiwave.spectral import RadialGrid, build_operator, frac_norm
-
-
-class _JetWeight:
-    """A weight given by its derivatives, with the .jet method that the
-    concave-weight Hardy check evaluates."""
-
-    def __init__(self, derivs):
-        self._derivs = derivs
-
-    def jet(self, r0, order):
-        from equiwave.jets import Jet
-
-        taylor = [np.broadcast_to(d(r0), np.shape(r0)) / math.factorial(j)
-                  for j, d in enumerate(self._derivs[: order + 1])]
-        return Jet(r0, taylor)
 
 
 # -- Hardy -------------------------------------------------------------------------
@@ -62,70 +47,64 @@ def test_hardy_analytic_sample():
         )
     ]
     for n in (3, 5):
-        rep = hardy_check(lambda r: r ** (1.0 - n), n, fam, Nq=40000)
+        rep = hardy_check(n, fam, Nq=40000)
         assert abs(rep.ratios[0] - 0.5) < 1e-6
 
 
 def test_hardy_gaussian_suite_below_one():
     for n in (3, 5):
         fam = gaussian_family(30, 0, r_power=1)
-        rep = hardy_check(lambda r: r ** (1.0 - n), n, fam)
+        rep = hardy_check(n, fam)
         assert rep.passed
         assert rep.sup_ratio <= 1.0
 
 
 def test_hardy_probes_approach_one_from_below():
     fam = hardy_probe_family(10, 1)
-    rep = hardy_check(lambda r: r ** (1.0 - 3), 3, fam)
+    rep = hardy_check(3, fam)
     assert rep.passed
     assert 0.8 < rep.sup_ratio <= 1.0
-
-
-def test_hardy_beta_divergence_guard():
-    with pytest.raises(BetaDiverges):
-        hardy_check(lambda r: np.ones_like(r), 3, gaussian_family(2, 0, r_power=1))
 
 
 def test_hardy_rejects_a_short_quadrature_grid():
     # the beta slope reads the 100th quadrature point
     fam = gaussian_family(2, 0, r_power=1)
     with pytest.raises(DomainError):
-        hardy_check(lambda r: r ** (1.0 - 3), 3, fam, Nq=80)
+        hardy_check(3, fam, Nq=80)
     with pytest.raises(DomainError):
-        hardy_check(lambda r: r ** (1.0 - 3), 3, fam, Nq=100)
-    assert hardy_check(lambda r: r ** (1.0 - 3), 3, fam, Nq=101).ratios
+        hardy_check(3, fam, Nq=100)
+    assert hardy_check(3, fam, Nq=101).ratios
 
 
-def test_hardy2_matches_hardy_in_limit():
-    # zeta = r makes the concave weight e^(-2 eps r)(1 + 2 eps r); as
-    # eps -> 0 it recovers the classical inequality with weight 1/r^2
-    zeta = _JetWeight([lambda r: r, lambda r: 1.0, lambda r: 0.0, lambda r: 0.0])
+def test_hardy_ratios_are_the_1d_quadrature():
+    # alpha = r^(1-n) makes beta = r, so every ratio is the midpoint sum
+    # of int u^2 / r^2 over 4 int u'^2, whatever n
+    rs = RadialGrid(QUAD_R, QUAD_NQ).nodes
     fam = gaussian_family(10, 2, r_power=1)
-    rep = hardy2_check(zeta, 1e-6, 3, fam)
-    assert rep.passed
-    classical = hardy_check(lambda r: r ** (1.0 - 3), 3, fam)
-    assert abs(rep.sup_ratio - classical.sup_ratio) < 1e-4
+    want = [np.sum(tf.fn(rs) ** 2 / rs**2) / (4.0 * np.sum(tf.dfn(rs) ** 2)) for tf in fam]
+    for n in (3, 5):
+        assert hardy_check(n, fam).ratios == pytest.approx(want, rel=1e-12)
 
 
-def test_hardy2_hypothesis_guard():
-    bad = _JetWeight([lambda r: -r, lambda r: -1.0, lambda r: 0.0])
-    with pytest.raises(HypothesisFail):
-        hardy2_check(bad, 0.1, 3, gaussian_family(2, 0, r_power=1))
+@pytest.mark.parametrize("n", [104, 150, 200, 250])
+def test_hardy_weight_out_of_range_is_a_domain_error(n):
+    # r^(1-n) overflows at the first node from n = 104 on: one error that
+    # names n, not an overflow warning and a NaN ratio
+    with pytest.raises(DomainError, match=f"n = {n}: .* first at r = 0.001$"):
+        hardy_check(n, gaussian_family(2, 0, r_power=1))
 
 
-def test_hardy2_weight_takes_zeta_prime_from_the_jet():
-    # zeta = 1 - e^(-r): the ratios equal the quadrature with the exact
-    # weight (zeta' + 2 eps zeta) e^(-2 eps r), zeta' = e^(-r)
-    zeta = MetricProfile(
-        "1 - e^(-r)", parse_expr(["+", 1.0, ["*", -1.0, ["exp", ["*", -1.0, "r"]]]]))
-    eps = 0.1
-    fam = gaussian_family(10, 0, r_power=1)
-    rep = hardy2_check(zeta, eps, 3, fam)
-    rs = RadialGrid(40.0, 20000).nodes
-    wt = (np.exp(-rs) + 2.0 * eps * (1.0 - np.exp(-rs))) * np.exp(-2.0 * eps * rs)
-    want = [np.sum(wt * tf.fn(rs) ** 2 / rs**2) / (4.0 * np.sum(wt * tf.dfn(rs) ** 2))
-            for tf in fam]
-    assert rep.ratios == pytest.approx(want, rel=1e-12)
+def test_hardy_at_the_largest_n_with_finite_weights():
+    rep = hardy_check(103, gaussian_family(3, 0, r_power=1))
+    assert rep.passed and all(0.0 < x <= 1.0 for x in rep.ratios)
+
+
+@pytest.mark.parametrize("n", [150, 200, 250])
+def test_dimshift_weight_out_of_range_is_a_domain_error(n):
+    # r^(n-1) underflows to 0 at the first node from n = 109 on, and
+    # r^(m-1) overflows at the last from m = 194 on
+    with pytest.raises(DomainError, match=f"n = {n}: .* first at r = 0.001$"):
+        dimshift_check(n, 1, 1.0, gaussian_family(2, 0, r_power=1))
 
 
 # -- smoothing ---------------------------------------------------------------------
@@ -355,7 +334,7 @@ def test_dimshift_rejects_other_s():
 
 def test_report_json_and_csv():
     fam = gaussian_family(3, 0, r_power=1)
-    rep = hardy_check(lambda r: r ** (1.0 - 3), 3, fam)
+    rep = hardy_check(3, fam)
     payload = rep.to_json()
     assert payload["verdict"] == "PASS"
     assert len(rep.csv_rows()) == 3

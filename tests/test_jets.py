@@ -34,6 +34,17 @@ def test_arithmetic_matches_sympy():
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_jets_at_one_nan_centre_combine():
+    # two jets at the same NaN centre, scalar or batched, have one centre;
+    # jets at different centres still refuse to combine
+    x = Jet.variable(float("nan"), 2)
+    assert np.isnan((x * (x + 1.0)).taylor).all()
+    xs = Jet.variable(np.array([1.0, np.nan]), 2)
+    assert (xs * (xs + 1.0)).value[0] == 2.0
+    with pytest.raises(ValueError, match="jet centers differ"):
+        x * Jet.variable(1.0, 2)
+
+
 @pytest.mark.parametrize(
     "series,sp_fn",
     [(EXP, sp.exp), (SIN, sp.sin), (SINH, sp.sinh), (COSH, sp.cosh), (SQRT, sp.sqrt)],
